@@ -120,8 +120,11 @@ def _get_seed(flags: dict[str, str]) -> int:
 def _emit(text: str, flags: dict[str, str]) -> None:
     out = flags.get("--output")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

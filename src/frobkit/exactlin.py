@@ -7,6 +7,16 @@ be shared freely.
 
 Scalars are ``fractions.Fraction``: always reduced, positive denominator,
 exact decidable equality.  No floating point is used anywhere.
+
+Every sparse sum in the package goes through one kernel, :func:`addto`:
+``acc[base + stride*k] += coeff*v`` over a stream of ``(k, v)`` entries,
+dropping entries that cancel to zero.  That one affine key map covers every
+tensor flattening used (``p*d + k``, ``k*d + q``, ``(x*d + y)*d + q``, ...).
+Dicts the kernel built become vectors through :meth:`Vec.adopt` without a
+copy.  Sums iterate stored dicts in storage order, since exact addition does
+not depend on it; sorted order (``Vec.items``, ``Mat.items``) is used only
+where order can be seen: serialization, printed vectors, and the order of
+rows fed to :class:`LinearSystem`.
 """
 
 from __future__ import annotations
@@ -33,8 +43,29 @@ def scalar_to_str(x: Fraction) -> str:
 def scalar_from_str(s: str) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {s!r}: {exc}") from None
+
+
+def addto(acc: dict, coeff, entries, base: int = 0, stride: int = 1) -> dict:
+    """Sparse accumulate: ``acc[base + stride*k] += coeff*v`` for each
+    ``(k, v)`` in ``entries``, deleting keys whose sum cancels to zero.
+
+    ``entries`` values must be nonzero (as in every stored vector, matrix
+    column, or dict this function built).  Returns ``acc``.
+    """
+    if not coeff:
+        return acc
+    for k, v in entries:
+        key = base + stride * k
+        w = coeff * v
+        if key in acc:
+            w += acc[key]
+            if not w:
+                del acc[key]
+                continue
+        acc[key] = w
+    return acc
 
 
 class Vec:
@@ -62,6 +93,15 @@ class Vec:
         self._e = e
 
     @classmethod
+    def adopt(cls, dim: int, entries: dict) -> "Vec":
+        """Wrap a dict of nonzero in-range entries, such as one built by
+        :func:`addto`, without checking or copying it."""
+        v = cls.__new__(cls)
+        v.dim = dim
+        v._e = entries
+        return v
+
+    @classmethod
     def zero(cls, dim: int) -> "Vec":
         return cls(dim)
 
@@ -73,8 +113,12 @@ class Vec:
         return self._e.get(i, ZERO)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        """Entries in ascending index order (the canonical iteration order)."""
+        """Entries in ascending index order, for output."""
         return sorted(self._e.items())
+
+    def terms(self):
+        """Entries in storage order, for sums."""
+        return self._e.items()
 
     def support(self) -> list[int]:
         return sorted(self._e)
@@ -91,16 +135,7 @@ class Vec:
     def __add__(self, other: "Vec") -> "Vec":
         if self.dim != other.dim:
             raise InputError("vector dimension mismatch in addition")
-        e = dict(self._e)
-        for k, v in other._e.items():
-            w = e.get(k, ZERO) + v
-            if w:
-                e[k] = w
-            else:
-                del e[k]
-        out = Vec(self.dim)
-        out._e = e
-        return out
+        return Vec.adopt(self.dim, addto(dict(self._e), ONE, other._e.items()))
 
     def __sub__(self, other: "Vec") -> "Vec":
         return self + other.scale(-1)
@@ -121,15 +156,11 @@ class Vec:
 
     def tensor(self, other: "Vec") -> "Vec":
         """Row-major tensor product: index = i * other.dim + j."""
-        d = self.dim * other.dim
-        e = {}
-        for i, v in self._e.items():
-            base = i * other.dim
-            for j, w in other._e.items():
-                e[base + j] = v * w
-        out = Vec(d)
-        out._e = e
-        return out
+        n = other.dim
+        return Vec.adopt(
+            self.dim * n,
+            {i * n + j: v * w for i, v in self._e.items() for j, w in other._e.items()},
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,9 +237,11 @@ class Mat:
     def col(self, j: int) -> Vec:
         if not 0 <= j < self.ncols:
             raise InputError(f"column {j} out of range")
-        v = Vec(self.nrows)
-        v._e = dict(self._c.get(j, {}))
-        return v
+        return Vec.adopt(self.nrows, dict(self._c.get(j, {})))
+
+    def col_terms(self, j: int):
+        """Entries of column j in storage order, for sums."""
+        return self._c.get(j, {}).items()
 
     def items(self) -> list[tuple[int, int, Fraction]]:
         """Entries as (row, col, value), sorted by (row, col)."""
@@ -228,18 +261,8 @@ class Mat:
             raise InputError("matvec dimension mismatch")
         acc: dict[int, Fraction] = {}
         for j, coeff in v._e.items():
-            col = self._c.get(j)
-            if not col:
-                continue
-            for r, a in col.items():
-                w = acc.get(r, ZERO) + coeff * a
-                if w:
-                    acc[r] = w
-                else:
-                    del acc[r]
-        out = Vec(self.nrows)
-        out._e = acc
-        return out
+            addto(acc, coeff, self.col_terms(j))
+        return Vec.adopt(self.nrows, acc)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
@@ -248,15 +271,7 @@ class Mat:
         for j, col in other._c.items():
             acc: dict[int, Fraction] = {}
             for k, coeff in col.items():
-                mycol = self._c.get(k)
-                if not mycol:
-                    continue
-                for r, a in mycol.items():
-                    w = acc.get(r, ZERO) + coeff * a
-                    if w:
-                        acc[r] = w
-                    else:
-                        del acc[r]
+                addto(acc, coeff, self.col_terms(k))
             if acc:
                 result._c[j] = acc
         return result
@@ -274,14 +289,7 @@ class Mat:
         m = Mat(self.nrows, self.ncols)
         m._c = {c: dict(col) for c, col in self._c.items()}
         for c, col in other._c.items():
-            mine = m._c.setdefault(c, {})
-            for r, v in col.items():
-                w = mine.get(r, ZERO) + v
-                if w:
-                    mine[r] = w
-                else:
-                    del mine[r]
-            if not mine:
+            if not addto(m._c.setdefault(c, {}), ONE, col.items()):
                 del m._c[c]
         return m
 
@@ -387,12 +395,7 @@ class LinearSystem:
             if not f:
                 continue
             prow, prhs = self._rows[p]
-            for c, v in prow.items():
-                w = row.get(c, ZERO) - f * v
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
+            addto(row, -f, prow.items())
             rhs -= f * prhs
         if not row:
             if rhs and not self._inconsistent:
@@ -407,14 +410,7 @@ class LinearSystem:
             g = qrow.get(p)
             if g is None:
                 continue
-            new = dict(qrow)
-            for c, v in row.items():
-                w = new.get(c, ZERO) - g * v
-                if w:
-                    new[c] = w
-                else:
-                    new.pop(c, None)
-            self._rows[q] = (new, qrhs - g * rhs)
+            self._rows[q] = (addto(dict(qrow), -g, row.items()), qrhs - g * rhs)
         self._rows[p] = (row, rhs)
 
     def add_matrix(self, a: Mat, b: Vec | None = None) -> None:
@@ -517,18 +513,8 @@ def inverse(a: Mat) -> Mat | None:
             g = rows[r].get(c)
             if not g:
                 continue
-            for k, v in rows[pr].items():
-                w = rows[r].get(k, ZERO) - g * v
-                if w:
-                    rows[r][k] = w
-                else:
-                    rows[r].pop(k, None)
-            for k, v in aug[pr].items():
-                w = aug[r].get(k, ZERO) - g * v
-                if w:
-                    aug[r][k] = w
-                else:
-                    aug[r].pop(k, None)
+            addto(rows[r], -g, rows[pr].items())
+            addto(aug[r], -g, aug[pr].items())
     entries = []
     for c, pr in pivot_of_col.items():
         for k, v in aug[pr].items():

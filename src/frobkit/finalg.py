@@ -27,6 +27,7 @@ from .exactlin import (
     Vec,
     ZERO,
     LinearSystem,
+    addto,
     scalar_from_str,
     scalar_to_str,
 )
@@ -95,21 +96,13 @@ class AlgebraData:
     def mul(self, x: Vec, y: Vec) -> Vec:
         """Bilinear extension of the structure constants."""
         acc: dict[int, Fraction] = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                prod = self.mult.get((i, j))
-                if prod is None:
-                    continue
-                c = a * b
-                for k, v in prod.items():
-                    w = acc.get(k, ZERO) + c * v
-                    if w:
-                        acc[k] = w
-                    else:
-                        del acc[k]
-        out = Vec(self.dim)
-        out._e = acc
-        return out
+        mult = self.mult
+        for i, a in x.terms():
+            for j, b in y.terms():
+                prod = mult.get((i, j))
+                if prod is not None:
+                    addto(acc, a * b, prod.terms())
+        return Vec.adopt(self.dim, acc)
 
     def left_mult_matrix(self, x: Vec) -> Mat:
         cols = [self.mul(x, Vec.basis(self.dim, j)) for j in range(self.dim)]
@@ -160,13 +153,13 @@ class ComultData:
         return self.delta.matvec(x)
 
     def delta_pairs(self, j: int) -> list[tuple[int, int, Fraction]]:
-        """Column j of delta as (p, q, coeff) tensor terms, ascending."""
+        """Column j of delta as (p, q, coeff) tensor terms."""
         if self._cols is None:
             d = self.algebra.dim
-            cols = [[] for _ in range(d)]
-            for flat, c, v in ((r, c, v) for r, c, v in self.delta.items()):
-                cols[c].append((flat // d, flat % d, v))
-            self._cols = cols
+            self._cols = [
+                [(t // d, t % d, v) for t, v in self.delta.col_terms(k)]
+                for k in range(d)
+            ]
         return self._cols[j]
 
 
@@ -322,31 +315,22 @@ def check_algebra(a: AlgebraData) -> VerificationReport:
 def check_coassoc(c: ComultData) -> VerificationReport:
     """Compare (Delta (x) id) Delta with (id (x) Delta) Delta exactly."""
     d = c.algebra.dim
+    delta = c.delta
     witness = None
     for j in range(d):
-        lhs_acc: dict[int, Fraction] = {}
-        rhs_acc: dict[int, Fraction] = {}
+        lhs: dict[int, Fraction] = {}
+        rhs: dict[int, Fraction] = {}
         for p, q, v in c.delta_pairs(j):
-            for x, y, w in c.delta_pairs(p):
-                flat = (x * d + y) * d + q
-                s = lhs_acc.get(flat, ZERO) + v * w
-                if s:
-                    lhs_acc[flat] = s
-                else:
-                    del lhs_acc[flat]
-            for x, y, w in c.delta_pairs(q):
-                flat = (p * d + x) * d + y
-                s = rhs_acc.get(flat, ZERO) + v * w
-                if s:
-                    rhs_acc[flat] = s
-                else:
-                    del rhs_acc[flat]
-        if lhs_acc != rhs_acc:
-            lhs = Vec(d * d * d)
-            lhs._e = lhs_acc
-            rhs = Vec(d * d * d)
-            rhs._e = rhs_acc
-            witness = Witness((j,), lhs, rhs, "(Delta(x)id)Delta != (id(x)Delta)Delta")
+            addto(lhs, v, delta.col_terms(p), q, d)  # (x*d + y)*d + q
+            addto(rhs, v, delta.col_terms(q), p * d * d)  # (p*d + x)*d + y
+        if lhs != rhs:
+            n = d * d * d
+            witness = Witness(
+                (j,),
+                Vec.adopt(n, lhs),
+                Vec.adopt(n, rhs),
+                "(Delta(x)id)Delta != (id(x)Delta)Delta",
+            )
             break
     return VerificationReport(
         (CheckResult("coassociativity", witness is None, witness),)
@@ -363,7 +347,6 @@ def check_bimodule(c: ComultData) -> VerificationReport:
     d = a.dim
     right_witness = None
     left_witness = None
-    basis = [Vec.basis(d, k) for k in range(d)]
     for i in range(d):
         pairs_i = c.delta_pairs(i)
         for j in range(d):
@@ -371,16 +354,8 @@ def check_bimodule(c: ComultData) -> VerificationReport:
             if right_witness is None:
                 acc: dict[int, Fraction] = {}
                 for p, q, v in pairs_i:
-                    prod = a.mul(basis[q], basis[j])
-                    for k, w in prod.items():
-                        flat = p * d + k
-                        s = acc.get(flat, ZERO) + v * w
-                        if s:
-                            acc[flat] = s
-                        else:
-                            del acc[flat]
-                lhs = Vec(d * d)
-                lhs._e = acc
+                    addto(acc, v, a.basis_product(q, j).terms(), p * d)
+                lhs = Vec.adopt(d * d, acc)
                 if lhs != target:
                     right_witness = Witness(
                         (i, j), lhs, target, "(id(x)m)(Delta(x)id) != Delta m"
@@ -388,16 +363,8 @@ def check_bimodule(c: ComultData) -> VerificationReport:
             if left_witness is None:
                 acc = {}
                 for p, q, v in c.delta_pairs(j):
-                    prod = a.mul(basis[i], basis[p])
-                    for k, w in prod.items():
-                        flat = k * d + q
-                        s = acc.get(flat, ZERO) + v * w
-                        if s:
-                            acc[flat] = s
-                        else:
-                            del acc[flat]
-                lhs = Vec(d * d)
-                lhs._e = acc
+                    addto(acc, v, a.basis_product(i, p).terms(), q, d)
+                lhs = Vec.adopt(d * d, acc)
                 if lhs != target:
                     left_witness = Witness(
                         (i, j), lhs, target, "(m(x)id)(id(x)Delta) != Delta m"
@@ -418,35 +385,35 @@ def check_casimir(cas: CasimirElement) -> VerificationReport:
     """Verify sum_i a_i (x) b_i x = sum_i x a_i (x) b_i for every basis x."""
     a = cas.algebra
     d = a.dim
-    terms = [(flat // d, flat % d, v) for flat, v in cas.element.items()]
+    terms = _tensor_terms(cas)
     witness = None
-    basis = [Vec.basis(d, k) for k in range(d)]
     for x in range(d):
-        lhs_acc: dict[int, Fraction] = {}
-        rhs_acc: dict[int, Fraction] = {}
+        lhs = _casimir_times(a, terms, x)
+        rhs: dict[int, Fraction] = {}
         for p, q, v in terms:
-            for k, w in a.mul(basis[q], basis[x]).items():
-                flat = p * d + k
-                s = lhs_acc.get(flat, ZERO) + v * w
-                if s:
-                    lhs_acc[flat] = s
-                else:
-                    del lhs_acc[flat]
-            for k, w in a.mul(basis[x], basis[p]).items():
-                flat = k * d + q
-                s = rhs_acc.get(flat, ZERO) + v * w
-                if s:
-                    rhs_acc[flat] = s
-                else:
-                    del rhs_acc[flat]
-        if lhs_acc != rhs_acc:
-            lhs = Vec(d * d)
-            lhs._e = lhs_acc
-            rhs = Vec(d * d)
-            rhs._e = rhs_acc
-            witness = Witness((x,), lhs, rhs, "a_i (x) b_i x != x a_i (x) b_i")
+            addto(rhs, v, a.basis_product(x, p).terms(), q, d)
+        if lhs != rhs:
+            witness = Witness(
+                (x,),
+                Vec.adopt(d * d, lhs),
+                Vec.adopt(d * d, rhs),
+                "a_i (x) b_i x != x a_i (x) b_i",
+            )
             break
     return VerificationReport((CheckResult("casimir", witness is None, witness),))
+
+
+def _tensor_terms(cas: CasimirElement) -> list[tuple[int, int, Fraction]]:
+    d = cas.algebra.dim
+    return [(t // d, t % d, v) for t, v in cas.element.terms()]
+
+
+def _casimir_times(a: AlgebraData, terms, x: int) -> dict[int, Fraction]:
+    """sum_i a_i (x) b_i e_x over the tensor square."""
+    acc: dict[int, Fraction] = {}
+    for p, q, v in terms:
+        addto(acc, v, a.basis_product(q, x).terms(), p * a.dim)
+    return acc
 
 
 def casimir_comult(cas: CasimirElement) -> ComultData:
@@ -463,14 +430,9 @@ def casimir_comult(cas: CasimirElement) -> ComultData:
         )
     a = cas.algebra
     d = a.dim
-    terms = [(flat // d, flat % d, v) for flat, v in cas.element.items()]
-    entries = []
-    basis = [Vec.basis(d, k) for k in range(d)]
-    for j in range(d):
-        for p, q, v in terms:
-            for k, w in a.mul(basis[q], basis[j]).items():
-                entries.append((p * d + k, j, v * w))
-    return ComultData(a, Mat(d * d, d, entries))
+    terms = _tensor_terms(cas)
+    cols = [Vec.adopt(d * d, _casimir_times(a, terms, j)) for j in range(d)]
+    return ComultData(a, Mat.from_columns(d * d, cols))
 
 
 def _counit_system(c: ComultData) -> LinearSystem:
@@ -478,14 +440,13 @@ def _counit_system(c: ComultData) -> LinearSystem:
     sys_ = LinearSystem(d)
     # (eps (x) id) Delta(e_j) = e_j: for each output coordinate q,
     # sum_p delta[(p,q), j] eps_p = [q == j]
+    # each (p, q) occurs once per column, so the rows need no summing
     for j in range(d):
         by_q: dict[int, dict[int, Fraction]] = {}
         by_p: dict[int, dict[int, Fraction]] = {}
         for p, q, v in c.delta_pairs(j):
-            row_q = by_q.setdefault(q, {})
-            row_q[p] = row_q.get(p, ZERO) + v
-            row_p = by_p.setdefault(p, {})
-            row_p[q] = row_p.get(q, ZERO) + v
+            by_q.setdefault(q, {})[p] = v
+            by_p.setdefault(p, {})[q] = v
         for q in range(d):
             coeffs = by_q.get(q, {})
             rhs = ONE if q == j else ZERO
@@ -623,30 +584,20 @@ def tensor_power_mul(a: AlgebraData, u: Vec, v: Vec, factors: int) -> Vec:
         return tuple(reversed(out))
 
     acc: dict[int, Fraction] = {}
-    for fu, cu in u.items():
+    for fu, cu in u.terms():
         iu = split(fu)
-        for fv, cv in v.items():
+        for fv, cv in v.terms():
             iv = split(fv)
-            comps = [a.basis_product(iu[t], iv[t]) for t in range(factors)]
-            if any(comp.is_zero() for comp in comps):
-                continue
-            coeff = cu * cv
-
-            def expand(t, flat, running):
-                if t == factors:
-                    w = acc.get(flat, ZERO) + running
-                    if w:
-                        acc[flat] = w
-                    else:
-                        del acc[flat]
-                    return
-                for k, ck in comps[t].items():
-                    expand(t + 1, flat * d + k, running * ck)
-
-            expand(0, 0, coeff)
-    out = Vec(size)
-    out._e = acc
-    return out
+            # e_{iu} e_{iv} factor by factor; distinct prefixes never collide
+            term = {0: cu * cv}
+            for t in range(factors):
+                comp = a.basis_product(iu[t], iv[t]).terms()
+                nxt: dict[int, Fraction] = {}
+                for flat, c in term.items():
+                    addto(nxt, c, comp, flat * d)
+                term = nxt
+            addto(acc, ONE, term.items())
+    return Vec.adopt(size, acc)
 
 
 def permute_basis(c: ComultData, perm: list[int]) -> ComultData:
@@ -688,36 +639,86 @@ def permute_basis(c: ComultData, perm: list[int]) -> ComultData:
 #  "unit": [[k, "p/q"], ...], "delta": [[i, t, "p/q"], ...],
 #  "counit": [[k, "p/q"], ...]}
 # where t is a row-major flattened pair index and counit is optional.
+# Matrix entries are [column, row, "p/q"].  Every entry is parsed by
+# _entries_from_json, so any malformed entry is an InputError; repeated
+# entries add up in every field.
+
+
+def _field(payload, name: str):
+    try:
+        return payload[name]
+    except (KeyError, TypeError):
+        raise InputError(f"missing or malformed field: {name!r}") from None
+
+
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _entries_from_json(raw, arity: int, field: str) -> list[tuple]:
+    """Entries [i_1, ..., i_{arity-1}, "p/q"] as (int, ..., Fraction) tuples."""
+    if not isinstance(raw, list):
+        raise InputError(f"field {field!r} must be a list")
+    out = []
+    for entry in raw:
+        if not isinstance(entry, list) or len(entry) != arity:
+            raise InputError(f"bad {field} entry {entry!r}: expected {arity} items")
+        *idx, v = entry
+        if not all(_is_index(i) for i in idx):
+            raise InputError(f"bad {field} entry {entry!r}: indices must be integers")
+        out.append((*idx, scalar_from_str(v)))
+    return out
 
 
 def _vec_to_json(v: Vec) -> list:
     return [[k, scalar_to_str(x)] for k, x in v.items()]
 
 
-def _vec_from_json(data, dim: int) -> Vec:
-    try:
-        return Vec(dim, [(int(k), scalar_from_str(x)) for k, x in data])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad vector entries: {exc}") from None
+def _vec_from_json(raw, dim: int, field: str) -> Vec:
+    return Vec(dim, _entries_from_json(raw, 2, field))
+
+
+def _mat_to_json(m: Mat) -> list:
+    return sorted([c, r, scalar_to_str(v)] for r, c, v in m.items())
+
+
+def _mat_from_json(raw, nrows: int, ncols: int, field: str) -> Mat:
+    entries = _entries_from_json(raw, 3, field)
+    return Mat(nrows, ncols, [(r, c, v) for c, r, v in entries])
+
+
+def _algebra_to_json(a: AlgebraData) -> dict:
+    """The "dim", "labels", "mult" and "unit" fields."""
+    return {
+        "dim": a.dim,
+        "labels": list(a.labels),
+        "mult": [
+            [i, j, k, scalar_to_str(v)]
+            for (i, j) in sorted(a.mult)
+            for k, v in a.mult[(i, j)].items()
+        ],
+        "unit": _vec_to_json(a.unit),
+    }
+
+
+def _algebra_from_json(payload) -> AlgebraData:
+    dim, labels = _field(payload, "dim"), _field(payload, "labels")
+    if not _is_index(dim) or not isinstance(labels, list):
+        raise InputError("fields 'dim' and 'labels' must be an integer and a list")
+    mult: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for i, j, k, v in _entries_from_json(_field(payload, "mult"), 4, "mult"):
+        mult.setdefault((i, j), []).append((k, v))
+    return AlgebraData(
+        dim,
+        [str(x) for x in labels],
+        {key: Vec(dim, e) for key, e in mult.items()},
+        _vec_from_json(_field(payload, "unit"), dim, "unit"),
+    )
 
 
 def comult_to_json(c: ComultData) -> dict:
-    a = c.algebra
-    mult_entries = []
-    for (i, j) in sorted(a.mult):
-        for k, v in a.mult[(i, j)].items():
-            mult_entries.append([i, j, k, scalar_to_str(v)])
-    delta_entries = []
-    for t, col, v in c.delta.items():
-        delta_entries.append([col, t, scalar_to_str(v)])
-    delta_entries.sort(key=lambda e: (e[0], e[1]))
-    payload = {
-        "dim": a.dim,
-        "labels": list(a.labels),
-        "mult": mult_entries,
-        "unit": _vec_to_json(a.unit),
-        "delta": delta_entries,
-    }
+    payload = _algebra_to_json(c.algebra)
+    payload["delta"] = _mat_to_json(c.delta)
     if c.counit is not None:
         payload["counit"] = _vec_to_json(c.counit)
     return payload
@@ -728,33 +729,10 @@ def comult_to_json_str(c: ComultData) -> str:
 
 
 def comult_from_json(payload: dict) -> ComultData:
-    try:
-        dim = int(payload["dim"])
-        labels = [str(x) for x in payload["labels"]]
-        mult_raw = payload["mult"]
-        unit_raw = payload["unit"]
-        delta_raw = payload["delta"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"missing or malformed field: {exc}") from None
-    mult: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for entry in mult_raw:
-        try:
-            i, j, k, v = entry
-        except ValueError:
-            raise InputError(f"bad mult entry {entry!r}") from None
-        mult.setdefault((int(i), int(j)), {})[int(k)] = scalar_from_str(v)
-    mult_vecs = {key: Vec(dim, e) for key, e in mult.items()}
-    unit = _vec_from_json(unit_raw, dim)
-    algebra = AlgebraData(dim, labels, mult_vecs, unit)
-    delta_entries = []
-    for entry in delta_raw:
-        try:
-            i, t, v = entry
-        except ValueError:
-            raise InputError(f"bad delta entry {entry!r}") from None
-        delta_entries.append((int(t), int(i), scalar_from_str(v)))
-    delta = Mat(dim * dim, dim, delta_entries)
+    algebra = _algebra_from_json(payload)
+    d = algebra.dim
+    delta = _mat_from_json(_field(payload, "delta"), d * d, d, "delta")
     counit = None
-    if "counit" in payload and payload["counit"] is not None:
-        counit = _vec_from_json(payload["counit"], dim)
+    if payload.get("counit") is not None:
+        counit = _vec_from_json(payload["counit"], d, "counit")
     return ComultData(algebra, delta, counit)

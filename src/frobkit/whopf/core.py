@@ -28,12 +28,13 @@ from ..errors import InputError, InternalConsistencyError
 from ..exactlin import (
     LinearSystem,
     Mat,
+    ONE,
+    TensorIndex,
     Vec,
     ZERO,
+    addto,
     inverse,
     is_invertible,
-    scalar_from_str,
-    scalar_to_str,
 )
 from ..finalg import (
     AlgebraData,
@@ -42,12 +43,20 @@ from ..finalg import (
     ComultData,
     VerificationReport,
     Witness,
+    _algebra_from_json,
+    _algebra_to_json,
+    _field,
+    _mat_from_json,
+    _mat_to_json,
+    _scalar_witness,
+    _vec_from_json,
+    _vec_to_json,
     casimir_comult,
     check_algebra,
     check_coassoc,
+    eps_tensor_id,
+    id_tensor_eps,
     solve_counit,
-    _vec_to_json,
-    _vec_from_json,
 )
 
 # Seed for the pseudorandom part of the non-degenerate-integral search;
@@ -75,7 +84,7 @@ class WeakHopfData:
         self.delta_wk = delta_wk
         self.epsilon_wk = epsilon_wk
         self.antipode = antipode
-        self._pairs: list[list[tuple[int, int, Fraction]]] | None = None
+        self.coalgebra = ComultData(algebra, delta_wk)
 
     @property
     def dim(self) -> int:
@@ -89,18 +98,11 @@ class WeakHopfData:
         return self.delta_wk.matvec(x)
 
     def comult_pairs(self, j: int) -> list[tuple[int, int, Fraction]]:
-        if self._pairs is None:
-            d = self.dim
-            pairs = [[] for _ in range(d)]
-            for flat, col, v in self.delta_wk.items():
-                pairs[col].append((flat // d, flat % d, v))
-            self._pairs = pairs
-        return self._pairs[j]
+        return self.coalgebra.delta_pairs(j)
 
     def comult_pairs_of(self, x: Vec) -> list[tuple[int, int, Fraction]]:
         d = self.dim
-        out = self.comult(x)
-        return [(flat // d, flat % d, v) for flat, v in out.items()]
+        return [(t // d, t % d, v) for t, v in self.comult(x).terms()]
 
     def counit_value(self, x: Vec) -> Fraction:
         return self.epsilon_wk.dot(x)
@@ -111,22 +113,20 @@ class WeakHopfData:
 
 def epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
     """Source counital map eps_s(x) = 1_1 eps(x 1_2)."""
-    acc = Vec(h.dim)
+    acc: dict[int, Fraction] = {}
     for p, q, v in h.comult_pairs_of(h.unit):
-        c = v * h.counit_value(h.algebra.mul(x, Vec.basis(h.dim, q)))
-        if c:
-            acc = acc + Vec(h.dim, {p: c})
-    return acc
+        c = h.counit_value(h.algebra.mul(x, Vec.basis(h.dim, q)))
+        addto(acc, c, ((p, v),))
+    return Vec.adopt(h.dim, acc)
 
 
 def epsilon_t(h: WeakHopfData, x: Vec) -> Vec:
     """Target counital map eps_t(x) = eps(1_1 x) 1_2."""
-    acc = Vec(h.dim)
+    acc: dict[int, Fraction] = {}
     for p, q, v in h.comult_pairs_of(h.unit):
-        c = v * h.counit_value(h.algebra.mul(Vec.basis(h.dim, p), x))
-        if c:
-            acc = acc + Vec(h.dim, {q: c})
-    return acc
+        c = h.counit_value(h.algebra.mul(Vec.basis(h.dim, p), x))
+        addto(acc, c, ((q, v),))
+    return Vec.adopt(h.dim, acc)
 
 
 def epsilon_s_matrix(h: WeakHopfData) -> Mat:
@@ -171,21 +171,19 @@ def iterated_comult(h: WeakHopfData, x: Vec, factors: int) -> dict[tuple[int, ..
     ((Delta (x) id (x) ... ) convention)."""
     if factors < 1:
         raise InputError("factors must be >= 1")
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for k, v in x.items():
-        acc[(k,)] = acc.get((k,), ZERO) + v
+    # flat = k * stride + rest, with k the first slot; expanding k to the
+    # pair index t = p*d + q gives t * stride + rest
+    acc = dict(x.terms())
+    stride = 1
     for _ in range(factors - 1):
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for key, v in acc.items():
-            for p, q, w in h.comult_pairs(key[0]):
-                nk = (p, q) + key[1:]
-                s = nxt.get(nk, ZERO) + v * w
-                if s:
-                    nxt[nk] = s
-                else:
-                    del nxt[nk]
+        nxt: dict[int, Fraction] = {}
+        for flat, v in acc.items():
+            k, rest = divmod(flat, stride)
+            addto(nxt, v, h.delta_wk.col_terms(k), rest, stride)
         acc = nxt
-    return acc
+        stride *= h.dim
+    ti = TensorIndex((h.dim,) * factors)
+    return {ti.unflatten(flat): v for flat, v in acc.items()}
 
 
 def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
@@ -195,34 +193,17 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
     a = h.algebra
     d = h.dim
     checks = list(check_algebra(a).checks)
-    checks.extend(check_coassoc(ComultData(a, h.delta_wk)).checks)
-    # relabel the reused coassociativity check for clarity
-    last = checks[-1]
-    checks[-1] = CheckResult("coassociativity_wk", last.passed, last.witness)
+    (coassoc,) = check_coassoc(h.coalgebra).checks
+    checks.append(CheckResult("coassociativity_wk", coassoc.passed, coassoc.witness))
 
-    eps = [h.epsilon_wk.get(k) for k in range(d)]
     basis = [Vec.basis(d, k) for k in range(d)]
-
+    left = eps_tensor_id(h.coalgebra, h.epsilon_wk)
+    right = id_tensor_eps(h.coalgebra, h.epsilon_wk)
     left_w = None
     right_w = None
     for j in range(d):
-        lacc: dict[int, Fraction] = {}
-        racc: dict[int, Fraction] = {}
-        for p, q, v in h.comult_pairs(j):
-            if eps[p]:
-                w = lacc.get(q, ZERO) + v * eps[p]
-                if w:
-                    lacc[q] = w
-                else:
-                    del lacc[q]
-            if eps[q]:
-                w = racc.get(p, ZERO) + v * eps[q]
-                if w:
-                    racc[p] = w
-                else:
-                    del racc[p]
-        lvec = Vec(d, lacc)
-        rvec = Vec(d, racc)
+        lvec = left.col(j)
+        rvec = right.col(j)
         if left_w is None and lvec != basis[j]:
             left_w = Witness((j,), lvec, basis[j], "(eps(x)id)Delta != id")
         if right_w is None and rvec != basis[j]:
@@ -238,24 +219,10 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
             acc: dict[int, Fraction] = {}
             for p, q, v in pairs_i:
                 for p2, q2, v2 in h.comult_pairs(j):
-                    left = a.basis_product(p, p2)
-                    if left.is_zero():
-                        continue
-                    right = a.basis_product(q, q2)
-                    if right.is_zero():
-                        continue
-                    c = v * v2
-                    for kl, vl in left.items():
-                        base = kl * d
-                        for kr, vr in right.items():
-                            flat = base + kr
-                            w = acc.get(flat, ZERO) + c * vl * vr
-                            if w:
-                                acc[flat] = w
-                            else:
-                                del acc[flat]
-            lhs = Vec(d * d)
-            lhs._e = acc
+                    right_terms = a.basis_product(q, q2).terms()
+                    for kl, vl in a.basis_product(p, p2).terms():
+                        addto(acc, v * v2 * vl, right_terms, kl * d)
+            lhs = Vec.adopt(d * d, acc)
             rhs = h.comult(a.basis_product(i, j))
             if lhs != rhs:
                 mult_w = Witness((i, j), lhs, rhs, "Delta(a)Delta(b) != Delta(ab)")
@@ -271,7 +238,6 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
     for b_mid in range(d):
         dpairs = h.comult_pairs(b_mid)
         for i in range(d):
-            row = eps_prod[i]
             prod_ib = a.basis_product(i, b_mid)
             for k in range(d):
                 direct = h.counit_value(a.mul(prod_ib, basis[k]))
@@ -281,18 +247,12 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
                     split_a += v * eps_prod[i][p] * eps_prod[q][k]
                     split_b += v * eps_prod[i][q] * eps_prod[p][k]
                 if weak_a is None and direct != split_a:
-                    weak_a = Witness(
-                        (i, b_mid, k),
-                        Vec(1, {0: direct}),
-                        Vec(1, {0: split_a}),
-                        "eps(abc) != eps(a b_1) eps(b_2 c)",
+                    weak_a = _scalar_witness(
+                        (i, b_mid, k), direct, split_a, "eps(abc) != eps(a b_1) eps(b_2 c)"
                     )
                 if weak_b is None and direct != split_b:
-                    weak_b = Witness(
-                        (i, b_mid, k),
-                        Vec(1, {0: direct}),
-                        Vec(1, {0: split_b}),
-                        "eps(abc) != eps(a b_2) eps(b_1 c)",
+                    weak_b = _scalar_witness(
+                        (i, b_mid, k), direct, split_b, "eps(abc) != eps(a b_2) eps(b_1 c)"
                     )
             if weak_a is not None and weak_b is not None:
                 break
@@ -303,52 +263,19 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
 
     # Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) = (1 (x) Delta(1))(Delta(1) (x) 1)
     unit_pairs = h.comult_pairs_of(h.unit)
-    lhs3 = iterated_comult(h, h.unit, 3)
-
-    def triple_a():
-        acc: dict[tuple[int, int, int], Fraction] = {}
-        for p, q, v in unit_pairs:
-            for r, s, w in unit_pairs:
-                mid = a.basis_product(q, r)
-                if mid.is_zero():
-                    continue
-                c = v * w
-                for km, vm in mid.items():
-                    key = (p, km, s)
-                    t = acc.get(key, ZERO) + c * vm
-                    if t:
-                        acc[key] = t
-                    else:
-                        del acc[key]
-        return acc
-
-    def triple_b():
-        acc: dict[tuple[int, int, int], Fraction] = {}
-        for r, s, w in unit_pairs:  # 1 (x) Delta(1) component (r, s) in slots 2, 3
-            for p, q, v in unit_pairs:  # Delta(1) (x) 1 component (p, q) in slots 1, 2
-                mid = a.basis_product(r, q)
-                if mid.is_zero():
-                    continue
-                c = v * w
-                for km, vm in mid.items():
-                    key = (p, km, s)
-                    t = acc.get(key, ZERO) + c * vm
-                    if t:
-                        acc[key] = t
-                    else:
-                        del acc[key]
-        return acc
-
-    def as_vec3(dct):
-        v = Vec(d * d * d)
-        v._e = {
-            (k[0] * d + k[1]) * d + k[2]: val for k, val in dct.items() if val
-        }
-        return v
-
-    lhs_vec = as_vec3(lhs3)
-    rhs_a = as_vec3(triple_a())
-    rhs_b = as_vec3(triple_b())
+    lhs_vec = Vec(
+        d * d * d,
+        [((p * d + q) * d + r, v) for (p, q, r), v in iterated_comult(h, h.unit, 3).items()],
+    )
+    acc_a: dict[int, Fraction] = {}
+    acc_b: dict[int, Fraction] = {}
+    for p, q, v in unit_pairs:  # Delta(1) (x) 1: slots 1, 2
+        for r, s, w in unit_pairs:  # 1 (x) Delta(1): slots 2, 3
+            # middle slot k of the product: flat (p*d + k)*d + s
+            addto(acc_a, v * w, a.basis_product(q, r).terms(), p * d * d + s, d)
+            addto(acc_b, v * w, a.basis_product(r, q).terms(), p * d * d + s, d)
+    rhs_a = Vec.adopt(d * d * d, acc_a)
+    rhs_b = Vec.adopt(d * d * d, acc_b)
     wa = None if lhs_vec == rhs_a else Witness(
         (), lhs_vec, rhs_a, "Delta^2(1) != (Delta(1)(x)1)(1(x)Delta(1))"
     )
@@ -364,11 +291,7 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
     tgt_w = None
     sand_w = None
     for j in range(d):
-        lhs_src = Vec(d)
-        lhs_tgt = Vec(d)
-        for p, q, v in h.comult_pairs(j):
-            lhs_src = lhs_src + a.mul(s_cols[p], basis[q]).scale(v)
-            lhs_tgt = lhs_tgt + a.mul(basis[p], s_cols[q]).scale(v)
+        lhs_src, lhs_tgt = _convolutions(h, j)
         es = epsilon_s(h, basis[j])
         et = epsilon_t(h, basis[j])
         if src_w is None and lhs_src != es:
@@ -376,11 +299,11 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
         if tgt_w is None and lhs_tgt != et:
             tgt_w = Witness((j,), lhs_tgt, et, "h_1 S(h_2) != eps_t(h)")
         if sand_w is None:
-            lhs_sand = Vec(d)
-            for key, v in iterated_comult(h, basis[j], 3).items():
-                p, q, r = key
+            acc = {}
+            for (p, q, r), v in iterated_comult(h, basis[j], 3).items():
                 term = a.mul(a.mul(s_cols[p], basis[q]), s_cols[r])
-                lhs_sand = lhs_sand + term.scale(v)
+                addto(acc, v, term.terms())
+            lhs_sand = Vec.adopt(d, acc)
             if lhs_sand != s_cols[j]:
                 sand_w = Witness(
                     (j,), lhs_sand, s_cols[j], "S(h_1) h_2 S(h_3) != S(h)"
@@ -402,6 +325,19 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
+def _convolutions(h: WeakHopfData, j: int) -> tuple[Vec, Vec]:
+    """S(h_1) h_2 and h_1 S(h_2) for h = e_j."""
+    a, s = h.algebra, h.antipode
+    src: dict[int, Fraction] = {}
+    tgt: dict[int, Fraction] = {}
+    for p, q, v in h.comult_pairs(j):
+        for k, c in s.col_terms(p):
+            addto(src, v * c, a.basis_product(k, q).terms())
+        for k, c in s.col_terms(q):
+            addto(tgt, v * c, a.basis_product(p, k).terms())
+    return Vec.adopt(h.dim, src), Vec.adopt(h.dim, tgt)
+
+
 def is_hopf(h: WeakHopfData) -> bool:
     """True iff Delta(1) = 1 (x) 1; the equivalent characterizations
     (multiplicative counit, antipode convolution identities) are re-checked
@@ -411,24 +347,16 @@ def is_hopf(h: WeakHopfData) -> bool:
         return False
     a = h.algebra
     d = h.dim
-    basis = [Vec.basis(d, k) for k in range(d)]
+    eps = h.epsilon_wk
     for x in range(d):
         for y in range(d):
-            if h.counit_value(a.basis_product(x, y)) != h.counit_value(
-                basis[x]
-            ) * h.counit_value(basis[y]):
+            if h.counit_value(a.basis_product(x, y)) != eps.get(x) * eps.get(y):
                 raise InternalConsistencyError(
                     "Delta(1) = 1(x)1 but eps is not multiplicative"
                 )
-    s_cols = [h.antipode.col(j) for j in range(d)]
     for j in range(d):
-        conv_l = Vec(d)
-        conv_r = Vec(d)
-        for p, q, v in h.comult_pairs(j):
-            conv_l = conv_l + a.mul(s_cols[p], basis[q]).scale(v)
-            conv_r = conv_r + a.mul(basis[p], s_cols[q]).scale(v)
-        expected = h.unit.scale(h.epsilon_wk.get(j))
-        if conv_l != expected or conv_r != expected:
+        expected = h.unit.scale(eps.get(j))
+        if any(conv != expected for conv in _convolutions(h, j)):
             raise InternalConsistencyError(
                 "Delta(1) = 1(x)1 but the antipode convolution identities fail"
             )
@@ -478,10 +406,10 @@ def psi_map(h: WeakHopfData, lam: Vec) -> Mat:
 def phi_map(h: WeakHopfData, lam: Vec) -> Mat:
     """Matrix of Phi_L : phi -> phi(L_1) S(L_2)."""
     d = h.dim
-    cols: list[Vec] = [Vec(d) for _ in range(d)]
+    cols: list[dict[int, Fraction]] = [{} for _ in range(d)]
     for p, q, v in h.comult_pairs_of(lam):
-        cols[p] = cols[p] + h.antipode.col(q).scale(v)
-    return Mat.from_columns(d, cols)
+        addto(cols[p], v, h.antipode.col_terms(q))
+    return Mat.from_columns(d, [Vec.adopt(d, c) for c in cols])
 
 
 def phi_prime_map(h: WeakHopfData, lam: Vec) -> Mat:
@@ -519,21 +447,21 @@ def find_nondegenerate_integral(
             return None
         return candidate, psi_inv.matvec(h.unit)
 
-    total = Vec(h.dim)
+    total: dict[int, Fraction] = {}
     for lam in basis:
-        total = total + lam
+        addto(total, ONE, lam.terms())
         found = attempt(lam)
         if found:
             return found
-    found = attempt(total)
+    found = attempt(Vec.adopt(h.dim, total))
     if found:
         return found
     rng = random.Random(seed)
     for _ in range(attempts):
-        combo = Vec(h.dim)
+        combo: dict[int, Fraction] = {}
         for b in basis:
-            combo = combo + b.scale(rng.randint(-3, 3))
-        found = attempt(combo)
+            addto(combo, rng.randint(-3, 3), b.terms())
+        found = attempt(Vec.adopt(h.dim, combo))
         if found:
             return found
     return None
@@ -550,46 +478,23 @@ def frobenius_from_integral(h: WeakHopfData, lam: Vec) -> ComultData:
     d = h.dim
     cas_entries: dict[int, Fraction] = {}
     for p, q, v in h.comult_pairs_of(lam):
-        for k, w in h.antipode.col(q).items():
-            flat = p * d + k
-            s = cas_entries.get(flat, ZERO) + v * w
-            if s:
-                cas_entries[flat] = s
-            else:
-                del cas_entries[flat]
-    cas = CasimirElement(h.algebra, Vec(d * d, cas_entries))
+        addto(cas_entries, v, h.antipode.col_terms(q), p * d)
+    cas = CasimirElement(h.algebra, Vec.adopt(d * d, cas_entries))
     comult = casimir_comult(cas)
     eps = solve_counit(comult)
     return ComultData(h.algebra, comult.delta, eps)
 
 
-# JSON: the finalg fields plus "delta_wk", "epsilon_wk", "antipode";
+# JSON: the finalg algebra fields plus "delta_wk", "epsilon_wk", "antipode";
 # all matrix entries serialize as [source_index, target_index, "p/q"].
 
 
 def weak_hopf_to_json(h: WeakHopfData) -> dict:
-    a = h.algebra
-    mult_entries = []
-    for (i, j) in sorted(a.mult):
-        for k, v in a.mult[(i, j)].items():
-            mult_entries.append([i, j, k, scalar_to_str(v)])
-    delta_entries = [
-        [col, t, scalar_to_str(v)] for t, col, v in h.delta_wk.items()
-    ]
-    delta_entries.sort(key=lambda e: (e[0], e[1]))
-    antipode_entries = [
-        [c, r, scalar_to_str(v)] for r, c, v in h.antipode.items()
-    ]
-    antipode_entries.sort(key=lambda e: (e[0], e[1]))
-    return {
-        "dim": a.dim,
-        "labels": list(a.labels),
-        "mult": mult_entries,
-        "unit": _vec_to_json(a.unit),
-        "delta_wk": delta_entries,
-        "epsilon_wk": _vec_to_json(h.epsilon_wk),
-        "antipode": antipode_entries,
-    }
+    payload = _algebra_to_json(h.algebra)
+    payload["delta_wk"] = _mat_to_json(h.delta_wk)
+    payload["epsilon_wk"] = _vec_to_json(h.epsilon_wk)
+    payload["antipode"] = _mat_to_json(h.antipode)
+    return payload
 
 
 def weak_hopf_to_json_str(h: WeakHopfData) -> str:
@@ -597,37 +502,11 @@ def weak_hopf_to_json_str(h: WeakHopfData) -> str:
 
 
 def weak_hopf_from_json(payload: dict) -> WeakHopfData:
-    try:
-        dim = int(payload["dim"])
-        labels = [str(x) for x in payload["labels"]]
-        mult_raw = payload["mult"]
-        unit_raw = payload["unit"]
-        delta_raw = payload["delta_wk"]
-        eps_raw = payload["epsilon_wk"]
-        antipode_raw = payload["antipode"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"missing or malformed field: {exc}") from None
-    mult: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for entry in mult_raw:
-        try:
-            i, j, k, v = entry
-        except ValueError:
-            raise InputError(f"bad mult entry {entry!r}") from None
-        mult.setdefault((int(i), int(j)), {})[int(k)] = scalar_from_str(v)
-    algebra = AlgebraData(
-        dim,
-        labels,
-        {key: Vec(dim, e) for key, e in mult.items()},
-        _vec_from_json(unit_raw, dim),
+    algebra = _algebra_from_json(payload)
+    d = algebra.dim
+    return WeakHopfData(
+        algebra,
+        _mat_from_json(_field(payload, "delta_wk"), d * d, d, "delta_wk"),
+        _vec_from_json(_field(payload, "epsilon_wk"), d, "epsilon_wk"),
+        _mat_from_json(_field(payload, "antipode"), d, d, "antipode"),
     )
-    delta = Mat(
-        dim * dim,
-        dim,
-        [(int(t), int(j), scalar_from_str(v)) for j, t, v in delta_raw],
-    )
-    antipode = Mat(
-        dim,
-        dim,
-        [(int(k), int(j), scalar_from_str(v)) for j, k, v in antipode_raw],
-    )
-    return WeakHopfData(algebra, delta, _vec_from_json(eps_raw, dim), antipode)

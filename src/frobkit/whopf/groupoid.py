@@ -178,29 +178,18 @@ def groupoid_algebra(g: GroupoidData) -> WeakHopfData:
 
 
 def hopf_group_algebra(table: list[list[int]], labels: list[str] | None = None) -> WeakHopfData:
-    """Group algebra of a finite group (given by its multiplication table)
-    with the group-like Hopf structure g -> g (x) g, eps = 1, S(g) = g^{-1}."""
+    """Group algebra of a finite group (given by its multiplication table):
+    the groupoid algebra of the group as a one-object groupoid, so
+    g -> g (x) g, eps = 1, S(g) = g^{-1}."""
     n = len(table)
     if any(len(row) != n for row in table):
         raise InputError("group table must be square")
-    ident = _identity_of(table)
-    inv = _inverses_of(table, ident)
+    inv = _inverses_of(table, _identity_of(table))
     if labels is None:
         labels = [f"g{k}" for k in range(n)]
-    mult = {
-        (a, b): Vec.basis(n, table[a][b]) for a in range(n) for b in range(n)
-    }
-    algebra = AlgebraData(n, labels, mult, Vec.basis(n, ident))
-    delta = Mat(n * n, n, [(j * n + j, j, ONE) for j in range(n)])
-    epsilon = Vec(n, [(j, ONE) for j in range(n)])
-    antipode = Mat(n, n, [(inv[j], j, ONE) for j in range(n)])
-    h = WeakHopfData(algebra, delta, epsilon, antipode)
-    report = check_weak_hopf(h)
-    if not report.passed:
-        raise ConstructionError(
-            f"group table does not give a Hopf algebra: {report.failures()[0].name}"
-        )
-    return h
+    morphisms = [Morphism(name, 0, 0) for name in labels]
+    compose = {(a, b): table[a][b] for a in range(n) for b in range(n)}
+    return groupoid_algebra(GroupoidData([0], morphisms, compose, inv))
 
 
 def _identity_of(table: list[list[int]]) -> int:
@@ -312,38 +301,57 @@ def groupoid_to_json(g: GroupoidData) -> dict:
     }
 
 
+def _lookup(index: dict, key, what: str) -> int:
+    try:
+        return index[key]
+    except (KeyError, TypeError):
+        raise InputError(f"unknown {what} {key!r}") from None
+
+
+def _names(entry, arity: int, name_index: dict, field: str) -> list[int]:
+    """Morphism indices of one compose or inv entry."""
+    if not isinstance(entry, list) or len(entry) != arity:
+        raise InputError(f"bad {field} entry {entry!r}: expected {arity} morphism names")
+    return [_lookup(name_index, x, f"morphism in {field}") for x in entry]
+
+
 def groupoid_from_json(payload: dict) -> GroupoidData:
     try:
-        objects = list(payload["objects"])
-        morph_raw = payload["morphisms"]
-        comp_raw = payload["compose"]
-        inv_raw = payload["inv"]
+        fields = [payload[k] for k in ("objects", "morphisms", "compose", "inv")]
     except (KeyError, TypeError) as exc:
         raise InputError(f"missing or malformed field: {exc}") from None
-    obj_index = {x: i for i, x in enumerate(objects)}
+    if not all(isinstance(f, list) for f in fields):
+        raise InputError("objects, morphisms, compose and inv must be lists")
+    objects, morph_raw, comp_raw, inv_raw = fields
+    try:
+        obj_index = {x: i for i, x in enumerate(objects)}
+    except TypeError:
+        raise InputError("object names must be strings or numbers") from None
     morphisms = []
     name_index = {}
     for m in morph_raw:
         try:
             name, src, tgt = m["id"], m["src"], m["tgt"]
+            name_index[name] = len(morphisms)
         except (KeyError, TypeError):
             raise InputError(f"bad morphism entry {m!r}") from None
-        if src not in obj_index or tgt not in obj_index:
-            raise InputError(f"morphism {name!r} references unknown object")
-        name_index[name] = len(morphisms)
-        morphisms.append(Morphism(str(name), obj_index[src], obj_index[tgt]))
+        morphisms.append(
+            Morphism(
+                str(name),
+                _lookup(obj_index, src, "object"),
+                _lookup(obj_index, tgt, "object"),
+            )
+        )
     compose = {}
     for entry in comp_raw:
-        try:
-            a, b, c = entry
-        except ValueError:
-            raise InputError(f"bad compose entry {entry!r}") from None
-        compose[(name_index[a], name_index[b])] = name_index[c]
+        a, b, c = _names(entry, 3, name_index, "compose")
+        compose[(a, b)] = c
     inv = [0] * len(morphisms)
     seen = set()
-    for a, b in inv_raw:
-        inv[name_index[a]] = name_index[b]
-        seen.add(name_index[a])
+    for entry in inv_raw:
+        a, b = _names(entry, 2, name_index, "inv")
+        inv[a] = b
+        seen.add(a)
     if len(seen) != len(morphisms):
         raise InputError("inverse table must cover every morphism")
     return GroupoidData(objects, morphisms, compose, inv)

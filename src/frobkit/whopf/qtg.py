@@ -34,7 +34,7 @@ from ..exactlin import (
     ONE,
     TensorIndex,
     Vec,
-    ZERO,
+    addto,
     inverse,
     solve_linear,
 )
@@ -183,12 +183,11 @@ class QTGInput:
     # -- action helpers ----------------------------------------------------
     def act(self, b: Vec, l: Vec) -> Vec:
         """Bilinear b <| l."""
-        acc = Vec(self.B.dim)
-        for bi, cb in b.items():
-            for li, cl in l.items():
-                col = self.action.col(bi * self.L.dim + li)
-                acc = acc + col.scale(cb * cl)
-        return acc
+        acc: dict[int, Fraction] = {}
+        for bi, cb in b.terms():
+            for li, cl in l.terms():
+                addto(acc, cb * cl, self.action.col_terms(bi * self.L.dim + li))
+        return Vec.adopt(self.B.dim, acc)
 
     def e_pairs(self) -> list[tuple[int, int, Fraction]]:
         d = self.B.dim
@@ -212,20 +211,20 @@ class QTGInput:
         basis_b = [Vec.basis(dB, k) for k in range(dB)]
         # idempotent1: b e1 (x) e2 = e1 (x) e2 b
         for b in range(dB):
-            lhs = Vec(dB * dB)
-            rhs = Vec(dB * dB)
+            lhs: dict[int, Fraction] = {}
+            rhs: dict[int, Fraction] = {}
             for p, q, v in pairs:
-                lhs = lhs + B.mul(basis_b[b], basis_b[p]).scale(v).tensor(basis_b[q])
-                rhs = rhs + basis_b[p].tensor(B.mul(basis_b[q], basis_b[b]).scale(v))
+                addto(lhs, v, B.basis_product(b, p).terms(), q, dB)
+                addto(rhs, v, B.basis_product(q, b).terms(), p * dB)
             if lhs != rhs:
                 raise ConstructionError(
                     "idempotent1: b e1 (x) e2 != e1 (x) e2 b"
                 )
         # idempotent2: e1 e2 = 1
-        contracted = Vec(dB)
+        contracted: dict[int, Fraction] = {}
         for p, q, v in pairs:
-            contracted = contracted + B.basis_product(p, q).scale(v)
-        if contracted != B.unit:
+            addto(contracted, v, B.basis_product(p, q).terms())
+        if Vec.adopt(dB, contracted) != B.unit:
             raise ConstructionError("idempotent2: e1 e2 != 1_B")
         # idempotent3: symmetry
         swapped = Vec(
@@ -234,16 +233,12 @@ class QTGInput:
         if swapped != self.e:
             raise ConstructionError("idempotent3: e1 (x) e2 != e2 (x) e1")
         # trace: w(e1) e2 = 1 = e1 w(e2)
-        first = Vec(dB)
-        second = Vec(dB)
+        first: dict[int, Fraction] = {}
+        second: dict[int, Fraction] = {}
         for p, q, v in pairs:
-            wp = self.omega.get(p)
-            if wp:
-                first = first + basis_b[q].scale(v * wp)
-            wq = self.omega.get(q)
-            if wq:
-                second = second + basis_b[p].scale(v * wq)
-        if first != B.unit or second != B.unit:
+            addto(first, self.omega.get(p), ((q, v),))
+            addto(second, self.omega.get(q), ((p, v),))
+        if Vec.adopt(dB, first) != B.unit or Vec.adopt(dB, second) != B.unit:
             raise ConstructionError("trace: w(e1) e2 = 1_B = e1 w(e2) fails")
         # action axioms
         dL = L.dim
@@ -269,24 +264,23 @@ class QTGInput:
                 prod = B.basis_product(b1, b2)
                 for l in range(dL):
                     lhs = self.act(prod, basis_l[l])
-                    rhs = Vec(dB)
+                    acc: dict[int, Fraction] = {}
                     for p, q, v in L.comult_pairs(l):
-                        rhs = rhs + B.mul(
-                            self.act(basis_b[b1], basis_l[p]),
-                            self.act(basis_b[b2], basis_l[q]),
-                        ).scale(v)
-                    if lhs != rhs:
+                        left = self.act(basis_b[b1], basis_l[p])
+                        right = self.act(basis_b[b2], basis_l[q])
+                        addto(acc, v, B.mul(left, right).terms())
+                    if lhs != Vec.adopt(dB, acc):
                         raise ConstructionError(
                             "QTGaction2: (b b') <| l != (b <| l_1)(b' <| l_2)"
                         )
         # idempotentAction: (e1 <| l) (x) e2 = e1 (x) (e2 <| S(l))
         for l in range(dL):
-            lhs = Vec(dB * dB)
-            rhs = Vec(dB * dB)
+            lhs = {}
+            rhs = {}
             s_l = L.antipode.col(l)
             for p, q, v in pairs:
-                lhs = lhs + self.act(basis_b[p], basis_l[l]).scale(v).tensor(basis_b[q])
-                rhs = rhs + basis_b[p].tensor(self.act(basis_b[q], s_l).scale(v))
+                addto(lhs, v, self.act(basis_b[p], basis_l[l]).terms(), q, dB)
+                addto(rhs, v, self.act(basis_b[q], s_l).terms(), p * dB)
             if lhs != rhs:
                 raise ConstructionError(
                     "idempotentAction: (e1 <| l) (x) e2 != e1 (x) (e2 <| S(l))"
@@ -297,18 +291,18 @@ def _triple_index(q: QTGInput) -> TensorIndex:
     return TensorIndex((q.B.dim, q.L.dim, q.B.dim))
 
 
+def _add_tensor3(acc: dict, coeff, q: QTGInput, first: Vec, mid: Vec, last: Vec) -> dict:
+    """acc += coeff * first (x) mid (x) last over B^op (x) L (x) B."""
+    dL, dB = q.L.dim, q.B.dim
+    for a, ca in first.terms():
+        for l, cl in mid.terms():
+            addto(acc, coeff * ca * cl, last.terms(), (a * dL + l) * dB)
+    return acc
+
+
 def _tensor3(q: QTGInput, first: Vec, mid: Vec, last: Vec) -> Vec:
     """first (x) mid (x) last as a vector over B^op (x) L (x) B."""
-    ti = _triple_index(q)
-    dL, dB = q.L.dim, q.B.dim
-    acc = {}
-    for a, ca in first.items():
-        for l, cl in mid.items():
-            base = (a * dL + l) * dB
-            c = ca * cl
-            for b, cb in last.items():
-                acc[base + b] = acc.get(base + b, ZERO) + c * cb
-    return Vec(ti.size, acc)
+    return Vec.adopt(_triple_index(q).size, _add_tensor3({}, 1, q, first, mid, last))
 
 
 def qtg_build(q: QTGInput) -> WeakHopfData:
@@ -332,7 +326,7 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
         l1_pairs = L.comult_pairs(l1)
         for p2 in range(dim):
             a2, l2, b2 = ti.unflatten(p2)
-            acc = Vec(dim)
+            acc: dict[int, Fraction] = {}
             for u1, u2, c1 in l1_pairs:
                 first = B.mul(q.act(basis_b[a2], s_cols[u1]), basis_b[a1])
                 if first.is_zero():
@@ -344,9 +338,9 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
                     last = B.mul(q.act(basis_b[b1], Vec.basis(dL, v2)), basis_b[b2])
                     if last.is_zero():
                         continue
-                    acc = acc + _tensor3(q, first, mid, last).scale(c1 * c2)
-            if not acc.is_zero():
-                mult[(p1, p2)] = acc
+                    _add_tensor3(acc, c1 * c2, q, first, mid, last)
+            if acc:
+                mult[(p1, p2)] = Vec.adopt(dim, acc)
     unit = _tensor3(q, B.unit, L.unit, B.unit)
     algebra = AlgebraData(dim, labels, mult, unit)
 
@@ -417,12 +411,13 @@ def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
     lam_dual = _dual_integral_of_l(q, lam_r)
 
     basis_b = [Vec.basis(dB, k) for k in range(dB)]
-    ibar = Vec(ti.size)
+    acc: dict[int, Fraction] = {}
     for u1, u2, c in q.L.comult_pairs_of(lam_r):
         s_u2 = L.antipode.col(u2)
         for p, qq, ce in q.e_pairs():
             first = q.act(basis_b[p], Vec.basis(dL, u1))
-            ibar = ibar + _tensor3(q, first, s_u2, basis_b[qq]).scale(c * ce)
+            _add_tensor3(acc, c * ce, q, first, s_u2, basis_b[qq])
+    ibar = Vec.adopt(ti.size, acc)
 
     lam_bar_entries = []
     for col in range(ti.size):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import golden
 from frobkit.cli import main
 from frobkit.finalg import comult_from_json, comult_to_json_str
@@ -274,3 +276,91 @@ def test_whopf_seed_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["seed"] == 7
+
+
+def _nsy_build_payload(capsys):
+    code, out, _ = run(capsys, "nsy", "build", "n=2", "ell=2", "m=1,1")
+    assert code == 0
+    return json.loads(out)
+
+
+def _set(field, index, value):
+    def corrupt(payload):
+        payload[field][0][index] = value
+
+    return corrupt
+
+
+def _truncate(field):
+    def corrupt(payload):
+        payload[field][0] = payload[field][0][:2]
+
+    return corrupt
+
+
+def _groupoid_case(corrupt):
+    def make(tmp_path, capsys):
+        from frobkit.whopf import groupoid_to_json
+
+        payload = groupoid_to_json(pair_groupoid(2))
+        corrupt(payload)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        return ["whopf", "groupoid", "--json", str(path), "check"]
+
+    return make
+
+
+def _file_case(command, source, corrupt):
+    def make(tmp_path, capsys):
+        if source == "nsy":
+            payload = _nsy_build_payload(capsys)
+        else:
+            payload = weak_hopf_to_json(groupoid_algebra(pair_groupoid(2)))
+        corrupt(payload)
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        return [*command, str(path)]
+
+    return make
+
+
+def _unknown_compose_name(payload):
+    payload["compose"][0][2] = "nope"
+
+
+def _short_inv(payload):
+    payload["inv"][0] = payload["inv"][0][:1]
+
+
+def _unhashable_objects(payload):
+    payload["objects"] = [[x] for x in payload["objects"]]
+
+
+def _missing_output_dir(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    return ["nsy", "build", "n=2", "ell=2", "m=1,1", "--output", str(target)]
+
+
+MALFORMED_INPUTS = {
+    "verify_non_integer_mult_index": _file_case(["verify"], "nsy", _set("mult", 0, "a")),
+    "verify_list_delta_index": _file_case(["verify"], "nsy", _set("delta", 1, [1])),
+    "whopf_short_delta_wk_entry": _file_case(["whopf", "check"], "whopf", _truncate("delta_wk")),
+    "whopf_non_integer_delta_wk_index": _file_case(
+        ["whopf", "check"], "whopf", _set("delta_wk", 0, "x")
+    ),
+    "groupoid_unknown_compose_name": _groupoid_case(_unknown_compose_name),
+    "groupoid_short_inv_entry": _groupoid_case(_short_inv),
+    "groupoid_unhashable_objects": _groupoid_case(_unhashable_objects),
+    "output_missing_directory": _missing_output_dir,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exit_two_one_line(case, tmp_path, capsys):
+    argv = MALFORMED_INPUTS[case](tmp_path, capsys)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith("\n") and err.count("\n") == 1

@@ -11,6 +11,7 @@ from frobkit.exactlin import (
     Mat,
     TensorIndex,
     Vec,
+    addto,
     inverse,
     is_invertible,
     kernel_basis,
@@ -201,3 +202,37 @@ def test_inverse_round_trip(a):
         ident = Mat.identity(a.nrows)
         assert inv @ a == ident
         assert a @ inv == ident
+
+
+@st.composite
+def accumulate_case(draw):
+    """A target vector, an entry vector, a coefficient, and an affine key map
+    base + stride*k that fits the target."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    stride = draw(st.integers(min_value=1, max_value=5))
+    base = draw(st.integers(min_value=0, max_value=8))
+    n = base + stride * (m - 1) + 1 + draw(st.integers(min_value=0, max_value=3))
+    entries = Vec(m, draw(st.lists(st.tuples(st.integers(0, m - 1), small_fraction), max_size=6)))
+    coeff = draw(small_fraction)
+    acc = Vec(n, draw(st.lists(st.tuples(st.integers(0, n - 1), small_fraction), max_size=8)))
+    if draw(st.booleans()):
+        # subtract the image first, so that every mapped key cancels wherever
+        # the original target was zero there
+        mapped = Vec(n, [(base + stride * k, v) for k, v in entries.items()])
+        acc = acc - mapped.scale(coeff)
+    return acc, coeff, entries, base, stride
+
+
+@given(accumulate_case())
+@settings(max_examples=200, deadline=None)
+def test_addto_matches_vec_arithmetic(case):
+    acc, coeff, entries, base, stride = case
+    n = acc.dim
+    before = acc.items()
+    got = Vec.adopt(n, addto(dict(acc.terms()), coeff, entries.terms(), base, stride))
+    mapped = Vec(n, [(base + stride * k, v) for k, v in entries.items()])
+    assert got == acc + mapped.scale(coeff)
+    # the validating constructor sums duplicates on its own
+    assert got == Vec(n, acc.items() + [(base + stride * k, coeff * v) for k, v in entries.items()])
+    assert all(v != 0 for _, v in got.items())
+    assert acc.items() == before

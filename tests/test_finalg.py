@@ -271,3 +271,26 @@ def test_json_counit_optional_and_rationals():
 def test_json_malformed_rejected():
     with pytest.raises(InputError):
         comult_from_json({"dim": 2})
+
+
+def test_json_repeated_entries_add_up_in_every_field():
+    alg = golden_b22_algebra()
+    payload = comult_to_json(ComultData(alg, golden_b22_delta(alg)))
+    i, j, k, _ = payload["mult"][0]
+    col, t, _ = payload["delta"][0]
+    payload["mult"].append([i, j, k, "2"])
+    payload["delta"].append([col, t, "2"])
+    payload["unit"].append([payload["unit"][0][0], "2"])
+    back = comult_from_json(payload)
+    assert back.algebra.basis_product(i, j).get(k) == F(3)
+    assert back.delta.entry(t, col) == F(3)
+    assert back.algebra.unit.get(payload["unit"][0][0]) == F(3)
+
+
+@pytest.mark.parametrize("dim", [4.7, "4", True, None])
+def test_json_non_integer_dim_rejected(dim):
+    alg = golden_b22_algebra()
+    payload = comult_to_json(ComultData(alg, golden_b22_delta(alg)))
+    payload["dim"] = dim
+    with pytest.raises(InputError):
+        comult_from_json(payload)

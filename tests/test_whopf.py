@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobkit.errors import ConstructionError, PreconditionError
+from frobkit.errors import ConstructionError, InputError, PreconditionError
 from frobkit.exactlin import LinearSystem, Vec, is_invertible
 from frobkit.finalg import check_bimodule, check_coassoc
 from frobkit.whopf import (
@@ -93,6 +93,31 @@ def test_hopf_group_algebras_pass(hopf_group_algebras):
     for n, h in hopf_group_algebras.items():
         assert check_weak_hopf(h).passed, n
         assert is_hopf(h), n
+
+
+def test_group_algebra_is_one_object_groupoid_algebra():
+    table = cyclic_group_table(4)
+    h = hopf_group_algebra(table)
+    assert h.algebra.labels == ["g0", "g1", "g2", "g3"]
+    g = groupoid_algebra(group_groupoid(table))
+    assert h.algebra.mult == g.algebra.mult
+    assert h.unit == g.unit
+    assert h.delta_wk == g.delta_wk
+    assert h.epsilon_wk == g.epsilon_wk
+    assert h.antipode == g.antipode
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1], [1]],  # not square
+        [[1, 1], [1, 1]],  # no identity
+        [[0, 1, 2], [1, 1, 1], [2, 1, 2]],  # identity 0, but 1 has no inverse
+    ],
+)
+def test_group_algebra_rejects_bad_tables(table):
+    with pytest.raises(InputError):
+        hopf_group_algebra(table)
 
 
 def test_corrupted_composition_fails_with_witness(groupoid_fixtures):
