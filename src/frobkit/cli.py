@@ -412,10 +412,11 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
             k = _int_flag(flags, "--objects")
             grp = flags.get("--group", "cyclic:1")
             kind, num = _parse_source_token(grp, ("cyclic",))
+            order = 1 if num is None else num
             return (
-                groupoid_algebra(connected_groupoid(k, cyclic_group_table(num or 1))),
+                groupoid_algebra(connected_groupoid(k, cyclic_group_table(order))),
                 None,
-                f"connected groupoid on {k} objects with Z/{num or 1}",
+                f"connected groupoid on {k} objects with Z/{order}",
             )
         raise InputError(
             "groupoid needs --pair-objects N, --cyclic N, --objects N [--group cyclic:K], or --json FILE"
@@ -434,7 +435,7 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
         if lkind == "trivial":
             L = trivial_hopf()
         else:
-            L = hopf_group_algebra(cyclic_group_table(lnum or 1))
+            L = hopf_group_algebra(cyclic_group_table(1 if lnum is None else lnum))
         bkind, bnum = _parse_source_token(b_raw, ("matrix", "cyclic"))
         if bnum is None:
             raise InputError(f"--B {b_raw!r} needs a size, e.g. matrix:2")

@@ -70,6 +70,9 @@ class WeakHopfData:
     ``delta_wk`` is (dim^2 x dim) with row-major pair flattening,
     ``epsilon_wk`` is a functional stored over the same basis, and
     ``antipode`` is (dim x dim) with column j the image S(e_j).
+
+    Fields must not be reassigned after construction: ``unit_pairs`` (Delta(1)
+    as (p, q, coeff) terms) and the :func:`check_weak_hopf` report derive from them.
     """
 
     def __init__(self, algebra: AlgebraData, delta_wk: Mat, epsilon_wk: Vec, antipode: Mat):
@@ -85,6 +88,8 @@ class WeakHopfData:
         self.epsilon_wk = epsilon_wk
         self.antipode = antipode
         self.coalgebra = ComultData(algebra, delta_wk)
+        self.unit_pairs = self.comult_pairs_of(algebra.unit)
+        self._report: VerificationReport | None = None
 
     @property
     def dim(self) -> int:
@@ -114,7 +119,7 @@ class WeakHopfData:
 def epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
     """Source counital map eps_s(x) = 1_1 eps(x 1_2)."""
     acc: dict[int, Fraction] = {}
-    for p, q, v in h.comult_pairs_of(h.unit):
+    for p, q, v in h.unit_pairs:
         c = h.counit_value(h.algebra.mul(x, Vec.basis(h.dim, q)))
         addto(acc, c, ((p, v),))
     return Vec.adopt(h.dim, acc)
@@ -123,7 +128,7 @@ def epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
 def epsilon_t(h: WeakHopfData, x: Vec) -> Vec:
     """Target counital map eps_t(x) = eps(1_1 x) 1_2."""
     acc: dict[int, Fraction] = {}
-    for p, q, v in h.comult_pairs_of(h.unit):
+    for p, q, v in h.unit_pairs:
         c = h.counit_value(h.algebra.mul(Vec.basis(h.dim, p), x))
         addto(acc, c, ((q, v),))
     return Vec.adopt(h.dim, acc)
@@ -189,7 +194,14 @@ def iterated_comult(h: WeakHopfData, x: Vec, factors: int) -> dict[tuple[int, ..
 def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
     """All axioms: algebra, coalgebra, the three weak-bialgebra
     compatibilities, the three antipode identities, and invertibility of the
-    antipode (a theorem for finite dimension, so it doubles as a data check)."""
+    antipode (a theorem for finite dimension, so it doubles as a data check).
+    The report is kept on ``h``: later calls return the same object."""
+    if h._report is None:
+        h._report = _weak_hopf_report(h)
+    return h._report
+
+
+def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     a = h.algebra
     d = h.dim
     checks = list(check_algebra(a).checks)
@@ -231,29 +243,32 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
             break
     checks.append(CheckResult("delta_wk_multiplicative", mult_w is None, mult_w))
 
-    # eps(abc) = eps(a b_1) eps(b_2 c) = eps(a b_2) eps(b_1 c)
-    eps_prod = [[h.counit_value(a.basis_product(i, j)) for j in range(d)] for i in range(d)]
+    # eps(abc) = eps(a b_1) eps(b_2 c) = eps(a b_2) eps(b_1 c), for one (b, a)
+    # at a time over all c, from the rows eps_row[m] = {c: eps(e_m e_c)}
+    eps_row = [
+        {k: c for k in range(d) if (c := h.counit_value(a.basis_product(m, k)))}
+        for m in range(d)
+    ]
     weak_a = None
     weak_b = None
     for b_mid in range(d):
         dpairs = h.comult_pairs(b_mid)
         for i in range(d):
-            prod_ib = a.basis_product(i, b_mid)
-            for k in range(d):
-                direct = h.counit_value(a.mul(prod_ib, basis[k]))
-                split_a = ZERO
-                split_b = ZERO
-                for p, q, v in dpairs:
-                    split_a += v * eps_prod[i][p] * eps_prod[q][k]
-                    split_b += v * eps_prod[i][q] * eps_prod[p][k]
-                if weak_a is None and direct != split_a:
-                    weak_a = _scalar_witness(
-                        (i, b_mid, k), direct, split_a, "eps(abc) != eps(a b_1) eps(b_2 c)"
-                    )
-                if weak_b is None and direct != split_b:
-                    weak_b = _scalar_witness(
-                        (i, b_mid, k), direct, split_b, "eps(abc) != eps(a b_2) eps(b_1 c)"
-                    )
+            row_i = eps_row[i]
+            direct: dict[int, Fraction] = {}
+            for m, c in a.basis_product(i, b_mid).terms():
+                addto(direct, c, eps_row[m].items())
+            split_a: dict[int, Fraction] = {}
+            split_b: dict[int, Fraction] = {}
+            for p, q, v in dpairs:
+                if p in row_i:
+                    addto(split_a, v * row_i[p], eps_row[q].items())
+                if q in row_i:
+                    addto(split_b, v * row_i[q], eps_row[p].items())
+            if weak_a is None and direct != split_a:
+                weak_a = _row_witness((i, b_mid), direct, split_a, "eps(abc) != eps(a b_1) eps(b_2 c)")
+            if weak_b is None and direct != split_b:
+                weak_b = _row_witness((i, b_mid), direct, split_b, "eps(abc) != eps(a b_2) eps(b_1 c)")
             if weak_a is not None and weak_b is not None:
                 break
         if weak_a is not None and weak_b is not None:
@@ -262,15 +277,14 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
     checks.append(CheckResult("epsilon_wk_weak_mult_b", weak_b is None, weak_b))
 
     # Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) = (1 (x) Delta(1))(Delta(1) (x) 1)
-    unit_pairs = h.comult_pairs_of(h.unit)
     lhs_vec = Vec(
         d * d * d,
         [((p * d + q) * d + r, v) for (p, q, r), v in iterated_comult(h, h.unit, 3).items()],
     )
     acc_a: dict[int, Fraction] = {}
     acc_b: dict[int, Fraction] = {}
-    for p, q, v in unit_pairs:  # Delta(1) (x) 1: slots 1, 2
-        for r, s, w in unit_pairs:  # 1 (x) Delta(1): slots 2, 3
+    for p, q, v in h.unit_pairs:  # Delta(1) (x) 1: slots 1, 2
+        for r, s, w in h.unit_pairs:  # 1 (x) Delta(1): slots 2, 3
             # middle slot k of the product: flat (p*d + k)*d + s
             addto(acc_a, v * w, a.basis_product(q, r).terms(), p * d * d + s, d)
             addto(acc_b, v * w, a.basis_product(r, q).terms(), p * d * d + s, d)
@@ -323,6 +337,12 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
         )
     )
     return VerificationReport(tuple(checks))
+
+
+def _row_witness(prefix: tuple[int, int], lhs: dict, rhs: dict, note: str) -> Witness:
+    """Scalar witness at the first index where two unequal sparse rows differ."""
+    k = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+    return _scalar_witness((*prefix, k), lhs.get(k, ZERO), rhs.get(k, ZERO), note)
 
 
 def _convolutions(h: WeakHopfData, j: int) -> tuple[Vec, Vec]:

@@ -342,6 +342,10 @@ def _missing_output_dir(tmp_path, capsys):
     return ["nsy", "build", "n=2", "ell=2", "m=1,1", "--output", str(target)]
 
 
+def _argv(*argv):
+    return lambda tmp_path, capsys: list(argv)
+
+
 MALFORMED_INPUTS = {
     "verify_non_integer_mult_index": _file_case(["verify"], "nsy", _set("mult", 0, "a")),
     "verify_list_delta_index": _file_case(["verify"], "nsy", _set("delta", 1, [1])),
@@ -353,6 +357,10 @@ MALFORMED_INPUTS = {
     "groupoid_short_inv_entry": _groupoid_case(_short_inv),
     "groupoid_unhashable_objects": _groupoid_case(_unhashable_objects),
     "output_missing_directory": _missing_output_dir,
+    "qtg_cyclic_zero_L": _argv("whopf", "qtg", "--L", "cyclic:0", "--B", "cyclic:2", "check"),
+    "groupoid_cyclic_zero_group": _argv(
+        "whopf", "groupoid", "--objects", "2", "--group", "cyclic:0", "check"
+    ),
 }
 
 
@@ -364,3 +372,12 @@ def test_malformed_input_exit_two_one_line(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+def test_qtg_matrix3_check_passes(capsys):
+    # dim 81: the largest QTG the CLI builds from flags in a few seconds
+    code, out, _ = run(capsys, "whopf", "qtg", "--L", "trivial", "--B", "matrix:3", "check")
+    assert code == 0
+    lines = out.rstrip("\n").split("\n")
+    assert len(lines) > 1
+    assert all(line.startswith("[PASS] ") for line in lines)
