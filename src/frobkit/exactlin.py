@@ -40,10 +40,20 @@ def scalar_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def scalar_from_str(s: str) -> Fraction:
+def scalar_from_str(s: str | int) -> Fraction:
+    """Parse a ``"p/q"`` (or decimal) string or an integer exactly.
+
+    Floats and booleans are rejected, since a float is already inexact, and
+    so are exponent literals such as ``"1e999999"``, whose size is not
+    bounded by their length.
+    """
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
+        raise InputError(f"bad rational literal {s!r}: expected a string or an integer")
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise InputError(f"bad rational literal {s!r}: exponents are not allowed")
     try:
         return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {s!r}: {exc}") from None
 
 

@@ -349,6 +349,9 @@ def _argv(*argv):
 MALFORMED_INPUTS = {
     "verify_non_integer_mult_index": _file_case(["verify"], "nsy", _set("mult", 0, "a")),
     "verify_list_delta_index": _file_case(["verify"], "nsy", _set("delta", 1, [1])),
+    "verify_float_mult_value": _file_case(["verify"], "nsy", _set("mult", 3, 0.1)),
+    "verify_bool_unit_value": _file_case(["verify"], "nsy", _set("unit", 1, True)),
+    "verify_exponent_delta_value": _file_case(["verify"], "nsy", _set("delta", 2, "1e999999")),
     "whopf_short_delta_wk_entry": _file_case(["whopf", "check"], "whopf", _truncate("delta_wk")),
     "whopf_non_integer_delta_wk_index": _file_case(
         ["whopf", "check"], "whopf", _set("delta_wk", 0, "x")
