@@ -89,6 +89,8 @@ def _split_args(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
                 raise InputError(f"unknown flag {tok}")
             if i + 1 >= len(tokens):
                 raise InputError(f"flag {tok} needs a value")
+            if tok in flags:
+                raise InputError(f"flag {tok} given more than once")
             flags[tok] = tokens[i + 1]
             i += 2
         else:
@@ -165,6 +167,8 @@ def _parse_nsy_params(tokens: list[str]) -> dict[str, str]:
         if "=" not in tok:
             raise InputError(f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
+        if key in params:
+            raise InputError(f"parameter {key} given more than once")
         params[key] = val
     return params
 
@@ -474,6 +478,8 @@ def _load_json(path: str) -> dict:
         raise InputError(
             f"JSON parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # e.g. an integer literal past the int-digit limit
+        raise InputError(f"JSON parse error in {path}: {exc}") from None
 
 
 def cmd_whopf(args: list[str]) -> int:

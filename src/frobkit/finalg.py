@@ -20,6 +20,14 @@ products instead of O(d^2) basis pairs.  When that holds, both bimodule
 equalities and coassociativity hold (see check_coassoc).  Otherwise the
 pairwise scans run as the only witness path, so every failure is reported at
 the same first basis index.
+
+Most structure constants of the NSY algebras are zero, so the checkers walk
+only nonzero basis products, listed by factor in AlgebraData.product_index:
+the associativity check of a monomial table, the Delta(1) e_x and e_x Delta(1)
+products (Casimir check, casimir_comult, the Delta(1) test above) and the
+pairs the bimodule scan visits.  The associativity walk only decides; when it
+fails, the full triple scan runs and gives the witness, as the pairwise
+bimodule and coassociativity scans do for theirs.
 """
 
 from __future__ import annotations
@@ -75,8 +83,8 @@ class AlgebraData:
     ``mult`` maps a basis pair (i, j) to the product vector e_i * e_j; absent
     keys mean the product is zero.  Associativity and unitality are not
     assumed; run :func:`check_algebra`.  Fields are never reassigned after
-    construction: the monomial table and the check_algebra report are derived
-    from them and kept here.
+    construction: the monomial table, the product index and the
+    check_algebra report are derived from them and kept here.
     """
 
     def __init__(self, dim: int, labels: list[str], mult: dict, unit: Vec):
@@ -100,6 +108,7 @@ class AlgebraData:
         self.unit = unit
         self._zero = Vec(dim)
         self._monomial_table: list[list[int]] | None | bool = False  # False = unknown
+        self._product_index: tuple[list[list[int]], list[list[int]]] | None = None
         self._report: VerificationReport | None = None
 
     def basis_product(self, i: int, j: int) -> Vec:
@@ -139,6 +148,20 @@ class AlgebraData:
             table[i][j] = items[0][0]
         self._monomial_table = table if ok else None
         return self._monomial_table
+
+    def product_index(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The nonzero basis products by factor, as ``(by_right, by_left)``:
+        ``by_right[x]`` lists the q with e_q e_x != 0 and ``by_left[x]`` the
+        p with e_x e_p != 0; the products themselves stay in ``mult``.  Only
+        indices are kept, so the index costs one list slot per product."""
+        if self._product_index is None:
+            by_right: list[list[int]] = [[] for _ in range(self.dim)]
+            by_left: list[list[int]] = [[] for _ in range(self.dim)]
+            for i, j in self.mult:
+                by_right[j].append(i)
+                by_left[i].append(j)
+            self._product_index = (by_right, by_left)
+        return self._product_index
 
 
 class ComultData:
@@ -277,7 +300,8 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
 
     assoc_witness = None
     table = a.monomial_table()
-    if table is not None:
+    # a monomial table is decided by the walk; the d^3 scan only finds the witness
+    if table is not None and not _monomial_associative(a, table):
         for i in range(d):
             ti = table[i]
             for j in range(d):
@@ -300,7 +324,7 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
                     break
             if assoc_witness:
                 break
-    else:
+    elif table is None:
         basis = [Vec.basis(d, k) for k in range(d)]
         for i in range(d):
             for j in range(d):
@@ -332,6 +356,31 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
     checks.append(CheckResult("unit_left", left_witness is None, left_witness))
     checks.append(CheckResult("unit_right", right_witness is None, right_witness))
     return VerificationReport(tuple(checks))
+
+
+def _monomial_associative(a: AlgebraData, table: list[list[int]]) -> bool:
+    """Associativity of a monomial table, walking only nonzero products.
+
+    Let L be the set of basis triples (i, j, k) with (e_i e_j) e_k != 0 and R
+    the set with e_i (e_j e_k) != 0.  The walk visits L, that is (i, j) in
+    ``mult`` and k with e_{ij} e_k != 0, and checks that e_i (e_j e_k) is the
+    same basis element.  If no triple differs, L is contained in R, and then
+    |L| = |R| gives L = R: every triple outside L reads 0 = 0.  An
+    associative table has L = R and no differing triple.  So the table is
+    associative iff the walk finds no difference and |L| = |R|, where |R| is
+    the sum over (j, k) in ``mult`` of the number of i with e_i e_{jk} != 0.
+    """
+    by_right, by_left = a.product_index()
+    walked = 0
+    for i, j in a.mult:
+        ij = table[i][j]
+        ti, tj, tij, row = table[i], table[j], table[ij], by_left[ij]
+        for k in row:
+            jk = tj[k]
+            if jk < 0 or ti[jk] != tij[k]:
+                return False
+        walked += len(row)
+    return walked == sum(len(by_right[table[j][k]]) for j, k in a.mult)
 
 
 def check_coassoc(c: ComultData) -> VerificationReport:
@@ -378,6 +427,12 @@ def check_bimodule(c: ComultData) -> VerificationReport:
     Both hold without a scan when Delta(x) = Delta(1) x = x Delta(1) over an
     associative algebra (see :func:`_from_delta_one`): then
     Delta(x) y = Delta(1) xy and x Delta(y) = xy Delta(1).
+
+    Otherwise the scan visits, for each i in turn, only the j (ascending) for
+    which some side can be nonzero: e_i e_j != 0, e_q e_j != 0 for a right
+    factor q of Delta(e_i), or e_i e_p != 0 for a left factor p of
+    Delta(e_j).  Every other pair reads 0 = 0 in both equalities, so the
+    first witnesses are those of the full scan.
     """
     if _from_delta_one(c):
         return VerificationReport(
@@ -385,11 +440,22 @@ def check_bimodule(c: ComultData) -> VerificationReport:
         )
     a = c.algebra
     d = a.dim
+    by_left = a.product_index()[1]
+    cols_with_left: list[set[int]] = [set() for _ in range(d)]
+    for j in range(d):
+        for p, _, _ in c.delta_pairs(j):
+            cols_with_left[p].add(j)
     right_witness = None
     left_witness = None
     for i in range(d):
         pairs_i = c.delta_pairs(i)
-        for j in range(d):
+        visit: set[int] = set()
+        for p in by_left[i]:
+            visit.add(p)
+            visit |= cols_with_left[p]
+        for _, q, _ in pairs_i:
+            visit.update(by_left[q])
+        for j in sorted(visit):
             target = c.delta_of(a.basis_product(i, j))
             if right_witness is None:
                 acc: dict[int, Fraction] = {}
@@ -425,11 +491,11 @@ def check_casimir(cas: CasimirElement) -> VerificationReport:
     """Verify sum_i a_i (x) b_i x = sum_i x a_i (x) b_i for every basis x."""
     a = cas.algebra
     d = a.dim
-    terms = _tensor_terms(cas)
+    by_q, by_p = _tensor_factors(cas)
     witness = None
     for x in range(d):
-        lhs = _casimir_times(a, terms, x)
-        rhs = _times_casimir(a, terms, x)
+        lhs = _casimir_times(a, by_q, x)
+        rhs = _times_casimir(a, by_p, x)
         if lhs != rhs:
             witness = Witness(
                 (x,),
@@ -441,24 +507,45 @@ def check_casimir(cas: CasimirElement) -> VerificationReport:
     return VerificationReport((CheckResult("casimir", witness is None, witness),))
 
 
-def _tensor_terms(cas: CasimirElement) -> list[tuple[int, int, Fraction]]:
+def _tensor_factors(cas: CasimirElement) -> tuple[dict, dict]:
+    """The terms v e_p (x) e_q of the element grouped by the factor that
+    multiplies: ``(by_q, by_p)`` with ``by_q[q]`` listing ``(p, v)`` and
+    ``by_p[p]`` listing ``(q, v)``."""
     d = cas.algebra.dim
-    return [(t // d, t % d, v) for t, v in cas.element.terms()]
+    by_q: dict[int, list[tuple[int, Fraction]]] = {}
+    by_p: dict[int, list[tuple[int, Fraction]]] = {}
+    for t, v in cas.element.terms():
+        p, q = divmod(t, d)
+        by_q.setdefault(q, []).append((p, v))
+        by_p.setdefault(p, []).append((q, v))
+    return by_q, by_p
 
 
-def _casimir_times(a: AlgebraData, terms, x: int) -> dict[int, Fraction]:
-    """sum_i a_i (x) b_i e_x over the tensor square."""
+def _casimir_times(a: AlgebraData, by_q: dict, x: int) -> dict[int, Fraction]:
+    """sum_i a_i (x) b_i e_x over the tensor square, from the q with
+    e_q e_x != 0 only."""
+    d = a.dim
     acc: dict[int, Fraction] = {}
-    for p, q, v in terms:
-        addto(acc, v, a.basis_product(q, x).terms(), p * a.dim)
+    for q in a.product_index()[0][x]:
+        pv = by_q.get(q)
+        if pv:
+            prod = a.mult[q, x].terms()
+            for p, v in pv:
+                addto(acc, v, prod, p * d)
     return acc
 
 
-def _times_casimir(a: AlgebraData, terms, x: int) -> dict[int, Fraction]:
-    """sum_i e_x a_i (x) b_i over the tensor square."""
+def _times_casimir(a: AlgebraData, by_p: dict, x: int) -> dict[int, Fraction]:
+    """sum_i e_x a_i (x) b_i over the tensor square, from the p with
+    e_x e_p != 0 only."""
+    d = a.dim
     acc: dict[int, Fraction] = {}
-    for p, q, v in terms:
-        addto(acc, v, a.basis_product(x, p).terms(), q, a.dim)
+    for p in a.product_index()[1][x]:
+        qv = by_p.get(p)
+        if qv:
+            prod = a.mult[x, p].terms()
+            for q, v in qv:
+                addto(acc, v, prod, q, d)
     return acc
 
 
@@ -471,10 +558,10 @@ def _from_delta_one(c: ComultData) -> bool:
         a = c.algebra
         ok = check_algebra(a).passed
         if ok:
-            terms = _tensor_terms(CasimirElement(a, c.delta_of(a.unit)))
+            by_q, by_p = _tensor_factors(CasimirElement(a, c.delta_of(a.unit)))
             for j in range(a.dim):
                 col = dict(c.delta.col_terms(j))
-                if _casimir_times(a, terms, j) != col or _times_casimir(a, terms, j) != col:
+                if _casimir_times(a, by_q, j) != col or _times_casimir(a, by_p, j) != col:
                     ok = False
                     break
         c._from_delta_one = ok
@@ -495,8 +582,8 @@ def casimir_comult(cas: CasimirElement) -> ComultData:
         )
     a = cas.algebra
     d = a.dim
-    terms = _tensor_terms(cas)
-    cols = [Vec.adopt(d * d, _casimir_times(a, terms, j)) for j in range(d)]
+    by_q, _ = _tensor_factors(cas)
+    cols = [Vec.adopt(d * d, _casimir_times(a, by_q, j)) for j in range(d)]
     return ComultData(a, Mat.from_columns(d * d, cols))
 
 

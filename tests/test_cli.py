@@ -346,6 +346,23 @@ def _argv(*argv):
     return lambda tmp_path, capsys: list(argv)
 
 
+def _huge_integer(case):
+    """``case`` with the string "HUGE" in its input file turned into a bare
+    JSON integer of 4,301 digits, past the interpreter's int-digit limit."""
+
+    def make(tmp_path, capsys):
+        argv = case(tmp_path, capsys)
+        for path in tmp_path.glob("*.json"):
+            path.write_text(path.read_text().replace('"HUGE"', "9" * 4301))
+        return argv
+
+    return make
+
+
+def _huge_object(payload):
+    payload["objects"][0] = "HUGE"
+
+
 MALFORMED_INPUTS = {
     "verify_non_integer_mult_index": _file_case(["verify"], "nsy", _set("mult", 0, "a")),
     "verify_list_delta_index": _file_case(["verify"], "nsy", _set("delta", 1, [1])),
@@ -363,6 +380,20 @@ MALFORMED_INPUTS = {
     "qtg_cyclic_zero_L": _argv("whopf", "qtg", "--L", "cyclic:0", "--B", "cyclic:2", "check"),
     "groupoid_cyclic_zero_group": _argv(
         "whopf", "groupoid", "--objects", "2", "--group", "cyclic:0", "check"
+    ),
+    "verify_huge_integer_literal": _huge_integer(
+        _file_case(["verify"], "nsy", _set("mult", 3, "HUGE"))
+    ),
+    "whopf_huge_integer_literal": _huge_integer(
+        _file_case(["whopf", "check"], "whopf", _set("delta_wk", 0, "HUGE"))
+    ),
+    "groupoid_huge_integer_literal": _huge_integer(_groupoid_case(_huge_object)),
+    "nsy_repeated_parameter": _argv("nsy", "check", "n=2", "ell=2", "m=1,1", "m=2,2"),
+    "repeated_format_flag": _argv(
+        "nsy", "check", "n=2", "ell=2", "m=1,1", "--format", "json", "--format", "csv"
+    ),
+    "repeated_seed_flag": _argv(
+        "whopf", "group", "--cyclic", "2", "--seed", "1", "--seed", "2", "integrals"
     ),
 }
 

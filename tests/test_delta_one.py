@@ -8,6 +8,11 @@ removed or rescaled in any column, the unit's support included; algebras
 whose mult is corrupted so check_algebra fails; and one-sided Deltas
 Delta(x) = X x or x X whose X is not Casimir.  Every result must agree with the
 reference on the passed flag, witness indices, lhs, rhs and note.
+
+The pairwise bimodule scan visits only pairs where some side can be nonzero,
+and the Casimir products walk only nonzero basis products; the cases below
+with first witnesses at a pair whose product e_i e_j is zero, products added
+outside the algebra's support, and corrupted Casimir elements pin both.
 """
 
 from fractions import Fraction
@@ -15,7 +20,9 @@ from functools import cache
 
 from hypothesis import assume, given, settings, strategies as st
 
-from test_witness import naive_bimodule, naive_coassoc
+import pytest
+
+from test_witness import naive_bimodule, naive_casimir, naive_coassoc
 
 from frobkit.exactlin import Mat, Vec, kernel_basis
 from frobkit.finalg import (
@@ -26,6 +33,7 @@ from frobkit.finalg import (
     casimir_comult,
     check_algebra,
     check_bimodule,
+    check_casimir,
     check_coassoc,
 )
 from frobkit.nsy import NSYParams, nsy_build, nsy_delta
@@ -204,3 +212,77 @@ def test_casimir_comult_of_any_casimir_element_is_coassociative(name, data):
 def test_check_algebra_report_is_kept():
     a = base_comult("m2").algebra
     assert check_algebra(a) is check_algebra(a)
+
+
+def with_delta_entry(c: ComultData, column: int, flat: int, value=Fraction(1)) -> ComultData:
+    d = c.algebra.dim
+    return ComultData(c.algebra, Mat(d * d, d, c.delta.items() + [(flat, column, value)]))
+
+
+@pytest.mark.parametrize(
+    "name, side, column, flat",
+    [
+        ("nsy_2_2_12", 0, 3, 52),
+        ("nsy_3_2_112", 0, 5, 101),
+        ("nsy_1_2_2", 1, 3, 6),
+        ("nsy_2_2_12", 1, 4, 45),
+        ("m2", 1, 3, 5),
+    ],
+)
+def test_first_witness_at_a_zero_product(name, side, column, flat):
+    """One added delta entry whose first right (side 0) or left (side 1)
+    witness sits at a pair (i, j) with e_i e_j = 0: zero target, nonzero lhs."""
+    c = with_delta_entry(base_comult(name), column, flat)
+    indices, lhs, target = naive_bimodule(c)[side]
+    assert c.algebra.basis_product(*indices).is_zero()
+    assert target.is_zero() and not lhs.is_zero()
+    assert_matches_reference(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([*NSY_PARAMS, "m2"]), st.data())
+def test_added_delta_entry_matches_reference(name, data):
+    c = base_comult(name)
+    d = c.algebra.dim
+    column = data.draw(st.integers(0, d - 1))
+    flat = data.draw(st.integers(0, d * d - 1))
+    assert_matches_reference(with_delta_entry(c, column, flat, data.draw(st.sampled_from(SCALARS))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(BIMODULE_CASES), st.data())
+def test_product_outside_support_matches_reference(name, data):
+    """mult gains e_i e_j = e_k for a pair (i, j) whose product was zero."""
+    c = base_comult(name)
+    a = c.algebra
+    d = a.dim
+    index = st.integers(0, d - 1)
+    key = data.draw(st.tuples(index, index).filter(lambda key: key not in a.mult))
+    mult = {**a.mult, key: Vec.basis(d, data.draw(index))}
+    assert_matches_reference(ComultData(AlgebraData(d, a.labels, mult, a.unit), c.delta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BIMODULE_CASES), st.data())
+def test_corrupted_casimir_element_matches_reference(name, data):
+    """check_casimir on Delta(1) with entries added, removed or rescaled."""
+    c = base_comult(name)
+    a = c.algebra
+    d = a.dim
+    entries = dict(c.delta_of(a.unit).terms())
+    for _ in range(data.draw(st.integers(1, 2))):
+        op = data.draw(st.sampled_from(["add", "remove", "rescale"]))
+        if op == "add" or not entries:
+            t = data.draw(st.integers(0, d * d - 1))
+            entries[t] = entries.get(t, 0) + data.draw(st.sampled_from(SCALARS))
+        else:
+            t = data.draw(st.sampled_from(sorted(entries)))
+            if op == "remove":
+                del entries[t]
+            else:
+                entries[t] *= data.draw(st.sampled_from(SCALARS))
+    cas = CasimirElement(a, Vec(d * d, entries))
+    (result,) = check_casimir(cas).checks
+    ref = naive_casimir(cas)
+    expected = None if ref is None else (*ref, "a_i (x) b_i x != x a_i (x) b_i")
+    assert outcome(result) == (ref is None, expected)
