@@ -34,6 +34,7 @@ from .finalg import (
     classify_report,
     comult_from_json,
     comult_to_json_str,
+    counit_failures,
     solve_counit_full,
 )
 from . import nsy as nsy_mod
@@ -263,21 +264,13 @@ def cmd_nsy(args: list[str]) -> int:
             if sol.epsilon is None:
                 lines.append("counit: none")
                 cand = nsy_mod.counit_candidate(p)
-                from .finalg import eps_tensor_id, id_tensor_eps
-
-                d = algebra.dim
-                left = eps_tensor_id(comult, cand)
-                right = id_tensor_eps(comult, cand)
-                for j in range(d):
-                    ej = Vec.basis(d, j)
-                    lcol, rcol = left.col(j), right.col(j)
-                    if lcol != ej or rcol != ej:
-                        lines.append(
-                            f"closed-form candidate fails at {algebra.labels[j]}: "
-                            f"(eps(x)id)Delta = {_fmt_vec(lcol, algebra.labels)}, "
-                            f"(id(x)eps)Delta = {_fmt_vec(rcol, algebra.labels)}"
-                        )
-                        break
+                for j, lcol, rcol in counit_failures(comult, cand):
+                    lines.append(
+                        f"closed-form candidate fails at {algebra.labels[j]}: "
+                        f"(eps(x)id)Delta = {_fmt_vec(lcol, algebra.labels)}, "
+                        f"(id(x)eps)Delta = {_fmt_vec(rcol, algebra.labels)}"
+                    )
+                    break
             else:
                 lines.append(f"counit: {_fmt_vec(sol.epsilon, algebra.labels)}")
                 if not sol.unique:
@@ -556,7 +549,6 @@ def cmd_whopf(args: list[str]) -> int:
     if qtg_input is not None:
         comult = qtg_frobenius(qtg_input, h)
         report = check_coassoc(comult).merged(check_bimodule(comult))
-        found = True
         eps = comult.counit
         note = "closed-form comultiplication verified against the integral construction"
     else:
@@ -577,7 +569,6 @@ def cmd_whopf(args: list[str]) -> int:
         lam, lam_dual = pair
         comult = frobenius_from_integral(h, lam)
         report = check_coassoc(comult).merged(check_bimodule(comult))
-        found = True
         eps = comult.counit
         note = None
     classification = (
@@ -595,7 +586,7 @@ def cmd_whopf(args: list[str]) -> int:
             seed,
             {
                 "source": desc,
-                "found": found,
+                "found": True,
                 "classification": classification,
                 "counit": None
                 if eps is None

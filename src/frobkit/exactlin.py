@@ -17,6 +17,10 @@ copy.  Sums iterate stored dicts in storage order, since exact addition does
 not depend on it; sorted order (``Vec.items``, ``Mat.items``) is used only
 where order can be seen: serialization, printed vectors, and the order of
 rows fed to :class:`LinearSystem`.
+
+Likewise every row reduction goes through one elimination,
+:meth:`LinearSystem.add`: solving, kernels, ranks, inverses and
+invertibility are all read off its reduced rows.
 """
 
 from __future__ import annotations
@@ -110,10 +114,6 @@ class Vec:
         v.dim = dim
         v._e = entries
         return v
-
-    @classmethod
-    def zero(cls, dim: int) -> "Vec":
-        return cls(dim)
 
     @classmethod
     def basis(cls, dim: int, k: int) -> "Vec":
@@ -286,13 +286,6 @@ class Mat:
                 result._c[j] = acc
         return result
 
-    def transpose(self) -> "Mat":
-        m = Mat(self.ncols, self.nrows)
-        for c, col in self._c.items():
-            for r, v in col.items():
-                m._c.setdefault(r, {})[c] = v
-        return m
-
     def __add__(self, other: "Mat") -> "Mat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise InputError("matrix dimension mismatch in addition")
@@ -389,10 +382,9 @@ class LinearSystem:
         self.ncols = ncols
         # pivot column -> (row dict with row[pivot] == 1, rhs)
         self._rows: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
-        self._bad_tag = None
         self._inconsistent = False
 
-    def add(self, coeffs: dict[int, Fraction], rhs=ZERO, tag=None) -> None:
+    def add(self, coeffs: dict[int, Fraction], rhs=ZERO) -> None:
         row = {c: Fraction(v) for c, v in coeffs.items() if v}
         for c in row:
             if not 0 <= c < self.ncols:
@@ -408,9 +400,8 @@ class LinearSystem:
             addto(row, -f, prow.items())
             rhs -= f * prhs
         if not row:
-            if rhs and not self._inconsistent:
+            if rhs:
                 self._inconsistent = True
-                self._bad_tag = tag
             return
         p = min(row)
         f = row[p]
@@ -431,22 +422,15 @@ class LinearSystem:
             coeffs = rows.get(r, {})
             rhs = b.get(r) if b is not None else ZERO
             if coeffs or rhs:
-                self.add(coeffs, rhs, tag=r)
+                self.add(coeffs, rhs)
 
     @property
     def consistent(self) -> bool:
         return not self._inconsistent
 
     @property
-    def inconsistent_tag(self):
-        return self._bad_tag
-
-    @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self._rows)
 
     def free_columns(self) -> list[int]:
         pivots = self._rows
@@ -495,43 +479,34 @@ def kernel_basis(a: Mat) -> list[Vec]:
 
 
 def inverse(a: Mat) -> Mat | None:
-    """Exact inverse via elimination, or None when singular."""
-    if a.nrows != a.ncols:
-        raise InputError("inverse requires a square matrix")
-    n = a.nrows
-    rows_view = a.rows_items()
-    rows = [dict(rows_view.get(r, {})) for r in range(n)]
-    aug = [{r: ONE} for r in range(n)]
-    used = [False] * n
-    pivot_of_col: dict[int, int] = {}
-    for c in range(n):
-        pr = None
-        for r in range(n):
-            if not used[r] and rows[r].get(c):
-                pr = r
-                break
-        if pr is None:
-            return None
-        used[pr] = True
-        pivot_of_col[c] = pr
-        f = rows[pr][c]
-        rows[pr] = {k: v / f for k, v in rows[pr].items()}
-        aug[pr] = {k: v / f for k, v in aug[pr].items()}
-        for r in range(n):
-            if r == pr:
-                continue
-            g = rows[r].get(c)
-            if not g:
-                continue
-            addto(rows[r], -g, rows[pr].items())
-            addto(aug[r], -g, aug[pr].items())
-    entries = []
-    for c, pr in pivot_of_col.items():
-        for k, v in aug[pr].items():
-            entries.append((c, k, v))
-    return Mat(n, n, entries)
+    """Exact inverse, or None when singular.
+
+    Reduces ``[A | I]`` over ``2n`` columns.  A is invertible iff every pivot
+    lies in the A block; the I block of pivot row p is then row p of A^-1.
+    """
+    n = _square_size(a)
+    sys_ = LinearSystem(2 * n)
+    rows = a.rows_items()
+    for r in range(n):
+        coeffs = dict(rows.get(r, {}))
+        coeffs[n + r] = ONE
+        sys_.add(coeffs)
+    if any(p >= n for p in sys_._rows):
+        return None
+    return Mat(n, n, [
+        (p, c - n, v) for p, (row, _) in sys_._rows.items() for c, v in row.items() if c != p
+    ])
 
 
 def is_invertible(a: Mat) -> bool:
-    """Exact invertibility check (determinant-free elimination)."""
-    return inverse(a) is not None
+    """Exact invertibility check: full rank, without building the inverse."""
+    n = _square_size(a)
+    sys_ = LinearSystem(n)
+    sys_.add_matrix(a)
+    return sys_.rank == n
+
+
+def _square_size(a: Mat) -> int:
+    if a.nrows != a.ncols:
+        raise InputError("inverse requires a square matrix")
+    return a.nrows

@@ -67,6 +67,7 @@ __all__ = [
     "solve_counit_full",
     "eps_tensor_id",
     "id_tensor_eps",
+    "counit_failures",
     "classify",
     "classify_report",
     "permute_basis",
@@ -603,12 +604,12 @@ def _counit_system(c: ComultData) -> LinearSystem:
             coeffs = by_q.get(q, {})
             rhs = ONE if q == j else ZERO
             if coeffs or rhs:
-                sys_.add(coeffs, rhs, tag=("left", j, q))
+                sys_.add(coeffs, rhs)
         for p in range(d):
             coeffs = by_p.get(p, {})
             rhs = ONE if p == j else ZERO
             if coeffs or rhs:
-                sys_.add(coeffs, rhs, tag=("right", j, p))
+                sys_.add(coeffs, rhs)
     return sys_
 
 
@@ -643,6 +644,20 @@ def id_tensor_eps(c: ComultData, eps: Vec) -> Mat:
     return Mat(d, d, entries)
 
 
+def counit_failures(c: ComultData, eps: Vec):
+    """Yield ``(j, left, right)`` for each basis element e_j where eps fails a
+    counit identity, in ascending j: ``left = (eps (x) id) Delta(e_j)`` and
+    ``right = (id (x) eps) Delta(e_j)``, at least one of them != e_j."""
+    d = c.algebra.dim
+    left = eps_tensor_id(c, eps)
+    right = id_tensor_eps(c, eps)
+    for j in range(d):
+        ej = Vec.basis(d, j)
+        lcol, rcol = left.col(j), right.col(j)
+        if lcol != ej or rcol != ej:
+            yield j, lcol, rcol
+
+
 def solve_counit_full(c: ComultData) -> CounitSolution:
     """Solve both counit identities as one exact linear system.
 
@@ -656,21 +671,14 @@ def solve_counit_full(c: ComultData) -> CounitSolution:
         eps = sys_.partial_solution()
         unique = sys_.rank == c.algebra.dim
         return CounitSolution(eps, unique, None)
-    cand = sys_.partial_solution()
-    d = c.algebra.dim
-    left = eps_tensor_id(c, cand)
-    right = id_tensor_eps(c, cand)
     witness = None
-    for j in range(d):
-        ej = Vec.basis(d, j)
-        lcol = left.col(j)
+    for j, lcol, rcol in counit_failures(c, sys_.partial_solution()):
+        ej = Vec.basis(c.algebra.dim, j)
         if lcol != ej:
             witness = Witness((j,), lcol, ej, "(eps(x)id)Delta(e_j) != e_j for best candidate")
-            break
-        rcol = right.col(j)
-        if rcol != ej:
+        else:
             witness = Witness((j,), rcol, ej, "(id(x)eps)Delta(e_j) != e_j for best candidate")
-            break
+        break
     return CounitSolution(None, False, witness)
 
 

@@ -33,7 +33,6 @@ from ..exactlin import (
     Vec,
     ZERO,
     addto,
-    inverse,
     is_invertible,
 )
 from ..finalg import (
@@ -54,8 +53,7 @@ from ..finalg import (
     casimir_comult,
     check_algebra,
     check_coassoc,
-    eps_tensor_id,
-    id_tensor_eps,
+    counit_failures,
     solve_counit,
 )
 
@@ -209,13 +207,9 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     checks.append(CheckResult("coassociativity_wk", coassoc.passed, coassoc.witness))
 
     basis = [Vec.basis(d, k) for k in range(d)]
-    left = eps_tensor_id(h.coalgebra, h.epsilon_wk)
-    right = id_tensor_eps(h.coalgebra, h.epsilon_wk)
     left_w = None
     right_w = None
-    for j in range(d):
-        lvec = left.col(j)
-        rvec = right.col(j)
+    for j, lvec, rvec in counit_failures(h.coalgebra, h.epsilon_wk):
         if left_w is None and lvec != basis[j]:
             left_w = Witness((j,), lvec, basis[j], "(eps(x)id)Delta != id")
         if right_w is None and rvec != basis[j]:
@@ -400,13 +394,9 @@ def integral_space(h: WeakHopfData, side: str) -> IntegralSpace:
     for k in range(d):
         ek = Vec.basis(d, k)
         if side == "left":
-            m = h.algebra.left_mult_matrix(ek) - h.algebra.left_mult_matrix(
-                epsilon_t(h, ek)
-            )
+            m = h.algebra.left_mult_matrix(ek - epsilon_t(h, ek))
         else:
-            m = h.algebra.right_mult_matrix(ek) - h.algebra.right_mult_matrix(
-                epsilon_s(h, ek)
-            )
+            m = h.algebra.right_mult_matrix(ek - epsilon_s(h, ek))
         sys_.add_matrix(m)
     basis = sys_.kernel()
     if not basis:
@@ -461,11 +451,8 @@ def find_nondegenerate_integral(
     def attempt(candidate: Vec):
         if candidate.is_zero():
             return None
-        psi = psi_map(h, candidate)
-        psi_inv = inverse(psi)
-        if psi_inv is None:
-            return None
-        return candidate, psi_inv.matvec(h.unit)
+        lam = _psi_solve(h, candidate)
+        return None if lam is None else (candidate, lam)
 
     total: dict[int, Fraction] = {}
     for lam in basis:
@@ -485,6 +472,16 @@ def find_nondegenerate_integral(
         if found:
             return found
     return None
+
+
+def _psi_solve(h: WeakHopfData, candidate: Vec) -> Vec | None:
+    """The lam with Psi_L(lam) = 1 for L = candidate, or None when Psi_L is
+    singular (rank below dim)."""
+    sys_ = LinearSystem(h.dim)
+    sys_.add_matrix(psi_map(h, candidate), h.unit)
+    if sys_.rank < h.dim:
+        return None
+    return sys_.solution()
 
 
 def frobenius_from_integral(h: WeakHopfData, lam: Vec) -> ComultData:

@@ -38,7 +38,14 @@ from ..exactlin import (
     inverse,
     solve_linear,
 )
-from ..finalg import AlgebraData, ComultData, check_algebra, solve_counit
+from ..finalg import (
+    AlgebraData,
+    CasimirElement,
+    ComultData,
+    check_algebra,
+    check_casimir,
+    solve_counit,
+)
 from .core import (
     WeakHopfData,
     check_weak_hopf,
@@ -209,17 +216,9 @@ class QTGInput:
         dB = B.dim
         pairs = self.e_pairs()
         basis_b = [Vec.basis(dB, k) for k in range(dB)]
-        # idempotent1: b e1 (x) e2 = e1 (x) e2 b
-        for b in range(dB):
-            lhs: dict[int, Fraction] = {}
-            rhs: dict[int, Fraction] = {}
-            for p, q, v in pairs:
-                addto(lhs, v, B.basis_product(b, p).terms(), q, dB)
-                addto(rhs, v, B.basis_product(q, b).terms(), p * dB)
-            if lhs != rhs:
-                raise ConstructionError(
-                    "idempotent1: b e1 (x) e2 != e1 (x) e2 b"
-                )
+        # idempotent1: b e1 (x) e2 = e1 (x) e2 b, the Casimir identity of e
+        if not check_casimir(CasimirElement(B, self.e)).passed:
+            raise ConstructionError("idempotent1: b e1 (x) e2 != e1 (x) e2 b")
         # idempotent2: e1 e2 = 1
         contracted: dict[int, Fraction] = {}
         for p, q, v in pairs:
@@ -452,7 +451,6 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
     ti = _triple_index(q)
     dim = ti.size
     lam_r = _right_integral_of_l(q)
-    lam_dual = _dual_integral_of_l(q, lam_r)
     ibar, lam_bar = qtg_integral(q, h)
 
     basis_b = [Vec.basis(dB, k) for k in range(dB)]

@@ -1,5 +1,6 @@
 """Exact linear algebra kernel tests."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,8 @@ from frobkit.exactlin import (
     scalar_to_str,
     solve_linear,
 )
+from frobkit.whopf import DEFAULT_INTEGRAL_SEED, find_nondegenerate_integral, integral_space, psi_map
+from frobkit.whopf.core import _psi_solve
 
 F = Fraction
 
@@ -236,3 +239,172 @@ def test_addto_matches_vec_arithmetic(case):
     assert got == Vec(n, acc.items() + [(base + stride * k, coeff * v) for k, v in entries.items()])
     assert all(v != 0 for _, v in got.items())
     assert acc.items() == before
+
+
+# --- differential tests: one elimination against a separate Gauss-Jordan ---
+
+
+def reference_inverse(a: Mat) -> Mat | None:
+    """Column-by-column Gauss-Jordan on [A | I] with its own pivot search,
+    kept as an independent reference for the LinearSystem-based inverse."""
+    if a.nrows != a.ncols:
+        raise InputError("inverse requires a square matrix")
+    n = a.nrows
+    rows_view = a.rows_items()
+    rows = [dict(rows_view.get(r, {})) for r in range(n)]
+    aug = [{r: F(1)} for r in range(n)]
+    used = [False] * n
+    pivot_of_col: dict[int, int] = {}
+    for c in range(n):
+        pr = None
+        for r in range(n):
+            if not used[r] and rows[r].get(c):
+                pr = r
+                break
+        if pr is None:
+            return None
+        used[pr] = True
+        pivot_of_col[c] = pr
+        f = rows[pr][c]
+        rows[pr] = {k: v / f for k, v in rows[pr].items()}
+        aug[pr] = {k: v / f for k, v in aug[pr].items()}
+        for r in range(n):
+            if r == pr:
+                continue
+            g = rows[r].get(c)
+            if not g:
+                continue
+            addto(rows[r], -g, rows[pr].items())
+            addto(aug[r], -g, aug[pr].items())
+    entries = []
+    for c, pr in pivot_of_col.items():
+        for k, v in aug[pr].items():
+            entries.append((c, k, v))
+    return Mat(n, n, entries)
+
+
+@st.composite
+def shaped_square_matrix(draw):
+    """Square rational matrices, generic or reshaped to be a permuted
+    identity, a scaled permutation, rank-deficient by a repeated row, or
+    with a zero row or zero column."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    shape = draw(st.sampled_from(["generic", "permutation", "scaled", "repeat", "zero_row", "zero_col"]))
+    if shape in ("permutation", "scaled"):
+        perm = draw(st.permutations(range(n)))
+        scale = (lambda: draw(small_fraction.filter(bool))) if shape == "scaled" else (lambda: F(1))
+        return Mat(n, n, [(r, perm[r], scale()) for r in range(n)])
+    entries = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), small_fraction),
+            max_size=3 * n,
+        )
+    )
+    if draw(st.booleans()):
+        entries += [(k, k, F(1)) for k in range(n)]
+    k = draw(st.integers(0, n - 1))
+    if shape == "zero_row":
+        entries = [e for e in entries if e[0] != k]
+    elif shape == "zero_col":
+        entries = [e for e in entries if e[1] != k]
+    a = Mat(n, n, entries)
+    if shape == "repeat" and n > 1:
+        rows = a.rows_items()
+        src = draw(st.integers(0, n - 1))
+        dst = (src + 1 + draw(st.integers(0, n - 2))) % n
+        c = draw(small_fraction)
+        kept = [(r, col, v) for r, row in rows.items() if r != dst for col, v in row.items()]
+        a = Mat(n, n, kept + [(dst, col, c * v) for col, v in rows.get(src, {}).items()])
+    return a
+
+
+@given(shaped_square_matrix(), st.lists(st.tuples(st.integers(0, 5), small_fraction), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_reference_gauss_jordan(a, b_entries):
+    n = a.nrows
+    ref = reference_inverse(a)
+    assert inverse(a) == ref
+    assert is_invertible(a) == (ref is not None)
+    # the Psi_L solve: a full-rank LinearSystem on (a, b) gives ref @ b
+    b = Vec(n, [(k % n, v) for k, v in b_entries])
+    sys_ = LinearSystem(n)
+    sys_.add_matrix(a, b)
+    if ref is None:
+        assert sys_.rank < n
+    else:
+        assert sys_.rank == n
+        assert sys_.solution() == ref.matvec(b)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 0), (0, 1)])
+def test_inverse_rejects_non_square(shape):
+    a = Mat(*shape)
+    for fn in (inverse, is_invertible, reference_inverse):
+        with pytest.raises(InputError):
+            fn(a)
+
+
+def test_inverse_of_empty_matrix():
+    assert inverse(Mat(0, 0)) == reference_inverse(Mat(0, 0)) == Mat(0, 0)
+    assert is_invertible(Mat(0, 0))
+
+
+def reference_nondegenerate_integral(h, seed, attempts):
+    """The integral search with every Psi_L decided by reference_inverse."""
+    basis = integral_space(h, "left").basis
+
+    def attempt(candidate):
+        if candidate.is_zero():
+            return None
+        psi_inv = reference_inverse(psi_map(h, candidate))
+        return None if psi_inv is None else (candidate, psi_inv.matvec(h.unit))
+
+    candidates = list(basis) + [sum(basis[1:], basis[0])]
+    rng = random.Random(seed)
+    for _ in range(attempts):
+        combo = Vec(h.dim)
+        for b in basis:
+            combo = combo + b.scale(rng.randint(-3, 3))
+        candidates.append(combo)
+    for cand in candidates:
+        found = attempt(cand)
+        if found:
+            return found
+    return None
+
+
+def _weak_hopf_zoo(groupoid_algebras, hopf_group_algebras, qtg_built):
+    return [*groupoid_algebras.values(), *hopf_group_algebras.values(), *qtg_built.values()]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_psi_solve_matches_reference(data, groupoid_algebras, hopf_group_algebras, qtg_built):
+    zoo = _weak_hopf_zoo(groupoid_algebras, hopf_group_algebras, qtg_built)
+    h = data.draw(st.sampled_from(zoo))
+    basis = integral_space(h, "left").basis
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
+    cand = Vec(h.dim)
+    for c, b in zip(coeffs, basis):
+        cand = cand + b.scale(c)
+    if data.draw(st.booleans()):
+        # any vector, integral or not, has a Psi matrix
+        cand = Vec(h.dim, data.draw(st.lists(st.tuples(st.integers(0, h.dim - 1), small_fraction), max_size=4)))
+    ref = reference_inverse(psi_map(h, cand))
+    assert _psi_solve(h, cand) == (None if ref is None else ref.matvec(h.unit))
+
+
+def test_psi_solve_on_basis_vectors(groupoid_algebras, hopf_group_algebras, qtg_built):
+    # on a group algebra Psi of the unit is a rank-1 projection whose image
+    # holds 1: a consistent singular system, which must still give None
+    for h in _weak_hopf_zoo(groupoid_algebras, hopf_group_algebras, qtg_built):
+        for cand in [*integral_space(h, "left").basis, *(Vec.basis(h.dim, k) for k in range(h.dim))]:
+            ref = reference_inverse(psi_map(h, cand))
+            assert _psi_solve(h, cand) == (None if ref is None else ref.matvec(h.unit))
+
+
+def test_nondegenerate_integral_matches_reference(groupoid_algebras, hopf_group_algebras, qtg_built):
+    for h in _weak_hopf_zoo(groupoid_algebras, hopf_group_algebras, qtg_built):
+        for seed, attempts in ((DEFAULT_INTEGRAL_SEED, 64), (5, 3), (11, 0)):
+            got = find_nondegenerate_integral(h, seed=seed, attempts=attempts)
+            assert got == reference_nondegenerate_integral(h, seed, attempts)

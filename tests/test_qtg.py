@@ -4,9 +4,10 @@ Frobenius structure and the L = k reductions."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobkit.errors import ConstructionError
-from frobkit.exactlin import Mat, Vec
+from frobkit.exactlin import Mat, Vec, addto
 from frobkit.finalg import (
     Classification,
     check_bimodule,
@@ -275,6 +276,46 @@ def test_qtg_rejects_broken_idempotent():
     bad_e = Vec(4, {0 * 2 + 0: F(1, 2), 0 * 2 + 1: F(1, 2)})  # not symmetric
     with pytest.raises(ConstructionError):
         QTGInput(L, B, bad_e, om, trivial_action(B, L))
+
+
+def naive_idempotent1(B, e) -> bool:
+    """b e1 (x) e2 == e1 (x) e2 b for every basis b, summed term by term."""
+    d = B.dim
+    pairs = [(t // d, t % d, v) for t, v in e.items()]
+    for b in range(d):
+        lhs, rhs = {}, {}
+        for p, q, v in pairs:
+            addto(lhs, v, B.basis_product(b, p).terms(), q, d)
+            addto(rhs, v, B.basis_product(q, b).terms(), p * d)
+        if lhs != rhs:
+            return False
+    return True
+
+
+SEPARABLE_B = {
+    "kz2": separable_group_algebra(cyclic_group_table(2)),
+    "kz3": separable_group_algebra(cyclic_group_table(3)),
+    "mat2": separable_matrix_algebra(2),
+}
+
+
+@given(
+    st.sampled_from(sorted(SEPARABLE_B)),
+    st.lists(st.tuples(st.integers(0, 80), st.fractions(-2, 2, max_denominator=3)), max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_idempotent1_matches_naive_loop(name, edits):
+    # e plus a few edited entries; a symmetric edit keeps the Casimir identity
+    B, e, om = SEPARABLE_B[name]
+    d2 = B.dim * B.dim
+    bad_e = e + Vec(d2, [(k % d2, v) for k, v in edits])
+    expect_fail = not naive_idempotent1(B, bad_e)
+    try:
+        QTGInput(trivial_hopf(), B, bad_e, om, trivial_action(B, trivial_hopf()))
+        failed = False
+    except ConstructionError as exc:
+        failed = str(exc).startswith("idempotent1:")
+    assert failed == expect_fail
 
 
 def test_qtg_rejects_broken_trace():
