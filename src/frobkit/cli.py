@@ -26,11 +26,12 @@ from .exactlin import ONE, Vec, scalar_to_str
 from .finalg import (
     Classification,
     ComultData,
-    CasimirElement,
-    check_algebra,
+    VerificationReport,
+    _vec_to_json,
     check_bimodule,
-    check_casimir,
+    check_casimir_of_delta,
     check_coassoc,
+    classify_checks,
     classify_report,
     comult_from_json,
     comult_to_json_str,
@@ -80,6 +81,8 @@ _FORMATS = {"json", "markdown", "csv"}
 
 
 def _split_args(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
+    """Positionals and flags.  ``--format`` is validated here, before any
+    work, and defaults to markdown."""
     positionals: list[str] = []
     flags: dict[str, str] = {}
     i = 0
@@ -97,14 +100,10 @@ def _split_args(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
         else:
             positionals.append(tok)
             i += 1
-    return positionals, flags
-
-
-def _get_format(flags: dict[str, str], default: str = "markdown") -> str:
-    fmt = flags.get("--format", default)
+    fmt = flags.setdefault("--format", "markdown")
     if fmt not in _FORMATS:
         raise InputError(f"unknown format {fmt!r}; use json, markdown or csv")
-    return fmt
+    return positionals, flags
 
 
 def _get_seed(flags: dict[str, str]) -> int:
@@ -152,11 +151,51 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _checks_csv(report) -> str:
+def _checks_csv(report: VerificationReport) -> str:
     lines = ["check,passed"]
     for c in report.checks:
         lines.append(f"{c.name},{str(c.passed).lower()}")
     return "\n".join(lines) + "\n"
+
+
+def _render(
+    flags: dict[str, str],
+    command: str,
+    seed: int | None,
+    fields: dict,
+    report: VerificationReport | None = None,
+    lines=(),
+) -> int:
+    """Write a command's result in the ``--format`` of ``flags`` and return
+    its exit code: 1 iff a check of ``report`` failed.
+
+    json is the envelope (tool, version, command, seed) with ``fields`` and the
+    report's checks; csv is the report's check table, so a command without a
+    report has no csv output; markdown is the report's lines, then ``lines``.
+    """
+    fmt = flags["--format"]
+    if fmt == "json":
+        if report is not None:
+            fields = {**fields, "checks": report.to_json()}
+        text = _dump_json(_report_payload(command, seed, fields))
+    elif fmt == "csv":
+        if report is None:
+            raise InputError(
+                f"{command} has no check table for --format csv; use json or markdown"
+            )
+        text = _checks_csv(report)
+    else:
+        head = report.lines() if report is not None else []
+        text = "\n".join([*head, *lines]) + "\n"
+    _emit(text, flags)
+    return 0 if report is None or report.passed else 1
+
+
+def _counit_lines(eps: Vec, unique: bool, labels: list[str]) -> list[str]:
+    lines = [f"counit: {_fmt_vec(eps, labels)}"]
+    if not unique:
+        lines.append("warning: counit is not unique for this delta")
+    return lines
 
 
 # ---------------------------------------------------------------- nsy
@@ -209,7 +248,7 @@ def cmd_nsy(args: list[str]) -> int:
         return 0
 
     if action == "table":
-        fmt = _get_format(flags)
+        fmt = flags["--format"]
         if fmt == "markdown":
             _emit(nsy_mod.markdown_mult_table(p), flags)
         elif fmt == "csv":
@@ -223,7 +262,7 @@ def cmd_nsy(args: list[str]) -> int:
         return 0
 
     if action == "delta":
-        fmt = _get_format(flags)
+        fmt = flags["--format"]
         if fmt == "markdown":
             _emit(nsy_mod.markdown_delta_table(p), flags)
         elif fmt == "csv":
@@ -239,72 +278,39 @@ def cmd_nsy(args: list[str]) -> int:
             _emit(_dump_json({"delta": terms}), flags)
         return 0
 
+    params_json = {"n": p.n, "ell": p.ell, "m": list(p.mults)}
     if action == "counit":
         algebra = nsy_mod.nsy_build(p)
         comult = nsy_mod.nsy_delta(p, algebra)
         sol = solve_counit_full(comult)
-        fmt = _get_format(flags)
-        frob = nsy_mod.is_frobenius(p)
-        if fmt == "json":
-            payload = _report_payload(
-                "nsy counit",
-                None,
-                {
-                    "params": {"n": p.n, "ell": p.ell, "m": list(p.mults)},
-                    "counit": None
-                    if sol.epsilon is None
-                    else [[k, scalar_to_str(v)] for k, v in sol.epsilon.items()],
-                    "counit_unique": sol.unique,
-                    "frobenius_criterion": frob,
-                },
-            )
-            _emit(_dump_json(payload), flags)
+        if sol.epsilon is None:
+            lines = ["counit: none"]
+            cand = nsy_mod.counit_candidate(p)
+            for j, lcol, rcol in counit_failures(comult, cand):
+                lines.append(
+                    f"closed-form candidate fails at {algebra.labels[j]}: "
+                    f"(eps(x)id)Delta = {_fmt_vec(lcol, algebra.labels)}, "
+                    f"(id(x)eps)Delta = {_fmt_vec(rcol, algebra.labels)}"
+                )
+                break
         else:
-            lines = []
-            if sol.epsilon is None:
-                lines.append("counit: none")
-                cand = nsy_mod.counit_candidate(p)
-                for j, lcol, rcol in counit_failures(comult, cand):
-                    lines.append(
-                        f"closed-form candidate fails at {algebra.labels[j]}: "
-                        f"(eps(x)id)Delta = {_fmt_vec(lcol, algebra.labels)}, "
-                        f"(id(x)eps)Delta = {_fmt_vec(rcol, algebra.labels)}"
-                    )
-                    break
-            else:
-                lines.append(f"counit: {_fmt_vec(sol.epsilon, algebra.labels)}")
-                if not sol.unique:
-                    lines.append("warning: counit is not unique for this delta")
-            _emit("\n".join(lines) + "\n", flags)
-        return 0
+            lines = _counit_lines(sol.epsilon, sol.unique, algebra.labels)
+        fields = {
+            "params": params_json,
+            "counit": None if sol.epsilon is None else _vec_to_json(sol.epsilon),
+            "counit_unique": sol.unique,
+            "frobenius_criterion": nsy_mod.is_frobenius(p),
+        }
+        return _render(flags, "nsy counit", None, fields, lines=lines)
 
     if action == "check":
         algebra = nsy_mod.nsy_build(p)
         comult = nsy_mod.nsy_delta(p, algebra)
         outcome = classify_report(comult)
-        d = algebra.dim
-        cas = CasimirElement(algebra, comult.delta.matvec(algebra.unit))
-        report = outcome.report.merged(check_casimir(cas))
-        fmt = _get_format(flags)
-        if fmt == "json":
-            payload = _report_payload(
-                "nsy check",
-                None,
-                {
-                    "params": {"n": p.n, "ell": p.ell, "m": list(p.mults)},
-                    "dim": d,
-                    "classification": outcome.classification.value,
-                    "checks": report.to_json(),
-                },
-            )
-            _emit(_dump_json(payload), flags)
-        elif fmt == "csv":
-            _emit(_checks_csv(report), flags)
-        else:
-            lines = report.lines()
-            lines.append(f"classification: {outcome.classification.value}")
-            _emit("\n".join(lines) + "\n", flags)
-        return 0 if report.passed else 1
+        cls = outcome.classification.value
+        fields = {"params": params_json, "dim": algebra.dim, "classification": cls}
+        report = outcome.report.merged(check_casimir_of_delta(comult))
+        return _render(flags, "nsy check", None, fields, report, [f"classification: {cls}"])
 
     raise InputError(f"unknown nsy action {action!r}")
 
@@ -338,19 +344,13 @@ def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:
                 "classification": cls,
             }
         )
-    fmt = _get_format(flags)
+    fmt = flags["--format"]
     if fmt == "json":
-        payload = _report_payload(
-            "nsy sweep",
-            None,
-            {
-                "grid": {"nmax": nmax, "lmax": lmax, "mmax": mmax},
-                "items": items,
-                "counts": counts,
-            },
+        grid = {"nmax": nmax, "lmax": lmax, "mmax": mmax}
+        return _render(
+            flags, "nsy sweep", None, {"grid": grid, "items": items, "counts": counts}
         )
-        _emit(_dump_json(payload), flags)
-    elif fmt == "csv":
+    if fmt == "csv":
         lines = ["n,ell,m,dim,classification"]
         for it in items:
             m = ";".join(str(x) for x in it["m"])
@@ -503,53 +503,32 @@ def cmd_whopf(args: list[str]) -> int:
 
     seed = _get_seed(flags)
     h, qtg_input, desc = _build_whopf_source(source, flags)
-    fmt = _get_format(flags)
     labels = h.algebra.labels
 
     if op == "check":
         report = check_weak_hopf(h)
         if "--output" in flags:
             _emit(weak_hopf_to_json_str(h), flags)
-        elif fmt == "json":
-            payload = _report_payload(
-                "whopf check",
-                seed,
-                {"source": desc, "dim": h.dim, "checks": report.to_json()},
-            )
-            sys.stdout.write(_dump_json(payload))
-        elif fmt == "csv":
-            sys.stdout.write(_checks_csv(report))
-        else:
-            sys.stdout.write("\n".join(report.lines()) + "\n")
-        return 0 if report.passed else 1
+            return 0 if report.passed else 1
+        return _render(flags, "whopf check", seed, {"source": desc, "dim": h.dim}, report)
 
     if op == "integrals":
-        left = integral_space(h, "left")
-        right = integral_space(h, "right")
-        if fmt == "json":
-            payload = _report_payload(
-                "whopf integrals",
-                seed,
-                {
-                    "source": desc,
-                    "left": [[[k, scalar_to_str(v)] for k, v in b.items()] for b in left.basis],
-                    "right": [[[k, scalar_to_str(v)] for k, v in b.items()] for b in right.basis],
-                },
-            )
-            _emit(_dump_json(payload), flags)
-        else:
-            lines = [f"I^L dimension {len(left.basis)}:"]
-            lines += [f"  {_fmt_vec(b, labels)}" for b in left.basis]
-            lines.append(f"I^R dimension {len(right.basis)}:")
-            lines += [f"  {_fmt_vec(b, labels)}" for b in right.basis]
-            _emit("\n".join(lines) + "\n", flags)
-        return 0
+        left = integral_space(h, "left").basis
+        right = integral_space(h, "right").basis
+        lines = [f"I^L dimension {len(left)}:"]
+        lines += [f"  {_fmt_vec(b, labels)}" for b in left]
+        lines.append(f"I^R dimension {len(right)}:")
+        lines += [f"  {_fmt_vec(b, labels)}" for b in right]
+        fields = {
+            "source": desc,
+            "left": [_vec_to_json(b) for b in left],
+            "right": [_vec_to_json(b) for b in right],
+        }
+        return _render(flags, "whopf integrals", seed, fields, lines=lines)
 
     # op == "frobenius"
     if qtg_input is not None:
         comult = qtg_frobenius(qtg_input, h)
-        report = check_coassoc(comult).merged(check_bimodule(comult))
-        eps = comult.counit
         note = "closed-form comultiplication verified against the integral construction"
     else:
         pair = find_nondegenerate_integral(h, seed=seed)
@@ -558,56 +537,27 @@ def cmd_whopf(args: list[str]) -> int:
                 "no non-degenerate left integral found "
                 "(probabilistically non-Frobenius, not a proof)"
             )
-            if fmt == "json":
-                payload = _report_payload(
-                    "whopf frobenius", seed, {"source": desc, "found": False, "note": msg}
-                )
-                _emit(_dump_json(payload), flags)
-            else:
-                _emit(msg + "\n", flags)
-            return 0
-        lam, lam_dual = pair
-        comult = frobenius_from_integral(h, lam)
-        report = check_coassoc(comult).merged(check_bimodule(comult))
-        eps = comult.counit
+            fields = {"source": desc, "found": False, "note": msg}
+            return _render(flags, "whopf frobenius", seed, fields, lines=[msg])
+        comult = frobenius_from_integral(h, pair[0])
         note = None
-    classification = (
-        Classification.FROBENIUS.value
-        if eps is not None and report.passed
-        else (
-            Classification.NON_COUNITAL_ONLY.value
-            if report.passed
-            else Classification.NOT_FROBENIUS_STRUCTURE.value
-        )
-    )
-    if fmt == "json":
-        payload = _report_payload(
-            "whopf frobenius",
-            seed,
-            {
-                "source": desc,
-                "found": True,
-                "classification": classification,
-                "counit": None
-                if eps is None
-                else [[k, scalar_to_str(v)] for k, v in eps.items()],
-                "checks": report.to_json(),
-                "note": note,
-            },
-        )
-        _emit(_dump_json(payload), flags)
-    elif fmt == "csv":
-        _emit(_checks_csv(report), flags)
-    else:
-        lines = report.lines()
-        lines.append(f"classification: {classification}")
-        if eps is not None:
-            lines.append(f"counit: {_fmt_vec(eps, labels)}")
-        if note:
-            lines.append(note)
-        lines.append(f"frobkit {__version__}, seed {seed}")
-        _emit("\n".join(lines) + "\n", flags)
-    return 0 if report.passed else 1
+    report = check_coassoc(comult).merged(check_bimodule(comult))
+    eps = comult.counit
+    classification = classify_checks(report, eps).value
+    lines = [f"classification: {classification}"]
+    if eps is not None:
+        lines.append(f"counit: {_fmt_vec(eps, labels)}")
+    if note:
+        lines.append(note)
+    lines.append(f"frobkit {__version__}, seed {seed}")
+    fields = {
+        "source": desc,
+        "found": True,
+        "classification": classification,
+        "counit": None if eps is None else _vec_to_json(eps),
+        "note": note,
+    }
+    return _render(flags, "whopf frobenius", seed, fields, report, lines)
 
 
 # ---------------------------------------------------------------- verify
@@ -617,37 +567,18 @@ def cmd_verify(args: list[str]) -> int:
     positionals, flags = _split_args(args)
     if len(positionals) != 1:
         raise InputError("verify needs exactly one input file (or - for stdin)")
-    payload = _load_json(positionals[0])
-    comult = comult_from_json(payload)
+    comult = comult_from_json(_load_json(positionals[0]))
     outcome = classify_report(comult)
-    fmt = _get_format(flags)
-    if fmt == "json":
-        out = _report_payload(
-            "verify",
-            None,
-            {
-                "classification": outcome.classification.value,
-                "checks": outcome.report.to_json(),
-                "counit": None
-                if outcome.counit is None
-                else [[k, scalar_to_str(v)] for k, v in outcome.counit.items()],
-                "counit_unique": outcome.counit_unique,
-            },
-        )
-        _emit(_dump_json(out), flags)
-    elif fmt == "csv":
-        _emit(_checks_csv(outcome.report), flags)
-    else:
-        lines = outcome.report.lines()
-        lines.append(f"classification: {outcome.classification.value}")
-        if outcome.counit is not None:
-            lines.append(
-                f"counit: {_fmt_vec(outcome.counit, comult.algebra.labels)}"
-            )
-            if not outcome.counit_unique:
-                lines.append("warning: counit is not unique for this delta")
-        _emit("\n".join(lines) + "\n", flags)
-    return 0 if outcome.report.passed else 1
+    cls = outcome.classification.value
+    lines = [f"classification: {cls}"]
+    if outcome.counit is not None:
+        lines += _counit_lines(outcome.counit, outcome.counit_unique, comult.algebra.labels)
+    fields = {
+        "classification": cls,
+        "counit": None if outcome.counit is None else _vec_to_json(outcome.counit),
+        "counit_unique": outcome.counit_unique,
+    }
+    return _render(flags, "verify", None, fields, outcome.report, lines)
 
 
 # ---------------------------------------------------------------- entry

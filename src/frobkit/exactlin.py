@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError
 
@@ -358,16 +358,6 @@ class TensorIndex:
             flat, i = divmod(flat, d)
             out.append(i)
         return tuple(reversed(out))
-
-    def all_indices(self) -> Iterator[tuple[int, ...]]:
-        def rec(prefix, rest):
-            if not rest:
-                yield tuple(prefix)
-                return
-            for i in range(rest[0]):
-                yield from rec(prefix + [i], rest[1:])
-
-        yield from rec([], list(self.dims))
 
 
 class LinearSystem:

@@ -44,7 +44,6 @@ from ..finalg import (
     ComultData,
     check_algebra,
     check_casimir,
-    solve_counit,
 )
 from .core import (
     WeakHopfData,
@@ -494,8 +493,7 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
         raise InternalConsistencyError(
             "closed-form comultiplication disagrees with the integral construction"
         )
-    eps = solve_counit(ComultData(h.algebra, delta))
-    if eps != lam_bar:
+    if generic.counit != lam_bar:
         raise InternalConsistencyError(
             "closed-form counit disagrees with the solved counit"
         )

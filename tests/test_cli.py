@@ -363,6 +363,11 @@ def _huge_object(payload):
     payload["objects"][0] = "HUGE"
 
 
+def _drop_morphism_delta(payload):
+    # Delta(m0_1) = 0: the integrals stay, but no Psi_L is invertible
+    payload["delta_wk"] = [e for e in payload["delta_wk"] if e[0] != 1]
+
+
 MALFORMED_INPUTS = {
     "verify_non_integer_mult_index": _file_case(["verify"], "nsy", _set("mult", 0, "a")),
     "verify_list_delta_index": _file_case(["verify"], "nsy", _set("delta", 1, [1])),
@@ -394,6 +399,13 @@ MALFORMED_INPUTS = {
     ),
     "repeated_seed_flag": _argv(
         "whopf", "group", "--cyclic", "2", "--seed", "1", "--seed", "2", "integrals"
+    ),
+    "csv_nsy_counit": _argv("nsy", "counit", "n=2", "ell=2", "m=1,1", "--format", "csv"),
+    "csv_whopf_integrals": _argv(
+        "whopf", "group", "--cyclic", "2", "integrals", "--format", "csv"
+    ),
+    "csv_whopf_frobenius_not_found": _file_case(
+        ["whopf", "frobenius", "--format", "csv"], "whopf", _drop_morphism_delta
     ),
 }
 

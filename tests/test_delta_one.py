@@ -1,6 +1,7 @@
-"""check_bimodule and check_coassoc against the naive references of
-test_witness.py, now that both are decided from Delta(1) when Delta is the
-bimodule map of a Casimir element over an associative algebra.
+"""check_bimodule, check_coassoc and check_casimir_of_delta against the naive
+references of test_witness.py, now that all three are decided from Delta(1)
+when Delta is the bimodule map of a Casimir element over an associative
+algebra.
 
 Cases: NSY, group and M_2 comultiplications (plus the grouplike Delta on a
 group algebra, which is not a bimodule map) with delta entries added,
@@ -34,6 +35,7 @@ from frobkit.finalg import (
     check_algebra,
     check_bimodule,
     check_casimir,
+    check_casimir_of_delta,
     check_coassoc,
 )
 from frobkit.nsy import NSYParams, nsy_build, nsy_delta
@@ -43,6 +45,7 @@ NOTES = {
     "coassociativity": "(Delta(x)id)Delta != (id(x)Delta)Delta",
     "bimodule_right": "(id(x)m)(Delta(x)id) != Delta m",
     "bimodule_left": "(m(x)id)(id(x)Delta) != Delta m",
+    "casimir": "a_i (x) b_i x != x a_i (x) b_i",
 }
 SCALARS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)]
 NSY_PARAMS = {
@@ -85,6 +88,9 @@ def assert_matches_reference(c: ComultData) -> None:
     assert outcome(coassoc) == reference_outcome("coassociativity", naive_coassoc(c))
     assert outcome(right) == reference_outcome("bimodule_right", ref_right)
     assert outcome(left) == reference_outcome("bimodule_left", ref_left)
+    (casimir,) = check_casimir_of_delta(c).checks
+    ref_casimir = naive_casimir(CasimirElement(c.algebra, c.delta_of(c.algebra.unit)))
+    assert outcome(casimir) == reference_outcome("casimir", ref_casimir)
 
 
 @st.composite
