@@ -36,7 +36,7 @@ from .finalg import (
     comult_from_json,
     comult_to_json_str,
     counit_failures,
-    solve_counit_full,
+    solve_counit,
 )
 from . import nsy as nsy_mod
 from .nsy import NSYParams
@@ -73,7 +73,6 @@ _VALUE_FLAGS = {
     "--group",
     "--L",
     "--B",
-    "--action",
     "--json",
 }
 
@@ -191,13 +190,6 @@ def _render(
     return 0 if report is None or report.passed else 1
 
 
-def _counit_lines(eps: Vec, unique: bool, labels: list[str]) -> list[str]:
-    lines = [f"counit: {_fmt_vec(eps, labels)}"]
-    if not unique:
-        lines.append("warning: counit is not unique for this delta")
-    return lines
-
-
 # ---------------------------------------------------------------- nsy
 
 
@@ -282,8 +274,8 @@ def cmd_nsy(args: list[str]) -> int:
     if action == "counit":
         algebra = nsy_mod.nsy_build(p)
         comult = nsy_mod.nsy_delta(p, algebra)
-        sol = solve_counit_full(comult)
-        if sol.epsilon is None:
+        eps = solve_counit(comult)
+        if eps is None:
             lines = ["counit: none"]
             cand = nsy_mod.counit_candidate(p)
             for j, lcol, rcol in counit_failures(comult, cand):
@@ -294,11 +286,11 @@ def cmd_nsy(args: list[str]) -> int:
                 )
                 break
         else:
-            lines = _counit_lines(sol.epsilon, sol.unique, algebra.labels)
+            lines = [f"counit: {_fmt_vec(eps, algebra.labels)}"]
         fields = {
             "params": params_json,
-            "counit": None if sol.epsilon is None else _vec_to_json(sol.epsilon),
-            "counit_unique": sol.unique,
+            "counit": None if eps is None else _vec_to_json(eps),
+            "counit_unique": eps is not None,
             "frobenius_criterion": nsy_mod.is_frobenius(p),
         }
         return _render(flags, "nsy counit", None, fields, lines=lines)
@@ -440,9 +432,6 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
             B, e, omega = separable_matrix_algebra(bnum)
         else:
             B, e, omega = separable_group_algebra(cyclic_group_table(bnum))
-        action_kind = flags.get("--action", "trivial")
-        if action_kind != "trivial":
-            raise InputError("only --action trivial is available from the CLI")
         q = QTGInput(L, B, e, omega, trivial_action(B, L))
         return qtg_build(q), q, f"quantum transformation groupoid ({l_raw}, {b_raw})"
     # otherwise: a file with WeakHopfData JSON
@@ -504,13 +493,15 @@ def cmd_whopf(args: list[str]) -> int:
     seed = _get_seed(flags)
     h, qtg_input, desc = _build_whopf_source(source, flags)
     labels = h.algebra.labels
+    axioms = check_weak_hopf(h)
 
     if op == "check":
-        report = check_weak_hopf(h)
         if "--output" in flags:
             _emit(weak_hopf_to_json_str(h), flags)
-            return 0 if report.passed else 1
-        return _render(flags, "whopf check", seed, {"source": desc, "dim": h.dim}, report)
+            return 0 if axioms.passed else 1
+        return _render(flags, "whopf check", seed, {"source": desc, "dim": h.dim}, axioms)
+    if not axioms.passed:
+        raise PreconditionError(f"{desc} fails weak Hopf axiom {axioms.failures()[0].name}")
 
     if op == "integrals":
         left = integral_space(h, "left").basis
@@ -572,11 +563,11 @@ def cmd_verify(args: list[str]) -> int:
     cls = outcome.classification.value
     lines = [f"classification: {cls}"]
     if outcome.counit is not None:
-        lines += _counit_lines(outcome.counit, outcome.counit_unique, comult.algebra.labels)
+        lines.append(f"counit: {_fmt_vec(outcome.counit, comult.algebra.labels)}")
     fields = {
         "classification": cls,
         "counit": None if outcome.counit is None else _vec_to_json(outcome.counit),
-        "counit_unique": outcome.counit_unique,
+        "counit_unique": outcome.counit is not None,
     }
     return _render(flags, "verify", None, fields, outcome.report, lines)
 
@@ -590,7 +581,7 @@ usage:
               [nmax=N lmax=L mmax=M] [--format json|markdown|csv] [--output PATH]
   frobkit whopf <groupoid|group|qtg|FILE> [check|integrals|frobenius]
               [--pair-objects N] [--cyclic N] [--objects N] [--group cyclic:K]
-              [--L trivial|cyclic:N] [--B matrix:D|cyclic:N] [--action trivial]
+              [--L trivial|cyclic:N] [--B matrix:D|cyclic:N]
               [--json FILE] [--seed N] [--format ...] [--output PATH]
   frobkit whopf check FILE
   frobkit verify <FILE|->  [--format ...]

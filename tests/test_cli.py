@@ -404,8 +404,8 @@ MALFORMED_INPUTS = {
     "csv_whopf_integrals": _argv(
         "whopf", "group", "--cyclic", "2", "integrals", "--format", "csv"
     ),
-    "csv_whopf_frobenius_not_found": _file_case(
-        ["whopf", "frobenius", "--format", "csv"], "whopf", _drop_morphism_delta
+    "qtg_action_flag_unknown": _argv(
+        "whopf", "qtg", "--L", "trivial", "--B", "cyclic:2", "--action", "trivial"
     ),
 }
 
@@ -418,6 +418,26 @@ def test_malformed_input_exit_two_one_line(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+def test_csv_whopf_frobenius_not_found(capsys, monkeypatch):
+    """A frobenius search that finds no integral has no check table for csv."""
+    monkeypatch.setattr("frobkit.cli.find_nondegenerate_integral", lambda h, seed: None)
+    code, out, err = run(capsys, "whopf", "group", "--cyclic", "2", "frobenius", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: whopf frobenius has no check table for --format csv; use json or markdown\n"
+
+
+@pytest.mark.parametrize("op", ["integrals", "frobenius"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+def test_whopf_file_is_checked_before_integrals_and_frobenius(op, fmt, tmp_path, capsys):
+    """Data that fails a weak Hopf axiom gets no integral answer: exit 1 and
+    one line naming the first failed axiom."""
+    argv = _file_case(["whopf", op], "whopf", _drop_morphism_delta)(tmp_path, capsys)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"check failed: data from {argv[-1]} fails weak Hopf axiom ")
+    assert err.count("\n") == 1
 
 
 def test_qtg_matrix3_check_passes(capsys):

@@ -72,12 +72,25 @@ def _pair2_file(drop_morphism_delta: bool):
     def write(path: Path) -> None:
         payload = weak_hopf_to_json(groupoid_algebra(pair_groupoid(2)))
         if drop_morphism_delta:
-            # Delta(m0_1) = 0 leaves the integrals as they are, but no Psi_L
-            # reaches m0_1, so no non-degenerate integral is found
+            # Delta(m0_1) = 0 fails the weak Hopf counit axioms, so integrals
+            # and frobenius stop at the check
             payload["delta_wk"] = [e for e in payload["delta_wk"] if e[0] != 1]
         path.write_text(json.dumps(payload))
 
     return write
+
+
+def _non_associative_file(path: Path) -> None:
+    """k x k with e1 e1 = e0 + e1 and 1 = e0 + e1 (neither associative nor
+    unital) and the zero Delta, which passes every coalgebra check."""
+    payload = {
+        "dim": 2,
+        "labels": ["e0", "e1"],
+        "mult": [[0, 0, 0, "1"], [1, 1, 0, "1"], [1, 1, 1, "1"]],
+        "unit": [[0, "1"], [1, "1"]],
+        "delta": [],
+    }
+    path.write_text(json.dumps(payload))
 
 
 INPUT_FILES = {
@@ -87,6 +100,7 @@ INPUT_FILES = {
     "bad_mult": _nsy_file("n=2 ell=2 m=2,1", _retarget_first_mult),
     "pair2": _pair2_file(False),
     "pair2_degenerate": _pair2_file(True),
+    "non_associative": _non_associative_file,
 }
 
 
@@ -99,7 +113,7 @@ def _cases() -> dict[str, list[str]]:
     for source in WHOPF_SOURCES:
         for op in WHOPF_OPS:
             commands.append(["whopf", *source.split(), op])
-    for name in ("frobenius", "non_counital", "bad_delta", "bad_mult"):
+    for name in ("frobenius", "non_counital", "bad_delta", "bad_mult", "non_associative"):
         commands.append(["verify", f"<tmp>/{name}.json"])
     for op in WHOPF_OPS:
         commands.append(["whopf", "<tmp>/pair2.json", op])

@@ -175,13 +175,22 @@ def test_one_sided_delta_matches_reference(name, side, data):
     assert_matches_reference(c)
 
 
-def test_non_associative_algebra_is_not_decided_from_delta_one():
-    """k x k with e_1 e_1 = e_0 + e_1: Delta(e_j) = Delta(1) e_j = e_j Delta(1)
-    holds for Delta(e_0) = e_0 (x) e_0, Delta(e_1) = 0, but the algebra fails
-    check_algebra and Delta(e_1) e_1 != Delta(e_1 e_1)."""
+def non_associative_kxk() -> AlgebraData:
+    """k x k with e_1 e_1 = e_0 + e_1 and 1 = e_0 + e_1: neither associative
+    nor unital."""
     e0, e1 = Vec.basis(2, 0), Vec.basis(2, 1)
-    broken = AlgebraData(2, ["e0", "e1"], {(0, 0): e0, (1, 1): e0 + e1}, e0 + e1)
-    c = ComultData(broken, Mat(4, 2, [(0, 0, 1)]))
+    return AlgebraData(2, ["e0", "e1"], {(0, 0): e0, (1, 1): e0 + e1}, e0 + e1)
+
+
+def broken_kxk_comult() -> ComultData:
+    """Delta(e_0) = e_0 (x) e_0, Delta(e_1) = 0 on :func:`non_associative_kxk`."""
+    return ComultData(non_associative_kxk(), Mat(4, 2, [(0, 0, 1)]))
+
+
+def test_non_associative_algebra_is_not_decided_from_delta_one():
+    """Delta(e_j) = Delta(1) e_j = e_j Delta(1) holds for broken_kxk_comult,
+    but the algebra fails check_algebra and Delta(e_1) e_1 != Delta(e_1 e_1)."""
+    c = broken_kxk_comult()
     assert not _from_delta_one(c)
     assert not check_bimodule(c).passed
     assert_matches_reference(c)

@@ -1,14 +1,15 @@
 """The wide NSY sweep n <= 4, ell <= 4, m_i <= 3 (480 instances, dim up to
 144): classification against the closed-form criterion, the formula algebra
 against the path-model oracle, the associativity decision against an integer
-table triple loop, and, up to dim 40, the first witnesses of a corrupted
-delta column against the naive references.  Marked slow, so it runs only
-under ``pytest -m slow``."""
+table triple loop, the counit against the per-column elimination, and, up to
+dim 40, the first witnesses of a corrupted delta column against the naive
+references.  Marked slow, so it runs only under ``pytest -m slow``."""
 
 import random
 
 import pytest
 
+from test_counit import assert_matches_reference
 from test_witness import corrupted_comult, naive_bimodule, naive_coassoc, witness_tuple
 
 from frobkit.finalg import Classification, check_algebra, check_bimodule, check_coassoc, classify
@@ -52,6 +53,11 @@ def test_wide_sweep_oracle_equals_formula(wide_sweep):
         if (built.mult, built.unit, built.labels) != (oracle.mult, oracle.unit, oracle.labels):
             mismatches.append(p)
     assert mismatches == []
+
+
+def test_wide_sweep_counit_matches_reference(wide_sweep):
+    for p in wide_sweep:
+        assert_matches_reference(nsy_delta(p))
 
 
 def table_associative(a) -> bool:
