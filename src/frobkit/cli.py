@@ -496,12 +496,13 @@ def cmd_whopf(args: list[str]) -> int:
     axioms = check_weak_hopf(h)
 
     if op == "check":
-        if "--output" in flags:
-            _emit(weak_hopf_to_json_str(h), flags)
-            return 0 if axioms.passed else 1
-        return _render(flags, "whopf check", seed, {"source": desc, "dim": h.dim}, axioms)
+        if "--output" not in flags:
+            return _render(flags, "whopf check", seed, {"source": desc, "dim": h.dim}, axioms)
+        _emit(weak_hopf_to_json_str(h), flags)
     if not axioms.passed:
         raise PreconditionError(f"{desc} fails weak Hopf axiom {axioms.failures()[0].name}")
+    if op == "check":
+        return 0
 
     if op == "integrals":
         left = integral_space(h, "left").basis

@@ -5,8 +5,19 @@ bookkeeping, and exact linear solving.  All values are immutable by
 convention: every operation returns a new value, so anything built here can
 be shared freely.
 
-Scalars are ``fractions.Fraction``: always reduced, positive denominator,
-exact decidable equality.  No floating point is used anywhere.
+Scalars are exact rationals: a plain ``int`` when the value is integral and
+a reduced ``fractions.Fraction`` (denominator > 1) otherwise, never a
+``float``.  The two types compare and hash equal, so dict keys, vector
+equality and :func:`scalar_to_str` do not see the difference, while integer
+data (every NSY, groupoid and group structure constant) is computed in
+``int`` arithmetic.  One normaliser, :func:`_scalar`, admits values where
+they enter (the vector and matrix constructors, ``scale``,
+:func:`scalar_from_str` and :meth:`LinearSystem.add`) and rejects anything
+else, such as floats or numpy integers that overflow silently.  Sums and
+products of stored values need no division, so they stay exact; a result
+that cancels to an integral ``Fraction`` becomes an ``int`` again when it
+passes through a constructor.  The one division in the package is the pivot
+division of :meth:`LinearSystem.add`, taken through ``Fraction``.
 
 Every sparse sum in the package goes through one kernel, :func:`addto`:
 ``acc[base + stride*k] += coeff*v`` over a stream of ``(k, v)`` entries,
@@ -28,37 +39,58 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Union
 
 from .errors import InputError
 
-Scalar = Fraction
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Scalar = Union[int, Fraction]
+ZERO = 0
+ONE = 1
 
 
-def scalar_to_str(x: Fraction) -> str:
+def _scalar(x) -> Scalar:
+    """Admit an exact scalar: ``int`` when integral, else ``Fraction``.
+
+    Takes an ``int`` (not a ``bool``), a ``Fraction`` over Python ints, or a
+    ``"p/q"`` / decimal string without exponent.  Anything else raises
+    InputError: a float is already inexact, and a numpy integer (also inside
+    a Fraction) overflows without notice.
+    """
+    t = type(x)
+    if t is int:
+        return x
+    if t is Fraction:
+        n, d = x.numerator, x.denominator
+        if type(n) is not int or type(d) is not int:
+            raise InputError(f"bad scalar {x!r}: numerator and denominator must be Python ints")
+        return n if d == 1 else x
+    if t is str:
+        if "e" in x or "E" in x:
+            raise InputError(f"bad rational literal {x!r}: exponents are not allowed")
+        try:
+            return _scalar(Fraction(x))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational literal {x!r}: {exc}") from None
+    raise InputError(f"bad scalar {x!r}: expected an int, a Fraction or a string")
+
+
+def scalar_to_str(x: Scalar) -> str:
     """Serialize a rational as ``"p/q"``, or ``"p"`` when the denominator is 1."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def scalar_from_str(s: str | int) -> Fraction:
+def scalar_from_str(s: str | int) -> Scalar:
     """Parse a ``"p/q"`` (or decimal) string or an integer exactly.
 
     Floats and booleans are rejected, since a float is already inexact, and
     so are exponent literals such as ``"1e999999"``, whose size is not
     bounded by their length.
     """
-    if isinstance(s, bool) or not isinstance(s, (str, int)):
+    if type(s) not in (str, int):
         raise InputError(f"bad rational literal {s!r}: expected a string or an integer")
-    if isinstance(s, str) and ("e" in s or "E" in s):
-        raise InputError(f"bad rational literal {s!r}: exponents are not allowed")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {s!r}: {exc}") from None
+    return _scalar(s)
 
 
 def addto(acc: dict, coeff, entries, base: int = 0, stride: int = 1) -> dict:
@@ -91,15 +123,15 @@ class Vec:
         if dim < 0:
             raise InputError(f"vector dimension must be >= 0, got {dim}")
         self.dim = dim
-        e: dict[int, Fraction] = {}
+        e: dict[int, Scalar] = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for k, v in items:
                 if not 0 <= k < dim:
                     raise InputError(f"index {k} out of range for dimension {dim}")
-                v = Fraction(v)
+                v = _scalar(v)
                 if v:
-                    w = e.get(k, ZERO) + v
+                    w = _scalar(e.get(k, ZERO) + v)
                     if w:
                         e[k] = w
                     else:
@@ -119,10 +151,10 @@ class Vec:
     def basis(cls, dim: int, k: int) -> "Vec":
         return cls(dim, {k: ONE})
 
-    def get(self, i: int) -> Fraction:
+    def get(self, i: int) -> Scalar:
         return self._e.get(i, ZERO)
 
-    def items(self) -> list[tuple[int, Fraction]]:
+    def items(self) -> list[tuple[int, Scalar]]:
         """Entries in ascending index order, for output."""
         return sorted(self._e.items())
 
@@ -137,7 +169,7 @@ class Vec:
         return not self._e
 
     def scale(self, c) -> "Vec":
-        c = Fraction(c)
+        c = _scalar(c)
         if not c:
             return Vec(self.dim)
         return Vec(self.dim, {k: c * v for k, v in self._e.items()})
@@ -153,7 +185,7 @@ class Vec:
     def __neg__(self) -> "Vec":
         return self.scale(-1)
 
-    def dot(self, other: "Vec") -> Fraction:
+    def dot(self, other: "Vec") -> Scalar:
         if self.dim != other.dim:
             raise InputError("vector dimension mismatch in dot product")
         small, big = (self._e, other._e) if len(self._e) <= len(other._e) else (other._e, self._e)
@@ -197,7 +229,7 @@ class Mat:
             raise InputError("matrix dimensions must be >= 0")
         self.nrows = nrows
         self.ncols = ncols
-        cols: dict[int, dict[int, Fraction]] = {}
+        cols: dict[int, dict[int, Scalar]] = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for key_val in items:
@@ -207,11 +239,11 @@ class Mat:
                     r, c, v = key_val
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise InputError(f"entry ({r}, {c}) out of range for {nrows}x{ncols}")
-                v = Fraction(v)
+                v = _scalar(v)
                 if not v:
                     continue
                 col = cols.setdefault(c, {})
-                w = col.get(r, ZERO) + v
+                w = _scalar(col.get(r, ZERO) + v)
                 if w:
                     col[r] = w
                 else:
@@ -241,7 +273,7 @@ class Mat:
                 m._c[j] = dict(v._e)
         return m
 
-    def entry(self, r: int, c: int) -> Fraction:
+    def entry(self, r: int, c: int) -> Scalar:
         return self._c.get(c, {}).get(r, ZERO)
 
     def col(self, j: int) -> Vec:
@@ -253,14 +285,14 @@ class Mat:
         """Entries of column j in storage order, for sums."""
         return self._c.get(j, {}).items()
 
-    def items(self) -> list[tuple[int, int, Fraction]]:
+    def items(self) -> list[tuple[int, int, Scalar]]:
         """Entries as (row, col, value), sorted by (row, col)."""
         out = [(r, c, v) for c, col in self._c.items() for r, v in col.items()]
         out.sort(key=lambda t: (t[0], t[1]))
         return out
 
-    def rows_items(self) -> dict[int, dict[int, Fraction]]:
-        rows: dict[int, dict[int, Fraction]] = {}
+    def rows_items(self) -> dict[int, dict[int, Scalar]]:
+        rows: dict[int, dict[int, Scalar]] = {}
         for c, col in self._c.items():
             for r, v in col.items():
                 rows.setdefault(r, {})[c] = v
@@ -269,7 +301,7 @@ class Mat:
     def matvec(self, v: Vec) -> Vec:
         if v.dim != self.ncols:
             raise InputError("matvec dimension mismatch")
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for j, coeff in v._e.items():
             addto(acc, coeff, self.col_terms(j))
         return Vec.adopt(self.nrows, acc)
@@ -279,7 +311,7 @@ class Mat:
             raise InputError("matmul dimension mismatch")
         result = Mat(self.nrows, other.ncols)
         for j, col in other._c.items():
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Scalar] = {}
             for k, coeff in col.items():
                 addto(acc, coeff, self.col_terms(k))
             if acc:
@@ -300,10 +332,12 @@ class Mat:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Mat":
-        c = Fraction(c)
+        c = _scalar(c)
         m = Mat(self.nrows, self.ncols)
         if c:
-            m._c = {j: {r: c * v for r, v in col.items()} for j, col in self._c.items()}
+            m._c = {
+                j: {r: _scalar(c * v) for r, v in col.items()} for j, col in self._c.items()
+            }
         return m
 
     def is_zero(self) -> bool:
@@ -371,15 +405,18 @@ class LinearSystem:
     def __init__(self, ncols: int):
         self.ncols = ncols
         # pivot column -> (row dict with row[pivot] == 1, rhs)
-        self._rows: dict[int, tuple[dict[int, Fraction], Fraction]] = {}
+        self._rows: dict[int, tuple[dict[int, Scalar], Scalar]] = {}
         self._inconsistent = False
 
-    def add(self, coeffs: dict[int, Fraction], rhs=ZERO) -> None:
-        row = {c: Fraction(v) for c, v in coeffs.items() if v}
-        for c in row:
-            if not 0 <= c < self.ncols:
-                raise InputError(f"column {c} out of range")
-        rhs = Fraction(rhs)
+    def add(self, coeffs: dict[int, Scalar], rhs=ZERO) -> None:
+        row = {}
+        for c, v in coeffs.items():
+            v = _scalar(v)
+            if v:
+                if not 0 <= c < self.ncols:
+                    raise InputError(f"column {c} out of range")
+                row[c] = v
+        rhs = _scalar(rhs)
         # Stored rows contain their pivot plus free columns only, so one pass
         # over the incoming row's pivot columns reduces it completely.
         for p in sorted(c for c in row if c in self._rows):
@@ -395,8 +432,10 @@ class LinearSystem:
             return
         p = min(row)
         f = row[p]
-        row = {c: v / f for c, v in row.items()}
-        rhs = rhs / f
+        # The one division: exact through Fraction, skipped for a unit pivot.
+        inv = f if f == 1 or f == -1 else 1 / Fraction(f)
+        row = {c: _scalar(v * inv) for c, v in row.items()}
+        rhs = _scalar(rhs * inv)
         for q, (qrow, qrhs) in list(self._rows.items()):
             g = qrow.get(p)
             if g is None:

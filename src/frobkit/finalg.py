@@ -31,8 +31,9 @@ bimodule and coassociativity scans do for theirs.
 
 The counit is solved from X = Delta(1) too.  For a bimodule Delta,
 (eps (x) id)Delta(e_j) = ((eps (x) id)X) e_j and (id (x) eps)Delta(e_j) =
-e_j (id (x) eps)X, so eps is a counit iff (eps (x) id)X = 1 = (id (x) eps)X:
-2d rows, not 2d^2.  A counit is unique when it exists, for any linear Delta:
+e_j (id (x) eps)X, so eps is a counit iff (eps (x) id)X = 1 = (id (x) eps)X,
+and the first d rows already imply the second (proof in solve_counit): d
+rows, not 2d^2.  A counit is unique when it exists, for any linear Delta:
 eps'(x) = (eps (x) eps')Delta(x) = eps(x).
 """
 
@@ -621,24 +622,29 @@ def counit_failures(c: ComultData, eps: Vec):
 def solve_counit(c: ComultData) -> Vec | None:
     """The counit of a bimodule Delta, or None when it has none.
 
-    For X = Delta(1), (eps (x) id)Delta(e_j) = w e_j with w = (eps (x) id)X,
-    and w e_j = e_j for all j iff w = w 1 = 1.  Likewise on the right with
-    e_j (id (x) eps)X, so the rows are (eps (x) id)X = 1 = (id (x) eps)X.  For
-    any linear Delta a counit is unique: eps'(x) = (eps (x) eps')Delta(x) =
-    eps(x).  Raises PreconditionError unless check_algebra passes and Delta
-    is the bimodule map of X (:func:`_from_delta_one`).
+    For X = Delta(1) = sum x_i (x) y_i, (eps (x) id)Delta(e_j) = w e_j with
+    w = (eps (x) id)X, and w e_j = e_j for all j iff w = w 1 = 1.  Likewise
+    (id (x) eps)Delta(e_j) = e_j z with z = (id (x) eps)X.  So eps is a
+    counit iff w = 1 = z, and the d rows w = 1 alone already force z = 1:
+    (eps (x) id)(a X) = sum eps(a x_i) y_i equals (eps (x) id)(X a) = w a = a,
+    so eps(a b) = 0 for all b only when a = 0, and the form (a, b) -> eps(a b)
+    is non-degenerate (A is finite-dimensional).  Then eps(a z) =
+    eps(sum eps(a x_i) y_i) = eps(a) for every a, hence z = 1.  A counit is
+    unique when it exists, for any linear Delta: eps'(x) = (eps (x) eps')
+    Delta(x) = eps(x), so a consistent system has rank d.  Raises
+    PreconditionError unless check_algebra passes and Delta is the bimodule
+    map of X (:func:`_from_delta_one`).
     """
     if not _from_delta_one(c):
         raise PreconditionError("Delta is not a bimodule map over a unital associative algebra")
     a = c.algebra
-    by_q, by_p = _tensor_factors(CasimirElement(a, c.delta_of(a.unit)))
+    by_q, _ = _tensor_factors(CasimirElement(a, c.delta_of(a.unit)))
     sys_ = LinearSystem(a.dim)
     for k in range(a.dim):
-        rhs = a.unit.get(k)
-        # coordinate k of (eps (x) id)X, then of (id (x) eps)X; no (p, q) repeats
-        for terms in (by_q.get(k), by_p.get(k)):
-            if terms or rhs:
-                sys_.add(dict(terms or ()), rhs)
+        # coordinate k of (eps (x) id)X = 1; X has one term per (p, k)
+        terms, rhs = by_q.get(k), a.unit.get(k)
+        if terms or rhs:
+            sys_.add(dict(terms or ()), rhs)
     return sys_.solution()
 
 

@@ -440,6 +440,20 @@ def test_whopf_file_is_checked_before_integrals_and_frobenius(op, fmt, tmp_path,
     assert err.count("\n") == 1
 
 
+def test_whopf_check_output_reports_failed_axiom(tmp_path, capsys):
+    """whopf check FILE --output PATH still writes the normalized data on a
+    failed check, exits 1 and names the first failed axiom on stderr."""
+    from frobkit.whopf import weak_hopf_from_json, weak_hopf_to_json_str
+
+    argv = _file_case(["whopf", "check"], "whopf", _drop_morphism_delta)(tmp_path, capsys)
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err == f"check failed: data from {argv[-1]} fails weak Hopf axiom counit_wk_left\n"
+    data = json.loads((tmp_path / "in.json").read_text())
+    assert target.read_text() == weak_hopf_to_json_str(weak_hopf_from_json(data))
+
+
 def test_qtg_matrix3_check_passes(capsys):
     # dim 81: the largest QTG the CLI builds from flags in a few seconds
     code, out, _ = run(capsys, "whopf", "qtg", "--L", "trivial", "--B", "matrix:3", "check")

@@ -120,6 +120,9 @@ def _cases() -> dict[str, list[str]]:
     commands.append(["whopf", "check", "<tmp>/pair2.json"])
     commands.append(["whopf", "<tmp>/pair2_degenerate.json", "frobenius"])
     cases = [cmd + list(fmt) for cmd in commands for fmt in FORMATS]
+    cases.append(
+        ["whopf", "check", "<tmp>/pair2_degenerate.json", "--output", "<tmp>/pair2_degenerate.out"]
+    )
     cases.append(["nsy", "check", "n=2", "ell=2", "m=1,1", "--format", "bogus"])
     cases.append(["whopf", "qtg", "--L", "trivial", "--B", "matrix:2", "--format", "bogus"])
     return {" ".join(argv): argv for argv in cases}

@@ -252,7 +252,7 @@ def reference_inverse(a: Mat) -> Mat | None:
         raise InputError("inverse requires a square matrix")
     n = a.nrows
     rows_view = a.rows_items()
-    rows = [dict(rows_view.get(r, {})) for r in range(n)]
+    rows = [{k: F(v) for k, v in rows_view.get(r, {}).items()} for r in range(n)]
     aug = [{r: F(1)} for r in range(n)]
     used = [False] * n
     pivot_of_col: dict[int, int] = {}
