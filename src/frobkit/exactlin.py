@@ -16,7 +16,7 @@ they enter (the vector and matrix constructors, ``scale``,
 else, such as floats or numpy integers that overflow silently.  Sums and
 products of stored values need no division, so they stay exact; a result
 that cancels to an integral ``Fraction`` becomes an ``int`` again when it
-passes through a constructor.  The one division in the package is the pivot
+passes through a constructor.  The one ``/`` in the package is the pivot
 division of :meth:`LinearSystem.add`, taken through ``Fraction``.
 
 Every sparse sum in the package goes through one kernel, :func:`addto`:

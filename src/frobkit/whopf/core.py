@@ -15,11 +15,22 @@ A left integral L satisfies h L = eps_t(h) L; it is non-degenerate when
 Psi_L : phi -> L_1 phi(L_2) is bijective.  From any left integral the map
 Delta(h) = L_1 (x) S(L_2) h is a non-counital Frobenius comultiplication,
 counital exactly when Psi_L is invertible.
+
+The identities that multiply Delta terms are decided in integers whenever
+the data is integral apart from Delta.  Let n be the least common multiple
+of the denominators of ``delta_wk`` (1 for integer data); n Delta has
+integer terms, and both sides of an identity are scaled to one power of n:
+n for eps(abc) and for S(h_1) h_2 = eps_s(h), h_1 S(h_2) = eps_t(h); n^2
+for (n Delta)(a) (n Delta)(b) = n (n Delta)(ab), for Delta^2(1) and for
+S(h_1) h_2 S(h_3) = S(h).  As n > 0, the scaled sides are equal exactly
+when the unscaled ones are, so every pass/fail and every first witness
+index is unchanged; a witness's sides are divided back by n^k.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,8 +80,12 @@ class WeakHopfData:
     ``epsilon_wk`` is a functional stored over the same basis, and
     ``antipode`` is (dim x dim) with column j the image S(e_j).
 
-    Fields must not be reassigned after construction: ``unit_pairs`` (Delta(1)
-    as (p, q, coeff) terms) and the :func:`check_weak_hopf` report derive from them.
+    ``denom`` is n, the least common multiple of the denominators of
+    ``delta_wk``; ``scaled.delta_pairs(j)`` gives the (p, q, coeff) terms of
+    n Delta(e_j), integers for integral data, and ``scaled_unit_pairs``
+    those of n Delta(1).  Fields must not be reassigned after construction:
+    the scaled terms, :func:`_counital_terms` and the :func:`check_weak_hopf`
+    report derive from them.
     """
 
     def __init__(self, algebra: AlgebraData, delta_wk: Mat, epsilon_wk: Vec, antipode: Mat):
@@ -86,7 +101,13 @@ class WeakHopfData:
         self.epsilon_wk = epsilon_wk
         self.antipode = antipode
         self.coalgebra = ComultData(algebra, delta_wk)
-        self.unit_pairs = self.comult_pairs_of(algebra.unit)
+        denominators = (v.denominator for j in range(d) for _, _, v in self.comult_pairs(j))
+        self.denom = n = math.lcm(*denominators)
+        self.scaled = self.coalgebra if n == 1 else ComultData(algebra, delta_wk.scale(n))
+        self.scaled_unit_pairs = [
+            (t // d, t % d, v) for t, v in self.scaled.delta_of(algebra.unit).terms()
+        ]
+        self._counital: tuple[list[dict], list[dict], list[dict]] | None = None
         self._report: VerificationReport | None = None
 
     @property
@@ -117,19 +138,17 @@ class WeakHopfData:
 def epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
     """Source counital map eps_s(x) = 1_1 eps(x 1_2)."""
     acc: dict[int, Fraction] = {}
-    for p, q, v in h.unit_pairs:
-        c = h.counit_value(h.algebra.mul(x, Vec.basis(h.dim, q)))
-        addto(acc, c, ((p, v),))
-    return Vec.adopt(h.dim, acc)
+    for j, c in x.terms():
+        addto(acc, c, _counital_terms(h)[1][j].items())
+    return Vec.adopt(h.dim, acc).scale(Fraction(1, h.denom))
 
 
 def epsilon_t(h: WeakHopfData, x: Vec) -> Vec:
     """Target counital map eps_t(x) = eps(1_1 x) 1_2."""
     acc: dict[int, Fraction] = {}
-    for p, q, v in h.unit_pairs:
-        c = h.counit_value(h.algebra.mul(Vec.basis(h.dim, p), x))
-        addto(acc, c, ((q, v),))
-    return Vec.adopt(h.dim, acc)
+    for j, c in x.terms():
+        addto(acc, c, _counital_terms(h)[2][j].items())
+    return Vec.adopt(h.dim, acc).scale(Fraction(1, h.denom))
 
 
 def epsilon_s_matrix(h: WeakHopfData) -> Mat:
@@ -202,6 +221,8 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
 def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     a = h.algebra
     d = h.dim
+    n = h.denom
+    scaled = h.scaled
     checks = list(check_algebra(a).checks)
     (coassoc,) = check_coassoc(h.coalgebra).checks
     checks.append(CheckResult("coassociativity_wk", coassoc.passed, coassoc.witness))
@@ -220,18 +241,21 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     # Delta(ab) = Delta(a) Delta(b) on all basis pairs
     mult_w = None
     for i in range(d):
-        pairs_i = h.comult_pairs(i)
+        pairs_i = scaled.delta_pairs(i)
         for j in range(d):
             acc: dict[int, Fraction] = {}
             for p, q, v in pairs_i:
-                for p2, q2, v2 in h.comult_pairs(j):
+                for p2, q2, v2 in scaled.delta_pairs(j):
                     right_terms = a.basis_product(q, q2).terms()
                     for kl, vl in a.basis_product(p, p2).terms():
                         addto(acc, v * v2 * vl, right_terms, kl * d)
-            lhs = Vec.adopt(d * d, acc)
-            rhs = h.comult(a.basis_product(i, j))
-            if lhs != rhs:
-                mult_w = Witness((i, j), lhs, rhs, "Delta(a)Delta(b) != Delta(ab)")
+            rhs: dict[int, Fraction] = {}
+            for k, c in a.basis_product(i, j).terms():
+                addto(rhs, n * c, scaled.delta.col_terms(k))
+            if acc != rhs:
+                mult_w = _scaled_witness(
+                    h, (i, j), acc, rhs, d * d, 2, "Delta(a)Delta(b) != Delta(ab)"
+                )
                 break
         if mult_w:
             break
@@ -239,19 +263,16 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
 
     # eps(abc) = eps(a b_1) eps(b_2 c) = eps(a b_2) eps(b_1 c), for one (b, a)
     # at a time over all c, from the rows eps_row[m] = {c: eps(e_m e_c)}
-    eps_row = [
-        {k: c for k in range(d) if (c := h.counit_value(a.basis_product(m, k)))}
-        for m in range(d)
-    ]
+    eps_row, eps_src, eps_tgt = _counital_terms(h)
     weak_a = None
     weak_b = None
     for b_mid in range(d):
-        dpairs = h.comult_pairs(b_mid)
+        dpairs = scaled.delta_pairs(b_mid)
         for i in range(d):
             row_i = eps_row[i]
             direct: dict[int, Fraction] = {}
             for m, c in a.basis_product(i, b_mid).terms():
-                addto(direct, c, eps_row[m].items())
+                addto(direct, n * c, eps_row[m].items())
             split_a: dict[int, Fraction] = {}
             split_b: dict[int, Fraction] = {}
             for p, q, v in dpairs:
@@ -260,9 +281,9 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
                 if q in row_i:
                     addto(split_b, v * row_i[q], eps_row[p].items())
             if weak_a is None and direct != split_a:
-                weak_a = _row_witness((i, b_mid), direct, split_a, "eps(abc) != eps(a b_1) eps(b_2 c)")
+                weak_a = _row_witness((i, b_mid), direct, split_a, n, "eps(abc) != eps(a b_1) eps(b_2 c)")
             if weak_b is None and direct != split_b:
-                weak_b = _row_witness((i, b_mid), direct, split_b, "eps(abc) != eps(a b_2) eps(b_1 c)")
+                weak_b = _row_witness((i, b_mid), direct, split_b, n, "eps(abc) != eps(a b_2) eps(b_1 c)")
             if weak_a is not None and weak_b is not None:
                 break
         if weak_a is not None and weak_b is not None:
@@ -271,24 +292,20 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     checks.append(CheckResult("epsilon_wk_weak_mult_b", weak_b is None, weak_b))
 
     # Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) = (1 (x) Delta(1))(Delta(1) (x) 1)
-    lhs_vec = Vec(
-        d * d * d,
-        [((p * d + q) * d + r, v) for (p, q, r), v in iterated_comult(h, h.unit, 3).items()],
-    )
+    lhs: dict[int, Fraction] = {}
     acc_a: dict[int, Fraction] = {}
     acc_b: dict[int, Fraction] = {}
-    for p, q, v in h.unit_pairs:  # Delta(1) (x) 1: slots 1, 2
-        for r, s, w in h.unit_pairs:  # 1 (x) Delta(1): slots 2, 3
+    for p, q, v in h.scaled_unit_pairs:
+        addto(lhs, v, scaled.delta.col_terms(p), q, d)  # (Delta (x) id)Delta(1)
+        for r, s, w in h.scaled_unit_pairs:  # Delta(1) (x) 1 times 1 (x) Delta(1)
             # middle slot k of the product: flat (p*d + k)*d + s
             addto(acc_a, v * w, a.basis_product(q, r).terms(), p * d * d + s, d)
             addto(acc_b, v * w, a.basis_product(r, q).terms(), p * d * d + s, d)
-    rhs_a = Vec.adopt(d * d * d, acc_a)
-    rhs_b = Vec.adopt(d * d * d, acc_b)
-    wa = None if lhs_vec == rhs_a else Witness(
-        (), lhs_vec, rhs_a, "Delta^2(1) != (Delta(1)(x)1)(1(x)Delta(1))"
+    wa = None if lhs == acc_a else _scaled_witness(
+        h, (), lhs, acc_a, d * d * d, 2, "Delta^2(1) != (Delta(1)(x)1)(1(x)Delta(1))"
     )
-    wb = None if lhs_vec == rhs_b else Witness(
-        (), lhs_vec, rhs_b, "Delta^2(1) != (1(x)Delta(1))(Delta(1)(x)1)"
+    wb = None if lhs == acc_b else _scaled_witness(
+        h, (), lhs, acc_b, d * d * d, 2, "Delta^2(1) != (1(x)Delta(1))(Delta(1)(x)1)"
     )
     checks.append(CheckResult("delta_wk_unit_a", wa is None, wa))
     checks.append(CheckResult("delta_wk_unit_b", wb is None, wb))
@@ -300,22 +317,19 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     sand_w = None
     for j in range(d):
         lhs_src, lhs_tgt = _convolutions(h, j)
-        es = epsilon_s(h, basis[j])
-        et = epsilon_t(h, basis[j])
-        if src_w is None and lhs_src != es:
-            src_w = Witness((j,), lhs_src, es, "S(h_1) h_2 != eps_s(h)")
-        if tgt_w is None and lhs_tgt != et:
-            tgt_w = Witness((j,), lhs_tgt, et, "h_1 S(h_2) != eps_t(h)")
+        if src_w is None and lhs_src != eps_src[j]:
+            src_w = _scaled_witness(h, (j,), lhs_src, eps_src[j], d, 1, "S(h_1) h_2 != eps_s(h)")
+        if tgt_w is None and lhs_tgt != eps_tgt[j]:
+            tgt_w = _scaled_witness(h, (j,), lhs_tgt, eps_tgt[j], d, 1, "h_1 S(h_2) != eps_t(h)")
         if sand_w is None:
             acc = {}
-            for (p, q, r), v in iterated_comult(h, basis[j], 3).items():
-                term = a.mul(a.mul(s_cols[p], basis[q]), s_cols[r])
-                addto(acc, v, term.terms())
-            lhs_sand = Vec.adopt(d, acc)
-            if lhs_sand != s_cols[j]:
-                sand_w = Witness(
-                    (j,), lhs_sand, s_cols[j], "S(h_1) h_2 S(h_3) != S(h)"
-                )
+            for p0, r, v in scaled.delta_pairs(j):  # (Delta (x) id)Delta(e_j)
+                for p, q, w in scaled.delta_pairs(p0):
+                    term = a.mul(a.mul(s_cols[p], basis[q]), s_cols[r])
+                    addto(acc, v * w, term.terms())
+            rhs = addto({}, n * n, s_cols[j].terms())
+            if acc != rhs:
+                sand_w = _scaled_witness(h, (j,), acc, rhs, d, 2, "S(h_1) h_2 S(h_3) != S(h)")
     checks.append(CheckResult("antipode_source", src_w is None, src_w))
     checks.append(CheckResult("antipode_target", tgt_w is None, tgt_w))
     checks.append(CheckResult("antipode_sandwich", sand_w is None, sand_w))
@@ -333,23 +347,54 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _row_witness(prefix: tuple[int, int], lhs: dict, rhs: dict, note: str) -> Witness:
-    """Scalar witness at the first index where two unequal sparse rows differ."""
+def _scaled_witness(
+    h: WeakHopfData, indices, lhs: dict, rhs: dict, dim: int, k: int, note: str
+) -> Witness:
+    """Witness of an identity decided with both sides scaled by n^k, divided back."""
+    f = Fraction(1, h.denom**k)
+    return Witness(indices, Vec.adopt(dim, lhs).scale(f), Vec.adopt(dim, rhs).scale(f), note)
+
+
+def _row_witness(prefix: tuple[int, int], lhs: dict, rhs: dict, n: int, note: str) -> Witness:
+    """Scalar witness at the first index where two unequal sparse rows,
+    both scaled by n, differ."""
     k = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
-    return _scalar_witness((*prefix, k), lhs.get(k, ZERO), rhs.get(k, ZERO), note)
+    f = Fraction(1, n)
+    return _scalar_witness((*prefix, k), lhs.get(k, ZERO) * f, rhs.get(k, ZERO) * f, note)
 
 
-def _convolutions(h: WeakHopfData, j: int) -> tuple[Vec, Vec]:
-    """S(h_1) h_2 and h_1 S(h_2) for h = e_j."""
+def _counital_terms(h: WeakHopfData) -> tuple[list[dict], list[dict], list[dict]]:
+    """``(eps_row, src, tgt)`` with eps_row[m] = {c: eps(e_m e_c)}, and
+    src[j] = n eps_s(e_j), tgt[j] = n eps_t(e_j) as dicts, read off the
+    terms of n Delta(1).  Kept on ``h``."""
+    if h._counital is None:
+        a, d = h.algebra, h.dim
+        eps_row = [
+            {k: c for k in range(d) if (c := h.counit_value(a.basis_product(m, k)))}
+            for m in range(d)
+        ]
+        src: list[dict] = [{} for _ in range(d)]
+        tgt: list[dict] = [{} for _ in range(d)]
+        for p, q, v in h.scaled_unit_pairs:
+            for j in range(d):  # eps_s(e_j) = 1_1 eps(e_j 1_2)
+                addto(src[j], v * eps_row[j].get(q, ZERO), ((p, ONE),))
+            for j, c in eps_row[p].items():  # eps_t(e_j) = eps(1_1 e_j) 1_2
+                addto(tgt[j], v * c, ((q, ONE),))
+        h._counital = (eps_row, src, tgt)
+    return h._counital
+
+
+def _convolutions(h: WeakHopfData, j: int) -> tuple[dict, dict]:
+    """n S(h_1) h_2 and n h_1 S(h_2) for h = e_j, as dicts."""
     a, s = h.algebra, h.antipode
     src: dict[int, Fraction] = {}
     tgt: dict[int, Fraction] = {}
-    for p, q, v in h.comult_pairs(j):
+    for p, q, v in h.scaled.delta_pairs(j):
         for k, c in s.col_terms(p):
             addto(src, v * c, a.basis_product(k, q).terms())
         for k, c in s.col_terms(q):
             addto(tgt, v * c, a.basis_product(p, k).terms())
-    return Vec.adopt(h.dim, src), Vec.adopt(h.dim, tgt)
+    return src, tgt
 
 
 def is_hopf(h: WeakHopfData) -> bool:
@@ -369,7 +414,7 @@ def is_hopf(h: WeakHopfData) -> bool:
                     "Delta(1) = 1(x)1 but eps is not multiplicative"
                 )
     for j in range(d):
-        expected = h.unit.scale(eps.get(j))
+        expected = addto({}, h.denom * eps.get(j), h.unit.terms())
         if any(conv != expected for conv in _convolutions(h, j)):
             raise InternalConsistencyError(
                 "Delta(1) = 1(x)1 but the antipode convolution identities fail"
@@ -386,18 +431,26 @@ class IntegralSpace:
 def integral_space(h: WeakHopfData, side: str) -> IntegralSpace:
     """Exact solution space of h L = eps_t(h) L (left) or L h = L eps_s(h)
     (right) over all basis h.  Nonempty for every finite-dimensional weak
-    Hopf algebra; emptiness signals corrupt data."""
+    Hopf algebra; emptiness signals corrupt data.  The rows for h = e_k are
+    those of x L = 0 (L x = 0) with x = n e_k - n eps_t(e_k) (eps_s): a
+    homogeneous row scaled by n > 0 spans the same space, so the echelon
+    kernel basis is that of the unscaled rows."""
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
-    d = h.dim
+    a, d, left = h.algebra, h.dim, side == "left"
+    _, src, tgt = _counital_terms(h)
+    by_right, by_left = a.product_index()
     sys_ = LinearSystem(d)
-    for k in range(d):
-        ek = Vec.basis(d, k)
-        if side == "left":
-            m = h.algebra.left_mult_matrix(ek - epsilon_t(h, ek))
-        else:
-            m = h.algebra.right_mult_matrix(ek - epsilon_s(h, ek))
-        sys_.add_matrix(m)
+    for k, eps_k in enumerate(tgt if left else src):
+        rows: dict[int, dict[int, Fraction]] = {}
+        for m, y in addto({k: h.denom}, -1, eps_k.items()).items():
+            for c in (by_left if left else by_right)[m]:
+                prod = a.basis_product(m, c) if left else a.basis_product(c, m)
+                for r, v in prod.terms():
+                    addto(rows.setdefault(r, {}), y, ((c, v),))
+        for r in sorted(rows):
+            if rows[r]:
+                sys_.add(rows[r])
     basis = sys_.kernel()
     if not basis:
         raise InternalConsistencyError(

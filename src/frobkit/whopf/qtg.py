@@ -317,6 +317,9 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
     ]
     basis_b = [Vec.basis(dB, k) for k in range(dB)]
     s_cols = [L.antipode.col(j) for j in range(dL)]
+    # b <| S(e_u) and b <| e_v, each computed once
+    act_s = [[q.act(basis_b[b], s_cols[u]) for u in range(dL)] for b in range(dB)]
+    act_e = [[q.action.col(b * dL + v) for v in range(dL)] for b in range(dB)]
 
     mult = {}
     for p1 in range(dim):
@@ -326,14 +329,14 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
             a2, l2, b2 = ti.unflatten(p2)
             acc: dict[int, Fraction] = {}
             for u1, u2, c1 in l1_pairs:
-                first = B.mul(q.act(basis_b[a2], s_cols[u1]), basis_b[a1])
+                first = B.mul(act_s[a2][u1], basis_b[a1])
                 if first.is_zero():
                     continue
                 for v1, v2, c2 in L.comult_pairs(l2):
                     mid = L.algebra.basis_product(u2, v1)
                     if mid.is_zero():
                         continue
-                    last = B.mul(q.act(basis_b[b1], Vec.basis(dL, v2)), basis_b[b2])
+                    last = B.mul(act_e[b1][v2], basis_b[b2])
                     if last.is_zero():
                         continue
                     _add_tensor3(acc, c1 * c2, q, first, mid, last)
@@ -350,8 +353,7 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
             u1, u2, u3 = key
             for p, qq, ce in e_pairs:
                 left = ti.flatten((a, u1, p))
-                acted = q.act(basis_b[qq], s_cols[u2])
-                for bp, cb in acted.items():
+                for bp, cb in act_s[qq][u2].items():
                     right = ti.flatten((bp, u3, b))
                     delta_entries.append(
                         (left * dim + right, col, c * ce * cb)

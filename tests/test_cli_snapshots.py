@@ -15,12 +15,24 @@ import io
 import json
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from frobkit.cli import main
-from frobkit.whopf import groupoid_algebra, pair_groupoid, weak_hopf_to_json
+from frobkit.exactlin import scalar_from_str, scalar_to_str
+from frobkit.whopf import (
+    QTGInput,
+    cyclic_group_table,
+    groupoid_algebra,
+    hopf_group_algebra,
+    pair_groupoid,
+    qtg_build,
+    separable_group_algebra,
+    trivial_action,
+    weak_hopf_to_json,
+)
 
 SNAPSHOT_FILE = Path(__file__).with_name("cli_snapshots.json")
 
@@ -80,6 +92,35 @@ def _pair2_file(drop_morphism_delta: bool):
     return write
 
 
+def _shift_first(field: str, by: Fraction):
+    def corrupt(payload):
+        entry = payload[field][0]
+        entry[-1] = scalar_to_str(scalar_from_str(entry[-1]) + by)
+
+    return corrupt
+
+
+def _drop_first(field: str):
+    def corrupt(payload):
+        del payload[field][0]
+
+    return corrupt
+
+
+def _qtg_file(corrupt):
+    """The QTG over L = B = kZ/2, whose Delta carries 1/2, with one field
+    corrupted, so witnesses are rescaled from n Delta."""
+
+    def write(path: Path) -> None:
+        L = hopf_group_algebra(cyclic_group_table(2))
+        B, e, omega = separable_group_algebra(cyclic_group_table(2))
+        payload = weak_hopf_to_json(qtg_build(QTGInput(L, B, e, omega, trivial_action(B, L))))
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+
+    return write
+
+
 def _non_associative_file(path: Path) -> None:
     """k x k with e1 e1 = e0 + e1 and 1 = e0 + e1 (neither associative nor
     unital) and the zero Delta, which passes every coalgebra check."""
@@ -101,6 +142,9 @@ INPUT_FILES = {
     "pair2": _pair2_file(False),
     "pair2_degenerate": _pair2_file(True),
     "non_associative": _non_associative_file,
+    "qtg_delta": _qtg_file(_shift_first("delta_wk", Fraction(1, 5))),
+    "qtg_antipode": _qtg_file(_drop_first("antipode")),
+    "qtg_epsilon": _qtg_file(_shift_first("epsilon_wk", Fraction(1, 3))),
 }
 
 
@@ -120,6 +164,9 @@ def _cases() -> dict[str, list[str]]:
     commands.append(["whopf", "check", "<tmp>/pair2.json"])
     commands.append(["whopf", "<tmp>/pair2_degenerate.json", "frobenius"])
     cases = [cmd + list(fmt) for cmd in commands for fmt in FORMATS]
+    for name in ("qtg_delta", "qtg_antipode", "qtg_epsilon"):
+        for fmt in ("markdown", "json"):
+            cases.append(["whopf", "check", f"<tmp>/{name}.json", "--format", fmt])
     cases.append(
         ["whopf", "check", "<tmp>/pair2_degenerate.json", "--output", "<tmp>/pair2_degenerate.out"]
     )

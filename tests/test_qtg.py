@@ -1,6 +1,7 @@
 """Quantum transformation groupoid tests, including the closed-form
 Frobenius structure and the L = k reductions."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from frobkit.whopf import (
     separable_matrix_algebra,
     trivial_action,
     trivial_hopf,
+    weak_hopf_to_json_str,
 )
 
 F = Fraction
@@ -345,3 +347,36 @@ def test_qtg_rejects_broken_action():
     )
     with pytest.raises(ConstructionError):
         QTGInput(L, B, e, om, bad)
+
+
+# sha256 of weak_hopf_to_json_str(qtg_build(...)) over the (L, B) pairs of the
+# whopf-qtg benchmark workload, recorded before the action table of qtg_build
+QTG_BUILD_DIGESTS = [
+    ("trivial", "cyclic:2", "e6956b8dd24e9cab1a4c9100d7c46dc3bb3f5629429450409808ae89ce7c6953"),
+    ("cyclic:2", "cyclic:2", "92d7dd73f9499ddedc7adf402b7effc5c174355a45b68b2bc5ce6c2096c156e3"),
+    ("cyclic:3", "cyclic:2", "770fce27a13361b3707cd383e21b6b24cf5ecd1c407a114f3cb5204becf244dd"),
+    ("cyclic:4", "cyclic:2", "bfbaaaf93c42f8a48be05960a83f2c3b82d8e0d5954f3a552c9e1e0776aa41ed"),
+    ("cyclic:5", "cyclic:2", "24bdeda0c0361b001363e3eea3619fa17a531bb4e60b5437bd28bd61990945cd"),
+    ("cyclic:6", "cyclic:2", "f489e1ec21721e156f39c93825387beaa2772ef291ba5f2f21e7360a1310940a"),
+    ("trivial", "cyclic:3", "61507d5cbb0edfbc33e121c584f857e493131c2f2a805e300a3d06f9216b1aa7"),
+    ("cyclic:2", "cyclic:3", "f6e9c7f9951b970b67211114e64b15471acc627dfe5bc840cae292996d7d2b03"),
+    ("cyclic:3", "cyclic:3", "e975a3167fa7f911d90e00017d04432f22a6e8b96b2b6fcd6aeba5cf74681b68"),
+    ("trivial", "cyclic:4", "3a29b0afe6578bec41022409b3e8c7fafd0ab6a85cce45578111e912df4e632e"),
+    ("trivial", "matrix:2", "15cc104c703168edf28477b121a8581aed9552df333681aa25158040b1f54ef4"),
+    ("cyclic:2", "matrix:2", "cf1ffd0156dada25218fb39d2b2fcae3b27e1e15a349eeedf4732d5474d852b3"),
+]
+
+
+@pytest.mark.parametrize("L_token, B_token, digest", QTG_BUILD_DIGESTS)
+def test_qtg_build_output_is_pinned(L_token, B_token, digest):
+    L = trivial_hopf()
+    if L_token != "trivial":
+        L = hopf_group_algebra(cyclic_group_table(int(L_token.split(":")[1])))
+    kind, size = B_token.split(":")
+    if kind == "matrix":
+        B, e, omega = separable_matrix_algebra(int(size))
+    else:
+        B, e, omega = separable_group_algebra(cyclic_group_table(int(size)))
+    h = qtg_build(QTGInput(L, B, e, omega, trivial_action(B, L)))
+    text = weak_hopf_to_json_str(h)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,20 +1,43 @@
 """check_weak_hopf: the row-wise eps(abc) block against the scalar triple
-loop it replaced, and the report kept on each WeakHopfData.
+loop it replaced, the whole report against the all-Fraction report it
+replaced, and the report kept on each WeakHopfData.
 
 Corruptions: one entry of epsilon_wk is shifted, or one entry is added to
-delta_wk, on the groupoid, group and quantum transformation groupoid
-fixtures of conftest.py.
+delta_wk, the antipode or the product, on the groupoid, group and quantum
+transformation groupoid fixtures of conftest.py.
 """
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobkit.cli import main
-from frobkit.exactlin import Mat, Vec
-from frobkit.finalg import Witness
-from frobkit.whopf import WeakHopfData, check_weak_hopf, core
+from frobkit.exactlin import Mat, Vec, addto, is_invertible
+from frobkit.finalg import (
+    AlgebraData,
+    CheckResult,
+    VerificationReport,
+    Witness,
+    _scalar_witness,
+    check_algebra,
+    check_coassoc,
+    counit_failures,
+)
+from frobkit.whopf import (
+    QTGInput,
+    WeakHopfData,
+    check_weak_hopf,
+    core,
+    cyclic_group_table,
+    iterated_comult,
+    qtg_build,
+    separable_group_algebra,
+    trivial_action,
+    trivial_hopf,
+)
 
 NOTE_A = "eps(abc) != eps(a b_1) eps(b_2 c)"
 NOTE_B = "eps(abc) != eps(a b_2) eps(b_1 c)"
@@ -134,3 +157,247 @@ def test_cli_verifies_each_structure_once(monkeypatch, capsys, argv, structures)
     capsys.readouterr()
     assert len(verified) == structures
     assert len({id(h) for h in verified}) == structures
+
+
+# ---------------------------------------------------------------------------
+# The whole report against the all-Fraction report it replaced: every identity
+# that multiplies Delta terms is now decided on n Delta, with n the lcm of the
+# denominators of delta_wk, and its witnesses are divided back by n^k.
+
+
+def reference_epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
+    acc = {}
+    for p, q, v in h.comult_pairs_of(h.unit):
+        c = h.counit_value(h.algebra.mul(x, Vec.basis(h.dim, q)))
+        addto(acc, c, ((p, v),))
+    return Vec.adopt(h.dim, acc)
+
+
+def reference_epsilon_t(h: WeakHopfData, x: Vec) -> Vec:
+    acc = {}
+    for p, q, v in h.comult_pairs_of(h.unit):
+        c = h.counit_value(h.algebra.mul(Vec.basis(h.dim, p), x))
+        addto(acc, c, ((q, v),))
+    return Vec.adopt(h.dim, acc)
+
+
+def reference_row_witness(prefix, lhs: dict, rhs: dict, note: str) -> Witness:
+    k = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
+    return _scalar_witness((*prefix, k), lhs.get(k, 0), rhs.get(k, 0), note)
+
+
+def reference_convolutions(h: WeakHopfData, j: int) -> tuple[Vec, Vec]:
+    a, s = h.algebra, h.antipode
+    src = {}
+    tgt = {}
+    for p, q, v in h.comult_pairs(j):
+        for k, c in s.col_terms(p):
+            addto(src, v * c, a.basis_product(k, q).terms())
+        for k, c in s.col_terms(q):
+            addto(tgt, v * c, a.basis_product(p, k).terms())
+    return Vec.adopt(h.dim, src), Vec.adopt(h.dim, tgt)
+
+
+def reference_report(h: WeakHopfData) -> VerificationReport:
+    """The unscaled report on Fraction Delta terms, kept verbatim."""
+    a = h.algebra
+    d = h.dim
+    checks = list(check_algebra(a).checks)
+    (coassoc,) = check_coassoc(h.coalgebra).checks
+    checks.append(CheckResult("coassociativity_wk", coassoc.passed, coassoc.witness))
+
+    basis = [Vec.basis(d, k) for k in range(d)]
+    left_w = None
+    right_w = None
+    for j, lvec, rvec in counit_failures(h.coalgebra, h.epsilon_wk):
+        if left_w is None and lvec != basis[j]:
+            left_w = Witness((j,), lvec, basis[j], "(eps(x)id)Delta != id")
+        if right_w is None and rvec != basis[j]:
+            right_w = Witness((j,), rvec, basis[j], "(id(x)eps)Delta != id")
+    checks.append(CheckResult("counit_wk_left", left_w is None, left_w))
+    checks.append(CheckResult("counit_wk_right", right_w is None, right_w))
+
+    mult_w = None
+    for i in range(d):
+        pairs_i = h.comult_pairs(i)
+        for j in range(d):
+            acc = {}
+            for p, q, v in pairs_i:
+                for p2, q2, v2 in h.comult_pairs(j):
+                    right_terms = a.basis_product(q, q2).terms()
+                    for kl, vl in a.basis_product(p, p2).terms():
+                        addto(acc, v * v2 * vl, right_terms, kl * d)
+            lhs = Vec.adopt(d * d, acc)
+            rhs = h.comult(a.basis_product(i, j))
+            if lhs != rhs:
+                mult_w = Witness((i, j), lhs, rhs, "Delta(a)Delta(b) != Delta(ab)")
+                break
+        if mult_w:
+            break
+    checks.append(CheckResult("delta_wk_multiplicative", mult_w is None, mult_w))
+
+    eps_row = [
+        {k: c for k in range(d) if (c := h.counit_value(a.basis_product(m, k)))}
+        for m in range(d)
+    ]
+    weak_a = None
+    weak_b = None
+    for b_mid in range(d):
+        dpairs = h.comult_pairs(b_mid)
+        for i in range(d):
+            row_i = eps_row[i]
+            direct = {}
+            for m, c in a.basis_product(i, b_mid).terms():
+                addto(direct, c, eps_row[m].items())
+            split_a = {}
+            split_b = {}
+            for p, q, v in dpairs:
+                if p in row_i:
+                    addto(split_a, v * row_i[p], eps_row[q].items())
+                if q in row_i:
+                    addto(split_b, v * row_i[q], eps_row[p].items())
+            if weak_a is None and direct != split_a:
+                weak_a = reference_row_witness((i, b_mid), direct, split_a, NOTE_A)
+            if weak_b is None and direct != split_b:
+                weak_b = reference_row_witness((i, b_mid), direct, split_b, NOTE_B)
+            if weak_a is not None and weak_b is not None:
+                break
+        if weak_a is not None and weak_b is not None:
+            break
+    checks.append(CheckResult("epsilon_wk_weak_mult_a", weak_a is None, weak_a))
+    checks.append(CheckResult("epsilon_wk_weak_mult_b", weak_b is None, weak_b))
+
+    unit_pairs = h.comult_pairs_of(h.unit)
+    lhs_vec = Vec(
+        d * d * d,
+        [((p * d + q) * d + r, v) for (p, q, r), v in iterated_comult(h, h.unit, 3).items()],
+    )
+    acc_a = {}
+    acc_b = {}
+    for p, q, v in unit_pairs:
+        for r, s, w in unit_pairs:
+            addto(acc_a, v * w, a.basis_product(q, r).terms(), p * d * d + s, d)
+            addto(acc_b, v * w, a.basis_product(r, q).terms(), p * d * d + s, d)
+    rhs_a = Vec.adopt(d * d * d, acc_a)
+    rhs_b = Vec.adopt(d * d * d, acc_b)
+    wa = None if lhs_vec == rhs_a else Witness(
+        (), lhs_vec, rhs_a, "Delta^2(1) != (Delta(1)(x)1)(1(x)Delta(1))"
+    )
+    wb = None if lhs_vec == rhs_b else Witness(
+        (), lhs_vec, rhs_b, "Delta^2(1) != (1(x)Delta(1))(Delta(1)(x)1)"
+    )
+    checks.append(CheckResult("delta_wk_unit_a", wa is None, wa))
+    checks.append(CheckResult("delta_wk_unit_b", wb is None, wb))
+
+    s_cols = [h.antipode.col(j) for j in range(d)]
+    src_w = None
+    tgt_w = None
+    sand_w = None
+    for j in range(d):
+        lhs_src, lhs_tgt = reference_convolutions(h, j)
+        es = reference_epsilon_s(h, basis[j])
+        et = reference_epsilon_t(h, basis[j])
+        if src_w is None and lhs_src != es:
+            src_w = Witness((j,), lhs_src, es, "S(h_1) h_2 != eps_s(h)")
+        if tgt_w is None and lhs_tgt != et:
+            tgt_w = Witness((j,), lhs_tgt, et, "h_1 S(h_2) != eps_t(h)")
+        if sand_w is None:
+            acc = {}
+            for (p, q, r), v in iterated_comult(h, basis[j], 3).items():
+                term = a.mul(a.mul(s_cols[p], basis[q]), s_cols[r])
+                addto(acc, v, term.terms())
+            lhs_sand = Vec.adopt(d, acc)
+            if lhs_sand != s_cols[j]:
+                sand_w = Witness(
+                    (j,), lhs_sand, s_cols[j], "S(h_1) h_2 S(h_3) != S(h)"
+                )
+    checks.append(CheckResult("antipode_source", src_w is None, src_w))
+    checks.append(CheckResult("antipode_target", tgt_w is None, tgt_w))
+    checks.append(CheckResult("antipode_sandwich", sand_w is None, sand_w))
+
+    inv_ok = is_invertible(h.antipode)
+    checks.append(
+        CheckResult(
+            "antipode_invertible",
+            inv_ok,
+            None
+            if inv_ok
+            else Witness((), Vec(1), Vec(1), "antipode matrix is singular"),
+        )
+    )
+    return VerificationReport(tuple(checks))
+
+
+# 1/5 and -2/7 bring new denominators into delta_wk, so n changes (2 -> 10, ...)
+EDIT_VALUES = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 5), Fraction(-2, 7)]
+
+
+def add_antipode_entry(h: WeakHopfData, row: int, col: int, value) -> WeakHopfData:
+    antipode = Mat(h.dim, h.dim, [*h.antipode.items(), (row, col, value)])
+    return WeakHopfData(h.algebra, h.delta_wk, h.epsilon_wk, antipode)
+
+
+def add_mult_entry(h: WeakHopfData, i: int, j: int, k: int, value) -> WeakHopfData:
+    a = h.algebra
+    mult = dict(a.mult)
+    mult[(i, j)] = a.basis_product(i, j) + Vec(a.dim, {k: value})
+    algebra = AlgebraData(a.dim, a.labels, mult, a.unit)
+    return WeakHopfData(algebra, h.delta_wk, h.epsilon_wk, h.antipode)
+
+
+@pytest.fixture(scope="session")
+def report_cases(weak_hopf_cases):
+    """The fixtures plus the QTG (k, kZ/3), whose n is 3."""
+    B, e, om = separable_group_algebra(cyclic_group_table(3))
+    L = trivial_hopf()
+    return {**weak_hopf_cases, "k_kz3": qtg_build(QTGInput(L, B, e, om, trivial_action(B, L)))}
+
+
+def assert_report_matches_reference(h: WeakHopfData):
+    expected_n = math.lcm(*(Fraction(v).denominator for _, _, v in h.delta_wk.items()))
+    assert h.denom == expected_n
+    scaled = [v for j in range(h.dim) for _, _, v in h.scaled.delta_pairs(j)]
+    assert all(type(v) is int for v in scaled)
+    assert all(type(v) is int for _, _, v in h.scaled_unit_pairs)
+    got = core._weak_hopf_report(h)
+    expected = reference_report(h)
+    assert got.checks == expected.checks
+    assert json.dumps(got.to_json()) == json.dumps(expected.to_json())
+
+
+def test_report_matches_reference_on_fixtures(report_cases, groupoid_algebras):
+    for h in groupoid_algebras.values():
+        assert h.denom == 1
+    assert {report_cases[k].denom for k in ("k_mat2", "k_kz2", "kz2_kz2")} == {2}
+    assert report_cases["k_kz3"].denom == 3
+    for h in report_cases.values():
+        assert_report_matches_reference(h)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_report_matches_reference_on_edited_data(report_cases, data):
+    h = report_cases[data.draw(st.sampled_from(sorted(report_cases)))]
+    d = h.dim
+    index = st.integers(0, d - 1)
+    value = data.draw(st.sampled_from(EDIT_VALUES))
+    field = data.draw(st.sampled_from(["delta_wk", "epsilon_wk", "antipode", "mult"]))
+    if field == "delta_wk":
+        h = add_delta_entry(h, data.draw(st.integers(0, d * d - 1)), data.draw(index), value)
+    elif field == "epsilon_wk":
+        h = shift_epsilon(h, data.draw(index), value)
+    elif field == "antipode":
+        h = add_antipode_entry(h, data.draw(index), data.draw(index), value)
+    else:
+        h = add_mult_entry(h, data.draw(index), data.draw(index), data.draw(index), value)
+    assert_report_matches_reference(h)
+
+
+def test_report_matches_reference_when_n_grows(report_cases):
+    # n = 3 on (k, kZ/3); a 1/5 entry makes it 15 and a -2/7 entry 105
+    h = add_delta_entry(report_cases["k_kz3"], 0, 0, Fraction(1, 5))
+    assert h.denom == 15
+    assert_report_matches_reference(h)
+    h = add_delta_entry(h, 1, 1, Fraction(-2, 7))
+    assert h.denom == 105
+    assert_report_matches_reference(h)

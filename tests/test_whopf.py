@@ -41,6 +41,7 @@ from frobkit.whopf import (
     weak_hopf_to_json_str,
 )
 from frobkit.whopf import core as whopf_core
+from test_weak_hopf_check import reference_epsilon_s, reference_epsilon_t
 
 F = Fraction
 
@@ -200,6 +201,33 @@ def test_integral_space_groupoid_target_fibres(groupoid_fixtures):
             for k in range(h.dim):
                 ek = Vec.basis(h.dim, k)
                 assert h.algebra.mul(ek, lam) == h.algebra.mul(epsilon_t(h, ek), lam)
+
+
+def reference_integral_space(h: WeakHopfData, side: str) -> list[Vec]:
+    """Kernel of the rows of left_mult_matrix(e_k - eps_t(e_k)) (right side:
+    right_mult_matrix(e_k - eps_s(e_k))), on unscaled Fraction data."""
+    sys_ = LinearSystem(h.dim)
+    for k in range(h.dim):
+        ek = Vec.basis(h.dim, k)
+        if side == "left":
+            m = h.algebra.left_mult_matrix(ek - reference_epsilon_t(h, ek))
+        else:
+            m = h.algebra.right_mult_matrix(ek - reference_epsilon_s(h, ek))
+        sys_.add_matrix(m)
+    return sys_.kernel()
+
+
+def test_integral_space_and_counital_maps_match_reference(
+    groupoid_algebras, hopf_group_algebras, qtg_built
+):
+    cases = [*groupoid_algebras.values(), *hopf_group_algebras.values(), *qtg_built.values()]
+    for h in cases:
+        for k in range(h.dim):
+            ek = Vec.basis(h.dim, k)
+            assert epsilon_s(h, ek) == reference_epsilon_s(h, ek)
+            assert epsilon_t(h, ek) == reference_epsilon_t(h, ek)
+        for side in ("left", "right"):
+            assert integral_space(h, side).basis == reference_integral_space(h, side)
 
 
 def test_integral_space_z2():
