@@ -384,31 +384,24 @@ def _parse_source_token(raw: str, kinds: tuple[str, ...]) -> tuple[str, int | No
 def _build_whopf_source(source: str, flags: dict[str, str]):
     """Returns (WeakHopfData, qtg_input_or_None, description)."""
     if source == "groupoid":
+        if sum(f in flags for f in ("--json", "--pair-objects", "--objects")) != 1:
+            raise InputError(
+                "groupoid needs exactly one of --json FILE, --pair-objects N, --objects N [--group cyclic:K]"
+            )
         if "--json" in flags:
             g = groupoid_from_json(_load_json(flags["--json"]))
             return groupoid_algebra(g), None, "groupoid from JSON"
         if "--pair-objects" in flags:
             k = _int_flag(flags, "--pair-objects")
             return groupoid_algebra(pair_groupoid(k)), None, f"pair groupoid on {k} objects"
-        if "--cyclic" in flags:
-            k = _int_flag(flags, "--cyclic")
-            return (
-                groupoid_algebra(connected_groupoid(1, cyclic_group_table(k))),
-                None,
-                f"one-object groupoid on Z/{k}",
-            )
-        if "--objects" in flags:
-            k = _int_flag(flags, "--objects")
-            grp = flags.get("--group", "cyclic:1")
-            kind, num = _parse_source_token(grp, ("cyclic",))
-            order = 1 if num is None else num
-            return (
-                groupoid_algebra(connected_groupoid(k, cyclic_group_table(order))),
-                None,
-                f"connected groupoid on {k} objects with Z/{order}",
-            )
-        raise InputError(
-            "groupoid needs --pair-objects N, --cyclic N, --objects N [--group cyclic:K], or --json FILE"
+        k = _int_flag(flags, "--objects")
+        grp = flags.get("--group", "cyclic:1")
+        kind, num = _parse_source_token(grp, ("cyclic",))
+        order = 1 if num is None else num
+        return (
+            groupoid_algebra(connected_groupoid(k, cyclic_group_table(order))),
+            None,
+            f"connected groupoid on {k} objects with Z/{order}",
         )
     if source == "group":
         if "--cyclic" not in flags:

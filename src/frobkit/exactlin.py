@@ -465,14 +465,12 @@ class LinearSystem:
         pivots = self._rows
         return [c for c in range(self.ncols) if c not in pivots]
 
-    def partial_solution(self) -> Vec:
-        """Free-variables-zero assignment from the pivot rows, ignoring consistency."""
-        return Vec(self.ncols, {p: rhs for p, (_, rhs) in self._rows.items()})
-
     def solution(self) -> Vec | None:
+        """Free-variables-zero assignment from the pivot rows; None when
+        the system is inconsistent."""
         if self._inconsistent:
             return None
-        return self.partial_solution()
+        return Vec(self.ncols, {p: rhs for p, (_, rhs) in self._rows.items()})
 
     def kernel(self) -> list[Vec]:
         """Echelon free-variable basis of the homogeneous solution space."""

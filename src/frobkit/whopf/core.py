@@ -131,9 +131,6 @@ class WeakHopfData:
     def counit_value(self, x: Vec) -> Fraction:
         return self.epsilon_wk.dot(x)
 
-    def antipode_of(self, x: Vec) -> Vec:
-        return self.antipode.matvec(x)
-
 
 def epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
     """Source counital map eps_s(x) = 1_1 eps(x 1_2)."""

@@ -46,8 +46,9 @@ class Morphism:
 
 class GroupoidData:
     """A finite groupoid: objects, morphisms, a total composition table on
-    composable pairs, and inverses.  Category and invertibility axioms are
-    checked at construction."""
+    composable pairs, and inverses.  Endpoints, identities and inverses are
+    checked at construction; associativity is decided once, by
+    :func:`groupoid_algebra` through :func:`check_weak_hopf`."""
 
     def __init__(
         self,
@@ -119,17 +120,6 @@ class GroupoidData:
             if ident is None:
                 raise ConstructionError(f"object {self.objects[x]} has no identity")
             self.identities[x] = ident
-        # associativity on all composable triples
-        for (g, h), gh in self.compose.items():
-            for k in range(n):
-                if self.morphisms[h].tgt != self.morphisms[k].src:
-                    continue
-                if self.compose[(gh, k)] != self.compose[(g, self.compose[(h, k)])]:
-                    raise ConstructionError(
-                        "composition is not associative at "
-                        f"({self.morphisms[g].name}, {self.morphisms[h].name}, "
-                        f"{self.morphisms[k].name})"
-                    )
         # inverses
         if len(self.inv) != n:
             raise ConstructionError("inverse map must be total")

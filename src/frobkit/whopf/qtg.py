@@ -55,7 +55,7 @@ from .core import (
     iterated_comult,
     psi_map,
 )
-from .groupoid import _identity_of, _inverses_of
+from .groupoid import _identity_of, _inverses_of, hopf_group_algebra
 
 __all__ = [
     "QTGInput",
@@ -71,14 +71,8 @@ __all__ = [
 
 
 def trivial_hopf() -> WeakHopfData:
-    """The ground field as a one-dimensional Hopf algebra."""
-    alg = AlgebraData(1, ["1"], {(0, 0): Vec.basis(1, 0)}, Vec.basis(1, 0))
-    return WeakHopfData(
-        alg,
-        Mat(1, 1, [(0, 0, ONE)]),
-        Vec(1, {0: ONE}),
-        Mat.identity(1),
-    )
+    """The ground field: the group algebra of the trivial group."""
+    return hopf_group_algebra([[0]], ["1"])
 
 
 def separable_matrix_algebra(d: int) -> tuple[AlgebraData, Vec, Vec]:
@@ -149,14 +143,9 @@ def automorphism_action(
     """
     if len(perms) != l.dim:
         raise InputError("need one basis permutation per group element")
-    table = [[None] * l.dim for _ in range(l.dim)]
-    for g in range(l.dim):
-        prod_col = {}
-        for h in range(l.dim):
-            out = l.algebra.basis_product(g, h).items()
-            if len(out) != 1 or out[0][1] != ONE:
-                raise InputError("automorphism_action needs a group-algebra L")
-            table[g][h] = out[0][0]
+    table = l.algebra.monomial_table()
+    if table is None or any(-1 in row for row in table):
+        raise InputError("automorphism_action needs a group-algebra L")
     ident = _identity_of(table)
     inv = _inverses_of(table, ident)
     entries = []
@@ -385,13 +374,9 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
     return h
 
 
-def _right_integral_of_l(q: QTGInput) -> Vec:
-    return integral_space(q.L, "right").basis[0]
-
-
 def _dual_integral_of_l(q: QTGInput, lam_r: Vec) -> Vec:
     """Solve lam(S(I_1)) S(I_2) = 1_L for lam, given a right integral I."""
-    gamma = q.L.antipode_of(lam_r)
+    gamma = q.L.antipode.matvec(lam_r)
     lam = solve_linear(psi_map(q.L, gamma), q.L.unit)
     if lam is None:
         raise InternalConsistencyError(
@@ -407,7 +392,7 @@ def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
     L, B = q.L, q.B
     dB, dL = B.dim, L.dim
     ti = _triple_index(q)
-    lam_r = _right_integral_of_l(q)
+    lam_r = integral_space(L, "right").basis[0]
     lam_dual = _dual_integral_of_l(q, lam_r)
 
     basis_b = [Vec.basis(dB, k) for k in range(dB)]
@@ -451,7 +436,7 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
     dB, dL = B.dim, L.dim
     ti = _triple_index(q)
     dim = ti.size
-    lam_r = _right_integral_of_l(q)
+    lam_r = integral_space(L, "right").basis[0]
     ibar, lam_bar = qtg_integral(q, h)
 
     basis_b = [Vec.basis(dB, k) for k in range(dB)]

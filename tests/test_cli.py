@@ -346,6 +346,10 @@ def _argv(*argv):
     return lambda tmp_path, capsys: list(argv)
 
 
+def _with_flags(case, *flags):
+    return lambda tmp_path, capsys: [*case(tmp_path, capsys), *flags]
+
+
 def _huge_integer(case):
     """``case`` with the string "HUGE" in its input file turned into a bare
     JSON integer of 4,301 digits, past the interpreter's int-digit limit."""
@@ -386,6 +390,13 @@ MALFORMED_INPUTS = {
     "groupoid_cyclic_zero_group": _argv(
         "whopf", "groupoid", "--objects", "2", "--group", "cyclic:0", "check"
     ),
+    "groupoid_two_sources": _argv(
+        "whopf", "groupoid", "--pair-objects", "2", "--objects", "3", "check"
+    ),
+    "groupoid_json_and_pair_objects": _with_flags(
+        _groupoid_case(lambda payload: None), "--pair-objects", "2"
+    ),
+    "groupoid_cyclic_is_not_a_source": _argv("whopf", "groupoid", "--cyclic", "3", "check"),
     "verify_huge_integer_literal": _huge_integer(
         _file_case(["verify"], "nsy", _set("mult", 3, "HUGE"))
     ),
@@ -418,6 +429,19 @@ def test_malformed_input_exit_two_one_line(case, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.endswith("\n") and err.count("\n") == 1
+
+
+def test_groupoid_json_non_associative(tmp_path, capsys):
+    """Associativity of groupoid JSON is decided by the weak Hopf check of
+    its algebra, which names the failed axiom."""
+    from frobkit.whopf import groupoid_to_json
+    from test_whopf import non_associative_groupoid
+
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(groupoid_to_json(non_associative_groupoid())))
+    code, out, err = run(capsys, "whopf", "groupoid", "--json", str(path), "check")
+    assert (code, out) == (2, "")
+    assert err == "error: groupoid algebra failed axiom associativity\n"
 
 
 def test_csv_whopf_frobenius_not_found(capsys, monkeypatch):

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobkit.errors import ConstructionError
+from frobkit.errors import ConstructionError, InputError
 from frobkit.exactlin import Mat, Vec, addto
 from frobkit.finalg import (
+    AlgebraData,
     Classification,
     check_bimodule,
     check_coassoc,
@@ -20,13 +21,16 @@ from frobkit.finalg import (
 )
 from frobkit.whopf import (
     QTGInput,
+    WeakHopfData,
     automorphism_action,
     check_weak_hopf,
     cyclic_group_table,
     frobenius_from_integral,
+    groupoid_algebra,
     hopf_group_algebra,
     integral_space,
     is_hopf,
+    pair_groupoid,
     psi_map,
     qtg_build,
     qtg_frobenius,
@@ -270,6 +274,27 @@ def test_qtg_nontrivial_automorphism_action():
     assert check_weak_hopf(h).passed
     comult = qtg_frobenius(q, h)
     assert classify(comult) is Classification.FROBENIUS
+
+
+def _one_dim_weak_hopf(square: Vec) -> WeakHopfData:
+    """Structure maps of k on one basis element x with x x = ``square``;
+    the product is wrong on purpose, so nothing here is verified."""
+    alg = AlgebraData(1, ["x"], {(0, 0): square}, Vec.basis(1, 0))
+    return WeakHopfData(alg, Mat(1, 1, [(0, 0, 1)]), Vec.basis(1, 0), Mat.identity(1))
+
+
+@pytest.mark.parametrize(
+    "L",
+    [
+        pytest.param(groupoid_algebra(pair_groupoid(2)), id="zero_product"),
+        pytest.param(_one_dim_weak_hopf(Vec(1, {0: F(2)})), id="coefficient_two"),
+        pytest.param(_one_dim_weak_hopf(Vec(1, {})), id="zero_square"),
+    ],
+)
+def test_automorphism_action_rejects_non_group_l(L):
+    B, _, _ = separable_group_algebra(cyclic_group_table(2))
+    with pytest.raises(InputError, match="group-algebra L"):
+        automorphism_action(B, L, [[0, 1]] * L.dim)
 
 
 def test_qtg_rejects_broken_idempotent():

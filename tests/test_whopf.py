@@ -85,6 +85,34 @@ def test_groupoid_validation_rejects_partial_inverse():
         GroupoidData(g.objects, g.morphisms, g.compose, g.inv[:-1])
 
 
+# a loop of order 5: identity g0, every element its own two-sided inverse,
+# but (g1 g1) g2 = g2 while g1 (g1 g2) = g4
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def non_associative_groupoid() -> GroupoidData:
+    """One object composed by NON_ASSOCIATIVE_LOOP: it passes the endpoint,
+    identity and inverse checks of GroupoidData."""
+    n = len(NON_ASSOCIATIVE_LOOP)
+    morphisms = [Morphism(f"g{k}", 0, 0) for k in range(n)]
+    compose = {(a, b): NON_ASSOCIATIVE_LOOP[a][b] for a in range(n) for b in range(n)}
+    return GroupoidData([0], morphisms, compose, list(range(n)))
+
+
+def test_groupoid_algebra_decides_associativity():
+    g = non_associative_groupoid()
+    assert g.identities == {0: 0}
+    with pytest.raises(ConstructionError) as exc:
+        groupoid_algebra(g)
+    assert str(exc.value) == "groupoid algebra failed axiom associativity"
+
+
 def test_all_groupoid_fixtures_pass(groupoid_algebras):
     for name, h in groupoid_algebras.items():
         assert check_weak_hopf(h).passed, name
