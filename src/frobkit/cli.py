@@ -382,7 +382,15 @@ def _parse_source_token(raw: str, kinds: tuple[str, ...]) -> tuple[str, int | No
 
 
 def _build_whopf_source(source: str, flags: dict[str, str]):
-    """Returns (WeakHopfData, qtg_input_or_None, description)."""
+    """Returns (WeakHopfData, qtg_input_or_None, description).  A flag of
+    another source is an error, not silently dropped."""
+    own = {"groupoid": {"--json", "--pair-objects", "--objects"}, "group": {"--cyclic"},
+           "qtg": {"--L", "--B"}}.get(source, set())
+    if source == "groupoid" and "--objects" in flags:
+        own.add("--group")  # the vertex group of a connected groupoid
+    foreign = sorted(set(flags) - own - {"--format", "--output", "--seed"})
+    if foreign:
+        raise InputError(f"flag {foreign[0]} does not apply to whopf source {source}")
     if source == "groupoid":
         if sum(f in flags for f in ("--json", "--pair-objects", "--objects")) != 1:
             raise InputError(

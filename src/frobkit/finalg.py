@@ -40,6 +40,7 @@ eps'(x) = (eps (x) eps')Delta(x) = eps(x).
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,8 +91,9 @@ class AlgebraData:
     ``mult`` maps a basis pair (i, j) to the product vector e_i * e_j; absent
     keys mean the product is zero.  Associativity and unitality are not
     assumed; run :func:`check_algebra`.  Fields are never reassigned after
-    construction: the monomial table, the product index and the
-    check_algebra report are derived from them and kept here.
+    construction: the monomial table, the product index, the generating
+    set of :meth:`generators` and the check_algebra report are derived from
+    them and kept here.
     """
 
     def __init__(self, dim: int, labels: list[str], mult: dict, unit: Vec):
@@ -116,6 +118,7 @@ class AlgebraData:
         self._zero = Vec(dim)
         self._monomial_table: list[list[int]] | None | bool = False  # False = unknown
         self._product_index: tuple[list[list[int]], list[list[int]]] | None = None
+        self._generators: list[int] | None = None
         self._report: VerificationReport | None = None
 
     def basis_product(self, i: int, j: int) -> Vec:
@@ -169,6 +172,41 @@ class AlgebraData:
                 by_left[i].append(j)
             self._product_index = (by_right, by_left)
         return self._product_index
+
+    def generators(self) -> list[int]:
+        """Indices g of a generating set, kept on the algebra.  The basis is
+        walked in order, and e_k is kept when it lies outside the span W of
+        1 and the right-nested words e_g1 (e_g2 (... e_gm)) in the
+        generators kept so far.  W is tracked by one LinearSystem and closed
+        under left multiplication by the kept e_g, each basis vector of W
+        times each generator once.  For an associative unital algebra, 1
+        and the words span A."""
+        if self._generators is None:
+            d = self.dim
+            basis = [Vec.basis(d, k) for k in range(d)]
+            span, seen, words, gens = LinearSystem(d), set(), [], []
+
+            def close(pending: list[Vec]) -> None:  # W += pending, closed under the e_g
+                while pending and span.rank < d:
+                    v = pending.pop()
+                    if v.is_zero() or v in seen:
+                        continue
+                    seen.add(v)
+                    rank = span.rank
+                    span.add(dict(v.terms()))
+                    if span.rank > rank:
+                        words.append(v)
+                        pending += [self.mul(basis[g], v) for g in gens]
+
+            close([self.unit])
+            for k in range(d):
+                rank = span.rank
+                close([basis[k]])
+                if span.rank > rank:  # e_k = e_k 1 lies outside W: keep it
+                    gens.append(k)
+                    close([self.mul(basis[k], w) for w in words])
+            self._generators = gens
+        return self._generators
 
 
 class ComultData:
@@ -311,20 +349,11 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
     # the d^3 scan runs only to find the witness
     if table is None or not _monomial_associative(a, table):
         basis = [Vec.basis(d, k) for k in range(d)]
-        for i in range(d):
-            for j in range(d):
-                pij = a.basis_product(i, j)
-                for k in range(d):
-                    lhs = a.mul(pij, basis[k])
-                    rhs = a.mul(basis[i], a.basis_product(j, k))
-                    if lhs != rhs:
-                        assoc_witness = Witness(
-                            (i, j, k), lhs, rhs, "(e_i e_j) e_k != e_i (e_j e_k)"
-                        )
-                        break
-                if assoc_witness:
-                    break
-            if assoc_witness:
+        for i, j, k in itertools.product(range(d), repeat=3):
+            lhs = a.mul(a.basis_product(i, j), basis[k])
+            rhs = a.mul(basis[i], a.basis_product(j, k))
+            if lhs != rhs:
+                assoc_witness = Witness((i, j, k), lhs, rhs, "(e_i e_j) e_k != e_i (e_j e_k)")
                 break
     checks.append(CheckResult("associativity", assoc_witness is None, assoc_witness))
 
@@ -585,24 +614,12 @@ def eps_tensor_id(c: ComultData, eps: Vec) -> Mat:
     """Matrix of x -> (eps (x) id) Delta(x); equals the identity iff eps is a
     left counit."""
     d = c.algebra.dim
-    entries = []
-    for j in range(d):
-        for p, q, v in c.delta_pairs(j):
-            w = eps.get(p)
-            if w:
-                entries.append((q, j, v * w))
-    return Mat(d, d, entries)
+    return Mat(d, d, [(q, j, v * eps.get(p)) for j in range(d) for p, q, v in c.delta_pairs(j)])
 
 
 def id_tensor_eps(c: ComultData, eps: Vec) -> Mat:
     d = c.algebra.dim
-    entries = []
-    for j in range(d):
-        for p, q, v in c.delta_pairs(j):
-            w = eps.get(q)
-            if w:
-                entries.append((p, j, v * w))
-    return Mat(d, d, entries)
+    return Mat(d, d, [(p, j, v * eps.get(q)) for j in range(d) for p, q, v in c.delta_pairs(j)])
 
 
 def counit_failures(c: ComultData, eps: Vec):

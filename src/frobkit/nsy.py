@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -203,11 +204,7 @@ def nsy_build_oracle(p: NSYParams) -> AlgebraData:
     ]
 
     def expand(mat: Mat) -> Vec:
-        coeffs = {}
-        for k, (row, col) in enumerate(witness_cells):
-            v = mat.entry(row, col)
-            if v:
-                coeffs[k] = v
+        coeffs = {k: v for k, (row, col) in enumerate(witness_cells) if (v := mat.entry(row, col))}
         recon = Mat(mat.nrows, mat.ncols)
         for k, v in coeffs.items():
             recon = recon + mats[k].scale(v)
@@ -360,15 +357,6 @@ def csv_delta_table(p: NSYParams) -> str:
     return buf.getvalue()
 
 
-def _mult_vectors(k: int, mmax: int):
-    if k == 0:
-        yield ()
-        return
-    for rest in _mult_vectors(k - 1, mmax):
-        for m in range(1, mmax + 1):
-            yield rest + (m,)
-
-
 def sweep_params(nmax: int, lmax: int, mmax: int) -> list[NSYParams]:
     """All parameter tuples with n <= nmax, ell <= lmax, 1 <= m_i <= mmax,
     in lexicographic order."""
@@ -378,5 +366,5 @@ def sweep_params(nmax: int, lmax: int, mmax: int) -> list[NSYParams]:
         NSYParams(n, ell, mults)
         for n in range(1, nmax + 1)
         for ell in range(1, lmax + 1)
-        for mults in _mult_vectors(n, mmax)
+        for mults in itertools.product(range(1, mmax + 1), repeat=n)
     ]

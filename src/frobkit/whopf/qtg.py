@@ -404,13 +404,7 @@ def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
             _add_tensor3(acc, c * ce, q, first, s_u2, basis_b[qq])
     ibar = Vec.adopt(ti.size, acc)
 
-    lam_bar_entries = []
-    for col in range(ti.size):
-        a, l, b = ti.unflatten(col)
-        val = q.omega.get(a) * lam_dual.get(l) * q.omega.get(b)
-        if val:
-            lam_bar_entries.append((col, val))
-    lam_bar = Vec(ti.size, lam_bar_entries)
+    lam_bar = _tensor3(q, q.omega, lam_dual, q.omega)
 
     # Ibar must be a left integral of H
     for k in range(h.dim):
@@ -445,33 +439,40 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
     quad = iterated_comult(L, lam_r, 4)
     e_pairs = q.e_pairs()
 
+    # the factors that depend on fewer indices than the column, each once
+    s2_cols = [s.matvec(c) for c in s_cols]
+    heads: dict[tuple[int, int, int], Vec] = {}  # (p, i1, u1): e_p <| I_1 S(l_1)
+    thirds: dict[tuple[int, int, int], Vec] = {}  # (b, p2, i3): b e'1 <| S(I_3)
+    rights: dict[tuple[int, int, int], Vec] = {}  # (qq, i2, q2): e2 (x) S^2(I_2) (x) e'2
     entries = []
     for col in range(dim):
         a, l, b = ti.unflatten(col)
         for (i1, i2, i3, i4), ci in quad.items():
-            s_i4 = s_cols[i4]
-            s_i3 = s_cols[i3]
-            s2_i2 = s.matvec(s_cols[i2])
             for u1, u2, cl in L.comult_pairs(l):
                 # (e1 <| I_1 S(l_1)) a  (x)  l_2 S(I_4)  (x)  (b e'1 <| S(I_3))
-                head_l = L.algebra.mul(Vec.basis(dL, i1), s_cols[u1])
-                mid = L.algebra.mul(Vec.basis(dL, u2), s_i4)
+                mid = L.algebra.mul(Vec.basis(dL, u2), s_cols[i4])
                 if mid.is_zero():
                     continue
                 for p, qq, ce in e_pairs:
-                    first = B.mul(q.act(basis_b[p], head_l), basis_b[a])
+                    if (p, i1, u1) not in heads:
+                        head_l = L.algebra.mul(Vec.basis(dL, i1), s_cols[u1])
+                        heads[p, i1, u1] = q.act(basis_b[p], head_l)
+                    first = B.mul(heads[p, i1, u1], basis_b[a])
                     if first.is_zero():
                         continue
                     for p2, q2, ce2 in e_pairs:
-                        third = q.act(B.mul(basis_b[b], basis_b[p2]), s_i3)
+                        if (b, p2, i3) not in thirds:
+                            thirds[b, p2, i3] = q.act(B.basis_product(b, p2), s_cols[i3])
+                        third = thirds[b, p2, i3]
                         if third.is_zero():
                             continue
+                        if (qq, i2, q2) not in rights:
+                            rights[qq, i2, q2] = _tensor3(q, basis_b[qq], s2_cols[i2], basis_b[q2])
                         left_vec = _tensor3(q, first, mid, third)
-                        right_vec = _tensor3(q, basis_b[qq], s2_i2, basis_b[q2])
                         coeff = ci * cl * ce * ce2
                         for lf, lv in left_vec.items():
                             base = lf * dim
-                            for rf, rv in right_vec.items():
+                            for rf, rv in rights[qq, i2, q2].items():
                                 entries.append((base + rf, col, coeff * lv * rv))
     delta = Mat(dim * dim, dim, entries)
 

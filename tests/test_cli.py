@@ -397,6 +397,19 @@ MALFORMED_INPUTS = {
         _groupoid_case(lambda payload: None), "--pair-objects", "2"
     ),
     "groupoid_cyclic_is_not_a_source": _argv("whopf", "groupoid", "--cyclic", "3", "check"),
+    "groupoid_objects_with_cyclic": _argv(
+        "whopf", "groupoid", "--objects", "2", "--cyclic", "3", "check"
+    ),
+    "groupoid_pair_objects_with_group": _argv(
+        "whopf", "groupoid", "--pair-objects", "2", "--group", "cyclic:5", "check"
+    ),
+    "group_with_L": _argv("whopf", "group", "--cyclic", "2", "--L", "cyclic:3", "check"),
+    "qtg_with_objects": _argv(
+        "whopf", "qtg", "--L", "cyclic:2", "--B", "cyclic:2", "--objects", "4", "check"
+    ),
+    "whopf_file_with_cyclic": _with_flags(
+        _file_case(["whopf", "check"], "whopf", lambda payload: None), "--cyclic", "3"
+    ),
     "verify_huge_integer_literal": _huge_integer(
         _file_case(["verify"], "nsy", _set("mult", 3, "HUGE"))
     ),
