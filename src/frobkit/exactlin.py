@@ -12,12 +12,16 @@ equality and :func:`scalar_to_str` do not see the difference, while integer
 data (every NSY, groupoid and group structure constant) is computed in
 ``int`` arithmetic.  One normaliser, :func:`_scalar`, admits values where
 they enter (the vector and matrix constructors, ``scale``,
-:func:`scalar_from_str` and :meth:`LinearSystem.add`) and rejects anything
-else, such as floats or numpy integers that overflow silently.  Sums and
-products of stored values need no division, so they stay exact; a result
-that cancels to an integral ``Fraction`` becomes an ``int`` again when it
-passes through a constructor.  The one ``/`` in the package is the pivot
-division of :meth:`LinearSystem.add`, taken through ``Fraction``.
+:func:`scalar_from_str`, the sum of a repeated entry in :func:`add_entry`
+and :meth:`LinearSystem.add`) and rejects anything else, such as floats or
+numpy integers that overflow silently.  The JSON decoder in ``finalg``
+admits each value once, through :func:`scalar_from_str` and
+:func:`add_entry`, and wraps the dicts it built with :meth:`Vec.adopt` and
+:meth:`Mat.adopt`.  Sums and products of stored values need no division, so
+they stay exact; a result that cancels to an integral ``Fraction`` becomes
+an ``int`` again when it passes through a constructor.  The one ``/`` in the
+package is the pivot division of :meth:`LinearSystem.add`, taken through
+``Fraction``.
 
 Every sparse sum in the package goes through one kernel, :func:`addto`:
 ``acc[base + stride*k] += coeff*v`` over a stream of ``(k, v)`` entries,
@@ -93,6 +97,18 @@ def scalar_from_str(s: str | int) -> Scalar:
     return _scalar(s)
 
 
+def add_entry(acc: dict, k, v: Scalar) -> None:
+    """``acc[k] += v`` for one admitted nonzero scalar ``v``, deleting the key
+    when the sum cancels.  A repeated entry's sum passes through
+    :func:`_scalar` again, so ``1/2 + 1/2`` is stored as the int 1."""
+    if k in acc:
+        v = _scalar(acc[k] + v)
+        if not v:
+            del acc[k]
+            return
+    acc[k] = v
+
+
 def addto(acc: dict, coeff, entries, base: int = 0, stride: int = 1) -> dict:
     """Sparse accumulate: ``acc[base + stride*k] += coeff*v`` for each
     ``(k, v)`` in ``entries``, deleting keys whose sum cancels to zero.
@@ -131,11 +147,7 @@ class Vec:
                     raise InputError(f"index {k} out of range for dimension {dim}")
                 v = _scalar(v)
                 if v:
-                    w = _scalar(e.get(k, ZERO) + v)
-                    if w:
-                        e[k] = w
-                    else:
-                        del e[k]
+                    add_entry(e, k, v)
         self._e = e
 
     @classmethod
@@ -231,26 +243,27 @@ class Mat:
         self.ncols = ncols
         cols: dict[int, dict[int, Scalar]] = {}
         if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for key_val in items:
-                if isinstance(entries, dict):
-                    (r, c), v = key_val
-                else:
-                    r, c, v = key_val
+            if isinstance(entries, dict):
+                entries = [(r, c, v) for (r, c), v in entries.items()]
+            for r, c, v in entries:
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise InputError(f"entry ({r}, {c}) out of range for {nrows}x{ncols}")
                 v = _scalar(v)
                 if not v:
                     continue
                 col = cols.setdefault(c, {})
-                w = _scalar(col.get(r, ZERO) + v)
-                if w:
-                    col[r] = w
-                else:
-                    del col[r]
-                    if not col:
-                        del cols[c]
+                add_entry(col, r, v)
+                if not col:
+                    del cols[c]
         self._c = cols
+
+    @classmethod
+    def adopt(cls, nrows: int, ncols: int, cols: dict) -> "Mat":
+        """Wrap a dict of nonempty columns of nonzero in-range entries, such
+        as one the JSON decoder built, without checking or copying it."""
+        m = cls(nrows, ncols)
+        m._c = cols
+        return m
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Mat":

@@ -51,6 +51,8 @@ from .exactlin import (
     ONE,
     Vec,
     LinearSystem,
+    Scalar,
+    add_entry,
     addto,
     scalar_from_str,
     scalar_to_str,
@@ -784,9 +786,13 @@ def permute_basis(c: ComultData, perm: list[int]) -> ComultData:
 #  "unit": [[k, "p/q"], ...], "delta": [[i, t, "p/q"], ...],
 #  "counit": [[k, "p/q"], ...]}
 # where t is a row-major flattened pair index and counit is optional.
-# Matrix entries are [column, row, "p/q"].  Every entry is parsed by
-# _entries_from_json, so any malformed entry is an InputError; repeated
-# entries add up in every field.
+# Matrix entries are [column, row, "p/q"].  Each field is decoded in one pass
+# over _entries_from_json, which raises InputError at the first malformed
+# entry; range faults are reported only after the whole field has parsed.
+# Each value is admitted once: scalar_from_str parses each distinct string
+# literal once per decode call, repeated entries add up in every field
+# through add_entry (which admits their sum again), and the built dicts
+# become vectors and matrices through Vec.adopt and Mat.adopt.
 
 
 def _field(payload, name: str):
@@ -796,40 +802,64 @@ def _field(payload, name: str):
         raise InputError(f"missing or malformed field: {name!r}") from None
 
 
-def _is_index(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _entries_from_json(raw, arity: int, field: str, literals: dict):
+    """Yield each entry [i_1, ..., i_{arity-1}, "p/q"] of a field as
+    (entry, scalar), raising InputError at the first malformed one.
 
-
-def _entries_from_json(raw, arity: int, field: str) -> list[tuple]:
-    """Entries [i_1, ..., i_{arity-1}, "p/q"] as (int, ..., Fraction) tuples."""
+    ``literals`` maps each string literal met in one decode call to its
+    value.  Only ``str`` keys go in: ``True``, ``1`` and ``1.0`` are equal
+    dict keys, so every other value is admitted by scalar_from_str itself.
+    """
     if not isinstance(raw, list):
         raise InputError(f"field {field!r} must be a list")
-    out = []
     for entry in raw:
         if not isinstance(entry, list) or len(entry) != arity:
             raise InputError(f"bad {field} entry {entry!r}: expected {arity} items")
-        *idx, v = entry
-        if not all(_is_index(i) for i in idx):
-            raise InputError(f"bad {field} entry {entry!r}: indices must be integers")
-        out.append((*idx, scalar_from_str(v)))
-    return out
+        for i in entry[:-1]:
+            if type(i) is not int:
+                raise InputError(f"bad {field} entry {entry!r}: indices must be integers")
+        v = entry[-1]
+        if type(v) is not str:
+            yield entry, scalar_from_str(v)
+        elif v in literals:
+            yield entry, literals[v]
+        else:
+            yield entry, literals.setdefault(v, scalar_from_str(v))
 
 
 def _vec_to_json(v: Vec) -> list:
     return [[k, scalar_to_str(x)] for k, x in v.items()]
 
 
-def _vec_from_json(raw, dim: int, field: str) -> Vec:
-    return Vec(dim, _entries_from_json(raw, 2, field))
+def _vec_from_json(raw, dim: int, field: str, literals: dict) -> Vec:
+    e: dict[int, Scalar] = {}
+    fault = None
+    for (k, _), v in _entries_from_json(raw, 2, field, literals):
+        if not 0 <= k < dim:
+            fault = fault or (k, v)
+        elif v:
+            add_entry(e, k, v)
+    Vec(dim, [fault] if fault else None)  # raises for a negative dim or the first fault
+    return Vec.adopt(dim, e)
 
 
 def _mat_to_json(m: Mat) -> list:
     return sorted([c, r, scalar_to_str(v)] for r, c, v in m.items())
 
 
-def _mat_from_json(raw, nrows: int, ncols: int, field: str) -> Mat:
-    entries = _entries_from_json(raw, 3, field)
-    return Mat(nrows, ncols, [(r, c, v) for c, r, v in entries])
+def _mat_from_json(raw, nrows: int, ncols: int, field: str, literals: dict) -> Mat:
+    cols: dict[int, dict[int, Scalar]] = {}
+    fault = None
+    for (c, r, _), v in _entries_from_json(raw, 3, field, literals):
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            fault = fault or (r, c, v)
+        elif v:
+            col = cols.setdefault(c, {})
+            add_entry(col, r, v)
+            if not col:
+                del cols[c]
+    Mat(nrows, ncols, [fault] if fault else None)  # raises for the first fault
+    return Mat.adopt(nrows, ncols, cols)
 
 
 def _algebra_to_json(a: AlgebraData) -> dict:
@@ -846,18 +876,26 @@ def _algebra_to_json(a: AlgebraData) -> dict:
     }
 
 
-def _algebra_from_json(payload) -> AlgebraData:
+def _algebra_from_json(payload, literals: dict) -> AlgebraData:
     dim, labels = _field(payload, "dim"), _field(payload, "labels")
-    if not _is_index(dim) or not isinstance(labels, list):
+    if type(dim) is not int or not isinstance(labels, list):
         raise InputError("fields 'dim' and 'labels' must be an integer and a list")
-    mult: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-    for i, j, k, v in _entries_from_json(_field(payload, "mult"), 4, "mult"):
-        mult.setdefault((i, j), []).append((k, v))
+    mult: dict[tuple[int, int], dict[int, Scalar]] = {}
+    faults: dict[tuple[int, int], tuple[int, Scalar]] = {}
+    for (i, j, k, _), v in _entries_from_json(_field(payload, "mult"), 4, "mult", literals):
+        e = mult.setdefault((i, j), {})
+        if not 0 <= k < dim:
+            faults.setdefault((i, j), (k, v))
+        elif v:
+            add_entry(e, k, v)
+    if faults:
+        # product vectors are admitted pair by pair, in order of first listing
+        Vec(dim, [faults[next(key for key in mult if key in faults)]])
     return AlgebraData(
         dim,
         [str(x) for x in labels],
-        {key: Vec(dim, e) for key, e in mult.items()},
-        _vec_from_json(_field(payload, "unit"), dim, "unit"),
+        {key: Vec.adopt(dim, e) for key, e in mult.items()},
+        _vec_from_json(_field(payload, "unit"), dim, "unit", literals),
     )
 
 
@@ -874,10 +912,11 @@ def comult_to_json_str(c: ComultData) -> str:
 
 
 def comult_from_json(payload: dict) -> ComultData:
-    algebra = _algebra_from_json(payload)
+    literals: dict = {}
+    algebra = _algebra_from_json(payload, literals)
     d = algebra.dim
-    delta = _mat_from_json(_field(payload, "delta"), d * d, d, "delta")
+    delta = _mat_from_json(_field(payload, "delta"), d * d, d, "delta", literals)
     counit = None
     if payload.get("counit") is not None:
-        counit = _vec_from_json(payload["counit"], d, "counit")
+        counit = _vec_from_json(payload["counit"], d, "counit", literals)
     return ComultData(algebra, delta, counit)

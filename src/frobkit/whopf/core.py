@@ -592,11 +592,12 @@ def weak_hopf_to_json_str(h: WeakHopfData) -> str:
 
 
 def weak_hopf_from_json(payload: dict) -> WeakHopfData:
-    algebra = _algebra_from_json(payload)
+    literals: dict = {}
+    algebra = _algebra_from_json(payload, literals)
     d = algebra.dim
     return WeakHopfData(
         algebra,
-        _mat_from_json(_field(payload, "delta_wk"), d * d, d, "delta_wk"),
-        _vec_from_json(_field(payload, "epsilon_wk"), d, "epsilon_wk"),
-        _mat_from_json(_field(payload, "antipode"), d, d, "antipode"),
+        _mat_from_json(_field(payload, "delta_wk"), d * d, d, "delta_wk", literals),
+        _vec_from_json(_field(payload, "epsilon_wk"), d, "epsilon_wk", literals),
+        _mat_from_json(_field(payload, "antipode"), d, d, "antipode", literals),
     )

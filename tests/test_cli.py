@@ -291,6 +291,16 @@ def _set(field, index, value):
     return corrupt
 
 
+def _set_values(field, *values):
+    """Set the values of the first len(values) entries of a field."""
+
+    def corrupt(payload):
+        for entry, value in zip(payload[field], values):
+            entry[-1] = value
+
+    return corrupt
+
+
 def _truncate(field):
     def corrupt(payload):
         payload[field][0] = payload[field][0][:2]
@@ -378,6 +388,14 @@ MALFORMED_INPUTS = {
     "verify_float_mult_value": _file_case(["verify"], "nsy", _set("mult", 3, 0.1)),
     "verify_bool_unit_value": _file_case(["verify"], "nsy", _set("unit", 1, True)),
     "verify_exponent_delta_value": _file_case(["verify"], "nsy", _set("delta", 2, "1e999999")),
+    # equal dict keys: True == 1 == 1.0, so a parsed-literal memo keyed by
+    # any value, not by string, would let the second value through
+    "verify_int_then_bool_unit_value": _file_case(
+        ["verify"], "nsy", _set_values("unit", 1, True)
+    ),
+    "verify_int_then_float_mult_value": _file_case(
+        ["verify"], "nsy", _set_values("mult", 1, 1.0)
+    ),
     "whopf_short_delta_wk_entry": _file_case(["whopf", "check"], "whopf", _truncate("delta_wk")),
     "whopf_non_integer_delta_wk_index": _file_case(
         ["whopf", "check"], "whopf", _set("delta_wk", 0, "x")

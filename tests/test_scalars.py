@@ -127,6 +127,39 @@ def test_weak_hopf_constructors_store_canonical_scalars(
     assert fractional > 0
 
 
+def _repeated(first: str, second: str) -> dict:
+    """A dim-2 payload in which each field lists one place twice."""
+    return {
+        "dim": 2,
+        "labels": ["a", "b"],
+        "mult": [[0, 1, 1, first], [0, 1, 1, second]],
+        "unit": [[1, first], [1, second]],
+        "delta": [[1, 3, first], [1, 3, second]],
+        "delta_wk": [[1, 3, first], [1, 3, second]],
+        "epsilon_wk": [[1, first], [1, second]],
+        "antipode": [[1, 0, first], [1, 0, second]],
+    }
+
+
+def test_repeated_json_entries_sum_to_canonical_scalars():
+    c = comult_from_json(_repeated("1/2", "1/2"))
+    h = weak_hopf_from_json(_repeated("1/2", "1/2"))
+    for x in (
+        c.algebra.mult[(0, 1)].get(1),
+        c.algebra.unit.get(1),
+        c.delta.entry(3, 1),
+        h.delta_wk.entry(3, 1),
+        h.epsilon_wk.get(1),
+        h.antipode.entry(0, 1),
+    ):
+        assert x == 1 and type(x) is int
+    # a sum that cancels leaves no entry, no empty column and no product
+    c = comult_from_json(_repeated("1", "-1"))
+    h = weak_hopf_from_json(_repeated("1", "-1"))
+    assert c.algebra.mult == {} and c.algebra.unit.is_zero() and c.delta.is_zero()
+    assert h.delta_wk.is_zero() and h.epsilon_wk.is_zero() and h.antipode.is_zero()
+
+
 # ---------------------------------------------------------------- elimination
 
 
