@@ -12,6 +12,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 input error.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 
@@ -150,11 +152,15 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _checks_csv(report: VerificationReport) -> str:
-    lines = ["check,passed"]
-    for c in report.checks:
-        lines.append(f"{c.name},{str(c.passed).lower()}")
-    return "\n".join(lines) + "\n"
+def _table(fmt: str, header: list, rows, tail=()) -> str:
+    """``header`` and ``rows`` as csv, or as a markdown pipe table followed by ``tail``."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        return buf.getvalue()
+    rows = [header, ["---"] * len(header), *rows]
+    lines = ["| " + " | ".join(map(str, row)) + " |" for row in rows]
+    return "\n".join([*lines, *tail]) + "\n"
 
 
 def _render(
@@ -182,7 +188,8 @@ def _render(
             raise InputError(
                 f"{command} has no check table for --format csv; use json or markdown"
             )
-        text = _checks_csv(report)
+        rows = [[c.name, str(c.passed).lower()] for c in report.checks]
+        text = _table(fmt, ["check", "passed"], rows)
     else:
         head = report.lines() if report is not None else []
         text = "\n".join([*head, *lines]) + "\n"
@@ -239,35 +246,34 @@ def cmd_nsy(args: list[str]) -> int:
         _emit(payload, flags)
         return 0
 
+    fmt = flags["--format"]
     if action == "table":
-        fmt = flags["--format"]
-        if fmt == "markdown":
-            _emit(nsy_mod.markdown_mult_table(p), flags)
-        elif fmt == "csv":
-            _emit(nsy_mod.csv_mult_table(p), flags)
+        labels = [nsy_mod.basis_label(b) for b in nsy_mod.basis_indices(p)]
+        cells = nsy_mod.multiplication_table(p)
+        if fmt == "json":
+            text = _dump_json({"labels": labels, "cells": cells})
         else:
-            labels = [nsy_mod.basis_label(b) for b in nsy_mod.basis_indices(p)]
-            _emit(
-                _dump_json({"labels": labels, "cells": nsy_mod.multiplication_table(p)}),
-                flags,
-            )
+            text = _table(fmt, ["*", *labels], [[x, *row] for x, row in zip(labels, cells)])
+        _emit(text, flags)
         return 0
 
     if action == "delta":
-        fmt = flags["--format"]
-        if fmt == "markdown":
-            _emit(nsy_mod.markdown_delta_table(p), flags)
+        terms = {
+            nsy_mod.basis_label(idx): [
+                [nsy_mod.basis_label(l), nsy_mod.basis_label(r), "1"]
+                for l, r in nsy_mod.delta_terms(p, idx)
+            ]
+            for idx in nsy_mod.basis_indices(p)
+        }
+        if fmt == "json":
+            text = _dump_json({"delta": terms})
         elif fmt == "csv":
-            _emit(nsy_mod.csv_delta_table(p), flags)
+            rows = [[x, *t] for x, ts in terms.items() for t in ts]
+            text = _table(fmt, ["element", "left", "right", "coeff"], rows)
         else:
-            terms = {
-                nsy_mod.basis_label(idx): [
-                    [nsy_mod.basis_label(l), nsy_mod.basis_label(r), "1"]
-                    for l, r in nsy_mod.delta_terms(p, idx)
-                ]
-                for idx in nsy_mod.basis_indices(p)
-            }
-            _emit(_dump_json({"delta": terms}), flags)
+            sums = (" + ".join(f"{l} (x) {r}" for l, r, _ in ts) or "0" for ts in terms.values())
+            text = _table(fmt, ["element", "Delta(element)"], zip(terms, sums))
+        _emit(text, flags)
         return 0
 
     params_json = {"n": p.n, "ell": p.ell, "m": list(p.mults)}
@@ -342,25 +348,11 @@ def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:
         return _render(
             flags, "nsy sweep", None, {"grid": grid, "items": items, "counts": counts}
         )
-    if fmt == "csv":
-        lines = ["n,ell,m,dim,classification"]
-        for it in items:
-            m = ";".join(str(x) for x in it["m"])
-            lines.append(f"{it['n']},{it['ell']},{m},{it['dim']},{it['classification']}")
-        _emit("\n".join(lines) + "\n", flags)
-    else:
-        lines = ["| n | ell | m | dim | classification |", "| --- | --- | --- | --- | --- |"]
-        for it in items:
-            m = ",".join(str(x) for x in it["m"])
-            lines.append(
-                f"| {it['n']} | {it['ell']} | {m} | {it['dim']} | {it['classification']} |"
-            )
-        lines.append("")
-        lines.append(
-            f"counts: Frobenius={counts[Classification.FROBENIUS.value]} "
-            f"NonCounitalOnly={counts[Classification.NON_COUNITAL_ONLY.value]}"
-        )
-        _emit("\n".join(lines) + "\n", flags)
+    sep = ";" if fmt == "csv" else ","
+    rows = [{**it, "m": sep.join(map(str, it["m"]))}.values() for it in items]
+    frob, only = Classification.FROBENIUS.value, Classification.NON_COUNITAL_ONLY.value
+    tail = ["", f"counts: {frob}={counts[frob]} {only}={counts[only]}"]
+    _emit(_table(fmt, ["n", "ell", "m", "dim", "classification"], rows, tail), flags)
     return 0
 
 

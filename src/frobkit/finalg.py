@@ -118,7 +118,7 @@ class AlgebraData:
         self.mult = clean
         self.unit = unit
         self._zero = Vec(dim)
-        self._monomial_table: list[list[int]] | None | bool = False  # False = unknown
+        self._monomial_table: dict[int, dict[int, int]] | None | bool = False  # False = unknown
         self._product_index: tuple[list[list[int]], list[list[int]]] | None = None
         self._generators: list[int] | None = None
         self._report: VerificationReport | None = None
@@ -145,21 +145,21 @@ class AlgebraData:
         cols = [self.mul(Vec.basis(self.dim, j), x) for j in range(self.dim)]
         return Mat.from_columns(self.dim, cols)
 
-    def monomial_table(self) -> list[list[int]] | None:
-        """Product table as indices when every basis product is 0 or a single
-        basis element with coefficient 1; None otherwise."""
+    def monomial_table(self) -> dict[int, dict[int, int]] | None:
+        """Product table as indices, ``table[i][j] = k`` for e_i e_j = e_k, when
+        every basis product is 0 or one basis element with coefficient 1; None
+        otherwise.  Built from ``mult`` alone, so zero products have no entry."""
         if self._monomial_table is not False:
             return self._monomial_table
-        table: list[list[int]] = [[-1] * self.dim for _ in range(self.dim)]
-        ok = True
+        table: dict[int, dict[int, int]] | None = {}
         for (i, j), vec in self.mult.items():
             items = vec.items()
             if len(items) != 1 or items[0][1] != ONE:
-                ok = False
+                table = None
                 break
-            table[i][j] = items[0][0]
-        self._monomial_table = table if ok else None
-        return self._monomial_table
+            table.setdefault(i, {})[j] = items[0][0]
+        self._monomial_table = table
+        return table
 
     def product_index(self) -> tuple[list[list[int]], list[list[int]]]:
         """The nonzero basis products by factor, as ``(by_right, by_left)``:
@@ -374,7 +374,7 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _monomial_associative(a: AlgebraData, table: list[list[int]]) -> bool:
+def _monomial_associative(a: AlgebraData, table: dict[int, dict[int, int]]) -> bool:
     """Associativity of a monomial table, walking only nonzero products.
 
     Let L be the set of basis triples (i, j, k) with (e_i e_j) e_k != 0 and R
@@ -386,17 +386,21 @@ def _monomial_associative(a: AlgebraData, table: list[list[int]]) -> bool:
     associative iff the walk finds no difference and |L| = |R|, where |R| is
     the sum over (j, k) in ``mult`` of the number of i with e_i e_{jk} != 0.
     """
-    by_right, by_left = a.product_index()
+    by_right = a.product_index()[0]
     walked = 0
-    for i, j in a.mult:
-        ij = table[i][j]
-        ti, tj, tij, row = table[i], table[j], table[ij], by_left[ij]
-        for k in row:
-            jk = tj[k]
-            if jk < 0 or ti[jk] != tij[k]:
-                return False
-        walked += len(row)
-    return walked == sum(len(by_right[table[j][k]]) for j, k in a.mult)
+    try:  # a missing row or entry is a zero product where (e_i e_j) e_k != 0
+        for ti in table.values():
+            for j, ij in ti.items():
+                tij = table.get(ij)
+                if tij:
+                    tj = table[j]
+                    for k, ijk in tij.items():
+                        if ti[tj[k]] != ijk:
+                            return False
+                    walked += len(tij)
+    except KeyError:
+        return False
+    return walked == sum(len(by_right[jk]) for tj in table.values() for jk in tj.values())
 
 
 def check_coassoc(c: ComultData) -> VerificationReport:

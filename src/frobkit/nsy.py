@@ -16,12 +16,13 @@ must agree constant-by-constant.
 The comultiplication makes every such algebra non-counital Frobenius; a counit
 exists exactly when m_i = m_{(i + ell - 1) % n} for all i, in which case it is
 eps(X[i,j]^(r,s)) = [j == ell-1][r == s].
+
+This module holds only constructions and data (product cells, Delta terms,
+labels); every table is rendered by ``frobkit.cli``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,11 +46,7 @@ __all__ = [
     "counit_candidate",
     "nsy_epsilon",
     "multiplication_table",
-    "markdown_mult_table",
-    "csv_mult_table",
     "delta_terms",
-    "markdown_delta_table",
-    "csv_delta_table",
     "sweep_params",
 ]
 
@@ -307,54 +304,6 @@ def multiplication_table(p: NSYParams) -> list[list[str]]:
                 row.append(alg.labels[k] if v == ONE else f"{v}*{alg.labels[k]}")
         table.append(row)
     return table
-
-
-def markdown_mult_table(p: NSYParams) -> str:
-    alg_labels = [basis_label(b) for b in basis_indices(p)]
-    cells = multiplication_table(p)
-    lines = ["| * | " + " | ".join(alg_labels) + " |"]
-    lines.append("| --- |" + " --- |" * len(alg_labels))
-    for label, row in zip(alg_labels, cells):
-        lines.append("| " + label + " | " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def csv_mult_table(p: NSYParams) -> str:
-    labels = [basis_label(b) for b in basis_indices(p)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["*"] + labels)
-    for label, row in zip(labels, multiplication_table(p)):
-        writer.writerow([label] + row)
-    return buf.getvalue()
-
-
-def format_delta(p: NSYParams, idx: NSYBasisIndex) -> str:
-    terms = delta_terms(p, idx)
-    if not terms:
-        return "0"
-    return " + ".join(
-        f"{basis_label(left)} (x) {basis_label(right)}" for left, right in terms
-    )
-
-
-def markdown_delta_table(p: NSYParams) -> str:
-    lines = ["| element | Delta(element) |", "| --- | --- |"]
-    for idx in basis_indices(p):
-        lines.append(f"| {basis_label(idx)} | {format_delta(p, idx)} |")
-    return "\n".join(lines) + "\n"
-
-
-def csv_delta_table(p: NSYParams) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["element", "left", "right", "coeff"])
-    for idx in basis_indices(p):
-        for left, right in delta_terms(p, idx):
-            writer.writerow(
-                [basis_label(idx), basis_label(left), basis_label(right), "1"]
-            )
-    return buf.getvalue()
 
 
 def sweep_params(nmax: int, lmax: int, mmax: int) -> list[NSYParams]:

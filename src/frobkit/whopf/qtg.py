@@ -144,7 +144,7 @@ def automorphism_action(
     if len(perms) != l.dim:
         raise InputError("need one basis permutation per group element")
     table = l.algebra.monomial_table()
-    if table is None or any(-1 in row for row in table):
+    if table is None or len(table) != l.dim or any(len(row) != l.dim for row in table.values()):
         raise InputError("automorphism_action needs a group-algebra L")
     ident = _identity_of(table)
     inv = _inverses_of(table, ident)

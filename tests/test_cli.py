@@ -516,3 +516,57 @@ def test_qtg_matrix3_check_passes(capsys):
     lines = out.rstrip("\n").split("\n")
     assert len(lines) > 1
     assert all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_verify_large_empty_tables_in_bounded_memory(tmp_path, capsys):
+    """A 3000-dimensional algebra with empty tables is judged from its entries
+    alone: the monomial table holds only the products in ``mult``, so the
+    peak stays far below the 70 MB a d x d table would take."""
+    import tracemalloc
+
+    dim = 3000
+    path = tmp_path / "big.json"
+    labels = [f"e{k}" for k in range(dim)]
+    path.write_text(json.dumps({"dim": dim, "labels": labels, "mult": [], "unit": [], "delta": []}))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (1, "")
+    assert out == (
+        "[PASS] associativity\n"
+        "[FAIL] unit_left  at (0,) (1 * e_k != e_k)\n"
+        "[FAIL] unit_right  at (0,) (e_k * 1 != e_k)\n"
+        "[PASS] coassociativity\n"
+        "[PASS] bimodule_right\n"
+        "[PASS] bimodule_left\n"
+        "classification: NotFrobeniusStructure\n"
+    )
+    assert peak < 8_000_000
+
+
+def test_only_cli_imports_csv_or_io():
+    """Tables are rendered in one place: no module of the package but cli.py
+    imports csv or io."""
+    import ast
+    from pathlib import Path
+
+    import frobkit
+
+    root = Path(frobkit.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "cli.py" and path.parent == root:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in ("csv", "io") for name in names):
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert offenders == []

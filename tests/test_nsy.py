@@ -3,6 +3,7 @@ comultiplications, the counit dichotomy, and the path-model oracle."""
 
 import pytest
 
+from frobkit.cli import main as cli_main
 from frobkit.errors import InputError
 from frobkit.exactlin import Vec
 from frobkit.finalg import (
@@ -23,7 +24,6 @@ from frobkit.nsy import (
     counit_candidate,
     delta_terms,
     is_frobenius,
-    markdown_mult_table,
     multiplication_table,
     nakayama_permutation,
     nsy_build,
@@ -342,9 +342,9 @@ def test_classify_named_instances():
     assert classify(nsy_delta(P22_21)) is Classification.NON_COUNITAL_ONLY
 
 
-def test_markdown_table_golden_22_11():
-    text = markdown_mult_table(P22_11)
-    lines = text.strip().split("\n")
+def test_markdown_table_golden_22_11(capsys):
+    assert cli_main(["nsy", "table", "n=2", "ell=2", "m=1,1"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == (
         "| * | X[0,0]^(0,0) | X[0,1]^(0,0) | X[1,0]^(0,0) | X[1,1]^(0,0) |"
     )
