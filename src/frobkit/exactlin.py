@@ -538,6 +538,21 @@ def inverse(a: Mat) -> Mat | None:
     ])
 
 
+def rank_raising(dim: int, vectors: Iterable) -> list[int]:
+    """Indices of the vectors (dicts or Vecs) that raise the rank of those
+    before them; zero vectors and repeats never reach LinearSystem.add."""
+    sys_, seen, out = LinearSystem(dim), set(), []
+    for j, v in enumerate(vectors):
+        key = frozenset(v.items())
+        if key and key not in seen:
+            seen.add(key)
+            rank = sys_.rank
+            sys_.add(v)
+            if sys_.rank > rank:
+                out.append(j)
+    return out
+
+
 def is_invertible(a: Mat) -> bool:
     """Exact invertibility check: full rank, without building the inverse."""
     n = _square_size(a)

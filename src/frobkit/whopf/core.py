@@ -34,6 +34,15 @@ Delta(a) Delta(a') Delta(b), and b = 1 gives Delta(aa') = Delta(a) Delta(a').
 So 1 in M and S in M give M = A (the a = 1 row is not automatic).  When the
 algebra check or one of those rows fails, the scan over all basis pairs
 gives the witness.
+
+eps(abc) = eps(a b_1) eps(b_2 c) and its mirror are decided on d r^2 cells.
+For each b, T_b[a, c] = n eps((e_a e_b) e_c) - n eps(e_a b_1) eps(b_2 e_c) is
+a sum of rows of E[m, c] = eps(e_m e_c), T_b = L_b E, so a row of T_b is 0 iff
+it is 0 on columns C spanning E's column space.  Only where (e_a e_b) e_c =
+e_a (e_b e_c) is T_b also a sum of columns, T_b = E K_b, each row the same
+combination of the rows R as in E, for R spanning E's row space; so T_b = 0
+iff T_b[R, C] = 0, R and C the rows and columns raising rank E = r in order.
+If check_algebra fails or a cell differs, the (b, a) scan gives the witnesses.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from ..exactlin import (
     ZERO,
     addto,
     is_invertible,
+    rank_raising,
 )
 from ..finalg import (
     AlgebraData,
@@ -116,7 +126,7 @@ class WeakHopfData:
         self.scaled_unit_pairs = [
             (t // d, t % d, v) for t, v in self.scaled.delta_of(algebra.unit).terms()
         ]
-        self._counital: tuple[list[dict], list[dict], list[dict]] | None = None
+        self._counital: tuple[list[dict], ...] | None = None
         self._report: VerificationReport | None = None
 
     @property
@@ -143,12 +153,12 @@ class WeakHopfData:
 
 def epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
     """Source counital map eps_s(x) = 1_1 eps(x 1_2)."""
-    return _counital_map(h, x, 1)
+    return _counital_map(h, x, 2)
 
 
 def epsilon_t(h: WeakHopfData, x: Vec) -> Vec:
     """Target counital map eps_t(x) = eps(1_1 x) 1_2."""
-    return _counital_map(h, x, 2)
+    return _counital_map(h, x, 3)
 
 
 def _counital_map(h: WeakHopfData, x: Vec, which: int) -> Vec:
@@ -169,17 +179,7 @@ def epsilon_t_matrix(h: WeakHopfData) -> Mat:
 def _column_space_basis(m: Mat) -> list[Vec]:
     """Deterministic basis of the column space: the columns, scanned in
     ascending order, that increase the rank."""
-    sys_ = LinearSystem(m.nrows)
-    out = []
-    for j in range(m.ncols):
-        col = m.col(j)
-        if col.is_zero():
-            continue
-        before = sys_.rank
-        sys_.add({k: v for k, v in col.items()})
-        if sys_.rank > before:
-            out.append(col)
-    return out
+    return [m.col(j) for j in rank_raising(m.nrows, (m.col(j) for j in range(m.ncols)))]
 
 
 def source_subalgebra_basis(h: WeakHopfData) -> list[Vec]:
@@ -266,32 +266,11 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
                 break
     checks.append(CheckResult("delta_wk_multiplicative", mult_w is None, mult_w))
 
-    # eps(abc) = eps(a b_1) eps(b_2 c) = eps(a b_2) eps(b_1 c), for one (b, a)
-    # at a time over all c, from the rows eps_row[m] = {c: eps(e_m e_c)}
-    eps_row, eps_src, eps_tgt = _counital_terms(h)
-    weak_a = weak_b = None
-    for b_mid in range(d):
-        dpairs = scaled.delta_pairs(b_mid)
-        for i in range(d):
-            row_i = eps_row[i]
-            direct: dict[int, Fraction] = {}
-            for m, c in a.basis_product(i, b_mid).terms():
-                addto(direct, n * c, eps_row[m].items())
-            split_a: dict[int, Fraction] = {}
-            split_b: dict[int, Fraction] = {}
-            for p, q, v in dpairs:
-                if p in row_i:
-                    addto(split_a, v * row_i[p], eps_row[q].items())
-                if q in row_i:
-                    addto(split_b, v * row_i[q], eps_row[p].items())
-            if weak_a is None and direct != split_a:
-                weak_a = _row_witness((i, b_mid), direct, split_a, n, "eps(abc) != eps(a b_1) eps(b_2 c)")
-            if weak_b is None and direct != split_b:
-                weak_b = _row_witness((i, b_mid), direct, split_b, n, "eps(abc) != eps(a b_2) eps(b_1 c)")
-            if weak_a is not None and weak_b is not None:
-                break
-        if weak_a is not None and weak_b is not None:
-            break
+    # eps(abc) = eps(a b_1) eps(b_2 c) = eps(a b_2) eps(b_1 c), decided on the
+    # cells (R, b, C) (module docstring); the (b, a) row scan gives witnesses
+    cells = _weak_mult_rows(h, on_basis=True)
+    on_basis = check_algebra(a).passed and all(x == y == z for _, x, y, z in cells)
+    weak_a, weak_b = (None, None) if on_basis else _weak_mult_scan(h)
     checks.append(CheckResult("epsilon_wk_weak_mult_a", weak_a is None, weak_a))
     checks.append(CheckResult("epsilon_wk_weak_mult_b", weak_b is None, weak_b))
 
@@ -315,6 +294,7 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     checks.append(CheckResult("delta_wk_unit_b", wb is None, wb))
 
     # antipode identities
+    eps_src, eps_tgt = _counital_terms(h)[2:]
     s_cols = [h.antipode.col(j) for j in range(d)]
     src_w = tgt_w = sand_w = None
     for j in range(d):
@@ -385,25 +365,56 @@ def _row_witness(prefix: tuple[int, int], lhs: dict, rhs: dict, n: int, note: st
     return _scalar_witness((*prefix, k), lhs.get(k, ZERO) * f, rhs.get(k, ZERO) * f, note)
 
 
-def _counital_terms(h: WeakHopfData) -> tuple[list[dict], list[dict], list[dict]]:
-    """``(eps_row, src, tgt)`` with eps_row[m] = {c: eps(e_m e_c)}, and
-    src[j] = n eps_s(e_j), tgt[j] = n eps_t(e_j) as dicts, read off the
-    terms of n Delta(1).  Kept on ``h``."""
+def _counital_terms(h: WeakHopfData) -> tuple[list[dict], ...]:
+    """``(eps_row, eps_col, src, tgt)``: the rows {c: eps(e_m e_c)} and columns
+    {m: eps(e_m e_c)} of E from the nonzero products, and src[j] = n eps_s(e_j),
+    tgt[j] = n eps_t(e_j) as dicts from the terms of n Delta(1).  Kept on ``h``."""
     if h._counital is None:
         a, d = h.algebra, h.dim
-        eps_row = [
-            {k: c for k in range(d) if (c := h.counit_value(a.basis_product(m, k)))}
-            for m in range(d)
-        ]
-        src: list[dict] = [{} for _ in range(d)]
-        tgt: list[dict] = [{} for _ in range(d)]
+        eps_row, eps_col = [{} for _ in range(d)], [{} for _ in range(d)]
+        for (m, c), prod in a.mult.items():
+            if v := h.counit_value(prod):
+                eps_row[m][c] = eps_col[c][m] = v
+        src, tgt = [{} for _ in range(d)], [{} for _ in range(d)]
         for p, q, v in h.scaled_unit_pairs:
-            for j in range(d):  # eps_s(e_j) = 1_1 eps(e_j 1_2)
-                addto(src[j], v * eps_row[j].get(q, ZERO), ((p, ONE),))
+            for j, c in eps_col[q].items():  # eps_s(e_j) = 1_1 eps(e_j 1_2)
+                addto(src[j], v * c, ((p, ONE),))
             for j, c in eps_row[p].items():  # eps_t(e_j) = eps(1_1 e_j) 1_2
                 addto(tgt[j], v * c, ((q, ONE),))
-        h._counital = (eps_row, src, tgt)
+        h._counital = (eps_row, eps_col, src, tgt)
     return h._counital
+
+
+def _weak_mult_rows(h: WeakHopfData, on_basis: bool):
+    """(a, b), n eps((e_a e_b) e_c), n eps(e_a b_1) eps(b_2 e_c), n eps(e_a b_2) eps(b_1 e_c)
+    over c, for each b then a: all a and c, or a in R and c in C (``on_basis``)."""
+    (eps_row, eps_col), n = _counital_terms(h)[:2], h.denom
+    cols = set(rank_raising(h.dim, eps_col)) if on_basis else range(h.dim)
+    rows = [[(c, v) for c, v in row.items() if c in cols] for row in eps_row]
+    indices = rank_raising(h.dim, eps_row) if on_basis else range(h.dim)
+    for b in range(h.dim):
+        dpairs = h.scaled.delta_pairs(b)
+        for i in indices:
+            row_i, direct, split_a, split_b = eps_row[i], {}, {}, {}
+            for m, c in h.algebra.basis_product(i, b).terms():
+                addto(direct, n * c, rows[m])
+            for p, q, v in dpairs:  # addto skips a zero coefficient
+                addto(split_a, v * row_i.get(p, ZERO), rows[q])
+                addto(split_b, v * row_i.get(q, ZERO), rows[p])
+            yield (i, b), direct, split_a, split_b
+
+
+def _weak_mult_scan(h: WeakHopfData) -> tuple[Witness | None, Witness | None]:
+    """First witness of each identity, for one (b, a) at a time over all c."""
+    weak_a = weak_b = None
+    for ib, direct, split_a, split_b in _weak_mult_rows(h, on_basis=False):
+        if weak_a is None and direct != split_a:
+            weak_a = _row_witness(ib, direct, split_a, h.denom, "eps(abc) != eps(a b_1) eps(b_2 c)")
+        if weak_b is None and direct != split_b:
+            weak_b = _row_witness(ib, direct, split_b, h.denom, "eps(abc) != eps(a b_2) eps(b_1 c)")
+        if weak_a is not None and weak_b is not None:
+            break
+    return weak_a, weak_b
 
 
 def _convolutions(h: WeakHopfData, j: int) -> tuple[dict, dict]:
@@ -423,18 +434,12 @@ def is_hopf(h: WeakHopfData) -> bool:
     """True iff Delta(1) = 1 (x) 1; the equivalent characterizations
     (multiplicative counit, antipode convolution identities) are re-checked
     and any disagreement raises InternalConsistencyError."""
-    hopf = h.comult(h.unit) == h.unit.tensor(h.unit)
-    if not hopf:
+    if h.comult(h.unit) != h.unit.tensor(h.unit):
         return False
-    a = h.algebra
     d = h.dim
-    eps = h.epsilon_wk
-    for x in range(d):
-        for y in range(d):
-            if h.counit_value(a.basis_product(x, y)) != eps.get(x) * eps.get(y):
-                raise InternalConsistencyError(
-                    "Delta(1) = 1(x)1 but eps is not multiplicative"
-                )
+    eps, eps_row = h.epsilon_wk, _counital_terms(h)[0]
+    if any(eps_row[x].get(y, ZERO) != eps.get(x) * eps.get(y) for x in range(d) for y in range(d)):
+        raise InternalConsistencyError("Delta(1) = 1(x)1 but eps is not multiplicative")
     for j in range(d):
         expected = addto({}, h.denom * eps.get(j), h.unit.terms())
         if any(conv != expected for conv in _convolutions(h, j)):
@@ -460,7 +465,7 @@ def integral_space(h: WeakHopfData, side: str) -> IntegralSpace:
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
     a, d, left = h.algebra, h.dim, side == "left"
-    _, src, tgt = _counital_terms(h)
+    src, tgt = _counital_terms(h)[2:]
     by_right, by_left = a.product_index()
     sys_ = LinearSystem(d)
     for k, eps_k in enumerate(tgt if left else src):

@@ -17,6 +17,7 @@ from frobkit.exactlin import (
     inverse,
     is_invertible,
     kernel_basis,
+    rank_raising,
     scalar_from_str,
     scalar_to_str,
     solve_linear,
@@ -343,6 +344,28 @@ def test_inverse_rejects_non_square(shape):
     for fn in (inverse, is_invertible, reference_inverse):
         with pytest.raises(InputError):
             fn(a)
+
+
+def test_rank_raising_skips_zeros_and_repeats(monkeypatch):
+    rows = [{}, {1: 2}, {1: 2}, {1: F(1, 2)}, {0: 1, 1: 1}, {0: 1, 1: 1}, Vec(2, {0: 3})]
+    added = []
+    add = LinearSystem.add
+    monkeypatch.setattr(LinearSystem, "add", lambda self, v: added.append(v) or add(self, v))
+    assert rank_raising(2, rows) == [1, 4]
+    # the zero row and the two exact repeats never reach LinearSystem.add
+    assert added == [rows[1], rows[3], rows[4], rows[6]]
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 3), st.integers(-2, 2).filter(bool), max_size=4),
+                max_size=8))
+def test_rank_raising_matches_one_row_at_a_time(rows):
+    picked = rank_raising(4, rows)
+    span = LinearSystem(4)
+    for j, row in enumerate(rows):  # rows[j] is picked iff it raises the rank of rows[:j]
+        before = span.rank
+        span.add(row)
+        assert (j in picked) == (span.rank > before)
+    assert picked == sorted(picked)
 
 
 def test_inverse_of_empty_matrix():

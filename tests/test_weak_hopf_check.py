@@ -1,21 +1,26 @@
-"""check_weak_hopf: the row-wise eps(abc) block against the scalar triple
-loop it replaced, the whole report against the all-Fraction report it
-replaced, and the report kept on each WeakHopfData.
+"""check_weak_hopf: the eps(abc) block against the scalar triple loop it
+replaced, the whole report against the all-Fraction report it replaced, and
+the report kept on each WeakHopfData.  The eps(abc) row scan must run only
+when the decision on a row and column basis of E = [eps(e_m e_c)] cannot
+pass, and E's rank is pinned on the fixtures.
 
 Corruptions: one entry of epsilon_wk is shifted, or one entry is added to
 delta_wk, the antipode or the product, on the groupoid, group and quantum
-transformation groupoid fixtures of conftest.py.
+transformation groupoid fixtures of conftest.py.  A slow sweep runs larger
+group and groupoid algebras against both references.
 """
 
 import json
 import math
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobkit.cli import main
-from frobkit.exactlin import Mat, Vec, addto, is_invertible
+from frobkit.exactlin import Mat, Vec, addto, is_invertible, rank_raising
 from frobkit.finalg import (
     AlgebraData,
     CheckResult,
@@ -31,8 +36,12 @@ from frobkit.whopf import (
     WeakHopfData,
     check_weak_hopf,
     core,
+    connected_groupoid,
     cyclic_group_table,
+    groupoid_algebra,
+    hopf_group_algebra,
     iterated_comult,
+    pair_groupoid,
     qtg_build,
     separable_group_algebra,
     trivial_action,
@@ -62,6 +71,14 @@ def add_delta_entry(h: WeakHopfData, row: int, col: int, value) -> WeakHopfData:
     d = h.dim
     delta = Mat(d * d, d, [*h.delta_wk.items(), (row, col, value)])
     return WeakHopfData(h.algebra, delta, h.epsilon_wk, h.antipode)
+
+
+def add_mult_entry(h: WeakHopfData, i: int, j: int, k: int, value) -> WeakHopfData:
+    a = h.algebra
+    mult = dict(a.mult)
+    mult[(i, j)] = a.basis_product(i, j) + Vec(a.dim, {k: value})
+    algebra = AlgebraData(a.dim, a.labels, mult, a.unit)
+    return WeakHopfData(algebra, h.delta_wk, h.epsilon_wk, h.antipode)
 
 
 def naive_weak_mult(h: WeakHopfData):
@@ -106,13 +123,15 @@ def assert_matches_naive(h: WeakHopfData):
 def test_weak_mult_matches_naive_on_corrupted_data(weak_hopf_cases, data):
     h = weak_hopf_cases[data.draw(st.sampled_from(sorted(weak_hopf_cases)))]
     d = h.dim
+    index = st.integers(0, d - 1)
     value = data.draw(st.sampled_from(SHIFTS))
-    if data.draw(st.booleans()):
-        h = shift_epsilon(h, data.draw(st.integers(0, d - 1)), value)
-    else:
-        h = add_delta_entry(
-            h, data.draw(st.integers(0, d * d - 1)), data.draw(st.integers(0, d - 1)), value
-        )
+    edit = data.draw(st.sampled_from(["epsilon_wk", "delta_wk", "mult"]))
+    if edit == "epsilon_wk":
+        h = shift_epsilon(h, data.draw(index), value)
+    elif edit == "delta_wk":
+        h = add_delta_entry(h, data.draw(st.integers(0, d * d - 1)), data.draw(index), value)
+    else:  # usually non-associative: the decision on R x C is skipped
+        h = add_mult_entry(h, data.draw(index), data.draw(index), data.draw(index), value)
     assert_matches_naive(h)
 
 
@@ -130,6 +149,64 @@ def test_weak_mult_matches_naive_on_fixtures(weak_hopf_cases):
     for h in weak_hopf_cases.values():
         checks = assert_matches_naive(h)
         assert all(checks[name].passed for name in WEAK_MULT)
+
+
+# ---------------------------------------------------------------------------
+# The decision on the cells (a in R, b, c in C), R and C the rows and columns
+# of E = [eps(e_m e_c)] that raise its rank: the row scan runs only when the
+# algebra check fails or a cell differs, and then gives the witnesses.
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    calls = []
+    scan = core._weak_mult_scan
+
+    def spy(h):
+        calls.append(h)
+        return scan(h)
+
+    monkeypatch.setattr(core, "_weak_mult_scan", spy)
+    return calls
+
+
+def test_weak_mult_scan_skipped_on_fixtures(weak_hopf_cases, scans):
+    for h in weak_hopf_cases.values():
+        checks = {c.name: c for c in core._weak_hopf_report(h).checks}
+        assert all(checks[check].passed for check in WEAK_MULT)
+    assert scans == []
+
+
+# Each edit breaks the identities only in cells that the decision reaches
+# through a row of R or a column of C other than the first, or through a
+# row or column that is not among the first rank(E); the mult edit leaves
+# an identity broken that R x C misses, and the algebra check fails.
+@pytest.mark.parametrize(
+    "name, edit, args",
+    [
+        ("z2_plus_point", shift_epsilon, (2, Fraction(1))),
+        ("pair2", add_delta_entry, (10, 0, Fraction(1))),
+        ("pair2", add_delta_entry, (5, 0, Fraction(1))),
+        ("pair2_x_z2", add_delta_entry, (36, 0, Fraction(1))),
+        ("k_kz2", add_mult_entry, (2, 0, 1, Fraction(1))),
+    ],
+)
+def test_weak_mult_scan_runs_when_an_identity_breaks(weak_hopf_cases, scans, name, edit, args):
+    h = edit(weak_hopf_cases[name], *args)
+    checks = assert_matches_naive(h)
+    assert not all(checks[check].passed for check in WEAK_MULT)
+    assert scans == [h]
+
+
+def test_rank_of_eps_form(weak_hopf_cases, groupoid_fixtures):
+    for name, h in weak_hopf_cases.items():
+        eps_row, eps_col = core._counital_terms(h)[:2]
+        rank = len(rank_raising(h.dim, eps_row))
+        assert len(rank_raising(h.dim, eps_col)) == rank
+        if name.startswith("kZ"):
+            assert rank == 1
+        elif name in groupoid_fixtures:
+            assert rank == len(groupoid_fixtures[name].objects)
 
 
 def test_report_is_kept_on_the_data(groupoid_algebras):
@@ -337,14 +414,6 @@ def add_antipode_entry(h: WeakHopfData, row: int, col: int, value) -> WeakHopfDa
     return WeakHopfData(h.algebra, h.delta_wk, h.epsilon_wk, antipode)
 
 
-def add_mult_entry(h: WeakHopfData, i: int, j: int, k: int, value) -> WeakHopfData:
-    a = h.algebra
-    mult = dict(a.mult)
-    mult[(i, j)] = a.basis_product(i, j) + Vec(a.dim, {k: value})
-    algebra = AlgebraData(a.dim, a.labels, mult, a.unit)
-    return WeakHopfData(algebra, h.delta_wk, h.epsilon_wk, h.antipode)
-
-
 @pytest.fixture(scope="session")
 def report_cases(weak_hopf_cases):
     """The fixtures plus the QTG (k, kZ/3), whose n is 3."""
@@ -401,3 +470,39 @@ def test_report_matches_reference_when_n_grows(report_cases):
     h = add_delta_entry(h, 1, 1, Fraction(-2, 7))
     assert h.denom == 105
     assert_report_matches_reference(h)
+
+
+# ---------------------------------------------------------------------------
+# Wide sweep (pytest -m slow): group algebras k[Z/n] (rank E = 1), pair
+# groupoids (rank N) and connected groupoids N x Z/m up to dim 72, each
+# clean and with one seeded eps shift, against both references.
+
+
+def connected_algebra(k: int, m: int) -> WeakHopfData:
+    return groupoid_algebra(connected_groupoid(k, cyclic_group_table(m)))
+
+
+def sweep_cases():
+    cases = [(f"kZ{n}", partial(hopf_group_algebra, cyclic_group_table(n))) for n in range(1, 41)]
+    cases += [(f"pair{n}", partial(groupoid_algebra, pair_groupoid(n))) for n in range(1, 8)]
+    cases += [
+        (f"{k}xZ{m}", partial(connected_algebra, k, m))
+        for k in range(2, 7)
+        for m in range(2, 72 // (k * k) + 1)
+    ]
+    return cases
+
+
+SWEEP = sweep_cases()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, build", SWEEP, ids=[name for name, _ in SWEEP])
+def test_weak_mult_sweep_matches_references(name, build):
+    h = build()
+    rng = random.Random(name)
+    edited = shift_epsilon(h, rng.randrange(h.dim), rng.choice(SHIFTS))
+    for g in (h, edited):
+        assert_matches_naive(g)
+        assert_report_matches_reference(g)
+    assert check_weak_hopf(h).passed
