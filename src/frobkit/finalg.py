@@ -79,8 +79,6 @@ __all__ = [
     "counit_failures",
     "classify",
     "classify_report",
-    "permute_basis",
-    "tensor_power_mul",
     "comult_to_json",
     "comult_from_json",
     "comult_to_json_str",
@@ -718,71 +716,6 @@ def classify_checks(report: VerificationReport, counit: Vec | None) -> Classific
 
 def classify(c: ComultData) -> Classification:
     return classify_report(c).classification
-
-
-def tensor_power_mul(a: AlgebraData, u: Vec, v: Vec, factors: int) -> Vec:
-    """Componentwise product in the tensor power algebra A^{(x) factors}."""
-    d = a.dim
-    size = d**factors
-    if u.dim != size or v.dim != size:
-        raise InputError("tensor power dimension mismatch")
-
-    def split(flat):
-        out = []
-        for _ in range(factors):
-            flat, r = divmod(flat, d)
-            out.append(r)
-        return tuple(reversed(out))
-
-    acc: dict[int, Fraction] = {}
-    for fu, cu in u.terms():
-        iu = split(fu)
-        for fv, cv in v.terms():
-            iv = split(fv)
-            # e_{iu} e_{iv} factor by factor; distinct prefixes never collide
-            term = {0: cu * cv}
-            for t in range(factors):
-                comp = a.basis_product(iu[t], iv[t]).terms()
-                nxt: dict[int, Fraction] = {}
-                for flat, c in term.items():
-                    addto(nxt, c, comp, flat * d)
-                term = nxt
-            addto(acc, ONE, term.items())
-    return Vec.adopt(size, acc)
-
-
-def permute_basis(c: ComultData, perm: list[int]) -> ComultData:
-    """Relabel the basis: new position k holds old basis element perm[k].
-
-    All structure data (products, unit, delta, counit) is conjugated by the
-    permutation, so the result is the same algebra with a reordered basis.
-    """
-    a = c.algebra
-    d = a.dim
-    if sorted(perm) != list(range(d)):
-        raise InputError("perm must be a permutation of the basis indices")
-    ipos = [0] * d
-    for new, old in enumerate(perm):
-        ipos[old] = new
-
-    def relabel(vec: Vec) -> Vec:
-        return Vec(d, {ipos[k]: v for k, v in vec.items()})
-
-    new_mult = {}
-    for (i, j), vec in a.mult.items():
-        new_mult[(ipos[i], ipos[j])] = relabel(vec)
-    new_alg = AlgebraData(
-        d, [a.labels[old] for old in perm], new_mult, relabel(a.unit)
-    )
-    entries = []
-    for k in range(d):
-        for p, q, v in c.delta_pairs(perm[k]):
-            entries.append((ipos[p] * d + ipos[q], k, v))
-    new_delta = Mat(d * d, d, entries)
-    new_counit = None
-    if c.counit is not None:
-        new_counit = Vec(d, {ipos[k]: v for k, v in c.counit.items()})
-    return ComultData(new_alg, new_delta, new_counit)
 
 
 # JSON exchange format:

@@ -2,96 +2,9 @@
 Frobenius structure coming from a left integral, and constructors for
 groupoid algebras and quantum transformation groupoids."""
 
-from .core import (
-    DEFAULT_INTEGRAL_SEED,
-    IntegralSpace,
-    WeakHopfData,
-    check_weak_hopf,
-    epsilon_s,
-    epsilon_s_matrix,
-    epsilon_t,
-    epsilon_t_matrix,
-    find_nondegenerate_integral,
-    frobenius_from_integral,
-    integral_space,
-    is_hopf,
-    iterated_comult,
-    phi_map,
-    phi_prime_map,
-    psi_map,
-    source_subalgebra_basis,
-    target_subalgebra_basis,
-    weak_hopf_from_json,
-    weak_hopf_to_json,
-    weak_hopf_to_json_str,
-)
-from .groupoid import (
-    GroupoidData,
-    Morphism,
-    connected_groupoid,
-    cyclic_group_table,
-    disjoint_union,
-    group_groupoid,
-    groupoid_algebra,
-    groupoid_from_json,
-    groupoid_to_json,
-    hopf_group_algebra,
-    pair_groupoid,
-    trivial_groupoid,
-)
-from .qtg import (
-    QTGInput,
-    automorphism_action,
-    qtg_build,
-    qtg_frobenius,
-    qtg_integral,
-    separable_group_algebra,
-    separable_matrix_algebra,
-    trivial_action,
-    trivial_hopf,
-)
+from . import core, groupoid, qtg
+from .core import *
+from .groupoid import *
+from .qtg import *
 
-__all__ = [
-    "DEFAULT_INTEGRAL_SEED",
-    "IntegralSpace",
-    "WeakHopfData",
-    "check_weak_hopf",
-    "epsilon_s",
-    "epsilon_s_matrix",
-    "epsilon_t",
-    "epsilon_t_matrix",
-    "find_nondegenerate_integral",
-    "frobenius_from_integral",
-    "integral_space",
-    "is_hopf",
-    "iterated_comult",
-    "phi_map",
-    "phi_prime_map",
-    "psi_map",
-    "source_subalgebra_basis",
-    "target_subalgebra_basis",
-    "weak_hopf_from_json",
-    "weak_hopf_to_json",
-    "weak_hopf_to_json_str",
-    "GroupoidData",
-    "Morphism",
-    "connected_groupoid",
-    "cyclic_group_table",
-    "disjoint_union",
-    "group_groupoid",
-    "groupoid_algebra",
-    "groupoid_from_json",
-    "groupoid_to_json",
-    "hopf_group_algebra",
-    "pair_groupoid",
-    "trivial_groupoid",
-    "QTGInput",
-    "automorphism_action",
-    "qtg_build",
-    "qtg_frobenius",
-    "qtg_integral",
-    "separable_group_algebra",
-    "separable_matrix_algebra",
-    "trivial_action",
-    "trivial_hopf",
-]
+__all__ = [*core.__all__, *groupoid.__all__, *qtg.__all__]

@@ -87,6 +87,30 @@ from ..finalg import (
     solve_counit,
 )
 
+__all__ = [
+    "DEFAULT_INTEGRAL_SEED",
+    "IntegralSpace",
+    "WeakHopfData",
+    "check_weak_hopf",
+    "epsilon_s",
+    "epsilon_s_matrix",
+    "epsilon_t",
+    "epsilon_t_matrix",
+    "find_nondegenerate_integral",
+    "frobenius_from_integral",
+    "integral_space",
+    "is_hopf",
+    "iterated_comult",
+    "phi_map",
+    "phi_prime_map",
+    "psi_map",
+    "source_subalgebra_basis",
+    "target_subalgebra_basis",
+    "weak_hopf_from_json",
+    "weak_hopf_to_json",
+    "weak_hopf_to_json_str",
+]
+
 # Seed for the pseudorandom part of the non-degenerate-integral search;
 # echoed in CLI reports so runs are reproducible.
 DEFAULT_INTEGRAL_SEED = 271828

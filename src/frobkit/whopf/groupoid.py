@@ -172,9 +172,7 @@ def hopf_group_algebra(table: list[list[int]], labels: list[str] | None = None) 
     the groupoid algebra of the group as a one-object groupoid, so
     g -> g (x) g, eps = 1, S(g) = g^{-1}."""
     n = len(table)
-    if any(len(row) != n for row in table):
-        raise InputError("group table must be square")
-    inv = _inverses_of(table, _identity_of(table))
+    _, inv = _group_of(table)
     if labels is None:
         labels = [f"g{k}" for k in range(n)]
     morphisms = [Morphism(name, 0, 0) for name in labels]
@@ -182,26 +180,24 @@ def hopf_group_algebra(table: list[list[int]], labels: list[str] | None = None) 
     return groupoid_algebra(GroupoidData([0], morphisms, compose, inv))
 
 
-def _identity_of(table: list[list[int]]) -> int:
+def _group_of(table) -> tuple[int, list[int]]:
+    """Identity and inverses of a group table; rows are read as ``table[g]``,
+    so a list of lists and a dict-of-dicts monomial table both work."""
     n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    raise InputError("group table has no identity element")
-
-
-def _inverses_of(table: list[list[int]], ident: int) -> list[int]:
-    n = len(table)
-    inv = []
-    for g in range(n):
-        gi = next(
-            (x for x in range(n) if table[g][x] == ident and table[x][g] == ident),
-            None,
-        )
-        if gi is None:
-            raise InputError(f"element {g} has no inverse")
-        inv.append(gi)
-    return inv
+    if any(len(table[g]) != n for g in range(n)):
+        raise InputError("group table must be square")
+    for ident in range(n):
+        if all(table[ident][x] == x and table[x][ident] == x for x in range(n)):
+            break
+    else:
+        raise InputError("group table has no identity element")
+    inv = [
+        next((x for x in range(n) if table[g][x] == ident and table[x][g] == ident), None)
+        for g in range(n)
+    ]
+    if None in inv:
+        raise InputError(f"element {inv.index(None)} has no inverse")
+    return ident, inv
 
 
 def cyclic_group_table(n: int) -> list[list[int]]:
@@ -216,8 +212,7 @@ def connected_groupoid(num_objects: int, table: list[list[int]]) -> GroupoidData
     if num_objects < 1:
         raise InputError("need at least one object")
     order = len(table)
-    ident = _identity_of(table)
-    inv_tab = _inverses_of(table, ident)
+    ident, inv_tab = _group_of(table)
     morphisms = []
     index = {}
     for src in range(num_objects):

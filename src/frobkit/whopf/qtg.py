@@ -55,7 +55,7 @@ from .core import (
     iterated_comult,
     psi_map,
 )
-from .groupoid import _identity_of, _inverses_of, hopf_group_algebra
+from .groupoid import _group_of, hopf_group_algebra
 
 __all__ = [
     "QTGInput",
@@ -102,17 +102,11 @@ def separable_matrix_algebra(d: int) -> tuple[AlgebraData, Vec, Vec]:
     return algebra, e, omega
 
 
-def separable_group_algebra(
-    table: list[list[int]], labels: list[str] | None = None
-) -> tuple[AlgebraData, Vec, Vec]:
+def separable_group_algebra(table: list[list[int]]) -> tuple[AlgebraData, Vec, Vec]:
     """Group algebra with e = (1/|G|) sum g (x) g^{-1} and w(g) = |G| [g = 1]."""
     n = len(table)
-    if any(len(row) != n for row in table):
-        raise InputError("group table must be square")
-    ident = _identity_of(table)
-    inv = _inverses_of(table, ident)
-    if labels is None:
-        labels = [f"g{k}" for k in range(n)]
+    ident, inv = _group_of(table)
+    labels = [f"g{k}" for k in range(n)]
     mult = {(a, b): Vec.basis(n, table[a][b]) for a in range(n) for b in range(n)}
     algebra = AlgebraData(n, labels, mult, Vec.basis(n, ident))
     inv_n = Fraction(1, n)
@@ -146,8 +140,7 @@ def automorphism_action(
     table = l.algebra.monomial_table()
     if table is None or len(table) != l.dim or any(len(row) != l.dim for row in table.values()):
         raise InputError("automorphism_action needs a group-algebra L")
-    ident = _identity_of(table)
-    inv = _inverses_of(table, ident)
+    _, inv = _group_of(table)
     entries = []
     for bi in range(b.dim):
         for g in range(l.dim):
@@ -199,8 +192,6 @@ class QTGInput:
             )
         if not is_hopf(L):
             raise ConstructionError("L must be a Hopf algebra (Delta(1) = 1 (x) 1)")
-        if self.s_inv is None:
-            raise ConstructionError("antipode of L must be invertible")
         dB = B.dim
         pairs = self.e_pairs()
         basis_b = [Vec.basis(dB, k) for k in range(dB)]

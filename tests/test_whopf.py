@@ -149,6 +149,42 @@ def test_group_algebra_rejects_bad_tables(table):
         hopf_group_algebra(table)
 
 
+@pytest.mark.parametrize("table", [[[0, 1], [1]], [[0, 1], [1, 0, 1]]])
+@pytest.mark.parametrize(
+    "build", [lambda t: connected_groupoid(2, t), group_groupoid], ids=["connected", "group"]
+)
+def test_groupoid_rejects_non_square_table(build, table):
+    with pytest.raises(InputError, match="group table must be square"):
+        build(table)
+
+
+WHOPF_EXPORTS = {
+    "DEFAULT_INTEGRAL_SEED", "IntegralSpace", "WeakHopfData", "check_weak_hopf",
+    "epsilon_s", "epsilon_s_matrix", "epsilon_t", "epsilon_t_matrix",
+    "find_nondegenerate_integral", "frobenius_from_integral", "integral_space",
+    "is_hopf", "iterated_comult", "phi_map", "phi_prime_map", "psi_map",
+    "source_subalgebra_basis", "target_subalgebra_basis", "weak_hopf_from_json",
+    "weak_hopf_to_json", "weak_hopf_to_json_str",
+    "GroupoidData", "Morphism", "connected_groupoid", "cyclic_group_table",
+    "disjoint_union", "group_groupoid", "groupoid_algebra", "groupoid_from_json",
+    "groupoid_to_json", "hopf_group_algebra", "pair_groupoid", "trivial_groupoid",
+    "QTGInput", "automorphism_action", "qtg_build", "qtg_frobenius", "qtg_integral",
+    "separable_group_algebra", "separable_matrix_algebra", "trivial_action",
+    "trivial_hopf",
+}
+
+
+def test_whopf_exports_each_name_once():
+    from frobkit import whopf
+    from frobkit.whopf import groupoid, qtg
+
+    names = whopf.__all__
+    assert names == [*whopf_core.__all__, *groupoid.__all__, *qtg.__all__]
+    assert len(names) == len(set(names)) == 42
+    assert set(names) == WHOPF_EXPORTS
+    assert [n for n in names if not hasattr(whopf, n)] == []
+
+
 def test_corrupted_composition_fails_with_witness(groupoid_fixtures):
     h = groupoid_algebra(groupoid_fixtures["pair2"])
     a = h.algebra
