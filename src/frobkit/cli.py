@@ -463,23 +463,16 @@ def cmd_whopf(args: list[str]) -> int:
         raise InputError("whopf needs a source (groupoid, group, qtg, or a JSON file)")
     ops = {"check", "integrals", "frobenius"}
     first = positionals[0]
-    if first in {"groupoid", "group", "qtg"}:
-        source, rest = first, positionals[1:]
-        op = rest[0] if rest else "check"
-        if len(rest) > 1:
-            raise InputError(f"unexpected arguments: {' '.join(rest[1:])}")
-    elif first in ops:
+    if first in ops:  # whopf OP FILE
         op = first
         if len(positionals) < 2:
             raise InputError(f"whopf {first} needs an input file")
         source = positionals[1]
-        if len(positionals) > 2:
-            raise InputError(f"unexpected arguments: {' '.join(positionals[2:])}")
-    else:
+    else:  # whopf groupoid|group|qtg|FILE [OP]
         source = first
         op = positionals[1] if len(positionals) > 1 else "check"
-        if len(positionals) > 2:
-            raise InputError(f"unexpected arguments: {' '.join(positionals[2:])}")
+    if len(positionals) > 2:
+        raise InputError(f"unexpected arguments: {' '.join(positionals[2:])}")
     if op not in ops:
         raise InputError(f"unknown whopf operation {op!r}")
 

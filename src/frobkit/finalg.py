@@ -215,7 +215,8 @@ class ComultData:
     ``delta`` is a (dim^2 x dim) matrix whose column j is Delta(e_j) under
     row-major flattening of pairs: flat = p * dim + q for e_p (x) e_q.
     Fields are never reassigned after construction: the column cache and the
-    Delta(1) flag of the bimodule and coassociativity checks derive from them.
+    Delta(1) flag of the bimodule and coassociativity checks derive from them
+    (:func:`casimir_comult` records the flag when it builds Delta).
     """
 
     def __init__(self, algebra: AlgebraData, delta: Mat, counit: Vec | None = None):
@@ -596,22 +597,28 @@ def _from_delta_one(c: ComultData) -> bool:
 
 
 def casimir_comult(cas: CasimirElement) -> ComultData:
-    """Comultiplication Delta(x) = sum_i a_i (x) b_i x from a Casimir element.
+    """The Frobenius structure Delta(x) = X x of a Casimir element
+    X = sum_i a_i (x) b_i, with its counit from the d rows of
+    :func:`solve_counit` (None when there is none or check_algebra fails).
 
-    Raises PreconditionError (carrying the witness) when the Casimir identity
-    fails, since the construction is only coassociative and bimodule-linear
-    for genuine Casimir elements.
+    The columns X e_x are decided against e_x X as in :func:`check_casimir`,
+    which runs only for the witness that PreconditionError carries.  The result
+    records :func:`_from_delta_one` as check_algebra(a).passed: then
+    Delta(1) = X 1 = X by the unit law, Delta(e_j) = X e_j by construction,
+    and X e_j = e_j X was just checked.
     """
-    report = check_casimir(cas)
-    if not report.passed:
-        raise PreconditionError(
-            "element fails the Casimir identity", report.failures()[0].witness
-        )
     a = cas.algebra
     d = a.dim
-    by_q, _ = _tensor_factors(cas)
-    cols = [Vec.adopt(d * d, _casimir_times(a, by_q, j)) for j in range(d)]
-    return ComultData(a, Mat.from_columns(d * d, cols))
+    by_q, by_p = _tensor_factors(cas)
+    cols = [_casimir_times(a, by_q, x) for x in range(d)]  # X e_x = Delta(e_x)
+    if any(col != _times_casimir(a, by_p, x) for x, col in enumerate(cols)):
+        witness = check_casimir(cas).failures()[0].witness
+        raise PreconditionError("element fails the Casimir identity", witness)
+    decided = check_algebra(a).passed
+    delta = Mat.from_columns(d * d, [Vec.adopt(d * d, col) for col in cols])
+    c = ComultData(a, delta, _counit_rows(a, by_q) if decided else None)
+    c._from_delta_one = decided
+    return c
 
 
 def eps_tensor_id(c: ComultData, eps: Vec) -> Mat:
@@ -659,7 +666,12 @@ def solve_counit(c: ComultData) -> Vec | None:
     if not _from_delta_one(c):
         raise PreconditionError("Delta is not a bimodule map over a unital associative algebra")
     a = c.algebra
-    by_q, _ = _tensor_factors(CasimirElement(a, c.delta_of(a.unit)))
+    return _counit_rows(a, _tensor_factors(CasimirElement(a, c.delta_of(a.unit)))[0])
+
+
+def _counit_rows(a: AlgebraData, by_q: dict) -> Vec | None:
+    """The solution of (eps (x) id)X = 1, X given by ``by_q`` of
+    :func:`_tensor_factors`, or None; d rows, see :func:`solve_counit`."""
     sys_ = LinearSystem(a.dim)
     for k in range(a.dim):
         # coordinate k of (eps (x) id)X = 1; X has one term per (p, k)

@@ -289,21 +289,15 @@ def nsy_epsilon(p: NSYParams) -> Vec | None:
 
 
 def multiplication_table(p: NSYParams) -> list[list[str]]:
-    """Product table cells in canonical order; each cell a label or "0"."""
+    """Product table cells in canonical order; each cell a label or "0".
+    Every nonzero product of nsy_build is one basis element with
+    coefficient 1, so the cells are read off its monomial table."""
     alg = nsy_build(p)
-    table = []
-    for i in range(alg.dim):
-        row = []
-        for j in range(alg.dim):
-            prod = alg.basis_product(i, j)
-            items = prod.items()
-            if not items:
-                row.append("0")
-            else:
-                (k, v), = items
-                row.append(alg.labels[k] if v == ONE else f"{v}*{alg.labels[k]}")
-        table.append(row)
-    return table
+    table = alg.monomial_table()
+    return [
+        [alg.labels[row[j]] if j in row else "0" for j in range(alg.dim)]
+        for row in (table.get(i, {}) for i in range(alg.dim))
+    ]
 
 
 def sweep_params(nmax: int, lmax: int, mmax: int) -> list[NSYParams]:

@@ -53,7 +53,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import InputError, InternalConsistencyError
+from ..errors import InputError, InternalConsistencyError, PreconditionError
 from ..exactlin import (
     LinearSystem,
     Mat,
@@ -84,7 +84,6 @@ from ..finalg import (
     check_algebra,
     check_coassoc,
     counit_failures,
-    solve_counit,
 )
 
 __all__ = [
@@ -587,21 +586,22 @@ def _psi_solve(h: WeakHopfData, candidate: Vec) -> Vec | None:
 
 
 def frobenius_from_integral(h: WeakHopfData, lam: Vec) -> ComultData:
-    """Comultiplication Delta(x) = L_1 (x) S(L_2) x from a left integral L.
+    """Comultiplication Delta(x) = L_1 (x) S(L_2) x from a left integral L,
+    with its counit, which exists iff Psi_L is invertible.
 
     The tensor L_1 (x) S(L_2) is a Casimir element precisely when L is a left
-    integral, so the construction goes through the generic Casimir builder
-    (raising PreconditionError with a witness otherwise).  The counit slot is
-    filled by exact solving; it exists iff Psi_L is invertible.
+    integral, so the construction goes through :func:`casimir_comult`, which
+    raises PreconditionError with a witness otherwise; so does a failed
+    check_algebra.
     """
     d = h.dim
     cas_entries: dict[int, Fraction] = {}
     for p, q, v in h.comult_pairs_of(lam):
         addto(cas_entries, v, h.antipode.col_terms(q), p * d)
-    cas = CasimirElement(h.algebra, Vec.adopt(d * d, cas_entries))
-    comult = casimir_comult(cas)
-    eps = solve_counit(comult)
-    return ComultData(h.algebra, comult.delta, eps)
+    comult = casimir_comult(CasimirElement(h.algebra, Vec.adopt(d * d, cas_entries)))
+    if not check_algebra(h.algebra).passed:
+        raise PreconditionError("Delta is not a bimodule map over a unital associative algebra")
+    return comult
 
 
 # JSON: the finalg algebra fields plus "delta_wk", "epsilon_wk", "antipode";

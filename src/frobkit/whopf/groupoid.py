@@ -14,6 +14,7 @@ counit g -> 1, and antipode g -> g^{-1}.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ..errors import ConstructionError, InputError
@@ -172,9 +173,11 @@ def hopf_group_algebra(table: list[list[int]], labels: list[str] | None = None) 
     the groupoid algebra of the group as a one-object groupoid, so
     g -> g (x) g, eps = 1, S(g) = g^{-1}."""
     n = len(table)
-    _, inv = _group_of(table)
     if labels is None:
         labels = [f"g{k}" for k in range(n)]
+    if len(labels) != n:
+        raise InputError(f"expected {n} labels for the group elements, got {len(labels)}")
+    _, inv = _group_of(table)
     morphisms = [Morphism(name, 0, 0) for name in labels]
     compose = {(a, b): table[a][b] for a in range(n) for b in range(n)}
     return groupoid_algebra(GroupoidData([0], morphisms, compose, inv))
@@ -186,6 +189,9 @@ def _group_of(table) -> tuple[int, list[int]]:
     n = len(table)
     if any(len(table[g]) != n for g in range(n)):
         raise InputError("group table must be square")
+    for g, x in itertools.product(range(n), repeat=2):
+        if table[g][x] not in range(n):
+            raise InputError(f"group table entry {table[g][x]!r} at ({g}, {x}) is out of range")
     for ident in range(n):
         if all(table[ident][x] == x and table[x][ident] == x for x in range(n)):
             break

@@ -36,7 +36,6 @@ from ..exactlin import (
     Vec,
     addto,
     inverse,
-    solve_linear,
 )
 from ..finalg import (
     AlgebraData,
@@ -47,6 +46,7 @@ from ..finalg import (
 )
 from .core import (
     WeakHopfData,
+    _psi_solve,
     check_weak_hopf,
     epsilon_t,
     frobenius_from_integral,
@@ -365,17 +365,6 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
     return h
 
 
-def _dual_integral_of_l(q: QTGInput, lam_r: Vec) -> Vec:
-    """Solve lam(S(I_1)) S(I_2) = 1_L for lam, given a right integral I."""
-    gamma = q.L.antipode.matvec(lam_r)
-    lam = solve_linear(psi_map(q.L, gamma), q.L.unit)
-    if lam is None:
-        raise InternalConsistencyError(
-            "no solution for the dual integral of L; L is not Frobenius?"
-        )
-    return lam
-
-
 def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
     """The verified non-degenerate left integral pair (Ibar, lam_bar)."""
     if h is None:
@@ -384,7 +373,11 @@ def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
     dB, dL = B.dim, L.dim
     ti = _triple_index(q)
     lam_r = integral_space(L, "right").basis[0]
-    lam_dual = _dual_integral_of_l(q, lam_r)
+    lam_dual = _psi_solve(L, L.antipode.matvec(lam_r))  # lam(S(I_1)) S(I_2) = 1_L
+    if lam_dual is None:
+        raise InternalConsistencyError(
+            "no solution for the dual integral of L; L is not Frobenius?"
+        )
 
     basis_b = [Vec.basis(dB, k) for k in range(dB)]
     acc: dict[int, Fraction] = {}
@@ -413,8 +406,9 @@ def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
 
 
 def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
-    """Closed-form Frobenius comultiplication and counit, cross-checked
-    against the generic integral construction."""
+    """The Frobenius structure of Ibar, with the closed-form comultiplication
+    and counit checked equal to the generic integral construction, which is
+    returned."""
     if h is None:
         h = qtg_build(q)
     L, B = q.L, q.B
@@ -476,4 +470,4 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
         raise InternalConsistencyError(
             "closed-form counit disagrees with the solved counit"
         )
-    return ComultData(h.algebra, delta, lam_bar)
+    return generic

@@ -462,6 +462,24 @@ def test_malformed_input_exit_two_one_line(case, tmp_path, capsys):
     assert err.endswith("\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["groupoid", "--pair-objects", "2", "check"],
+        ["group", "--cyclic", "2", "frobenius"],
+        ["qtg", "--L", "trivial", "--B", "cyclic:2", "integrals"],
+        ["FILE", "check"],
+        ["check", "FILE"],
+    ],
+    ids=["groupoid", "group", "qtg", "file_op", "op_file"],
+)
+def test_whopf_one_extra_argument(argv, tmp_path, capsys):
+    path = str(tmp_path / "in.json")
+    argv = [path if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, "whopf", *argv, "extra")
+    assert (code, out, err) == (2, "", "error: unexpected arguments: extra\n")
+
+
 def test_groupoid_json_non_associative(tmp_path, capsys):
     """Associativity of groupoid JSON is decided by the weak Hopf check of
     its algebra, which names the failed axiom."""

@@ -198,8 +198,11 @@ def test_non_associative_algebra_is_not_decided_from_delta_one():
 
 @cache
 def casimir_space(name: str) -> list[Vec]:
+    return casimir_basis(base_comult(name).algebra)
+
+
+def casimir_basis(a: AlgebraData) -> list[Vec]:
     """Exact basis of {X : X e_x = e_x X for all x} in the tensor square."""
-    a = base_comult(name).algebra
     d = a.dim
     e = [Vec.basis(d, k) for k in range(d)]
     entries = []

@@ -163,7 +163,7 @@ def test_casimir_matrix_units():
     element = Vec(16, {(i * 2 + j) * 4 + (j * 2 + i): F(1) for i in range(2) for j in range(2)})
     cas = CasimirElement(m2, element)
     assert check_casimir(cas).passed
-    comult = casimir_comult(cas)
+    comult = ComultData(m2, casimir_comult(cas).delta)  # decided again, not as built
     assert check_coassoc(comult).passed
     assert check_bimodule(comult).passed
 

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobkit.errors import ConstructionError, InputError
+from frobkit.errors import ConstructionError, InputError, InternalConsistencyError
 from frobkit.exactlin import Mat, Vec, addto
 from frobkit.finalg import (
     AlgebraData,
     Classification,
+    ComultData,
     check_bimodule,
     check_coassoc,
     classify,
@@ -204,9 +205,9 @@ def test_right_integral_and_dual_of_kz2(qtg_instances):
     q = qtg_instances["kz2_kz2"]
     lam_r = integral_space(q.L, "right").basis[0]
     assert lam_r == Vec(2, {0: F(1), 1: F(1)})
-    from frobkit.whopf.qtg import _dual_integral_of_l
+    from frobkit.whopf.core import _psi_solve
 
-    lam = _dual_integral_of_l(q, lam_r)
+    lam = _psi_solve(q.L, q.L.antipode.matvec(lam_r))  # lam(S(I_1)) S(I_2) = 1
     assert lam == Vec(2, {0: F(1)})
 
 
@@ -218,7 +219,29 @@ def test_qtg_frobenius_matches_generic(qtg_instances, qtg_built):
         generic = frobenius_from_integral(h, ibar)
         assert generic.delta == comult.delta, name
         assert generic.counit == comult.counit == lam_bar, name
-        assert classify(comult) is Classification.FROBENIUS, name
+        # decided again on a fresh ComultData, not as built
+        assert classify(ComultData(h.algebra, comult.delta)) is Classification.FROBENIUS, name
+
+
+@pytest.mark.parametrize("field", ["delta", "counit"])
+def test_qtg_frobenius_rejects_a_differing_generic_structure(
+    field, qtg_instances, qtg_built, monkeypatch
+):
+    """qtg_frobenius returns the generic structure only after checking it
+    equal to the closed form: a generic Delta or counit scaled by 2 raises."""
+    from frobkit.whopf import qtg as qtg_mod
+
+    generic = qtg_mod.frobenius_from_integral
+
+    def scaled(h, lam):
+        c = generic(h, lam)
+        if field == "delta":
+            return ComultData(h.algebra, c.delta.scale(2), c.counit)
+        return ComultData(h.algebra, c.delta, c.counit.scale(2))
+
+    monkeypatch.setattr(qtg_mod, "frobenius_from_integral", scaled)
+    with pytest.raises(InternalConsistencyError, match="closed-form"):
+        qtg_frobenius(qtg_instances["kz2_kz2"], qtg_built["kz2_kz2"])
 
 
 def test_qtg_frobenius_closed_form_mat2(qtg_instances, qtg_built):
@@ -256,8 +279,9 @@ def test_qtg_counit_and_bimodule_identities_mat2(qtg_instances, qtg_built):
     ident = Mat.identity(h.dim)
     assert eps_tensor_id(comult, comult.counit) == ident
     assert id_tensor_eps(comult, comult.counit) == ident
-    assert check_coassoc(comult).passed
-    assert check_bimodule(comult).passed
+    fresh = ComultData(h.algebra, comult.delta)
+    assert check_coassoc(fresh).passed
+    assert check_bimodule(fresh).passed
     # eps(a (x) b) = w(a) w(b)
     for a in range(q.B.dim):
         for b in range(q.B.dim):
@@ -273,7 +297,7 @@ def test_qtg_nontrivial_automorphism_action():
     assert h.dim == 18
     assert check_weak_hopf(h).passed
     comult = qtg_frobenius(q, h)
-    assert classify(comult) is Classification.FROBENIUS
+    assert classify(ComultData(h.algebra, comult.delta)) is Classification.FROBENIUS
 
 
 def _one_dim_weak_hopf(square: Vec) -> WeakHopfData:

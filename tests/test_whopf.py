@@ -8,7 +8,7 @@ import pytest
 
 from frobkit.errors import ConstructionError, InputError, PreconditionError
 from frobkit.exactlin import LinearSystem, Vec, is_invertible
-from frobkit.finalg import check_bimodule, check_coassoc
+from frobkit.finalg import ComultData, check_bimodule, check_coassoc
 from frobkit.whopf import (
     GroupoidData,
     Morphism,
@@ -34,6 +34,7 @@ from frobkit.whopf import (
     phi_map,
     phi_prime_map,
     psi_map,
+    separable_group_algebra,
     source_subalgebra_basis,
     target_subalgebra_basis,
     trivial_hopf,
@@ -156,6 +157,26 @@ def test_group_algebra_rejects_bad_tables(table):
 def test_groupoid_rejects_non_square_table(build, table):
     with pytest.raises(InputError, match="group table must be square"):
         build(table)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda t: connected_groupoid(1, t),
+        hopf_group_algebra,
+        separable_group_algebra,
+    ],
+    ids=["connected", "hopf_group_algebra", "separable_group_algebra"],
+)
+def test_group_table_entry_out_of_range(build):
+    """Identity 0 and inverses exist, but the entry at (2, 2) is 7."""
+    with pytest.raises(InputError, match=r"group table entry 7 at \(2, 2\) is out of range"):
+        build([[0, 1, 2], [1, 2, 0], [2, 0, 7]])
+
+
+def test_group_algebra_rejects_wrong_label_count():
+    with pytest.raises(InputError, match="expected 2 labels for the group elements, got 1"):
+        hopf_group_algebra(cyclic_group_table(2), ["a"])
 
 
 WHOPF_EXPORTS = {
@@ -397,8 +418,9 @@ def test_frobenius_from_integral_groupoid_golden(groupoid_fixtures):
                 expected = expected + Vec(n * n, {hh * n + prod: F(1)})
         assert comult.delta.col(x) == expected
     assert comult.counit == identity_indicator(g)
-    assert check_coassoc(comult).passed
-    assert check_bimodule(comult).passed
+    fresh = ComultData(h.algebra, comult.delta)  # decided again, not as built
+    assert check_coassoc(fresh).passed
+    assert check_bimodule(fresh).passed
 
 
 def test_frobenius_from_integral_rejects_non_integral(groupoid_fixtures):
@@ -422,8 +444,9 @@ def test_counit_exists_iff_psi_invertible(groupoid_algebras, hopf_group_algebras
     for h in list(groupoid_algebras.values()) + list(hopf_group_algebras.values()):
         for lam in integral_space(h, "left").basis:
             comult = frobenius_from_integral(h, lam)
-            assert check_coassoc(comult).passed
-            assert check_bimodule(comult).passed
+            fresh = ComultData(h.algebra, comult.delta)
+            assert check_coassoc(fresh).passed
+            assert check_bimodule(fresh).passed
             assert (comult.counit is not None) == is_invertible(psi_map(h, lam))
 
 
