@@ -415,6 +415,8 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
             raise InputError("qtg needs --B matrix:D or --B cyclic:N")
         lkind, lnum = _parse_source_token(l_raw, ("trivial", "cyclic"))
         if lkind == "trivial":
+            if lnum is not None:
+                raise InputError(f"--L {l_raw!r} takes no size; use --L trivial")
             L = trivial_hopf()
         else:
             L = hopf_group_algebra(cyclic_group_table(1 if lnum is None else lnum))

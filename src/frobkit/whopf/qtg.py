@@ -22,17 +22,21 @@ comultiplication has the closed form
                            (x) [e2 (x) S^2(I_2) (x) e'2]
 
 with counit w(a) lam(l) w(b), and must agree with the generic construction.
+
+qtg_build assembles the product from three factor tables computed once,
+(a' <| S(l_1)) a, l_2 l'_1 and (b <| l'_2) b', and Delta from one Delta^2(l)
+per basis element l of L; check_weak_hopf still verifies the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from ..errors import ConstructionError, InputError, InternalConsistencyError
 from ..exactlin import (
     Mat,
     ONE,
-    TensorIndex,
     Vec,
     addto,
     inverse,
@@ -137,6 +141,9 @@ def automorphism_action(
     """
     if len(perms) != l.dim:
         raise InputError("need one basis permutation per group element")
+    for g, perm in enumerate(perms):
+        if len(perm) != b.dim or set(perm) != set(range(b.dim)):
+            raise InputError(f"perms[{g}] is not a permutation of range({b.dim})")
     table = l.algebra.monomial_table()
     if table is None or len(table) != l.dim or any(len(row) != l.dim for row in table.values()):
         raise InputError("automorphism_action needs a group-algebra L")
@@ -265,10 +272,6 @@ class QTGInput:
                 )
 
 
-def _triple_index(q: QTGInput) -> TensorIndex:
-    return TensorIndex((q.B.dim, q.L.dim, q.B.dim))
-
-
 def _add_tensor3(acc: dict, coeff, q: QTGInput, first: Vec, mid: Vec, last: Vec) -> dict:
     """acc += coeff * first (x) mid (x) last over B^op (x) L (x) B."""
     dL, dB = q.L.dim, q.B.dim
@@ -280,80 +283,66 @@ def _add_tensor3(acc: dict, coeff, q: QTGInput, first: Vec, mid: Vec, last: Vec)
 
 def _tensor3(q: QTGInput, first: Vec, mid: Vec, last: Vec) -> Vec:
     """first (x) mid (x) last as a vector over B^op (x) L (x) B."""
-    return Vec.adopt(_triple_index(q).size, _add_tensor3({}, 1, q, first, mid, last))
+    return Vec.adopt(q.B.dim * q.L.dim * q.B.dim, _add_tensor3({}, 1, q, first, mid, last))
 
 
 def qtg_build(q: QTGInput) -> WeakHopfData:
-    """Assemble the weak Hopf algebra on B^op (x) L (x) B and verify it."""
+    """Assemble the weak Hopf algebra on B^op (x) L (x) B and verify it.  The
+    product's factors are term tuples tabulated once: firsts[a2][u][a1] =
+    (a2 <| S(u)) a1, mids[u][v] = u v and lasts[b1][v][b2] = (b1 <| v) b2."""
     L, B = q.L, q.B
     dB, dL = B.dim, L.dim
-    ti = _triple_index(q)
-    dim = ti.size
-    labels = [
-        f"{B.labels[a]}(x){L.algebra.labels[l]}(x){B.labels[b]}"
-        for a in range(dB)
-        for l in range(dL)
-        for b in range(dB)
-    ]
+    dim = dB * dL * dB
+    triples = list(product(range(dB), range(dL), range(dB)))  # flat (a*dL + l)*dB + b
+    labels = [f"{B.labels[a]}(x){L.algebra.labels[l]}(x){B.labels[b]}" for a, l, b in triples]
     basis_b = [Vec.basis(dB, k) for k in range(dB)]
     s_cols = [L.antipode.col(j) for j in range(dL)]
-    # b <| S(e_u) and b <| e_v, each computed once
-    act_s = [[q.act(basis_b[b], s_cols[u]) for u in range(dL)] for b in range(dB)]
-    act_e = [[q.action.col(b * dL + v) for v in range(dL)] for b in range(dB)]
+    act_s = [[q.act(basis_b[b], s_cols[u]) for u in range(dL)] for b in range(dB)]  # b <| S(e_u)
+    firsts = [[[tuple(B.mul(act_s[a2][u], basis_b[a1]).terms()) for a1 in range(dB)]
+               for u in range(dL)] for a2 in range(dB)]
+    mids = [[tuple(L.algebra.basis_product(u, v).terms()) for v in range(dL)] for u in range(dL)]
+    lasts = [[[tuple(B.mul(q.action.col(b1 * dL + v), basis_b[b2]).terms()) for b2 in range(dB)]
+              for v in range(dL)] for b1 in range(dB)]
+    comult_pairs = [L.comult_pairs(l) for l in range(dL)]
 
     mult = {}
-    for p1 in range(dim):
-        a1, l1, b1 = ti.unflatten(p1)
-        l1_pairs = L.comult_pairs(l1)
-        for p2 in range(dim):
-            a2, l2, b2 = ti.unflatten(p2)
+    for p1, (a1, l1, b1) in enumerate(triples):
+        for p2, (a2, l2, b2) in enumerate(triples):
             acc: dict[int, Fraction] = {}
-            for u1, u2, c1 in l1_pairs:
-                first = B.mul(act_s[a2][u1], basis_b[a1])
-                if first.is_zero():
+            for u1, u2, c1 in comult_pairs[l1]:
+                first = firsts[a2][u1][a1]
+                if not first:
                     continue
-                for v1, v2, c2 in L.comult_pairs(l2):
-                    mid = L.algebra.basis_product(u2, v1)
-                    if mid.is_zero():
+                for v1, v2, c2 in comult_pairs[l2]:
+                    last = lasts[b1][v2][b2]
+                    if not last:
                         continue
-                    last = B.mul(act_e[b1][v2], basis_b[b2])
-                    if last.is_zero():
-                        continue
-                    _add_tensor3(acc, c1 * c2, q, first, mid, last)
+                    for a, ca in first:
+                        for l, cl in mids[u2][v1]:
+                            addto(acc, c1 * c2 * ca * cl, last, (a * dL + l) * dB)
             if acc:
                 mult[(p1, p2)] = Vec.adopt(dim, acc)
     unit = _tensor3(q, B.unit, L.unit, B.unit)
     algebra = AlgebraData(dim, labels, mult, unit)
 
+    # Delta, eps and S in one pass over the columns (a, l, b)
     e_pairs = q.e_pairs()
-    delta_entries = []
-    for col in range(dim):
-        a, l, b = ti.unflatten(col)
-        for key, c in iterated_comult(L, Vec.basis(dL, l), 3).items():
-            u1, u2, u3 = key
+    delta2 = [iterated_comult(L, Vec.basis(dL, l), 3).items() for l in range(dL)]  # Delta^2(e_l)
+    s_inv_cols = [q.s_inv.col(l) for l in range(dL)]
+    delta_entries, eps_entries, antipode_entries = [], [], []
+    for col, (a, l, b) in enumerate(triples):
+        for (u1, u2, u3), c in delta2[l]:
             for p, qq, ce in e_pairs:
-                left = ti.flatten((a, u1, p))
+                left = ((a * dL + u1) * dB + p) * dim
                 for bp, cb in act_s[qq][u2].items():
-                    right = ti.flatten((bp, u3, b))
-                    delta_entries.append(
-                        (left * dim + right, col, c * ce * cb)
-                    )
-    delta = Mat(dim * dim, dim, delta_entries)
-
-    eps_entries = []
-    for col in range(dim):
-        a, l, b = ti.unflatten(col)
-        acted = q.act(basis_b[b], q.s_inv.col(l))
-        val = q.omega.dot(B.mul(basis_b[a], acted))
+                    delta_entries.append((left + (bp * dL + u3) * dB + b, col, ce * (c * cb)))
+        val = q.omega.dot(B.mul(basis_b[a], q.act(basis_b[b], s_inv_cols[l])))
         if val:
             eps_entries.append((col, val))
-    epsilon = Vec(dim, eps_entries)
-
-    antipode_entries = []
-    for col in range(dim):
-        a, l, b = ti.unflatten(col)
         for lk, cv in s_cols[l].items():
-            antipode_entries.append((ti.flatten((b, lk, a)), col, cv))
+            antipode_entries.append(((b * dL + lk) * dB + a, col, cv))
+    delta = Mat(dim * dim, dim, delta_entries)
+    epsilon = Vec(dim, eps_entries)
     antipode = Mat(dim, dim, antipode_entries)
 
     h = WeakHopfData(algebra, delta, epsilon, antipode)
@@ -369,10 +358,13 @@ def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
     """The verified non-degenerate left integral pair (Ibar, lam_bar)."""
     if h is None:
         h = qtg_build(q)
+    return _integral_pair(q, h, integral_space(q.L, "right").basis[0])
+
+
+def _integral_pair(q: QTGInput, h: WeakHopfData, lam_r: Vec) -> tuple[Vec, Vec]:
+    """qtg_integral from the right integral lam_r of L."""
     L, B = q.L, q.B
     dB, dL = B.dim, L.dim
-    ti = _triple_index(q)
-    lam_r = integral_space(L, "right").basis[0]
     lam_dual = _psi_solve(L, L.antipode.matvec(lam_r))  # lam(S(I_1)) S(I_2) = 1_L
     if lam_dual is None:
         raise InternalConsistencyError(
@@ -386,7 +378,7 @@ def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
         for p, qq, ce in q.e_pairs():
             first = q.act(basis_b[p], Vec.basis(dL, u1))
             _add_tensor3(acc, c * ce, q, first, s_u2, basis_b[qq])
-    ibar = Vec.adopt(ti.size, acc)
+    ibar = Vec.adopt(h.dim, acc)
 
     lam_bar = _tensor3(q, q.omega, lam_dual, q.omega)
 
@@ -413,10 +405,9 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
         h = qtg_build(q)
     L, B = q.L, q.B
     dB, dL = B.dim, L.dim
-    ti = _triple_index(q)
-    dim = ti.size
+    dim = h.dim
     lam_r = integral_space(L, "right").basis[0]
-    ibar, lam_bar = qtg_integral(q, h)
+    ibar, lam_bar = _integral_pair(q, h, lam_r)
 
     basis_b = [Vec.basis(dB, k) for k in range(dB)]
     s = L.antipode
@@ -430,8 +421,7 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
     thirds: dict[tuple[int, int, int], Vec] = {}  # (b, p2, i3): b e'1 <| S(I_3)
     rights: dict[tuple[int, int, int], Vec] = {}  # (qq, i2, q2): e2 (x) S^2(I_2) (x) e'2
     entries = []
-    for col in range(dim):
-        a, l, b = ti.unflatten(col)
+    for col, (a, l, b) in enumerate(product(range(dB), range(dL), range(dB))):
         for (i1, i2, i3, i4), ci in quad.items():
             for u1, u2, cl in L.comult_pairs(l):
                 # (e1 <| I_1 S(l_1)) a  (x)  l_2 S(I_4)  (x)  (b e'1 <| S(I_3))

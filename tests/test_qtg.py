@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobkit.errors import ConstructionError, InputError, InternalConsistencyError
-from frobkit.exactlin import Mat, Vec, addto
+from frobkit.exactlin import Mat, TensorIndex, Vec, addto
 from frobkit.finalg import (
     AlgebraData,
     Classification,
@@ -31,6 +31,7 @@ from frobkit.whopf import (
     hopf_group_algebra,
     integral_space,
     is_hopf,
+    iterated_comult,
     pair_groupoid,
     psi_map,
     qtg_build,
@@ -429,3 +430,157 @@ def test_qtg_build_output_is_pinned(L_token, B_token, digest):
     h = qtg_build(QTGInput(L, B, e, omega, trivial_action(B, L)))
     text = weak_hopf_to_json_str(h)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _separable_b(token: str):
+    kind, size = token.split(":")
+    if kind == "matrix":
+        return separable_matrix_algebra(int(size))
+    return separable_group_algebra(cyclic_group_table(int(size)))
+
+
+def _trivial_action_input(L_token: str, B_token: str) -> QTGInput:
+    L = trivial_hopf()
+    if L_token != "trivial":
+        L = hopf_group_algebra(cyclic_group_table(int(L_token.split(":")[1])))
+    B, e, omega = _separable_b(B_token)
+    return QTGInput(L, B, e, omega, trivial_action(B, L))
+
+
+# (order of the cyclic L, B, basis permutation of each group element) and the
+# sha256 of weak_hopf_to_json_str(qtg_build(...)), recorded before qtg_build
+# assembled the product from factor tables
+AUTOMORPHISM_ACTIONS = [
+    (2, "cyclic:3", [[0, 1, 2], [0, 2, 1]],
+     "9a36e7853905ec2441946219bc568ad2efc8f91984ee87dc2bcc6abdff41ea0d"),
+    (2, "cyclic:4", [[0, 1, 2, 3], [0, 3, 2, 1]],
+     "2d81916c577e84353b3593e8dbb7cd9763514c319fd50123a0e8396d225cd58e"),
+    (2, "cyclic:5", [[0, 1, 2, 3, 4], [0, 4, 3, 2, 1]],
+     "52552a2d0e1a52b56e2a8eabab9862099af7a13d1652e9d30b940a1472c3306a"),
+    (2, "matrix:2", [[0, 1, 2, 3], [3, 2, 1, 0]],
+     "20bb9a98267d1314bca90d1eff9d88693ba813726d7b75209935257a4bf7a8a7"),
+    (4, "cyclic:5", [[0, 1, 2, 3, 4], [0, 2, 4, 1, 3], [0, 4, 3, 2, 1], [0, 3, 1, 4, 2]],
+     "14aeea78bf8faac161cdfa3dd22bbc8f461dc93bd8e0410861085894b7775382"),
+]
+AUTOMORPHISM_IDS = [f"Z{n}_on_{b.replace(':', '')}" for n, b, _, _ in AUTOMORPHISM_ACTIONS]
+
+
+def _automorphism_input(order: int, B_token: str, perms) -> QTGInput:
+    L = hopf_group_algebra(cyclic_group_table(order))
+    B, e, omega = _separable_b(B_token)
+    return QTGInput(L, B, e, omega, automorphism_action(B, L, perms))
+
+
+@pytest.mark.parametrize("order, B_token, perms, digest", AUTOMORPHISM_ACTIONS, ids=AUTOMORPHISM_IDS)
+def test_qtg_build_automorphism_output_is_pinned(order, B_token, perms, digest):
+    h = qtg_build(_automorphism_input(order, B_token, perms))
+    text = weak_hopf_to_json_str(h)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _per_pair_reference(q: QTGInput):
+    """The structure maps of qtg_build as it assembled them before its factor
+    tables: every basis pair recomputes its three factors."""
+    L, B = q.L, q.B
+    dB, dL = B.dim, L.dim
+    ti = TensorIndex((dB, dL, dB))
+    dim = ti.size
+
+    def add_tensor3(acc, coeff, first, mid, last):
+        for a, ca in first.terms():
+            for l, cl in mid.terms():
+                addto(acc, coeff * ca * cl, last.terms(), (a * dL + l) * dB)
+        return acc
+
+    basis_b = [Vec.basis(dB, k) for k in range(dB)]
+    s_cols = [L.antipode.col(j) for j in range(dL)]
+    act_s = [[q.act(basis_b[b], s_cols[u]) for u in range(dL)] for b in range(dB)]
+    act_e = [[q.action.col(b * dL + v) for v in range(dL)] for b in range(dB)]
+
+    mult = {}
+    for p1 in range(dim):
+        a1, l1, b1 = ti.unflatten(p1)
+        l1_pairs = L.comult_pairs(l1)
+        for p2 in range(dim):
+            a2, l2, b2 = ti.unflatten(p2)
+            acc = {}
+            for u1, u2, c1 in l1_pairs:
+                first = B.mul(act_s[a2][u1], basis_b[a1])
+                if first.is_zero():
+                    continue
+                for v1, v2, c2 in L.comult_pairs(l2):
+                    mid = L.algebra.basis_product(u2, v1)
+                    if mid.is_zero():
+                        continue
+                    last = B.mul(act_e[b1][v2], basis_b[b2])
+                    if last.is_zero():
+                        continue
+                    add_tensor3(acc, c1 * c2, first, mid, last)
+            if acc:
+                mult[(p1, p2)] = Vec.adopt(dim, acc)
+
+    e_pairs = q.e_pairs()
+    delta_entries = []
+    for col in range(dim):
+        a, l, b = ti.unflatten(col)
+        for key, c in iterated_comult(L, Vec.basis(dL, l), 3).items():
+            u1, u2, u3 = key
+            for p, qq, ce in e_pairs:
+                left = ti.flatten((a, u1, p))
+                for bp, cb in act_s[qq][u2].items():
+                    right = ti.flatten((bp, u3, b))
+                    delta_entries.append((left * dim + right, col, c * ce * cb))
+    delta = Mat(dim * dim, dim, delta_entries)
+
+    eps_entries = []
+    for col in range(dim):
+        a, l, b = ti.unflatten(col)
+        acted = q.act(basis_b[b], q.s_inv.col(l))
+        val = q.omega.dot(B.mul(basis_b[a], acted))
+        if val:
+            eps_entries.append((col, val))
+    epsilon = Vec(dim, eps_entries)
+
+    antipode_entries = []
+    for col in range(dim):
+        a, l, b = ti.unflatten(col)
+        for lk, cv in s_cols[l].items():
+            antipode_entries.append((ti.flatten((b, lk, a)), col, cv))
+    antipode = Mat(dim, dim, antipode_entries)
+    return mult, delta, epsilon, antipode
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        *(pytest.param(_trivial_action_input, (L_token, B_token), id=f"{L_token}-{B_token}")
+          for L_token, B_token, _ in QTG_BUILD_DIGESTS),
+        *(pytest.param(_automorphism_input, (order, B_token, perms), id=name)
+          for (order, B_token, perms, _), name in zip(AUTOMORPHISM_ACTIONS, AUTOMORPHISM_IDS)),
+    ],
+)
+def test_qtg_build_matches_per_pair_reference(make, args):
+    q = make(*args)
+    h = qtg_build(q)
+    mult, delta, epsilon, antipode = _per_pair_reference(q)
+    assert h.algebra.mult == mult
+    assert h.delta_wk == delta
+    assert h.epsilon_wk == epsilon
+    assert h.antipode == antipode
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        pytest.param([[0, 1, 2], [0, 2]], id="short"),
+        pytest.param([[0, 1, 2, 3], [0, 2, 1, 3]], id="long"),
+        pytest.param([[0, 1, 2], [0, 1, 1]], id="repeated"),
+        pytest.param([[0, 1, 2], [0, 2, 3]], id="out_of_range"),
+        pytest.param([[0, 1, 2], [-1, 1, 2]], id="negative"),
+    ],
+)
+def test_automorphism_action_rejects_non_permutations(perms):
+    L = hopf_group_algebra(cyclic_group_table(2))
+    B, _, _ = separable_group_algebra(cyclic_group_table(3))
+    with pytest.raises(InputError, match="not a permutation of range"):
+        automorphism_action(B, L, perms)
