@@ -396,8 +396,9 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
             return groupoid_algebra(pair_groupoid(k)), None, f"pair groupoid on {k} objects"
         k = _int_flag(flags, "--objects")
         grp = flags.get("--group", "cyclic:1")
-        kind, num = _parse_source_token(grp, ("cyclic",))
-        order = 1 if num is None else num
+        kind, order = _parse_source_token(grp, ("cyclic",))
+        if order is None:
+            raise InputError(f"--group {grp!r} needs a size, e.g. cyclic:2")
         return (
             groupoid_algebra(connected_groupoid(k, cyclic_group_table(order))),
             None,
@@ -418,8 +419,10 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
             if lnum is not None:
                 raise InputError(f"--L {l_raw!r} takes no size; use --L trivial")
             L = trivial_hopf()
+        elif lnum is None:
+            raise InputError(f"--L {l_raw!r} needs a size, e.g. cyclic:2")
         else:
-            L = hopf_group_algebra(cyclic_group_table(1 if lnum is None else lnum))
+            L = hopf_group_algebra(cyclic_group_table(lnum))
         bkind, bnum = _parse_source_token(b_raw, ("matrix", "cyclic"))
         if bnum is None:
             raise InputError(f"--B {b_raw!r} needs a size, e.g. matrix:2")

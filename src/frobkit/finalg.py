@@ -27,7 +27,10 @@ the associativity check of a monomial table, the Delta(1) e_x and e_x Delta(1)
 products (Casimir check, casimir_comult, the Delta(1) test above) and the
 pairs the bimodule scan visits.  The associativity walk only decides; when it
 fails, the full triple scan runs and gives the witness, as the pairwise
-bimodule and coassociativity scans do for theirs.
+bimodule and coassociativity scans do for theirs.  The unit laws are read off
+the same index: 1 e_k and e_k 1 for every k come from one pass over the
+products with a factor in the unit's support, and are compared in ascending
+k, so the first witness of each law is the one a scan over k would give.
 
 The counit is solved from X = Delta(1) too.  For a bimodule Delta,
 (eps (x) id)Delta(e_j) = ((eps (x) id)X) e_j and (id (x) eps)Delta(e_j) =
@@ -358,16 +361,23 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
                 break
     checks.append(CheckResult("associativity", assoc_witness is None, assoc_witness))
 
+    by_right, by_left = a.product_index()
+    left: dict[int, dict] = {}
+    right: dict[int, dict] = {}
+    for q, u in a.unit.terms():
+        for k in by_left[q]:
+            addto(left.setdefault(k, {}), u, a.mult[(q, k)].terms())
+        for k in by_right[q]:
+            addto(right.setdefault(k, {}), u, a.mult[(k, q)].terms())
     left_witness = None
     right_witness = None
     for k in range(d):
-        ek = Vec.basis(d, k)
-        lhs = a.mul(a.unit, ek)
+        ek = {k: ONE}
+        lhs, rhs = left.get(k, {}), right.get(k, {})
         if left_witness is None and lhs != ek:
-            left_witness = Witness((k,), lhs, ek, "1 * e_k != e_k")
-        rhs = a.mul(ek, a.unit)
+            left_witness = Witness((k,), Vec.adopt(d, lhs), Vec.adopt(d, ek), "1 * e_k != e_k")
         if right_witness is None and rhs != ek:
-            right_witness = Witness((k,), rhs, ek, "e_k * 1 != e_k")
+            right_witness = Witness((k,), Vec.adopt(d, rhs), Vec.adopt(d, ek), "e_k * 1 != e_k")
     checks.append(CheckResult("unit_left", left_witness is None, left_witness))
     checks.append(CheckResult("unit_right", right_witness is None, right_witness))
     return VerificationReport(tuple(checks))

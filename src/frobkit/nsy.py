@@ -13,6 +13,12 @@ closed product formula (nsy_build) and explicit endomorphism matrices on the
 path basis composed and re-expanded in the X basis (nsy_build_oracle).  They
 must agree constant-by-constant.
 
+The basis is ordered lexicographically in (i, j, r, s), so the X[i,j] form
+one m_i x m_{i+j} block each: with off[i][j] the position of X[i,j]^(0,0),
+X[i,j]^(r,s) sits at off[i][j] + r*m_{i+j} + s.  nsy_build and nsy_delta
+write every position from these offsets, and nsy_build visits only the
+nonzero products, never all d^2 basis pairs.
+
 The comultiplication makes every such algebra non-counital Frobenius; a counit
 exists exactly when m_i = m_{(i + ell - 1) % n} for all i, in which case it is
 eps(X[i,j]^(r,s)) = [j == ell-1][r == s].
@@ -88,15 +94,22 @@ class PathBasisIndex(NamedTuple):
     r: int  # copy index at vertex i
 
 
+def _layout(p: NSYParams) -> tuple[list[list[int]], list[NSYBasisIndex]]:
+    """The block offsets ``off[i][j]``, the positions of X[i,j]^(0,0), and
+    the basis in canonical order: X[i,j]^(r,s) is at off[i][j] + r*m_{i+j} + s."""
+    off, basis = [], []
+    for i in range(p.n):
+        off.append([])
+        for j in range(p.ell):
+            off[i].append(len(basis))
+            mt = p.mult_at(i + j)
+            basis += [NSYBasisIndex(i, j, r, s) for r in range(p.mults[i]) for s in range(mt)]
+    return off, basis
+
+
 def basis_indices(p: NSYParams) -> list[NSYBasisIndex]:
     """All basis labels in the canonical lexicographic (i, j, r, s) order."""
-    out = []
-    for i in range(p.n):
-        for j in range(p.ell):
-            for r in range(p.mults[i]):
-                for s in range(p.mult_at(i + j)):
-                    out.append(NSYBasisIndex(i, j, r, s))
-    return out
+    return _layout(p)[1]
 
 
 def basis_label(idx: NSYBasisIndex) -> str:
@@ -120,36 +133,30 @@ def is_frobenius(p: NSYParams) -> bool:
     return all(p.mults[i] == p.mult_at(i + p.ell - 1) for i in range(p.n))
 
 
-def _position_map(p: NSYParams) -> tuple[list[NSYBasisIndex], dict[NSYBasisIndex, int]]:
-    basis = basis_indices(p)
-    return basis, {idx: pos for pos, idx in enumerate(basis)}
-
-
 def nsy_build(p: NSYParams) -> AlgebraData:
     """Structure constants from the closed product formula.
 
     X[i,j]^(r,s) * X[a,b]^(r',s') = X[i,j+b]^(r,s') when a = i+j (mod n),
     r' = s and j+b < ell, and 0 otherwise.  The unit is the sum of all
     X[i,0]^(r,r).
+
+    Only the nonzero products are visited: for x = X[i,j]^(r,s) they are
+    y = X[i+j,b]^(s,s') with b < ell-j, read off the block offsets of
+    ``_layout`` in ascending position of x, then of y.  Every product is a
+    basis element, and the d basis vectors are shared between them.
     """
-    basis, pos = _position_map(p)
-    dim = len(basis)
+    off, basis = _layout(p)
+    dim, m, n = len(basis), p.mults, p.n
+    e = [Vec.adopt(dim, {k: ONE}) for k in range(dim)]
     mult = {}
-    for p1, x in enumerate(basis):
-        end = (x.i + x.j) % p.n
-        for p2, y in enumerate(basis):
-            if y.i != end or y.r != x.s or x.j + y.j >= p.ell:
-                continue
-            target = NSYBasisIndex(x.i, x.j + y.j, x.r, y.s)
-            mult[(p1, p2)] = Vec.basis(dim, pos[target])
-    unit = Vec(
-        dim,
-        [
-            (pos[NSYBasisIndex(i, 0, r, r)], ONE)
-            for i in range(p.n)
-            for r in range(p.mults[i])
-        ],
-    )
+    for p1, (i, j, r, s) in enumerate(basis):
+        a = (i + j) % n
+        for b in range(p.ell - j):
+            mb = m[(a + b) % n]  # copies s' of y, and of the product
+            y, xy = off[a][b] + s * mb, off[i][j + b] + r * mb
+            for t in range(mb):
+                mult[(p1, y + t)] = e[xy + t]
+    unit = Vec.adopt(dim, {off[i][0] + r * m[i] + r: ONE for i in range(n) for r in range(m[i])})
     return AlgebraData(dim, [basis_label(b) for b in basis], mult, unit)
 
 
@@ -187,7 +194,7 @@ def nsy_build_oracle(p: NSYParams) -> AlgebraData:
     entry at (path(i,j,r), path(i+j,0,s)), which makes the expansion a direct
     coefficient read-off; the re-expansion is then verified entry by entry.
     """
-    basis, xpos = _position_map(p)
+    basis = sorted(basis_indices(p))  # lexicographic, independent of _layout
     dim = len(basis)
     ppos = {idx: k for k, idx in enumerate(path_basis(p))}
     mats = [endomorphism_matrix(p, idx, ppos) for idx in basis]
@@ -231,39 +238,51 @@ def delta_terms(
     t' over the copies at vertex i+j+k-ell+1; when those two multiplicities
     are equal only the diagonal t = t' survives, otherwise all pairs appear.
     """
-    terms = []
-    for k in range(p.ell - idx.j):
-        u = (idx.i + idx.j + k) % p.n
-        v = (idx.i + idx.j + k - p.ell + 1) % p.n
-        left_len = idx.j + k
-        right_len = p.ell - 1 - k
-        if p.mults[u] == p.mults[v]:
-            pairs = [(t, t) for t in range(p.mults[u])]
+    i, j, r, s = idx
+    return [
+        (NSYBasisIndex(i, jl, r, t), NSYBasisIndex(v, jr, t2, s))
+        for jl, v, jr, pairs in _delta_blocks(p, i, j)
+        for t, t2 in pairs
+    ]
+
+
+def _delta_blocks(p: NSYParams, i: int, j: int):
+    """The terms of Delta(X[i,j]^(r,s)) by k, as the path lengths j+k and
+    ell-1-k, the right start vertex v and the copy pairs (t, t'); these do
+    not depend on (r, s)."""
+    m, n, ell = p.mults, p.n, p.ell
+    for k in range(ell - j):
+        u, v = (i + j + k) % n, (i + j + k - ell + 1) % n
+        if m[u] == m[v]:
+            pairs = [(t, t) for t in range(m[u])]
         else:
-            pairs = [
-                (t, t2) for t in range(p.mults[u]) for t2 in range(p.mults[v])
-            ]
-        for t, t2 in pairs:
-            terms.append(
-                (
-                    NSYBasisIndex(idx.i, left_len, idx.r, t),
-                    NSYBasisIndex(v, right_len, t2, idx.s),
-                )
-            )
-    return terms
+            pairs = [(t, t2) for t in range(m[u]) for t2 in range(m[v])]
+        yield j + k, v, ell - 1 - k, pairs
 
 
 def nsy_delta(p: NSYParams, algebra: AlgebraData | None = None) -> ComultData:
-    """The non-counital Frobenius comultiplication; counit left empty."""
+    """The non-counital Frobenius comultiplication; counit left empty.
+
+    Column X[i,j]^(r,s) holds the terms of :func:`delta_terms` in order, at
+    rows written from the block offsets of ``_layout``, each with coefficient 1.
+    """
     if algebra is None:
         algebra = nsy_build(p)
-    basis, pos = _position_map(p)
-    dim = len(basis)
-    entries = []
-    for col, idx in enumerate(basis):
-        for left, right in delta_terms(p, idx):
-            entries.append((pos[left] * dim + pos[right], col, ONE))
-    return ComultData(algebra, Mat(dim * dim, dim, entries))
+    off, basis = _layout(p)
+    d, m, n = len(basis), p.mults, p.n
+    cols: dict[int, dict] = {}
+    for i in range(n):
+        for j in range(p.ell):
+            blocks = list(_delta_blocks(p, i, j))
+            mt = m[(i + j) % n]
+            for r in range(m[i]):
+                for s in range(mt):
+                    col = cols[len(cols)] = {}
+                    for jl, v, jr, pairs in blocks:
+                        left, right = off[i][jl] + r * m[(i + jl) % n], off[v][jr] + s
+                        for t, t2 in pairs:
+                            col[(left + t) * d + right + t2 * mt] = ONE
+    return ComultData(algebra, Mat.adopt(d * d, d, cols))
 
 
 def counit_candidate(p: NSYParams) -> Vec:
@@ -272,14 +291,9 @@ def counit_candidate(p: NSYParams) -> Vec:
     This is a genuine counit exactly in the Frobenius case; applying it
     anyway to a non-Frobenius instance exhibits the counitality failure.
     """
-    basis, _ = _position_map(p)
-    return Vec(
-        len(basis),
-        [
-            (k, ONE)
-            for k, idx in enumerate(basis)
-            if idx.j == p.ell - 1 and idx.r == idx.s
-        ],
+    basis = basis_indices(p)
+    return Vec.adopt(
+        len(basis), {k: ONE for k, idx in enumerate(basis) if idx.j == p.ell - 1 and idx.r == idx.s}
     )
 
 

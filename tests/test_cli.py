@@ -406,6 +406,10 @@ MALFORMED_INPUTS = {
     "output_missing_directory": _missing_output_dir,
     "qtg_cyclic_zero_L": _argv("whopf", "qtg", "--L", "cyclic:0", "--B", "cyclic:2", "check"),
     "qtg_trivial_with_size": _argv("whopf", "qtg", "--L", "trivial:3", "--B", "cyclic:2", "check"),
+    "qtg_cyclic_L_without_size": _argv("whopf", "qtg", "--L", "cyclic", "--B", "cyclic:2", "check"),
+    "groupoid_cyclic_group_without_size": _argv(
+        "whopf", "groupoid", "--objects", "2", "--group", "cyclic", "check"
+    ),
     "groupoid_cyclic_zero_group": _argv(
         "whopf", "groupoid", "--objects", "2", "--group", "cyclic:0", "check"
     ),

@@ -1,6 +1,8 @@
 """NSY algebra tests: dimensions, golden multiplication tables, golden
 comultiplications, the counit dichotomy, and the path-model oracle."""
 
+import itertools
+
 import pytest
 
 from frobkit.cli import main as cli_main
@@ -233,6 +235,25 @@ def test_oracle_matches_build(params):
     assert built.mult == oracle.mult
     assert built.unit == oracle.unit
     assert built.labels == oracle.labels
+
+
+@pytest.mark.slow
+def test_oracle_matches_build_on_nsy_check_box():
+    """n 2-5, ell 2-5, m_i 1-3 up to dim 79: the nsy-check benchmark box."""
+    box = [
+        NSYParams(n, ell, mults)
+        for n in range(2, 6)
+        for ell in range(2, 6)
+        for mults in itertools.product(range(1, 4), repeat=n)
+    ]
+    box = [p for p in box if nsy_dimension(p) <= 79]
+    assert len(box) == 957
+    mismatches = []
+    for p in box:
+        built, oracle = nsy_build(p), nsy_build_oracle(p)
+        if (built.mult, built.unit, built.labels) != (oracle.mult, oracle.unit, oracle.labels):
+            mismatches.append(p)
+    assert mismatches == []
 
 
 def test_oracle_single_vertex_is_matrix_units():
