@@ -161,7 +161,9 @@ class Vec:
 
     @classmethod
     def basis(cls, dim: int, k: int) -> "Vec":
-        return cls(dim, {k: ONE})
+        if not 0 <= k < dim:
+            raise InputError(f"index {k} out of range for dimension {dim}")
+        return cls.adopt(dim, {k: ONE})
 
     def get(self, i: int) -> Scalar:
         return self._e.get(i, ZERO)

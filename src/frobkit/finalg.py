@@ -180,36 +180,68 @@ class AlgebraData:
         """Indices g of a generating set, kept on the algebra.  The basis is
         walked in order, and e_k is kept when it lies outside the span W of
         1 and the right-nested words e_g1 (e_g2 (... e_gm)) in the
-        generators kept so far.  W is tracked by one LinearSystem and closed
-        under left multiplication by the kept e_g, each basis vector of W
-        times each generator once.  For an associative unital algebra, 1
-        and the words span A."""
+        generators kept so far.  For an associative unital algebra, 1 and
+        the words span A.
+
+        On a monomial table that passes check_algebra every word is one
+        basis element (e_g 1 = e_g by the unit law), so W = span(1, e_R) for
+        the set R of word indices, closed under g -> table[g][r].  Then e_k
+        lies in W iff k is in R, or k is in the unit's support and the rest
+        of that support lies in R: a combination a 1 + sum_R b_r e_r equal
+        to e_k with k outside R needs a != 0 and no unit term outside R u {k}.
+        Any other algebra tracks W by one LinearSystem, closed under left
+        multiplication by the kept e_g, each basis vector of W times each
+        generator once."""
         if self._generators is None:
-            d = self.dim
-            basis = [Vec.basis(d, k) for k in range(d)]
-            span, seen, words, gens = LinearSystem(d), set(), [], []
-
-            def close(pending: list[Vec]) -> None:  # W += pending, closed under the e_g
-                while pending and span.rank < d:
-                    v = pending.pop()
-                    if v.is_zero() or v in seen:
-                        continue
-                    seen.add(v)
-                    rank = span.rank
-                    span.add(dict(v.terms()))
-                    if span.rank > rank:
-                        words.append(v)
-                        pending += [self.mul(basis[g], v) for g in gens]
-
-            close([self.unit])
-            for k in range(d):
-                rank = span.rank
-                close([basis[k]])
-                if span.rank > rank:  # e_k = e_k 1 lies outside W: keep it
-                    gens.append(k)
-                    close([self.mul(basis[k], w) for w in words])
-            self._generators = gens
+            table = self.monomial_table()
+            if table is not None and check_algebra(self).passed:
+                self._generators = self._monomial_generators(table)
+            else:
+                self._generators = self._span_generators()
         return self._generators
+
+    def _monomial_generators(self, table: dict[int, dict[int, int]]) -> list[int]:
+        unit = set(self.unit.support())
+        words: set[int] = set()  # R
+        gens: list[int] = []
+        for k in range(self.dim):
+            if k in words or (k in unit and unit - {k} <= words):
+                continue
+            gens.append(k)
+            row = table.get(k, {})
+            pending = [k, *(row[r] for r in words if r in row)]
+            while pending:  # R += pending, closed under the e_g
+                r = pending.pop()
+                if r not in words:
+                    words.add(r)
+                    pending += [table[g][r] for g in gens if r in table.get(g, ())]
+        return gens
+
+    def _span_generators(self) -> list[int]:
+        d = self.dim
+        basis = [Vec.basis(d, k) for k in range(d)]
+        span, seen, words, gens = LinearSystem(d), set(), [], []
+
+        def close(pending: list[Vec]) -> None:  # W += pending, closed under the e_g
+            while pending and span.rank < d:
+                v = pending.pop()
+                if v.is_zero() or v in seen:
+                    continue
+                seen.add(v)
+                rank = span.rank
+                span.add(dict(v.terms()))
+                if span.rank > rank:
+                    words.append(v)
+                    pending += [self.mul(basis[g], v) for g in gens]
+
+        close([self.unit])
+        for k in range(d):
+            rank = span.rank
+            close([basis[k]])
+            if span.rank > rank:  # e_k = e_k 1 lies outside W: keep it
+                gens.append(k)
+                close([self.mul(basis[k], w) for w in words])
+        return gens
 
 
 class ComultData:

@@ -43,6 +43,19 @@ e_a (e_b e_c) is T_b also a sum of columns, T_b = E K_b, each row the same
 combination of the rows R as in E, for R spanning E's row space; so T_b = 0
 iff T_b[R, C] = 0, R and C the rows and columns raising rank E = r in order.
 If check_algebra fails or a cell differs, the (b, a) scan gives the witnesses.
+
+Once check_weak_hopf passes, the left integrals are solved from the rows of
+h L = eps_t(h) L for h = e_s b only, s in S and b in a basis of A_t, using
+eps_t(x eps_t(y)) = eps_t(xy) (Boehm-Nill-Szlachanyi, Weak Hopf algebras I,
+J. Algebra 221 (1999), section 2).  Let T = {h : h L = eps_t(h) L for every L
+solving those rows}, a subspace with 1 in T.  If h in T and s in S, put
+z = eps_t(h) in A_t; s z lies in the span of the rows' elements s b, so
+s h L = s z L = eps_t(s z) L = eps_t(s eps_t(h)) L = eps_t(s h) L.  So T is
+closed under left multiplication by S, and the words in S span A: T = A.
+The right integrals are the mirror, L h = L eps_s(h) for h = b e_s, b in a
+basis of A_s, by eps_s(eps_s(x) y) = eps_s(xy).  Equal solution spaces give
+the same reduced echelon form, so the kernel basis is the all-basis one.
+Data that fails the check keeps the rows of every basis h.
 """
 
 from __future__ import annotations
@@ -199,18 +212,20 @@ def epsilon_t_matrix(h: WeakHopfData) -> Mat:
     return Mat.from_columns(h.dim, [epsilon_t(h, Vec.basis(h.dim, j)) for j in range(h.dim)])
 
 
-def _column_space_basis(m: Mat) -> list[Vec]:
-    """Deterministic basis of the column space: the columns, scanned in
-    ascending order, that increase the rank."""
-    return [m.col(j) for j in rank_raising(m.nrows, (m.col(j) for j in range(m.ncols)))]
-
-
 def source_subalgebra_basis(h: WeakHopfData) -> list[Vec]:
-    return _column_space_basis(epsilon_s_matrix(h))
+    return [Vec.adopt(h.dim, c).scale(Fraction(1, h.denom)) for c in _counital_basis(h, 2)]
 
 
 def target_subalgebra_basis(h: WeakHopfData) -> list[Vec]:
-    return _column_space_basis(epsilon_t_matrix(h))
+    return [Vec.adopt(h.dim, c).scale(Fraction(1, h.denom)) for c in _counital_basis(h, 3)]
+
+
+def _counital_basis(h: WeakHopfData, which: int) -> list[dict]:
+    """The columns n eps_s(e_j) (``which`` 2) or n eps_t(e_j) (3) of
+    :func:`_counital_terms` that raise the rank, scanned in ascending j:
+    n times a basis of A_s (A_t)."""
+    eps = _counital_terms(h)[which]
+    return [eps[j] for j in rank_raising(h.dim, eps)]
 
 
 def iterated_comult(h: WeakHopfData, x: Vec, factors: int) -> dict[tuple[int, ...], Fraction]:
@@ -480,21 +495,21 @@ class IntegralSpace:
 
 def integral_space(h: WeakHopfData, side: str) -> IntegralSpace:
     """Exact solution space of h L = eps_t(h) L (left) or L h = L eps_s(h)
-    (right) over all basis h.  Nonempty for every finite-dimensional weak
-    Hopf algebra; emptiness signals corrupt data.  The rows for h = e_k are
-    those of x L = 0 (L x = 0) with x = n e_k - n eps_t(e_k) (eps_s): a
-    homogeneous row scaled by n > 0 spans the same space, so the echelon
-    kernel basis is that of the unscaled rows."""
+    (right) over all h, as the kernel of the rows of x L = 0 (L x = 0) for
+    the x of :func:`_integral_annihilators`.  Nonempty for every
+    finite-dimensional weak Hopf algebra; emptiness signals corrupt data.
+    Every row set with the same solution space has the same reduced echelon
+    form, so the kernel basis does not depend on which x are used or on
+    their scale."""
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
     a, d, left = h.algebra, h.dim, side == "left"
-    src, tgt = _counital_terms(h)[2:]
-    by_right, by_left = a.product_index()
+    by_factor = a.product_index()[1 if left else 0]
     sys_ = LinearSystem(d)
-    for k, eps_k in enumerate(tgt if left else src):
+    for x in _integral_annihilators(h, left):
         rows: dict[int, dict[int, Fraction]] = {}
-        for m, y in addto({k: h.denom}, -1, eps_k.items()).items():
-            for c in (by_left if left else by_right)[m]:
+        for m, y in x.items():
+            for c in by_factor[m]:
                 prod = a.basis_product(m, c) if left else a.basis_product(c, m)
                 for r, v in prod.terms():
                     addto(rows.setdefault(r, {}), y, ((c, v),))
@@ -507,6 +522,36 @@ def integral_space(h: WeakHopfData, side: str) -> IntegralSpace:
             f"{side} integral space is zero; data is not a weak Hopf algebra"
         )
     return IntegralSpace(side, basis)
+
+
+def _integral_annihilators(h: WeakHopfData, left: bool) -> list[dict[int, Fraction]]:
+    """The x = n y - n eps_t(y) (left) or n y - n eps_s(y) (right) such that
+    the left integrals are the L with x L = 0 (right: L x = 0) for all of
+    them.  When check_weak_hopf passes, y = e_s b (right: b e_s) for s in
+    the generators and b in n times a basis of A_t (A_s), from
+    :func:`_counital_basis` (proof in the module docstring); otherwise
+    y = e_k for every basis index k."""
+    a, n, which = h.algebra, h.denom, 3 if left else 2
+    eps = _counital_terms(h)[which]
+    if check_weak_hopf(h).passed:
+        ys, basis = [], _counital_basis(h, which)
+        for s in a.generators():
+            for b in basis:
+                y: dict[int, Fraction] = {}
+                for m, c in b.items():
+                    addto(y, c, (a.basis_product(s, m) if left else a.basis_product(m, s)).terms())
+                if y:
+                    ys.append(y)
+    else:
+        ys = [{k: ONE} for k in range(h.dim)]
+    out = []
+    for y in ys:
+        x = addto({}, n, y.items())
+        for k, c in y.items():
+            addto(x, -c, eps[k].items())
+        if x:
+            out.append(x)
+    return out
 
 
 def psi_map(h: WeakHopfData, lam: Vec) -> Mat:

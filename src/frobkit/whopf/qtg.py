@@ -50,9 +50,9 @@ from ..finalg import (
 )
 from .core import (
     WeakHopfData,
+    _integral_annihilators,
     _psi_solve,
     check_weak_hopf,
-    epsilon_t,
     frobenius_from_integral,
     integral_space,
     is_hopf,
@@ -382,10 +382,9 @@ def _integral_pair(q: QTGInput, h: WeakHopfData, lam_r: Vec) -> tuple[Vec, Vec]:
 
     lam_bar = _tensor3(q, q.omega, lam_dual, q.omega)
 
-    # Ibar must be a left integral of H
-    for k in range(h.dim):
-        ek = Vec.basis(h.dim, k)
-        if h.algebra.mul(ek, ibar) != h.algebra.mul(epsilon_t(h, ek), ibar):
+    # Ibar must be a left integral of H: x Ibar = 0 for the x that define them
+    for x in _integral_annihilators(h, True):
+        if not h.algebra.mul(Vec.adopt(h.dim, x), ibar).is_zero():
             raise InternalConsistencyError(
                 "constructed element is not a left integral of the quantum "
                 "transformation groupoid"

@@ -11,7 +11,7 @@ import pytest
 
 import golden
 from golden import P22_11, P22_21, P43_1122, P43_1212
-from frobkit.exactlin import Vec, is_invertible
+from frobkit.exactlin import Mat, Vec, is_invertible
 from frobkit.finalg import (
     CasimirElement,
     ComultData,
@@ -264,8 +264,6 @@ def test_criterion_09_qtg_suite(qtg_instances, qtg_built):
     q = qtg_instances["k_mat2"]
     h = qtg_built["k_mat2"]
     closed = qtg_frobenius(q, h)
-    from frobkit.exactlin import Mat
-
     ident = Mat.identity(h.dim)
     if eps_tensor_id(closed, closed.counit) != ident:
         failures.append(("counit-left-identity", "k_mat2"))

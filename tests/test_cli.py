@@ -5,13 +5,17 @@ import json
 import pytest
 
 import golden
+from frobkit import cli
 from frobkit.cli import main
 from frobkit.finalg import comult_from_json, comult_to_json_str
 from frobkit.nsy import basis_indices, basis_label
 from frobkit.whopf import (
     groupoid_algebra,
+    groupoid_to_json,
     pair_groupoid,
+    weak_hopf_from_json,
     weak_hopf_to_json,
+    weak_hopf_to_json_str,
 )
 
 
@@ -263,8 +267,6 @@ def test_whopf_export_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "whopf", str(path), "check")
     assert code == 0
     # re-export of the re-import is byte-identical
-    from frobkit.whopf import weak_hopf_from_json, weak_hopf_to_json_str
-
     assert weak_hopf_to_json_str(weak_hopf_from_json(json.loads(text))) == text
 
 
@@ -310,8 +312,6 @@ def _truncate(field):
 
 def _groupoid_case(corrupt):
     def make(tmp_path, capsys):
-        from frobkit.whopf import groupoid_to_json
-
         payload = groupoid_to_json(pair_groupoid(2))
         corrupt(payload)
         path = tmp_path / "g.json"
@@ -488,7 +488,6 @@ def test_whopf_one_extra_argument(argv, tmp_path, capsys):
 def test_groupoid_json_non_associative(tmp_path, capsys):
     """Associativity of groupoid JSON is decided by the weak Hopf check of
     its algebra, which names the failed axiom."""
-    from frobkit.whopf import groupoid_to_json
     from test_whopf import non_associative_groupoid
 
     path = tmp_path / "loop.json"
@@ -500,7 +499,7 @@ def test_groupoid_json_non_associative(tmp_path, capsys):
 
 def test_csv_whopf_frobenius_not_found(capsys, monkeypatch):
     """A frobenius search that finds no integral has no check table for csv."""
-    monkeypatch.setattr("frobkit.cli.find_nondegenerate_integral", lambda h, seed: None)
+    monkeypatch.setattr(cli, "find_nondegenerate_integral", lambda h, seed: None)
     code, out, err = run(capsys, "whopf", "group", "--cyclic", "2", "frobenius", "--format", "csv")
     assert (code, out) == (2, "")
     assert err == "error: whopf frobenius has no check table for --format csv; use json or markdown\n"
@@ -521,8 +520,6 @@ def test_whopf_file_is_checked_before_integrals_and_frobenius(op, fmt, tmp_path,
 def test_whopf_check_output_reports_failed_axiom(tmp_path, capsys):
     """whopf check FILE --output PATH still writes the normalized data on a
     failed check, exits 1 and names the first failed axiom on stderr."""
-    from frobkit.whopf import weak_hopf_from_json, weak_hopf_to_json_str
-
     argv = _file_case(["whopf", "check"], "whopf", _drop_morphism_delta)(tmp_path, capsys)
     target = tmp_path / "out.json"
     code, out, err = run(capsys, *argv, "--output", str(target))

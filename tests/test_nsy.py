@@ -10,10 +10,13 @@ from frobkit.errors import InputError
 from frobkit.exactlin import Vec
 from frobkit.finalg import (
     CasimirElement,
+    Classification,
+    casimir_comult,
     check_algebra,
     check_bimodule,
     check_casimir,
     check_coassoc,
+    classify,
     eps_tensor_id,
     id_tensor_eps,
     solve_counit,
@@ -345,8 +348,6 @@ def test_dimension_formula_matches_basis_count():
 def test_casimir_rebuild_recovers_delta():
     # Delta(x) = a_i (x) b_i x with a_i (x) b_i = Delta(1), so rebuilding the
     # comultiplication from its own Casimir element is the identity operation
-    from frobkit.finalg import casimir_comult
-
     for p in sweep_params(3, 3, 2):
         alg = nsy_build(p)
         comult = nsy_delta(p, alg)
@@ -355,8 +356,6 @@ def test_casimir_rebuild_recovers_delta():
 
 
 def test_classify_named_instances():
-    from frobkit.finalg import Classification, classify
-
     assert classify(nsy_delta(P43_1212)) is Classification.FROBENIUS
     assert classify(nsy_delta(P43_1122)) is Classification.NON_COUNITAL_ONLY
     assert classify(nsy_delta(P22_11)) is Classification.FROBENIUS

@@ -26,6 +26,7 @@ from frobkit.whopf import (
     automorphism_action,
     check_weak_hopf,
     cyclic_group_table,
+    epsilon_t,
     frobenius_from_integral,
     groupoid_algebra,
     hopf_group_algebra,
@@ -43,6 +44,8 @@ from frobkit.whopf import (
     trivial_hopf,
     weak_hopf_to_json_str,
 )
+from frobkit.whopf import qtg as qtg_mod
+from frobkit.whopf.core import _psi_solve
 
 F = Fraction
 
@@ -195,8 +198,6 @@ def test_qtg_integral_psi_is_unit(qtg_instances, qtg_built):
         ibar, lam_bar = qtg_integral(q, h)
         assert psi_map(h, ibar).matvec(lam_bar) == h.unit, name
         # Ibar is a left integral: h Ibar = eps_t(h) Ibar
-        from frobkit.whopf import epsilon_t
-
         for k in range(h.dim):
             ek = Vec.basis(h.dim, k)
             assert h.algebra.mul(ek, ibar) == h.algebra.mul(epsilon_t(h, ek), ibar)
@@ -206,8 +207,6 @@ def test_right_integral_and_dual_of_kz2(qtg_instances):
     q = qtg_instances["kz2_kz2"]
     lam_r = integral_space(q.L, "right").basis[0]
     assert lam_r == Vec(2, {0: F(1), 1: F(1)})
-    from frobkit.whopf.core import _psi_solve
-
     lam = _psi_solve(q.L, q.L.antipode.matvec(lam_r))  # lam(S(I_1)) S(I_2) = 1
     assert lam == Vec(2, {0: F(1)})
 
@@ -230,8 +229,6 @@ def test_qtg_frobenius_rejects_a_differing_generic_structure(
 ):
     """qtg_frobenius returns the generic structure only after checking it
     equal to the closed form: a generic Delta or counit scaled by 2 raises."""
-    from frobkit.whopf import qtg as qtg_mod
-
     generic = qtg_mod.frobenius_from_integral
 
     def scaled(h, lam):
@@ -379,8 +376,6 @@ def test_qtg_rejects_broken_trace():
 
 
 def test_qtg_rejects_non_hopf_l(groupoid_fixtures):
-    from frobkit.whopf import groupoid_algebra
-
     L = groupoid_algebra(groupoid_fixtures["two_points"])  # weak but not Hopf
     B, e, om = separable_group_algebra(cyclic_group_table(2))
     with pytest.raises(ConstructionError, match="Hopf"):

@@ -6,16 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from frobkit import whopf
 from frobkit.errors import ConstructionError, InputError, PreconditionError
-from frobkit.exactlin import LinearSystem, Vec, is_invertible
-from frobkit.finalg import ComultData, check_bimodule, check_coassoc
+from frobkit.exactlin import LinearSystem, Vec, is_invertible, solve_linear
+from frobkit.finalg import AlgebraData, ComultData, check_bimodule, check_coassoc
 from frobkit.whopf import (
     GroupoidData,
+    IntegralSpace,
     Morphism,
     WeakHopfData,
     check_weak_hopf,
     connected_groupoid,
     cyclic_group_table,
+    disjoint_union,
     epsilon_s,
     epsilon_s_matrix,
     epsilon_t,
@@ -35,13 +38,15 @@ from frobkit.whopf import (
     phi_prime_map,
     psi_map,
     separable_group_algebra,
+    separable_matrix_algebra,
     source_subalgebra_basis,
     target_subalgebra_basis,
+    trivial_groupoid,
     trivial_hopf,
     weak_hopf_from_json,
     weak_hopf_to_json_str,
 )
-from frobkit.whopf import core as whopf_core
+from frobkit.whopf import core as whopf_core, groupoid, qtg
 from test_weak_hopf_check import reference_epsilon_s, reference_epsilon_t
 
 F = Fraction
@@ -196,9 +201,6 @@ WHOPF_EXPORTS = {
 
 
 def test_whopf_exports_each_name_once():
-    from frobkit import whopf
-    from frobkit.whopf import groupoid, qtg
-
     names = whopf.__all__
     assert names == [*whopf_core.__all__, *groupoid.__all__, *qtg.__all__]
     assert len(names) == len(set(names)) == 42
@@ -213,8 +215,6 @@ def test_corrupted_composition_fails_with_witness(groupoid_fixtures):
     # break one nonzero product
     key = next(k for k, v in mult.items() if not v.is_zero() and k[0] != k[1])
     del mult[key]
-    from frobkit.finalg import AlgebraData
-
     broken_alg = AlgebraData(a.dim, a.labels, mult, a.unit)
     broken = WeakHopfData(broken_alg, h.delta_wk, h.epsilon_wk, h.antipode)
     report = check_weak_hopf(broken)
@@ -347,8 +347,6 @@ def test_psi_invertible_z2():
 def test_solve_linear_recovers_dual_integral(groupoid_fixtures):
     # solving Psi_L x = 1 for the pair groupoid recovers the identity
     # indicator functional
-    from frobkit.exactlin import solve_linear
-
     g = groupoid_fixtures["pair2"]
     h = groupoid_algebra(g)
     lam = all_morphisms_integral(h)
@@ -388,9 +386,6 @@ def test_find_nondegenerate_integral_z2():
 def test_find_reports_none_when_all_candidates_degenerate(monkeypatch):
     # k x k has plenty of integrals; restrict the search to a genuinely
     # degenerate one and let every attempt fail
-    from frobkit.whopf import disjoint_union, trivial_groupoid
-    from frobkit.whopf.core import IntegralSpace
-
     h = groupoid_algebra(disjoint_union(trivial_groupoid(), trivial_groupoid()))
     degenerate = Vec.basis(h.dim, 0)
     assert not is_invertible(psi_map(h, degenerate))
@@ -470,8 +465,6 @@ def test_antipode_invertible_everywhere(groupoid_algebras, hopf_group_algebras):
 
 
 def test_pair_groupoid_is_matrix_units(groupoid_fixtures):
-    from frobkit.whopf import separable_matrix_algebra
-
     g = groupoid_fixtures["pair2"]
     h = groupoid_algebra(g)
     m2, _, _ = separable_matrix_algebra(2)
