@@ -15,7 +15,6 @@ from .errors import (
 from .exactlin import (
     Mat,
     Scalar,
-    TensorIndex,
     Vec,
     inverse,
     is_invertible,

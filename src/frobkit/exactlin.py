@@ -1,9 +1,8 @@
 """Exact rational linear algebra kernel.
 
-Sparse vectors and matrices over arbitrary-precision rationals, tensor index
-bookkeeping, and exact linear solving.  All values are immutable by
-convention: every operation returns a new value, so anything built here can
-be shared freely.
+Sparse vectors and matrices over arbitrary-precision rationals, and exact
+linear solving.  All values are immutable by convention: every operation
+returns a new value, so anything built here can be shared freely.
 
 Scalars are exact rationals: a plain ``int`` when the value is integral and
 a reduced ``fractions.Fraction`` (denominator > 1) otherwise, never a
@@ -40,8 +39,6 @@ invertibility are all read off its reduced rows.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -371,42 +368,6 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols}, {len(self.items())} entries)"
-
-
-@dataclass(frozen=True)
-class TensorIndex:
-    """Row-major flattening of multi-indices; leftmost factor most significant."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.dims:
-            raise InputError("tensor index needs at least one factor")
-        if any(d < 1 for d in self.dims):
-            raise InputError("tensor factor dimensions must be >= 1")
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.dims)
-
-    def flatten(self, multi: tuple[int, ...]) -> int:
-        if len(multi) != len(self.dims):
-            raise InputError("multi-index arity mismatch")
-        acc = 0
-        for d, i in zip(self.dims, multi):
-            if not 0 <= i < d:
-                raise InputError(f"multi-index {multi} out of range for {self.dims}")
-            acc = acc * d + i
-        return acc
-
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.size:
-            raise InputError(f"flat index {flat} out of range for {self.dims}")
-        out = []
-        for d in reversed(self.dims):
-            flat, i = divmod(flat, d)
-            out.append(i)
-        return tuple(reversed(out))
 
 
 class LinearSystem:

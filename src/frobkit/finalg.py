@@ -21,13 +21,18 @@ equalities and coassociativity hold (see check_coassoc).  Otherwise the
 pairwise scans run as the only witness path, so every failure is reported at
 the same first basis index.
 
+The Casimir identity X e_x = e_x X is evaluated in one routine,
+_casimir_columns, which yields both sides column by column: check_casimir,
+casimir_comult and the Delta(1) test above all read it, and each stops at
+the first column that differs.
+
 Most structure constants of the NSY algebras are zero, so the checkers walk
 only nonzero basis products, listed by factor in AlgebraData.product_index:
-the associativity check of a monomial table, the Delta(1) e_x and e_x Delta(1)
-products (Casimir check, casimir_comult, the Delta(1) test above) and the
-pairs the bimodule scan visits.  The associativity walk only decides; when it
-fails, the full triple scan runs and gives the witness, as the pairwise
-bimodule and coassociativity scans do for theirs.  The unit laws are read off
+the associativity check of a monomial table, the products X e_x and e_x X
+of _casimir_columns and the pairs the bimodule scan visits.  The
+associativity walk only decides; when it fails, the full triple scan runs
+and gives the witness, as the pairwise bimodule and coassociativity scans do
+for theirs.  The unit laws are read off
 the same index: 1 e_k and e_k 1 for every k come from one pass over the
 products with a factor in the unit's support, and are compared in ascending
 k, so the first witness of each law is the one a scan over k would give.
@@ -59,6 +64,7 @@ from .exactlin import (
     addto,
     scalar_from_str,
     scalar_to_str,
+    solve_linear,
 )
 
 __all__ = [
@@ -137,14 +143,6 @@ class AlgebraData:
                 if prod is not None:
                     addto(acc, a * b, prod.terms())
         return Vec.adopt(self.dim, acc)
-
-    def left_mult_matrix(self, x: Vec) -> Mat:
-        cols = [self.mul(x, Vec.basis(self.dim, j)) for j in range(self.dim)]
-        return Mat.from_columns(self.dim, cols)
-
-    def right_mult_matrix(self, x: Vec) -> Mat:
-        cols = [self.mul(Vec.basis(self.dim, j), x) for j in range(self.dim)]
-        return Mat.from_columns(self.dim, cols)
 
     def monomial_table(self) -> dict[int, dict[int, int]] | None:
         """Product table as indices, ``table[i][j] = k`` for e_i e_j = e_k, when
@@ -559,64 +557,47 @@ def check_casimir_of_delta(c: ComultData) -> VerificationReport:
 
 def check_casimir(cas: CasimirElement) -> VerificationReport:
     """Verify sum_i a_i (x) b_i x = sum_i x a_i (x) b_i for every basis x."""
-    a = cas.algebra
-    d = a.dim
-    by_q, by_p = _tensor_factors(cas)
     witness = None
-    for x in range(d):
-        lhs = _casimir_times(a, by_q, x)
-        rhs = _times_casimir(a, by_p, x)
+    for x, lhs, rhs in _casimir_columns(cas.algebra, cas.element):
         if lhs != rhs:
-            witness = Witness(
-                (x,),
-                Vec.adopt(d * d, lhs),
-                Vec.adopt(d * d, rhs),
-                "a_i (x) b_i x != x a_i (x) b_i",
-            )
+            witness = _casimir_witness(cas.algebra.dim, x, lhs, rhs)
             break
     return VerificationReport((CheckResult("casimir", witness is None, witness),))
 
 
-def _tensor_factors(cas: CasimirElement) -> tuple[dict, dict]:
-    """The terms v e_p (x) e_q of the element grouped by the factor that
-    multiplies: ``(by_q, by_p)`` with ``by_q[q]`` listing ``(p, v)`` and
-    ``by_p[p]`` listing ``(q, v)``."""
-    d = cas.algebra.dim
-    by_q: dict[int, list[tuple[int, Fraction]]] = {}
-    by_p: dict[int, list[tuple[int, Fraction]]] = {}
-    for t, v in cas.element.terms():
+def _casimir_witness(d: int, x: int, lhs: dict, rhs: dict) -> Witness:
+    note = "a_i (x) b_i x != x a_i (x) b_i"
+    return Witness((x,), Vec.adopt(d * d, lhs), Vec.adopt(d * d, rhs), note)
+
+
+def _casimir_columns(a: AlgebraData, element: Vec):
+    """Yield ``(x, X e_x, e_x X)`` for x = 0, 1, ..., d-1, both sides as
+    dicts over the tensor square, for X = ``element``.  The terms v e_p (x) e_q
+    of X are grouped once by the factor that multiplies, and each side is
+    summed from the products e_q e_x and e_x e_p listed in product_index only.
+    The one evaluator of the Casimir identity X e_x = e_x X."""
+    d = a.dim
+    by_q: dict[int, list] = {}  # q -> the (p, v), and by_p: p -> the (q, v)
+    by_p: dict[int, list] = {}
+    for t, v in element.terms():
         p, q = divmod(t, d)
         by_q.setdefault(q, []).append((p, v))
         by_p.setdefault(p, []).append((q, v))
-    return by_q, by_p
-
-
-def _casimir_times(a: AlgebraData, by_q: dict, x: int) -> dict[int, Fraction]:
-    """sum_i a_i (x) b_i e_x over the tensor square, from the q with
-    e_q e_x != 0 only."""
-    d = a.dim
-    acc: dict[int, Fraction] = {}
-    for q in a.product_index()[0][x]:
-        pv = by_q.get(q)
-        if pv:
-            prod = a.mult[q, x].terms()
-            for p, v in pv:
-                addto(acc, v, prod, p * d)
-    return acc
-
-
-def _times_casimir(a: AlgebraData, by_p: dict, x: int) -> dict[int, Fraction]:
-    """sum_i e_x a_i (x) b_i over the tensor square, from the p with
-    e_x e_p != 0 only."""
-    d = a.dim
-    acc: dict[int, Fraction] = {}
-    for p in a.product_index()[1][x]:
-        qv = by_p.get(p)
-        if qv:
-            prod = a.mult[x, p].terms()
-            for q, v in qv:
-                addto(acc, v, prod, q, d)
-    return acc
+    mult, (by_right, by_left) = a.mult, a.product_index()
+    for x in range(d):
+        lhs: dict[int, Fraction] = {}
+        rhs: dict[int, Fraction] = {}
+        for q in by_right[x]:
+            if q in by_q:
+                prod = mult[q, x].terms()
+                for p, v in by_q[q]:
+                    addto(lhs, v, prod, p * d)
+        for p in by_left[x]:
+            if p in by_p:
+                prod = mult[x, p].terms()
+                for q, v in by_p[p]:
+                    addto(rhs, v, prod, q, d)
+        yield x, lhs, rhs
 
 
 def _from_delta_one(c: ComultData) -> bool:
@@ -626,15 +607,10 @@ def _from_delta_one(c: ComultData) -> bool:
     kept on ``c``."""
     if c._from_delta_one is None:
         a = c.algebra
-        ok = check_algebra(a).passed
-        if ok:
-            by_q, by_p = _tensor_factors(CasimirElement(a, c.delta_of(a.unit)))
-            for j in range(a.dim):
-                col = dict(c.delta.col_terms(j))
-                if _casimir_times(a, by_q, j) != col or _times_casimir(a, by_p, j) != col:
-                    ok = False
-                    break
-        c._from_delta_one = ok
+        c._from_delta_one = check_algebra(a).passed and all(
+            lhs == rhs == dict(c.delta.col_terms(j))
+            for j, lhs, rhs in _casimir_columns(a, c.delta_of(a.unit))
+        )
     return c._from_delta_one
 
 
@@ -643,22 +619,23 @@ def casimir_comult(cas: CasimirElement) -> ComultData:
     X = sum_i a_i (x) b_i, with its counit from the d rows of
     :func:`solve_counit` (None when there is none or check_algebra fails).
 
-    The columns X e_x are decided against e_x X as in :func:`check_casimir`,
-    which runs only for the witness that PreconditionError carries.  The result
-    records :func:`_from_delta_one` as check_algebra(a).passed: then
-    Delta(1) = X 1 = X by the unit law, Delta(e_j) = X e_j by construction,
-    and X e_j = e_j X was just checked.
+    The columns X e_x are decided against e_x X in one pass, as in
+    :func:`check_casimir`; PreconditionError carries the first column that
+    differs as its witness.  The result records :func:`_from_delta_one` as
+    check_algebra(a).passed: then Delta(1) = X 1 = X by the unit law,
+    Delta(e_j) = X e_j by construction, and X e_j = e_j X was just checked.
     """
     a = cas.algebra
     d = a.dim
-    by_q, by_p = _tensor_factors(cas)
-    cols = [_casimir_times(a, by_q, x) for x in range(d)]  # X e_x = Delta(e_x)
-    if any(col != _times_casimir(a, by_p, x) for x, col in enumerate(cols)):
-        witness = check_casimir(cas).failures()[0].witness
-        raise PreconditionError("element fails the Casimir identity", witness)
+    cols = []
+    for x, lhs, rhs in _casimir_columns(a, cas.element):  # X e_x = Delta(e_x)
+        if lhs != rhs:
+            witness = _casimir_witness(d, x, lhs, rhs)
+            raise PreconditionError("element fails the Casimir identity", witness)
+        cols.append(Vec.adopt(d * d, lhs))
     decided = check_algebra(a).passed
-    delta = Mat.from_columns(d * d, [Vec.adopt(d * d, col) for col in cols])
-    c = ComultData(a, delta, _counit_rows(a, by_q) if decided else None)
+    counit = _counit_rows(a, cas.element) if decided else None
+    c = ComultData(a, Mat.from_columns(d * d, cols), counit)
     c._from_delta_one = decided
     return c
 
@@ -707,20 +684,15 @@ def solve_counit(c: ComultData) -> Vec | None:
     """
     if not _from_delta_one(c):
         raise PreconditionError("Delta is not a bimodule map over a unital associative algebra")
-    a = c.algebra
-    return _counit_rows(a, _tensor_factors(CasimirElement(a, c.delta_of(a.unit)))[0])
+    return _counit_rows(c.algebra, c.delta_of(c.algebra.unit))
 
 
-def _counit_rows(a: AlgebraData, by_q: dict) -> Vec | None:
-    """The solution of (eps (x) id)X = 1, X given by ``by_q`` of
-    :func:`_tensor_factors`, or None; d rows, see :func:`solve_counit`."""
-    sys_ = LinearSystem(a.dim)
-    for k in range(a.dim):
-        # coordinate k of (eps (x) id)X = 1; X has one term per (p, k)
-        terms, rhs = by_q.get(k), a.unit.get(k)
-        if terms or rhs:
-            sys_.add(dict(terms or ()), rhs)
-    return sys_.solution()
+def _counit_rows(a: AlgebraData, element: Vec) -> Vec | None:
+    """The solution of (eps (x) id)X = 1 for X = ``element``, or None: d rows,
+    row k with the coefficient of e_p (x) e_k in X at column p; see
+    :func:`solve_counit`."""
+    d = a.dim
+    return solve_linear(Mat(d, d, [(t % d, t // d, v) for t, v in element.terms()]), a.unit)
 
 
 # bench/tracer.py times the solve under this name

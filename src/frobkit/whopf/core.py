@@ -71,9 +71,9 @@ from ..exactlin import (
     LinearSystem,
     Mat,
     ONE,
-    TensorIndex,
     Vec,
     ZERO,
+    add_entry,
     addto,
     is_invertible,
     rank_raising,
@@ -234,19 +234,14 @@ def iterated_comult(h: WeakHopfData, x: Vec, factors: int) -> dict[tuple[int, ..
     ((Delta (x) id (x) ... ) convention)."""
     if factors < 1:
         raise InputError("factors must be >= 1")
-    # flat = k * stride + rest, with k the first slot; expanding k to the
-    # pair index t = p*d + q gives t * stride + rest
-    acc = dict(x.terms())
-    stride = 1
+    acc = {(k,): v for k, v in x.terms()}
     for _ in range(factors - 1):
-        nxt: dict[int, Fraction] = {}
-        for flat, v in acc.items():
-            k, rest = divmod(flat, stride)
-            addto(nxt, v, h.delta_wk.col_terms(k), rest, stride)
+        nxt: dict[tuple[int, ...], Fraction] = {}
+        for (k, *rest), v in acc.items():
+            for t, w in h.delta_wk.col_terms(k):  # t = p*d + q for e_p (x) e_q
+                add_entry(nxt, (*divmod(t, h.dim), *rest), v * w)
         acc = nxt
-        stride *= h.dim
-    ti = TensorIndex((h.dim,) * factors)
-    return {ti.unflatten(flat): v for flat, v in acc.items()}
+    return acc
 
 
 def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
@@ -331,22 +326,21 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     checks.append(CheckResult("delta_wk_unit_a", wa is None, wa))
     checks.append(CheckResult("delta_wk_unit_b", wb is None, wb))
 
-    # antipode identities
+    # antipode identities; n^2 S(h_1) h_2 S(h_3) at h = e_j is the sum over the
+    # terms (p0, r, v) of n Delta(e_j) of v (n S(x_1) x_2 at x = e_p0) S(e_r)
     eps_src, eps_tgt = _counital_terms(h)[2:]
+    convs = [_convolutions(h, j) for j in range(d)]
     s_cols = [h.antipode.col(j) for j in range(d)]
     src_w = tgt_w = sand_w = None
-    for j in range(d):
-        lhs_src, lhs_tgt = _convolutions(h, j)
+    for j, (lhs_src, lhs_tgt) in enumerate(convs):
         if src_w is None and lhs_src != eps_src[j]:
             src_w = _scaled_witness(h, (j,), lhs_src, eps_src[j], d, 1, "S(h_1) h_2 != eps_s(h)")
         if tgt_w is None and lhs_tgt != eps_tgt[j]:
             tgt_w = _scaled_witness(h, (j,), lhs_tgt, eps_tgt[j], d, 1, "h_1 S(h_2) != eps_t(h)")
         if sand_w is None:
             acc = {}
-            for p0, r, v in scaled.delta_pairs(j):  # (Delta (x) id)Delta(e_j)
-                for p, q, w in scaled.delta_pairs(p0):
-                    term = a.mul(a.mul(s_cols[p], basis[q]), s_cols[r])
-                    addto(acc, v * w, term.terms())
+            for p0, r, v in scaled.delta_pairs(j):
+                addto(acc, v, a.mul(Vec.adopt(d, convs[p0][0]), s_cols[r]).terms())
             rhs = addto({}, n * n, s_cols[j].terms())
             if acc != rhs:
                 sand_w = _scaled_witness(h, (j,), acc, rhs, d, 2, "S(h_1) h_2 S(h_3) != S(h)")

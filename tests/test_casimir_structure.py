@@ -8,7 +8,7 @@ and solve_counit solves again.  Cases: any element of the solved Casimir
 space of the NSY, k[Z/3] and M_2 algebras and of a non-associative k x k,
 and the integral comultiplications of the groupoid, group and QTG fixtures.
 A frobenius command decides the Casimir identity of its X once: the
-products e_x X are counted.
+columns that _casimir_columns yields are counted per element.
 """
 
 from fractions import Fraction
@@ -37,6 +37,7 @@ from frobkit.finalg import (
     check_casimir,
     solve_counit,
 )
+from frobkit.whopf import core as whopf_core
 from frobkit.whopf import (
     WeakHopfData,
     find_nondegenerate_integral,
@@ -126,26 +127,38 @@ def test_frobenius_from_integral_rejects_a_non_associative_algebra():
 
 
 @pytest.mark.parametrize(
-    "argv, bound",
+    "argv, dim",
     [
-        # 9 from casimir_comult's decision on X (dim 9), 1 from the weak
-        # Hopf check
-        (["groupoid", "--pair-objects", "3"], 10),
-        (["group", "--cyclic", "5"], 6),
-        # dim 27, plus 3 for B's separability idempotent and 3 from the
-        # weak Hopf check
-        (["qtg", "--L", "cyclic:3", "--B", "cyclic:3"], 33),
+        (["groupoid", "--pair-objects", "3"], 9),
+        (["group", "--cyclic", "5"], 5),
+        (["qtg", "--L", "cyclic:3", "--B", "cyclic:3"], 27),
     ],
 )
-def test_frobenius_decides_the_casimir_identity_once(argv, bound, monkeypatch, capsys):
-    calls = []
-    times_casimir = finalg._times_casimir
+def test_frobenius_decides_the_casimir_identity_once(argv, dim, monkeypatch, capsys):
+    """The X of the Frobenius structure is evaluated in one pass over its d
+    columns, and no element is evaluated twice (the weak Hopf check and, for
+    a QTG, B's separability idempotent evaluate others)."""
+    passes = []  # [X, columns read] per call of the evaluator
+    frobenius = []
+    columns, comult = finalg._casimir_columns, whopf_core.casimir_comult
 
-    def spy(*args):
-        calls.append(args[2])
-        return times_casimir(*args)
+    def columns_spy(a, element):
+        read = [element, 0]
+        passes.append(read)
+        for column in columns(a, element):
+            read[1] += 1
+            yield column
 
-    monkeypatch.setattr(finalg, "_times_casimir", spy)
+    def comult_spy(cas):
+        frobenius.append(cas.element)
+        return comult(cas)
+
+    monkeypatch.setattr(finalg, "_casimir_columns", columns_spy)
+    monkeypatch.setattr(whopf_core, "casimir_comult", comult_spy)
     assert cli.main(["whopf", *argv, "frobenius"]) == 0
     assert "classification: Frobenius" in capsys.readouterr().out
-    assert len(calls) <= bound
+    (x,) = frobenius
+    assert x.dim == dim * dim
+    assert [read for element, read in passes if element == x] == [dim]
+    elements = [element for element, _ in passes]
+    assert len(elements) == len(set(elements))

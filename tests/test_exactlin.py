@@ -1,6 +1,5 @@
 """Exact linear algebra kernel tests."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from frobkit.errors import InputError
 from frobkit.exactlin import (
     LinearSystem,
     Mat,
-    TensorIndex,
     Vec,
     addto,
     inverse,
@@ -103,38 +101,6 @@ def test_inverse_and_invertibility():
     assert is_invertible(Mat.identity(5))
     with pytest.raises(InputError):
         inverse(Mat.zero(2, 3))
-
-
-def test_tensor_index_exhaustive_round_trip():
-    # every factor count <= 4 with sizes <= 5
-    def tuples(k):
-        if k == 0:
-            yield ()
-            return
-        for rest in tuples(k - 1):
-            for d in range(1, 6):
-                yield rest + (d,)
-
-    for k in range(1, 5):
-        for dims in tuples(k):
-            ti = TensorIndex(dims)
-            seen = set()
-            for multi in itertools.product(*(range(d) for d in dims)):
-                flat = ti.flatten(multi)
-                assert 0 <= flat < ti.size
-                assert ti.unflatten(flat) == multi
-                seen.add(flat)
-            assert len(seen) == ti.size
-
-
-def test_tensor_index_validation():
-    ti = TensorIndex((2, 3))
-    with pytest.raises(InputError):
-        ti.flatten((2, 0))
-    with pytest.raises(InputError):
-        ti.unflatten(6)
-    with pytest.raises(InputError):
-        TensorIndex(())
 
 
 small_fraction = st.fractions(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobkit.errors import ConstructionError, InputError, InternalConsistencyError
-from frobkit.exactlin import Mat, TensorIndex, Vec, addto
+from frobkit.exactlin import Mat, Vec, addto
 from frobkit.finalg import (
     AlgebraData,
     Classification,
@@ -478,8 +478,14 @@ def _per_pair_reference(q: QTGInput):
     tables: every basis pair recomputes its three factors."""
     L, B = q.L, q.B
     dB, dL = B.dim, L.dim
-    ti = TensorIndex((dB, dL, dB))
-    dim = ti.size
+    dim = dB * dL * dB
+
+    def index(a, l, b):  # row-major (a, l, b)
+        return (a * dL + l) * dB + b
+
+    def split(flat):
+        a, lb = divmod(flat, dL * dB)
+        return (a, *divmod(lb, dB))
 
     def add_tensor3(acc, coeff, first, mid, last):
         for a, ca in first.terms():
@@ -494,10 +500,10 @@ def _per_pair_reference(q: QTGInput):
 
     mult = {}
     for p1 in range(dim):
-        a1, l1, b1 = ti.unflatten(p1)
+        a1, l1, b1 = split(p1)
         l1_pairs = L.comult_pairs(l1)
         for p2 in range(dim):
-            a2, l2, b2 = ti.unflatten(p2)
+            a2, l2, b2 = split(p2)
             acc = {}
             for u1, u2, c1 in l1_pairs:
                 first = B.mul(act_s[a2][u1], basis_b[a1])
@@ -517,19 +523,19 @@ def _per_pair_reference(q: QTGInput):
     e_pairs = q.e_pairs()
     delta_entries = []
     for col in range(dim):
-        a, l, b = ti.unflatten(col)
+        a, l, b = split(col)
         for key, c in iterated_comult(L, Vec.basis(dL, l), 3).items():
             u1, u2, u3 = key
             for p, qq, ce in e_pairs:
-                left = ti.flatten((a, u1, p))
+                left = index(a, u1, p)
                 for bp, cb in act_s[qq][u2].items():
-                    right = ti.flatten((bp, u3, b))
+                    right = index(bp, u3, b)
                     delta_entries.append((left * dim + right, col, c * ce * cb))
     delta = Mat(dim * dim, dim, delta_entries)
 
     eps_entries = []
     for col in range(dim):
-        a, l, b = ti.unflatten(col)
+        a, l, b = split(col)
         acted = q.act(basis_b[b], q.s_inv.col(l))
         val = q.omega.dot(B.mul(basis_b[a], acted))
         if val:
@@ -538,9 +544,9 @@ def _per_pair_reference(q: QTGInput):
 
     antipode_entries = []
     for col in range(dim):
-        a, l, b = ti.unflatten(col)
+        a, l, b = split(col)
         for lk, cv in s_cols[l].items():
-            antipode_entries.append((ti.flatten((b, lk, a)), col, cv))
+            antipode_entries.append((index(b, lk, a), col, cv))
     antipode = Mat(dim, dim, antipode_entries)
     return mult, delta, epsilon, antipode
 

@@ -472,6 +472,40 @@ def test_report_matches_reference_when_n_grows(report_cases):
     assert_report_matches_reference(h)
 
 
+def nested_mul_sandwich(h: WeakHopfData) -> Witness | None:
+    """The first witness of S(h_1) h_2 S(h_3) = S(h) on n Delta, two nested
+    AlgebraData.mul calls per term of (Delta (x) id)Delta(e_j), kept verbatim."""
+    a, d, n, scaled = h.algebra, h.dim, h.denom, h.scaled
+    basis = [Vec.basis(d, k) for k in range(d)]
+    s_cols = [h.antipode.col(j) for j in range(d)]
+    for j in range(d):
+        acc = {}
+        for p0, r, v in scaled.delta_pairs(j):  # (Delta (x) id)Delta(e_j)
+            for p, q, w in scaled.delta_pairs(p0):
+                term = a.mul(a.mul(s_cols[p], basis[q]), s_cols[r])
+                addto(acc, v * w, term.terms())
+        rhs = addto({}, n * n, s_cols[j].terms())
+        if acc != rhs:
+            return core._scaled_witness(h, (j,), acc, rhs, d, 2, "S(h_1) h_2 S(h_3) != S(h)")
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, row, col",
+    [("pair2", 1, 1), ("pair3_x_z2", 8, 0), ("two_points", 0, 1), ("k_mat2", 10, 0)],
+)
+@pytest.mark.parametrize("value", [Fraction(1), Fraction(1, 2)])
+def test_only_the_sandwich_fails(report_cases, name, row, col, value):
+    """One antipode entry added so that S(h_1) h_2 and h_1 S(h_2) still hold
+    but S(h_1) h_2 S(h_3) = S(h) does not: the sandwich summed from the
+    source convolutions gives the nested-mul witness and report."""
+    h = add_antipode_entry(report_cases[name], row, col, value)
+    report = check_weak_hopf(h)
+    assert [c.name for c in report.failures()] == ["antipode_sandwich"]
+    assert report.failures()[0].witness == nested_mul_sandwich(h)
+    assert_report_matches_reference(h)
+
+
 # ---------------------------------------------------------------------------
 # Wide sweep (pytest -m slow): group algebras k[Z/n] (rank E = 1), pair
 # groupoids (rank N) and connected groupoids N x Z/m up to dim 72, each

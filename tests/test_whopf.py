@@ -8,7 +8,7 @@ import pytest
 
 from frobkit import whopf
 from frobkit.errors import ConstructionError, InputError, PreconditionError
-from frobkit.exactlin import LinearSystem, Vec, is_invertible, solve_linear
+from frobkit.exactlin import LinearSystem, Mat, Vec, is_invertible, solve_linear
 from frobkit.finalg import AlgebraData, ComultData, check_bimodule, check_coassoc
 from frobkit.whopf import (
     GroupoidData,
@@ -288,6 +288,14 @@ def test_integral_space_groupoid_target_fibres(groupoid_fixtures):
                 assert h.algebra.mul(ek, lam) == h.algebra.mul(epsilon_t(h, ek), lam)
 
 
+def left_mult_matrix(a: AlgebraData, x: Vec) -> Mat:
+    return Mat.from_columns(a.dim, [a.mul(x, Vec.basis(a.dim, j)) for j in range(a.dim)])
+
+
+def right_mult_matrix(a: AlgebraData, x: Vec) -> Mat:
+    return Mat.from_columns(a.dim, [a.mul(Vec.basis(a.dim, j), x) for j in range(a.dim)])
+
+
 def reference_integral_space(h: WeakHopfData, side: str) -> list[Vec]:
     """Kernel of the rows of left_mult_matrix(e_k - eps_t(e_k)) (right side:
     right_mult_matrix(e_k - eps_s(e_k))), on unscaled Fraction data."""
@@ -295,9 +303,9 @@ def reference_integral_space(h: WeakHopfData, side: str) -> list[Vec]:
     for k in range(h.dim):
         ek = Vec.basis(h.dim, k)
         if side == "left":
-            m = h.algebra.left_mult_matrix(ek - reference_epsilon_t(h, ek))
+            m = left_mult_matrix(h.algebra, ek - reference_epsilon_t(h, ek))
         else:
-            m = h.algebra.right_mult_matrix(ek - reference_epsilon_s(h, ek))
+            m = right_mult_matrix(h.algebra, ek - reference_epsilon_s(h, ek))
         sys_.add_matrix(m)
     return sys_.kernel()
 
