@@ -725,15 +725,14 @@ def classify_report(c: ComultData) -> ClassifyOutcome:
 
 
 def classify_checks(report: VerificationReport, counit: Vec | None) -> Classification:
-    """NotFrobeniusStructure when an algebra, coassociativity or bimodule
-    check in ``report`` failed; otherwise Frobenius when there is a counit and
-    NonCounitalOnly when there is none.  Other checks do not enter.
+    """NotFrobeniusStructure when a check in ``report`` failed; otherwise
+    Frobenius when there is a counit and NonCounitalOnly when there is none.
+    Callers pass the structural checks only: the algebra checks (when not
+    already decided), coassociativity and the two bimodule identities.
 
-    When all six pass, Delta(x) = Delta(1) x = x Delta(1) (take y = 1 in
+    When these pass, Delta(x) = Delta(1) x = x Delta(1) (take y = 1 in
     either bimodule identity), which is what :func:`solve_counit` needs."""
-    structural = ("associativity", "unit_left", "unit_right", "coassociativity",
-                  "bimodule_right", "bimodule_left")
-    if not all(r.passed for r in report.checks if r.name in structural):
+    if not report.passed:
         return Classification.NOT_FROBENIUS_STRUCTURE
     if counit is None:
         return Classification.NON_COUNITAL_ONLY

@@ -147,15 +147,21 @@ class GroupoidData:
         return len(self.morphisms)
 
 
+def _groupoid_product(g: GroupoidData, labels: list[str] | None = None) -> AlgebraData:
+    """The algebra of the groupoid: product composition-or-zero, unit the sum
+    of identities, basis the morphisms (labelled by their names by default)."""
+    n = g.num_morphisms
+    if labels is None:
+        labels = [m.name for m in g.morphisms]
+    mult = {(a, b): Vec.basis(n, k) for (a, b), k in g.compose.items()}
+    unit = Vec(n, [(e, ONE) for e in g.identities.values()])
+    return AlgebraData(n, labels, mult, unit)
+
+
 def groupoid_algebra(g: GroupoidData) -> WeakHopfData:
     """The groupoid algebra as verified WeakHopfData."""
     n = g.num_morphisms
-    labels = [m.name for m in g.morphisms]
-    mult = {
-        (a, b): Vec.basis(n, k) for (a, b), k in g.compose.items()
-    }
-    unit = Vec(n, [(e, ONE) for e in g.identities.values()])
-    algebra = AlgebraData(n, labels, mult, unit)
+    algebra = _groupoid_product(g)
     delta = Mat(n * n, n, [(j * n + j, j, ONE) for j in range(n)])
     epsilon = Vec(n, [(j, ONE) for j in range(n)])
     antipode = Mat(n, n, [(g.inv[j], j, ONE) for j in range(n)])

@@ -23,6 +23,11 @@ comultiplication has the closed form
 
 with counit w(a) lam(l) w(b), and must agree with the generic construction.
 
+B is a groupoid algebra: M_d (--B matrix:D) of the pair groupoid on d objects,
+k[G] (--B cyclic:N) of G as one object; with m morphisms out of each object,
+e = (1/m) sum_g g (x) g^{-1} and w(id_x) = m.  QTGInput checks e through
+casimir_comult, and w as the unique counit of that Casimir element.
+
 qtg_build assembles the product from three factor tables computed once,
 (a' <| S(l_1)) a, l_2 l'_1 and (b <| l'_2) b', and Delta from one Delta^2(l)
 per basis element l of L; check_weak_hopf still verifies the result.
@@ -33,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ..errors import ConstructionError, InputError, InternalConsistencyError
+from ..errors import ConstructionError, InputError, InternalConsistencyError, PreconditionError
 from ..exactlin import (
     Mat,
     ONE,
@@ -45,8 +50,8 @@ from ..finalg import (
     AlgebraData,
     CasimirElement,
     ComultData,
+    casimir_comult,
     check_algebra,
-    check_casimir,
 )
 from .core import (
     WeakHopfData,
@@ -59,7 +64,14 @@ from .core import (
     iterated_comult,
     psi_map,
 )
-from .groupoid import _group_of, hopf_group_algebra
+from .groupoid import (
+    GroupoidData,
+    _group_of,
+    _groupoid_product,
+    group_groupoid,
+    hopf_group_algebra,
+    pair_groupoid,
+)
 
 __all__ = [
     "QTGInput",
@@ -79,44 +91,28 @@ def trivial_hopf() -> WeakHopfData:
     return hopf_group_algebra([[0]], ["1"])
 
 
+def _separable_groupoid_algebra(g: GroupoidData, labels: list[str]) -> tuple[AlgebraData, Vec, Vec]:
+    """The algebra of a connected groupoid g with e = (1/m) sum_h h (x) h^{-1}
+    and w(id_x) = m (0 off the identities), m morphisms out of each object."""
+    n = g.num_morphisms
+    m = n // len(g.objects)
+    e = Vec(n * n, [(k * n + g.inv[k], Fraction(1, m)) for k in range(n)])
+    omega = Vec(n, [(ident, m) for ident in g.identities.values()])
+    return _groupoid_product(g, labels), e, omega
+
+
 def separable_matrix_algebra(d: int) -> tuple[AlgebraData, Vec, Vec]:
-    """d x d matrix units with e = (1/d) sum E_ij (x) E_ji and w = d * trace."""
+    """Matrix units E[i,j] (pair groupoid), e = (1/d) sum E_ij (x) E_ji, w = d * trace."""
     if d < 1:
         raise InputError("matrix size must be >= 1")
-    dim = d * d
-    pos = {(i, j): i * d + j for i in range(d) for j in range(d)}
     labels = [f"E[{i},{j}]" for i in range(d) for j in range(d)]
-    mult = {}
-    for (i, j), p in pos.items():
-        for (k, l), q in pos.items():
-            if j == k:
-                mult[(p, q)] = Vec.basis(dim, pos[(i, l)])
-    unit = Vec(dim, [(pos[(i, i)], ONE) for i in range(d)])
-    algebra = AlgebraData(dim, labels, mult, unit)
-    inv_d = Fraction(1, d)
-    e = Vec(
-        dim * dim,
-        [
-            (pos[(i, j)] * dim + pos[(j, i)], inv_d)
-            for i in range(d)
-            for j in range(d)
-        ],
-    )
-    omega = Vec(dim, [(pos[(i, i)], Fraction(d)) for i in range(d)])
-    return algebra, e, omega
+    return _separable_groupoid_algebra(pair_groupoid(d), labels)
 
 
 def separable_group_algebra(table: list[list[int]]) -> tuple[AlgebraData, Vec, Vec]:
-    """Group algebra with e = (1/|G|) sum g (x) g^{-1} and w(g) = |G| [g = 1]."""
-    n = len(table)
-    ident, inv = _group_of(table)
-    labels = [f"g{k}" for k in range(n)]
-    mult = {(a, b): Vec.basis(n, table[a][b]) for a in range(n) for b in range(n)}
-    algebra = AlgebraData(n, labels, mult, Vec.basis(n, ident))
-    inv_n = Fraction(1, n)
-    e = Vec(n * n, [(g * n + inv[g], inv_n) for g in range(n)])
-    omega = Vec(n, {ident: Fraction(n)})
-    return algebra, e, omega
+    """Group algebra (one-object groupoid), e = (1/|G|) sum g (x) g^{-1}, w(g) = |G| [g = 1]."""
+    labels = [f"g{k}" for k in range(len(table))]
+    return _separable_groupoid_algebra(group_groupoid(table), labels)
 
 
 def trivial_action(b: AlgebraData, l: WeakHopfData) -> Mat:
@@ -178,11 +174,7 @@ class QTGInput:
     # -- action helpers ----------------------------------------------------
     def act(self, b: Vec, l: Vec) -> Vec:
         """Bilinear b <| l."""
-        acc: dict[int, Fraction] = {}
-        for bi, cb in b.terms():
-            for li, cl in l.terms():
-                addto(acc, cb * cl, self.action.col_terms(bi * self.L.dim + li))
-        return Vec.adopt(self.B.dim, acc)
+        return self.action.matvec(b.tensor(l))
 
     def e_pairs(self) -> list[tuple[int, int, Fraction]]:
         d = self.B.dim
@@ -203,8 +195,10 @@ class QTGInput:
         pairs = self.e_pairs()
         basis_b = [Vec.basis(dB, k) for k in range(dB)]
         # idempotent1: b e1 (x) e2 = e1 (x) e2 b, the Casimir identity of e
-        if not check_casimir(CasimirElement(B, self.e)).passed:
-            raise ConstructionError("idempotent1: b e1 (x) e2 != e1 (x) e2 b")
+        try:
+            sep = casimir_comult(CasimirElement(B, self.e))
+        except PreconditionError:
+            raise ConstructionError("idempotent1: b e1 (x) e2 != e1 (x) e2 b") from None
         # idempotent2: e1 e2 = 1
         contracted: dict[int, Fraction] = {}
         for p, q, v in pairs:
@@ -217,24 +211,21 @@ class QTGInput:
         )
         if swapped != self.e:
             raise ConstructionError("idempotent3: e1 (x) e2 != e2 (x) e1")
-        # trace: w(e1) e2 = 1 = e1 w(e2)
-        first: dict[int, Fraction] = {}
-        second: dict[int, Fraction] = {}
-        for p, q, v in pairs:
-            addto(first, self.omega.get(p), ((q, v),))
-            addto(second, self.omega.get(q), ((p, v),))
-        if Vec.adopt(dB, first) != B.unit or Vec.adopt(dB, second) != B.unit:
+        # trace: w(e1) e2 = 1 = e1 w(e2) says that w is a counit of the Casimir
+        # element e, and a counit is unique (see solve_counit)
+        if sep.counit != self.omega:
             raise ConstructionError("trace: w(e1) e2 = 1_B = e1 w(e2) fails")
-        # action axioms
+        # action axioms; e_b <| e_l is column b*dL + l of the action matrix
         dL = L.dim
         basis_l = [Vec.basis(dL, k) for k in range(dL)]
+        acts = [[self.action.col(b * dL + l) for l in range(dL)] for b in range(dB)]
         for b in range(dB):
             if self.act(basis_b[b], L.unit) != basis_b[b]:
                 raise ConstructionError("QTGaction1: b <| 1_L != b")
         for b in range(dB):
             for l1 in range(dL):
                 for l2 in range(dL):
-                    lhs = self.act(self.act(basis_b[b], basis_l[l1]), basis_l[l2])
+                    lhs = self.act(acts[b][l1], basis_l[l2])
                     rhs = self.act(basis_b[b], L.algebra.basis_product(l1, l2))
                     if lhs != rhs:
                         raise ConstructionError(
@@ -251,9 +242,7 @@ class QTGInput:
                     lhs = self.act(prod, basis_l[l])
                     acc: dict[int, Fraction] = {}
                     for p, q, v in L.comult_pairs(l):
-                        left = self.act(basis_b[b1], basis_l[p])
-                        right = self.act(basis_b[b2], basis_l[q])
-                        addto(acc, v, B.mul(left, right).terms())
+                        addto(acc, v, B.mul(acts[b1][p], acts[b2][q]).terms())
                     if lhs != Vec.adopt(dB, acc):
                         raise ConstructionError(
                             "QTGaction2: (b b') <| l != (b <| l_1)(b' <| l_2)"
@@ -264,26 +253,12 @@ class QTGInput:
             rhs = {}
             s_l = L.antipode.col(l)
             for p, q, v in pairs:
-                addto(lhs, v, self.act(basis_b[p], basis_l[l]).terms(), q, dB)
+                addto(lhs, v, acts[p][l].terms(), q, dB)
                 addto(rhs, v, self.act(basis_b[q], s_l).terms(), p * dB)
             if lhs != rhs:
                 raise ConstructionError(
                     "idempotentAction: (e1 <| l) (x) e2 != e1 (x) (e2 <| S(l))"
                 )
-
-
-def _add_tensor3(acc: dict, coeff, q: QTGInput, first: Vec, mid: Vec, last: Vec) -> dict:
-    """acc += coeff * first (x) mid (x) last over B^op (x) L (x) B."""
-    dL, dB = q.L.dim, q.B.dim
-    for a, ca in first.terms():
-        for l, cl in mid.terms():
-            addto(acc, coeff * ca * cl, last.terms(), (a * dL + l) * dB)
-    return acc
-
-
-def _tensor3(q: QTGInput, first: Vec, mid: Vec, last: Vec) -> Vec:
-    """first (x) mid (x) last as a vector over B^op (x) L (x) B."""
-    return Vec.adopt(q.B.dim * q.L.dim * q.B.dim, _add_tensor3({}, 1, q, first, mid, last))
 
 
 def qtg_build(q: QTGInput) -> WeakHopfData:
@@ -322,7 +297,7 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
                             addto(acc, c1 * c2 * ca * cl, last, (a * dL + l) * dB)
             if acc:
                 mult[(p1, p2)] = Vec.adopt(dim, acc)
-    unit = _tensor3(q, B.unit, L.unit, B.unit)
+    unit = B.unit.tensor(L.unit).tensor(B.unit)
     algebra = AlgebraData(dim, labels, mult, unit)
 
     # Delta, eps and S in one pass over the columns (a, l, b)
@@ -376,11 +351,11 @@ def _integral_pair(q: QTGInput, h: WeakHopfData, lam_r: Vec) -> tuple[Vec, Vec]:
     for u1, u2, c in q.L.comult_pairs_of(lam_r):
         s_u2 = L.antipode.col(u2)
         for p, qq, ce in q.e_pairs():
-            first = q.act(basis_b[p], Vec.basis(dL, u1))
-            _add_tensor3(acc, c * ce, q, first, s_u2, basis_b[qq])
+            first = q.action.col(p * dL + u1)  # e_p <| e_u1
+            addto(acc, c * ce, first.tensor(s_u2).tensor(basis_b[qq]).terms())
     ibar = Vec.adopt(h.dim, acc)
 
-    lam_bar = _tensor3(q, q.omega, lam_dual, q.omega)
+    lam_bar = q.omega.tensor(lam_dual).tensor(q.omega)
 
     # Ibar must be a left integral of H: x Ibar = 0 for the x that define them
     for x in _integral_annihilators(h, True):
@@ -441,8 +416,8 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
                         if third.is_zero():
                             continue
                         if (qq, i2, q2) not in rights:
-                            rights[qq, i2, q2] = _tensor3(q, basis_b[qq], s2_cols[i2], basis_b[q2])
-                        left_vec = _tensor3(q, first, mid, third)
+                            rights[qq, i2, q2] = basis_b[qq].tensor(s2_cols[i2]).tensor(basis_b[q2])
+                        left_vec = first.tensor(mid).tensor(third)
                         coeff = ci * cl * ce * ce2
                         for lf, lv in left_vec.items():
                             base = lf * dim

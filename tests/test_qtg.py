@@ -367,6 +367,68 @@ def test_idempotent1_matches_naive_loop(name, edits):
     assert failed == expect_fail
 
 
+def naive_trace(B, e, omega) -> bool:
+    """w(e1) e2 == 1_B == e1 w(e2), summed term by term."""
+    d = B.dim
+    first: dict[int, Fraction] = {}
+    second: dict[int, Fraction] = {}
+    for t, v in e.items():
+        p, q = divmod(t, d)
+        addto(first, omega.get(p), ((q, v),))
+        addto(second, omega.get(q), ((p, v),))
+    return Vec.adopt(d, first) == B.unit and Vec.adopt(d, second) == B.unit
+
+
+@given(
+    st.sampled_from(sorted(SEPARABLE_B)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["add", "remove", "rescale"]),
+            st.integers(0, 15),
+            st.fractions(-2, 2, max_denominator=3),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=120, deadline=None)
+def test_trace_matches_naive_loop(name, edits):
+    # w with a few entries added to, removed or rescaled; rescaling by 1 or
+    # adding 0 keeps it a trace form
+    B, e, om = SEPARABLE_B[name]
+    entries = dict(om.items())
+    for kind, k, c in edits:
+        k %= B.dim
+        if kind == "add":
+            entries[k] = entries.get(k, 0) + c
+        elif kind == "remove":
+            entries.pop(k, None)
+        else:
+            entries[k] = entries.get(k, 0) * c
+    bad_om = Vec(B.dim, entries)
+    expect_fail = not naive_trace(B, e, bad_om)
+    L = trivial_hopf()
+    try:
+        QTGInput(L, B, e, bad_om, trivial_action(B, L))
+        failed = False
+    except ConstructionError as exc:
+        assert str(exc).startswith("trace:")
+        failed = True
+    assert failed == expect_fail
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABLE_B))
+def test_non_casimir_e_fails_idempotent1_before_trace(name):
+    B, e, om = SEPARABLE_B[name]
+    bad_e = e + Vec(B.dim * B.dim, {1: F(1)})  # plus e_0 (x) e_1
+    bad_om = om.scale(2)
+    assert not naive_idempotent1(B, bad_e)
+    assert not naive_trace(B, bad_e, bad_om)
+    L = trivial_hopf()
+    with pytest.raises(ConstructionError, match="^idempotent1:"):
+        QTGInput(L, B, bad_e, bad_om, trivial_action(B, L))
+
+
 def test_qtg_rejects_broken_trace():
     L = trivial_hopf()
     B, e, om = separable_group_algebra(cyclic_group_table(2))
