@@ -107,6 +107,15 @@ def _split_args(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
     return positionals, flags
 
 
+def _reject_foreign(flags: dict[str, str], own: set[str], where: str) -> None:
+    """InputError for the first flag, in sorted order, that is neither in
+    ``own`` nor --format or --output: a flag of another command is an error,
+    not silently dropped."""
+    foreign = sorted(set(flags) - own - {"--format", "--output"})
+    if foreign:
+        raise InputError(f"flag {foreign[0]} does not apply to {where}")
+
+
 def _get_seed(flags: dict[str, str]) -> int:
     raw = flags.get("--seed")
     if raw is None:
@@ -226,6 +235,7 @@ def _nsy_params_from(params: dict[str, str]) -> NSYParams:
 
 def cmd_nsy(args: list[str]) -> int:
     positionals, flags = _split_args(args)
+    _reject_foreign(flags, set(), "nsy")
     if not positionals:
         raise InputError("nsy needs an action: build, table, delta, counit, check, sweep")
     action, rest = positionals[0], positionals[1:]
@@ -380,9 +390,7 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
            "qtg": {"--L", "--B"}}.get(source, set())
     if source == "groupoid" and "--objects" in flags:
         own.add("--group")  # the vertex group of a connected groupoid
-    foreign = sorted(set(flags) - own - {"--format", "--output", "--seed"})
-    if foreign:
-        raise InputError(f"flag {foreign[0]} does not apply to whopf source {source}")
+    _reject_foreign(flags, own | {"--seed"}, f"whopf source {source}")
     if source == "groupoid":
         if sum(f in flags for f in ("--json", "--pair-objects", "--objects")) != 1:
             raise InputError(
@@ -548,6 +556,7 @@ def cmd_whopf(args: list[str]) -> int:
 
 def cmd_verify(args: list[str]) -> int:
     positionals, flags = _split_args(args)
+    _reject_foreign(flags, set(), "verify")
     if len(positionals) != 1:
         raise InputError("verify needs exactly one input file (or - for stdin)")
     comult = comult_from_json(_load_json(positionals[0]))

@@ -29,13 +29,14 @@ the first column that differs.
 Most structure constants of the NSY algebras are zero, so the checkers walk
 only nonzero basis products, listed by factor in AlgebraData.product_index:
 the associativity check of a monomial table, the products X e_x and e_x X
-of _casimir_columns and the pairs the bimodule scan visits.  The
+of _casimir_columns, and the bimodule scan, which joins the products e_i e_p
+with the terms of Delta of left factor p (ComultData._terms_by_left).  The
 associativity walk only decides; when it fails, the full triple scan runs
-and gives the witness, as the pairwise bimodule and coassociativity scans do
-for theirs.  The unit laws are read off
-the same index: 1 e_k and e_k 1 for every k come from one pass over the
-products with a factor in the unit's support, and are compared in ascending
-k, so the first witness of each law is the one a scan over k would give.
+and gives the witness, as the bimodule and coassociativity scans do for
+theirs.  The unit laws are read off the same index: 1 e_k and e_k 1 for
+every k come from one pass over the products with a factor in the unit's
+support, and are compared in ascending k, so the first witness of each law
+is the one a scan over k would give.
 
 The counit is solved from X = Delta(1) too.  For a bimodule Delta,
 (eps (x) id)Delta(e_j) = ((eps (x) id)X) e_j and (id (x) eps)Delta(e_j) =
@@ -247,7 +248,7 @@ class ComultData:
 
     ``delta`` is a (dim^2 x dim) matrix whose column j is Delta(e_j) under
     row-major flattening of pairs: flat = p * dim + q for e_p (x) e_q.
-    Fields are never reassigned after construction: the column cache and the
+    Fields are never reassigned after construction: the column caches and the
     Delta(1) flag of the bimodule and coassociativity checks derive from them
     (:func:`casimir_comult` records the flag when it builds Delta).
     """
@@ -264,6 +265,7 @@ class ComultData:
         self.delta = delta
         self.counit = counit
         self._cols: list[list[tuple[int, int, Fraction]]] | None = None
+        self._by_left: list[list[tuple[int, int, Fraction]]] | None = None
         self._from_delta_one: bool | None = None
 
     def delta_of(self, x: Vec) -> Vec:
@@ -278,6 +280,16 @@ class ComultData:
                 for k in range(d)
             ]
         return self._cols[j]
+
+    def _terms_by_left(self) -> list[list[tuple[int, int, Fraction]]]:
+        """The transpose of :meth:`delta_pairs`: entry p lists the (j, q, coeff)
+        of every term coeff e_p (x) e_q of Delta(e_j), in ascending j."""
+        if self._by_left is None:
+            self._by_left = [[] for _ in range(self.algebra.dim)]
+            for j in range(self.algebra.dim):
+                for p, q, v in self.delta_pairs(j):
+                    self._by_left[p].append((j, q, v))
+        return self._by_left
 
 
 @dataclass(frozen=True)
@@ -487,63 +499,45 @@ def check_bimodule(c: ComultData) -> VerificationReport:
     associative algebra (see :func:`_from_delta_one`): then
     Delta(x) y = Delta(1) xy and x Delta(y) = xy Delta(1).
 
-    Otherwise the scan visits, for each i in turn, only the j (ascending) for
-    which some side can be nonzero: e_i e_j != 0, e_q e_j != 0 for a right
-    factor q of Delta(e_i), or e_i e_p != 0 for a left factor p of
-    Delta(e_j).  Every other pair reads 0 = 0 in both equalities, so the
-    first witnesses are those of the full scan.
+    Otherwise each row i is summed for all j at once from the nonzero
+    products: Delta(e_i) e_j pairs Delta(e_i) with the e_q e_j != 0,
+    e_i Delta(e_j) the e_i e_p != 0 with the terms of left factor p, and
+    Delta(e_i e_j) needs e_i e_j != 0.  Every other pair reads 0 = 0, and j
+    ascends, so the first witnesses are those of the full scan.
     """
+    names = ("bimodule_right", "bimodule_left")
     if _from_delta_one(c):
-        return VerificationReport(
-            (CheckResult("bimodule_right", True), CheckResult("bimodule_left", True))
-        )
+        return VerificationReport(tuple(CheckResult(name, True) for name in names))
     a = c.algebra
     d = a.dim
-    by_left = a.product_index()[1]
-    cols_with_left: list[set[int]] = [set() for _ in range(d)]
-    for j in range(d):
-        for p, _, _ in c.delta_pairs(j):
-            cols_with_left[p].add(j)
-    right_witness = None
-    left_witness = None
+    mult, by_left = a.mult, a.product_index()[1]
+    terms_by_left = c._terms_by_left()
+    notes = ("(id(x)m)(Delta(x)id) != Delta m", "(m(x)id)(id(x)Delta) != Delta m")
+    witnesses: list[Witness | None] = [None, None]  # right, left
     for i in range(d):
-        pairs_i = c.delta_pairs(i)
-        visit: set[int] = set()
-        for p in by_left[i]:
-            visit.add(p)
-            visit |= cols_with_left[p]
-        for _, q, _ in pairs_i:
-            visit.update(by_left[q])
-        for j in sorted(visit):
-            target = c.delta_of(a.basis_product(i, j))
-            if right_witness is None:
-                acc: dict[int, Fraction] = {}
-                for p, q, v in pairs_i:
-                    addto(acc, v, a.basis_product(q, j).terms(), p * d)
-                lhs = Vec.adopt(d * d, acc)
-                if lhs != target:
-                    right_witness = Witness(
-                        (i, j), lhs, target, "(id(x)m)(Delta(x)id) != Delta m"
-                    )
-            if left_witness is None:
-                acc = {}
-                for p, q, v in c.delta_pairs(j):
-                    addto(acc, v, a.basis_product(i, p).terms(), q, d)
-                lhs = Vec.adopt(d * d, acc)
-                if lhs != target:
-                    left_witness = Witness(
-                        (i, j), lhs, target, "(m(x)id)(id(x)Delta) != Delta m"
-                    )
-            if right_witness is not None and left_witness is not None:
-                break
-        if right_witness is not None and left_witness is not None:
+        right, left, target = {}, {}, {}  # j -> Delta(e_i) e_j, e_i Delta(e_j), Delta(e_i e_j)
+        if witnesses[0] is None:
+            for p, q, v in c.delta_pairs(i):
+                for j in by_left[q]:
+                    addto(right.setdefault(j, {}), v, mult[q, j].terms(), p * d)
+        if witnesses[1] is None:
+            for p in by_left[i]:
+                prod = mult[i, p].terms()
+                for j, q, v in terms_by_left[p]:
+                    addto(left.setdefault(j, {}), v, prod, q, d)
+        for j in by_left[i]:
+            for k, u in mult[i, j].terms():
+                addto(target.setdefault(j, {}), u, c.delta.col_terms(k))
+        for j in sorted(right.keys() | left.keys() | target.keys()):
+            rhs = target.get(j, {})
+            for side, sums in enumerate((right, left)):
+                if witnesses[side] is None and sums.get(j, {}) != rhs:
+                    lhs = Vec.adopt(d * d, sums.get(j, {}))
+                    witnesses[side] = Witness((i, j), lhs, Vec.adopt(d * d, rhs), notes[side])
+        if None not in witnesses:
             break
-    return VerificationReport(
-        (
-            CheckResult("bimodule_right", right_witness is None, right_witness),
-            CheckResult("bimodule_left", left_witness is None, left_witness),
-        )
-    )
+    checks = (CheckResult(name, w is None, w) for name, w in zip(names, witnesses))
+    return VerificationReport(tuple(checks))
 
 
 def check_casimir_of_delta(c: ComultData) -> VerificationReport:

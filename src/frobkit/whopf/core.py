@@ -278,19 +278,15 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
 
     # Delta(ab) = Delta(a) Delta(b), decided on the rows a in {1} u S (module
     # docstring); the scan over all basis pairs gives the witness
-    grouped: list[dict[int, list]] = [{} for _ in range(d)]
-    for j in range(d):
-        for p, q, v in scaled.delta_pairs(j):
-            grouped[j].setdefault(p, []).append((q, v))
     decided = check_algebra(a).passed
     if decided:
         rows = [(h.scaled_unit_pairs, a.unit)]
         rows += [(scaled.delta_pairs(g), basis[g]) for g in a.generators()]
-        decided = not any(_mult_row(h, *row, grouped) for row in rows)
+        decided = not any(_mult_row(h, *row, scaled._terms_by_left()) for row in rows)
     mult_w = None
     if not decided:
         for i in range(d):
-            bad = _mult_row(h, scaled.delta_pairs(i), basis[i], grouped)
+            bad = _mult_row(h, scaled.delta_pairs(i), basis[i], scaled._terms_by_left())
             if bad:
                 j, acc, rhs = bad
                 mult_w = _scaled_witness(
@@ -354,30 +350,31 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _mult_row(h: WeakHopfData, x_pairs, x: Vec, grouped: list[dict]):
+def _mult_row(h: WeakHopfData, x_pairs, x: Vec, terms_by_left: list[list]):
     """The first j with (n Delta)(x) (n Delta)(e_j) != n (n Delta)(x e_j) and both
-    sides over d^2, or None.  ``x_pairs``: the terms of (n Delta)(x); ``grouped[j]``:
-    those of (n Delta)(e_j) by left factor, walked with by_left from the shorter."""
+    sides over d^2, or None.  ``x_pairs``: the terms of (n Delta)(x);
+    ``terms_by_left``: those of n Delta by left factor.  Both sides are summed
+    for every j in one pass over the nonzero products, then compared in
+    ascending j."""
     a, d, n = h.algebra, h.dim, h.denom
     mult, by_left = a.mult, a.product_index()[1]
-    for j in range(d):
-        acc: dict[int, Fraction] = {}
-        for p, q, v in x_pairs:
-            for p2 in by_left[p] if len(by_left[p]) < len(grouped[j]) else grouped[j]:
-                left = mult.get((p, p2))
-                if left is None or p2 not in grouped[j]:
-                    continue
-                left_terms = left.terms()
-                for q2, v2 in grouped[j][p2]:
-                    right = mult.get((q, q2))
-                    if right is not None:
-                        for kl, vl in left_terms:
-                            addto(acc, v * v2 * vl, right.terms(), kl * d)
-        rhs: dict[int, Fraction] = {}
-        for k, c in a.mul(x, Vec.basis(d, j)).terms():
-            addto(rhs, n * c, h.scaled.delta.col_terms(k))
-        if acc != rhs:
-            return j, acc, rhs
+    lhs: dict[int, dict] = {}
+    for p, q, v in x_pairs:
+        for p2 in by_left[p]:
+            left_terms = mult[p, p2].terms()
+            for j, q2, v2 in terms_by_left[p2]:
+                right = mult.get((q, q2))
+                if right is not None:
+                    for kl, vl in left_terms:
+                        addto(lhs.setdefault(j, {}), v * v2 * vl, right.terms(), kl * d)
+    rhs: dict[int, dict] = {}
+    for k, c in x.terms():
+        for j in by_left[k]:
+            for m, u in mult[k, j].terms():
+                addto(rhs.setdefault(j, {}), n * c * u, h.scaled.delta.col_terms(m))
+    for j in sorted(lhs.keys() | rhs.keys()):
+        if lhs.get(j, {}) != rhs.get(j, {}):
+            return j, lhs.get(j, {}), rhs.get(j, {})
     return None
 
 

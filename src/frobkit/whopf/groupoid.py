@@ -324,12 +324,16 @@ def groupoid_from_json(payload: dict) -> GroupoidData:
         obj_index = {x: i for i, x in enumerate(objects)}
     except TypeError:
         raise InputError("object names must be strings or numbers") from None
+    if len(obj_index) != len(objects):
+        dup = next(x for i, x in enumerate(objects) if obj_index[x] != i)
+        raise InputError(f"object {dup!r} listed more than once")
     morphisms = []
     name_index = {}
     for m in morph_raw:
         try:
             name, src, tgt = m["id"], m["src"], m["tgt"]
-            name_index[name] = len(morphisms)
+            if name_index.setdefault(name, len(morphisms)) != len(morphisms):
+                raise InputError(f"morphism id {name!r} listed more than once")
         except (KeyError, TypeError):
             raise InputError(f"bad morphism entry {m!r}") from None
         morphisms.append(
@@ -342,13 +346,15 @@ def groupoid_from_json(payload: dict) -> GroupoidData:
     compose = {}
     for entry in comp_raw:
         a, b, c = _names(entry, 3, name_index, "compose")
+        if (a, b) in compose:
+            raise InputError(f"compose entry ({entry[0]!r}, {entry[1]!r}) listed more than once")
         compose[(a, b)] = c
-    inv = [0] * len(morphisms)
-    seen = set()
+    inv: dict[int, int] = {}
     for entry in inv_raw:
         a, b = _names(entry, 2, name_index, "inv")
+        if a in inv:
+            raise InputError(f"inv entry for {entry[0]!r} listed more than once")
         inv[a] = b
-        seen.add(a)
-    if len(seen) != len(morphisms):
+    if len(inv) != len(morphisms):
         raise InputError("inverse table must cover every morphism")
-    return GroupoidData(objects, morphisms, compose, inv)
+    return GroupoidData(objects, morphisms, compose, [inv[a] for a in range(len(morphisms))])

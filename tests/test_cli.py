@@ -347,6 +347,19 @@ def _unhashable_objects(payload):
     payload["objects"] = [[x] for x in payload["objects"]]
 
 
+def _insert(field, entry):
+    """Put ``entry`` first in a groupoid field, so a later entry repeats it."""
+
+    def corrupt(payload):
+        payload[field].insert(0, entry)
+
+    return corrupt
+
+
+def _unhashable_morphism_id(payload):
+    payload["morphisms"][0]["id"] = ["id0"]
+
+
 def _missing_output_dir(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     return ["nsy", "build", "n=2", "ell=2", "m=1,1", "--output", str(target)]
@@ -454,7 +467,62 @@ MALFORMED_INPUTS = {
     "qtg_action_flag_unknown": _argv(
         "whopf", "qtg", "--L", "trivial", "--B", "cyclic:2", "--action", "trivial"
     ),
+    "nsy_check_with_cyclic": _argv("nsy", "check", "n=2", "ell=2", "m=1,1", "--cyclic", "3"),
+    "nsy_sweep_with_B": _argv("nsy", "sweep", "nmax=1", "lmax=1", "mmax=1", "--B", "cyclic:2"),
+    "nsy_table_with_json": _argv("nsy", "table", "n=1", "ell=1", "m=1", "--json", "x"),
+    "verify_with_objects_and_seed": _with_flags(
+        _file_case(["verify"], "nsy", lambda payload: None), "--objects", "3", "--seed", "4"
+    ),
+    # each repeat comes before the entry that used to win
+    "groupoid_contradictory_compose": _groupoid_case(_insert("compose", ["id0", "id0", "m0_1"])),
+    "groupoid_contradictory_inv": _groupoid_case(_insert("inv", ["id0", "id1"])),
+    "groupoid_duplicate_object": _groupoid_case(_insert("objects", 1)),
+    "groupoid_duplicate_morphism_id": _groupoid_case(
+        _insert("morphisms", {"id": "m1_0", "src": 0, "tgt": 0})
+    ),
+    "groupoid_unhashable_morphism_id": _groupoid_case(_unhashable_morphism_id),
 }
+
+
+Z2_GROUP = {
+    "objects": ["x"],
+    "morphisms": [{"id": "e", "src": "x", "tgt": "x"}, {"id": "g", "src": "x", "tgt": "x"}],
+    "compose": [["e", "e", "e"], ["e", "g", "e"], ["e", "g", "g"], ["g", "e", "g"], ["g", "g", "e"]],
+    "inv": [["e", "e"], ["g", "e"], ["g", "g"]],
+}
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("groupoid_contradictory_compose", "compose entry ('id0', 'id0') listed more than once"),
+        ("groupoid_contradictory_inv", "inv entry for 'id0' listed more than once"),
+        ("groupoid_duplicate_object", "object 1 listed more than once"),
+        ("groupoid_duplicate_morphism_id", "morphism id 'm1_0' listed more than once"),
+        ("groupoid_unhashable_morphism_id", "bad morphism entry {'id': ['id0'], 'src': 0, 'tgt': 0}"),
+    ],
+)
+def test_groupoid_json_repeat_is_named(case, message, tmp_path, capsys):
+    argv = MALFORMED_INPUTS[case](tmp_path, capsys)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("compose", "compose entry ('e', 'g') listed more than once"),
+        ("inv", "inv entry for 'g' listed more than once"),
+    ],
+)
+def test_contradictory_group_table_is_rejected(field, message, tmp_path, capsys):
+    """Z/2 with e g listed as e, then g, or g^-1 as e, then g: the last entry
+    made a valid group, and no entry may silently win over another."""
+    other = "inv" if field == "compose" else "compose"
+    payload = {**Z2_GROUP, other: [e for i, e in enumerate(Z2_GROUP[other]) if i != 1]}
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "whopf", "groupoid", "--json", str(path), "check")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
