@@ -584,8 +584,8 @@ usage:
               [--pair-objects N] [--cyclic N] [--objects N] [--group cyclic:K]
               [--L trivial|cyclic:N] [--B matrix:D|cyclic:N]
               [--json FILE] [--seed N] [--format ...] [--output PATH]
-  frobkit whopf check FILE
-  frobkit verify <FILE|->  [--format ...]
+  frobkit whopf check FILE [--format ...] [--output PATH]
+  frobkit verify <FILE|-> [--format ...] [--output PATH]
 """
 
 

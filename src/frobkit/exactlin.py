@@ -16,7 +16,8 @@ and :meth:`LinearSystem.add`) and rejects anything else, such as floats or
 numpy integers that overflow silently.  The JSON decoder in ``finalg``
 admits each value once, through :func:`scalar_from_str` and
 :func:`add_entry`, and wraps the dicts it built with :meth:`Vec.adopt` and
-:meth:`Mat.adopt`.  Sums and products of stored values need no division, so
+:meth:`Mat.adopt`; so does the closed-form comultiplication in ``whopf.qtg``,
+which sums integer numerators and divides each entry once.  Sums and products of stored values need no division, so
 they stay exact; a result that cancels to an integral ``Fraction`` becomes
 an ``int`` again when it passes through a constructor.  The one ``/`` in the
 package is the pivot division of :meth:`LinearSystem.add`, taken through

@@ -329,6 +329,7 @@ def groupoid_from_json(payload: dict) -> GroupoidData:
         raise InputError(f"object {dup!r} listed more than once")
     morphisms = []
     name_index = {}
+    label_ids = {}  # str(id), the printed label -> id
     for m in morph_raw:
         try:
             name, src, tgt = m["id"], m["src"], m["tgt"]
@@ -336,9 +337,14 @@ def groupoid_from_json(payload: dict) -> GroupoidData:
                 raise InputError(f"morphism id {name!r} listed more than once")
         except (KeyError, TypeError):
             raise InputError(f"bad morphism entry {m!r}") from None
+        label = str(name)
+        if label_ids.setdefault(label, name) != name:
+            raise InputError(
+                f"morphism ids {label_ids[label]!r} and {name!r} share the label {label!r}"
+            )
         morphisms.append(
             Morphism(
-                str(name),
+                label,
                 _lookup(obj_index, src, "object"),
                 _lookup(obj_index, tgt, "object"),
             )

@@ -25,32 +25,39 @@ with counit w(a) lam(l) w(b), and must agree with the generic construction.
 
 B is a groupoid algebra: M_d (--B matrix:D) of the pair groupoid on d objects,
 k[G] (--B cyclic:N) of G as one object; with m morphisms out of each object,
-e = (1/m) sum_g g (x) g^{-1} and w(id_x) = m.  QTGInput checks e through
-casimir_comult, and w as the unique counit of that Casimir element.
+e = (1/m) sum_g g (x) g^{-1} and w(id_x) = m.  QTGInput checks the Casimir
+identity of e column by column (finalg._casimir_columns), w by summing
+w(e1) e2 and e1 w(e2) over the terms of e, and the action axioms on the
+generators of L (see QTGInput._validate).
 
 qtg_build assembles the product from three factor tables computed once,
 (a' <| S(l_1)) a, l_2 l'_1 and (b <| l'_2) b', and Delta from one Delta^2(l)
 per basis element l of L; check_weak_hopf still verifies the result.
+qtg_frobenius sums the closed-form Delta from four tables computed once,
+(e_p <| I_1 S(u_1)) a, u_2 S(I_4), (b e_p2 <| S(I_3)) and
+e_q (x) S^2(I_2) (x) e_q2, with e scaled to integer coefficients by the lcm n
+of its denominators; each entry is divided by n^2 once at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
-from ..errors import ConstructionError, InputError, InternalConsistencyError, PreconditionError
+from ..errors import ConstructionError, InputError, InternalConsistencyError
 from ..exactlin import (
     Mat,
     ONE,
     Vec,
+    _scalar,
     addto,
     inverse,
 )
 from ..finalg import (
     AlgebraData,
-    CasimirElement,
     ComultData,
-    casimir_comult,
+    _casimir_columns,
     check_algebra,
 )
 from .core import (
@@ -181,6 +188,25 @@ class QTGInput:
         return [(flat // d, flat % d, v) for flat, v in self.e.items()]
 
     def _validate(self):
+        """Check every defining identity, in the order of the messages.
+
+        QTGaction1 and QTGaction2 are decided on the generators g of L
+        (``L.algebra.generators()``), once b <| 1 = b holds for every b:
+
+        - QTGaction1.  The l' with (b <| l) <| l' = b <| (l l') for all b, l
+          form a subspace.  It holds 1, since b <| 1 = b, and it is closed
+          under products: for l', l'' in it, (b <| l) <| (l' l'') =
+          ((b <| l) <| l') <| l'' = (b <| l l') <| l'' = b <| (l l' l'').  The
+          g generate L as a unital algebra, so the g decide it.
+        - QTGaction2.  Given QTGaction1, the l with (b b') <| l =
+          (b <| l_1)(b' <| l_2) for all b, b' form a subspace that holds 1
+          (Delta(1) = 1 (x) 1 in the Hopf algebra L) and is closed under
+          products: (b b') <| (l m) = ((b <| l_1)(b' <| l_2)) <| m =
+          (b <| l_1 m_1)(b' <| l_2 m_2), and Delta(l m) = l_1 m_1 (x) l_2 m_2
+          is the multiplicativity check_weak_hopf(L) has checked.  Likewise
+          the l with 1_B <| l = eps(l) 1_B: 1_B <| (l m) = eps(l) 1_B <| m =
+          eps(l) eps(m) 1_B, and eps is multiplicative on a Hopf algebra.
+        """
         L, B = self.L, self.B
         if not check_algebra(B).passed:
             raise ConstructionError("B is not a unital associative algebra")
@@ -195,10 +221,8 @@ class QTGInput:
         pairs = self.e_pairs()
         basis_b = [Vec.basis(dB, k) for k in range(dB)]
         # idempotent1: b e1 (x) e2 = e1 (x) e2 b, the Casimir identity of e
-        try:
-            sep = casimir_comult(CasimirElement(B, self.e))
-        except PreconditionError:
-            raise ConstructionError("idempotent1: b e1 (x) e2 != e1 (x) e2 b") from None
+        if any(lhs != rhs for _, lhs, rhs in _casimir_columns(B, self.e)):
+            raise ConstructionError("idempotent1: b e1 (x) e2 != e1 (x) e2 b")
         # idempotent2: e1 e2 = 1
         contracted: dict[int, Fraction] = {}
         for p, q, v in pairs:
@@ -211,34 +235,36 @@ class QTGInput:
         )
         if swapped != self.e:
             raise ConstructionError("idempotent3: e1 (x) e2 != e2 (x) e1")
-        # trace: w(e1) e2 = 1 = e1 w(e2) says that w is a counit of the Casimir
-        # element e, and a counit is unique (see solve_counit)
-        if sep.counit != self.omega:
+        # trace: w(e1) e2 = 1_B = e1 w(e2), summed over the terms of e
+        w_e1_e2 = Vec(dB, [(q, v * self.omega.get(p)) for p, q, v in pairs])
+        e1_w_e2 = Vec(dB, [(p, v * self.omega.get(q)) for p, q, v in pairs])
+        if not w_e1_e2 == e1_w_e2 == B.unit:
             raise ConstructionError("trace: w(e1) e2 = 1_B = e1 w(e2) fails")
         # action axioms; e_b <| e_l is column b*dL + l of the action matrix
         dL = L.dim
         basis_l = [Vec.basis(dL, k) for k in range(dL)]
         acts = [[self.action.col(b * dL + l) for l in range(dL)] for b in range(dB)]
+        gens = L.algebra.generators()
         for b in range(dB):
             if self.act(basis_b[b], L.unit) != basis_b[b]:
                 raise ConstructionError("QTGaction1: b <| 1_L != b")
         for b in range(dB):
             for l1 in range(dL):
-                for l2 in range(dL):
+                for l2 in gens:
                     lhs = self.act(acts[b][l1], basis_l[l2])
                     rhs = self.act(basis_b[b], L.algebra.basis_product(l1, l2))
                     if lhs != rhs:
                         raise ConstructionError(
                             "QTGaction1: (b <| l) <| l' != b <| (l l')"
                         )
-        for l in range(dL):
+        for l in gens:
             expected = B.unit.scale(L.epsilon_wk.get(l))
             if self.act(B.unit, basis_l[l]) != expected:
                 raise ConstructionError("QTGaction2: 1_B <| l != eps(l) 1_B")
         for b1 in range(dB):
             for b2 in range(dB):
                 prod = B.basis_product(b1, b2)
-                for l in range(dL):
+                for l in gens:
                     lhs = self.act(prod, basis_l[l])
                     acc: dict[int, Fraction] = {}
                     for p, q, v in L.comult_pairs(l):
@@ -377,54 +403,9 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
     returned."""
     if h is None:
         h = qtg_build(q)
-    L, B = q.L, q.B
-    dB, dL = B.dim, L.dim
-    dim = h.dim
-    lam_r = integral_space(L, "right").basis[0]
+    lam_r = integral_space(q.L, "right").basis[0]
     ibar, lam_bar = _integral_pair(q, h, lam_r)
-
-    basis_b = [Vec.basis(dB, k) for k in range(dB)]
-    s = L.antipode
-    s_cols = [s.col(j) for j in range(dL)]
-    quad = iterated_comult(L, lam_r, 4)
-    e_pairs = q.e_pairs()
-
-    # the factors that depend on fewer indices than the column, each once
-    s2_cols = [s.matvec(c) for c in s_cols]
-    heads: dict[tuple[int, int, int], Vec] = {}  # (p, i1, u1): e_p <| I_1 S(l_1)
-    thirds: dict[tuple[int, int, int], Vec] = {}  # (b, p2, i3): b e'1 <| S(I_3)
-    rights: dict[tuple[int, int, int], Vec] = {}  # (qq, i2, q2): e2 (x) S^2(I_2) (x) e'2
-    entries = []
-    for col, (a, l, b) in enumerate(product(range(dB), range(dL), range(dB))):
-        for (i1, i2, i3, i4), ci in quad.items():
-            for u1, u2, cl in L.comult_pairs(l):
-                # (e1 <| I_1 S(l_1)) a  (x)  l_2 S(I_4)  (x)  (b e'1 <| S(I_3))
-                mid = L.algebra.mul(Vec.basis(dL, u2), s_cols[i4])
-                if mid.is_zero():
-                    continue
-                for p, qq, ce in e_pairs:
-                    if (p, i1, u1) not in heads:
-                        head_l = L.algebra.mul(Vec.basis(dL, i1), s_cols[u1])
-                        heads[p, i1, u1] = q.act(basis_b[p], head_l)
-                    first = B.mul(heads[p, i1, u1], basis_b[a])
-                    if first.is_zero():
-                        continue
-                    for p2, q2, ce2 in e_pairs:
-                        if (b, p2, i3) not in thirds:
-                            thirds[b, p2, i3] = q.act(B.basis_product(b, p2), s_cols[i3])
-                        third = thirds[b, p2, i3]
-                        if third.is_zero():
-                            continue
-                        if (qq, i2, q2) not in rights:
-                            rights[qq, i2, q2] = basis_b[qq].tensor(s2_cols[i2]).tensor(basis_b[q2])
-                        left_vec = first.tensor(mid).tensor(third)
-                        coeff = ci * cl * ce * ce2
-                        for lf, lv in left_vec.items():
-                            base = lf * dim
-                            for rf, rv in rights[qq, i2, q2].items():
-                                entries.append((base + rf, col, coeff * lv * rv))
-    delta = Mat(dim * dim, dim, entries)
-
+    delta = _closed_form_delta(q, lam_r, h.dim)
     generic = frobenius_from_integral(h, ibar)
     if generic.delta != delta:
         raise InternalConsistencyError(
@@ -435,3 +416,66 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
             "closed-form counit disagrees with the solved counit"
         )
     return generic
+
+
+def _closed_form_delta(q: QTGInput, lam_r: Vec, dim: int) -> Mat:
+    """Delta(a (x) l (x) b) = [(e1 <| I_1 S(l_1)) a (x) l_2 S(I_4) (x)
+    (b e'1 <| S(I_3))] (x) [e2 (x) S^2(I_2) (x) e'2] for I = lam_r, from the
+    formula's own factors, each tabulated once as term tuples on the indices
+    it depends on.  The terms of e are scaled to integers by n, the lcm of
+    their denominators, so each column is summed in numerators and every
+    stored entry is divided by n^2 once."""
+    L, B = q.L, q.B
+    dB, dL = B.dim, L.dim
+    basis_b = [Vec.basis(dB, k) for k in range(dB)]
+    basis_l = [Vec.basis(dL, k) for k in range(dL)]
+    s_cols = [L.antipode.col(j) for j in range(dL)]
+    s2_cols = [L.antipode.matvec(c) for c in s_cols]
+    n = math.lcm(*(v.denominator for _, v in q.e.terms()))
+    e_pairs = [(p, qq, _scalar(v * n)) for p, qq, v in q.e_pairs()]
+
+    # e_p <| I_1 S(l_1), then (e_p <| I_1 S(l_1)) a, l_2 S(I_4), (b e'1 <| S(I_3))
+    # and e2 (x) S^2(I_2) (x) e'2
+    heads = [[[q.act(basis_b[p], L.algebra.mul(basis_l[i1], s_cols[u1])) for u1 in range(dL)]
+              for i1 in range(dL)] for p in range(dB)]
+    firsts = [[[[tuple(B.mul(head, basis_b[a]).terms()) for a in range(dB)] for head in by_u1]
+               for by_u1 in by_i1] for by_i1 in heads]
+    mids = [[tuple(L.algebra.mul(basis_l[u2], s_cols[i4]).terms()) for i4 in range(dL)]
+            for u2 in range(dL)]
+    thirds = [[[tuple(q.act(B.basis_product(b, p2), s_cols[i3]).terms()) for i3 in range(dL)]
+               for p2 in range(dB)] for b in range(dB)]
+    rights = [[[tuple(((qq * dL + k) * dB + q2, v) for k, v in s2_cols[i2].terms())
+                for q2 in range(dB)] for i2 in range(dL)] for qq in range(dB)]
+    quad = iterated_comult(L, lam_r, 4).items()
+
+    cols = {}
+    quotients = {}  # numerator -> numerator / n^2, few distinct ones
+    for col, (a, l, b) in enumerate(product(range(dB), range(dL), range(dB))):
+        acc: dict[int, Fraction] = {}
+        for (i1, i2, i3, i4), ci in quad:
+            for u1, u2, cl in L.comult_pairs(l):
+                mid = mids[u2][i4]
+                if not mid:
+                    continue
+                for p, qq, ce in e_pairs:
+                    first = firsts[p][i1][u1][a]
+                    if not first:
+                        continue
+                    for p2, q2, ce2 in e_pairs:
+                        third = thirds[b][p2][i3]
+                        if not third:
+                            continue
+                        right = rights[qq][i2][q2]
+                        coeff = ci * cl * ce * ce2
+                        for x, cx in first:
+                            for y, cy in mid:
+                                for z, cz in third:
+                                    addto(acc, coeff * cx * cy * cz, right,
+                                          ((x * dL + y) * dB + z) * dim)
+        if acc:
+            for r, v in acc.items():
+                if v not in quotients:
+                    quotients[v] = _scalar(Fraction(v, n * n))
+                acc[r] = quotients[v]
+            cols[col] = acc
+    return Mat.adopt(dim * dim, dim, cols)

@@ -1,6 +1,7 @@
 """Command-line interface tests: golden output, exit codes, round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -35,6 +36,56 @@ def test_help(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "frobkit" in out
+
+
+def _usage_flags() -> dict[str, set[str]]:
+    """The flags each command's entries in the usage text name; an entry
+    starts at '  frobkit CMD' and runs over its indented continuation lines."""
+    flags: dict[str, set[str]] = {}
+    cmd = None
+    for line in cli._USAGE.splitlines():
+        if line.startswith("  frobkit "):
+            cmd = line.split()[1]
+        elif not line.startswith("    "):
+            cmd = None
+        if cmd:
+            flags.setdefault(cmd, set()).update(re.findall(r"--[\w-]+", line))
+    return flags
+
+
+def test_usage_names_every_accepted_flag(tmp_path, capsys, monkeypatch):
+    """Every flag _reject_foreign lets through for nsy, verify and each
+    whopf source appears in that command's usage lines."""
+    accepted: dict[str, set[str]] = {}
+    reject = cli._reject_foreign
+
+    def recording(flags, own, where):
+        accepted.setdefault(where, set()).update(own | {"--format", "--output"})
+        return reject(flags, own, where)
+
+    monkeypatch.setattr(cli, "_reject_foreign", recording)
+    nsy_file = tmp_path / "nsy.json"
+    whopf_file = tmp_path / "whopf.json"
+    whopf_file.write_text(weak_hopf_to_json_str(groupoid_algebra(pair_groupoid(2))))
+    commands = [
+        ["nsy", "build", "n=2", "ell=2", "m=1,1", "--output", str(nsy_file)],
+        ["verify", str(nsy_file)],
+        ["whopf", "groupoid", "--pair-objects", "2", "check"],
+        ["whopf", "groupoid", "--objects", "2", "--group", "cyclic:2", "check"],
+        ["whopf", "group", "--cyclic", "2", "check"],
+        ["whopf", "qtg", "--L", "trivial", "--B", "cyclic:2", "check"],
+        ["whopf", str(whopf_file), "check"],
+        ["whopf", "check", str(whopf_file)],
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+    usage = _usage_flags()
+    assert set(accepted) == {
+        "nsy", "verify", "whopf source groupoid", "whopf source group", "whopf source qtg",
+        f"whopf source {whopf_file}",
+    }
+    for where, own in accepted.items():
+        assert own <= usage[where.split()[0]], where
 
 
 def test_unknown_subcommand(capsys):
@@ -360,6 +411,19 @@ def _unhashable_morphism_id(payload):
     payload["morphisms"][0]["id"] = ["id0"]
 
 
+def _z2_integer_and_string_ids(tmp_path, capsys):
+    """Z/2 with morphism ids 1 and "1": two morphisms, one printed label."""
+    payload = {
+        "objects": ["x"],
+        "morphisms": [{"id": 1, "src": "x", "tgt": "x"}, {"id": "1", "src": "x", "tgt": "x"}],
+        "compose": [[1, 1, 1], [1, "1", "1"], ["1", 1, "1"], ["1", "1", 1]],
+        "inv": [[1, 1], ["1", "1"]],
+    }
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(payload))
+    return ["whopf", "groupoid", "--json", str(path), "integrals"]
+
+
 def _missing_output_dir(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     return ["nsy", "build", "n=2", "ell=2", "m=1,1", "--output", str(target)]
@@ -481,6 +545,7 @@ MALFORMED_INPUTS = {
         _insert("morphisms", {"id": "m1_0", "src": 0, "tgt": 0})
     ),
     "groupoid_unhashable_morphism_id": _groupoid_case(_unhashable_morphism_id),
+    "groupoid_colliding_morphism_labels": _z2_integer_and_string_ids,
 }
 
 
@@ -500,6 +565,7 @@ Z2_GROUP = {
         ("groupoid_duplicate_object", "object 1 listed more than once"),
         ("groupoid_duplicate_morphism_id", "morphism id 'm1_0' listed more than once"),
         ("groupoid_unhashable_morphism_id", "bad morphism entry {'id': ['id0'], 'src': 0, 'tgt': 0}"),
+        ("groupoid_colliding_morphism_labels", "morphism ids 1 and '1' share the label '1'"),
     ],
 )
 def test_groupoid_json_repeat_is_named(case, message, tmp_path, capsys):

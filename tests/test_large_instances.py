@@ -1,7 +1,8 @@
 """The larger instances ROADMAP.md times, run end to end through the CLI: the
-dim-900 NSY algebra, the dim-256 quantum transformation groupoid, k[Z/120]
-and the groupoid algebras of dim 576 and 192.  Each must exit 0 with every
-check line [PASS] and, where the command classifies, the expected
+dim-900 NSY algebra, the quantum transformation groupoids of dim 256 (check)
+and of dim 81 and 162 (frobenius, which cross-checks the closed form),
+k[Z/120] and the groupoid algebras of dim 576 and 192.  Each must exit 0 with
+every check line [PASS] and, where the command classifies, the expected
 classification.  No timing is asserted.
 """
 
@@ -13,6 +14,17 @@ from frobkit.cli import main
 pytestmark = pytest.mark.slow
 
 WEAK_HOPF_CHECKS = 15  # every line of check_weak_hopf's report
+
+
+def _qtg_matrix3_frobenius_tail(one: str) -> list[str]:
+    """eps(a (x) l (x) b) = w(a) lam(l) w(b) with w = 3 trace on M_3."""
+    terms = [f"9*E[{i},{i}](x){one}(x)E[{j},{j}]" for i in range(3) for j in range(3)]
+    return [
+        "classification: Frobenius",
+        f"counit: {' + '.join(terms)}",
+        "closed-form comultiplication verified against the integral construction",
+        f"frobkit {__version__}, seed 271828",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -27,8 +39,11 @@ WEAK_HOPF_CHECKS = 15  # every line of check_weak_hopf's report
         ),
         ("whopf groupoid --pair-objects 24 check", WEAK_HOPF_CHECKS, []),
         ("whopf groupoid --objects 4 --group cyclic:12 check", WEAK_HOPF_CHECKS, []),
+        ("whopf qtg --L trivial --B matrix:3 frobenius", 3, _qtg_matrix3_frobenius_tail("1")),
+        ("whopf qtg --L cyclic:2 --B matrix:3 frobenius", 3, _qtg_matrix3_frobenius_tail("g0")),
     ],
-    ids=["nsy_900", "qtg_matrix4_256", "kZ120_frobenius", "pair24_576", "objects4_z12_192"],
+    ids=["nsy_900", "qtg_matrix4_256", "kZ120_frobenius", "pair24_576", "objects4_z12_192",
+         "qtg_matrix3_frobenius_81", "qtg_z2_matrix3_frobenius_162"],
 )
 def test_large_instance_passes(argv, checks, tail, capsys):
     code = main(argv.split())

@@ -456,6 +456,99 @@ def test_qtg_rejects_broken_action():
         QTGInput(L, B, e, om, bad)
 
 
+def naive_action_failure(L, B, e, action) -> str | None:
+    """The first action axiom that fails, checked over every basis b, l, l'
+    as QTGInput did before it decided QTGaction1/2 on the generators of L,
+    or None."""
+    dB, dL = B.dim, L.dim
+    pairs = [(t // dB, t % dB, v) for t, v in e.items()]
+    basis_b = [Vec.basis(dB, k) for k in range(dB)]
+    basis_l = [Vec.basis(dL, k) for k in range(dL)]
+
+    def act(b, l):
+        return action.matvec(b.tensor(l))
+
+    acts = [[action.col(b * dL + l) for l in range(dL)] for b in range(dB)]
+    for b in range(dB):
+        if act(basis_b[b], L.unit) != basis_b[b]:
+            return "QTGaction1: b <| 1_L != b"
+    for b in range(dB):
+        for l1 in range(dL):
+            for l2 in range(dL):
+                rhs = act(basis_b[b], L.algebra.basis_product(l1, l2))
+                if act(acts[b][l1], basis_l[l2]) != rhs:
+                    return "QTGaction1: (b <| l) <| l' != b <| (l l')"
+    for l in range(dL):
+        if act(B.unit, basis_l[l]) != B.unit.scale(L.epsilon_wk.get(l)):
+            return "QTGaction2: 1_B <| l != eps(l) 1_B"
+    for b1 in range(dB):
+        for b2 in range(dB):
+            prod = B.basis_product(b1, b2)
+            for l in range(dL):
+                acc = {}
+                for p, q, v in L.comult_pairs(l):
+                    addto(acc, v, B.mul(acts[b1][p], acts[b2][q]).terms())
+                if act(prod, basis_l[l]) != Vec.adopt(dB, acc):
+                    return "QTGaction2: (b b') <| l != (b <| l_1)(b' <| l_2)"
+    for l in range(dL):
+        lhs, rhs = {}, {}
+        s_l = L.antipode.col(l)
+        for p, q, v in pairs:
+            addto(lhs, v, acts[p][l].terms(), q, dB)
+            addto(rhs, v, act(basis_b[q], s_l).terms(), p * dB)
+        if lhs != rhs:
+            return "idempotentAction: (e1 <| l) (x) e2 != e1 (x) (e2 <| S(l))"
+    return None
+
+
+# (order of the cyclic L, B, basis permutation of each group element): the
+# automorphism actions pass every axiom; swapping g0 and g1 of k[Z/3] is a
+# module but moves 1_B, and swapping g1 and g2 of k[Z/4] fixes 1_B but is no
+# algebra map, so each fails one QTGaction2 identity
+PERMUTATION_ACTIONS = [
+    (2, "cyclic:3", [[0, 1, 2], [0, 2, 1]]),
+    (4, "cyclic:5", [[0, 1, 2, 3, 4], [0, 2, 4, 1, 3], [0, 4, 3, 2, 1], [0, 3, 1, 4, 2]]),
+    (2, "matrix:2", [[0, 1, 2, 3], [3, 2, 1, 0]]),
+    (2, "cyclic:3", [[0, 1, 2], [1, 0, 2]]),
+    (2, "cyclic:4", [[0, 1, 2, 3], [0, 2, 1, 3]]),
+]
+
+
+@given(
+    st.sampled_from(range(len(PERMUTATION_ACTIONS) + 2)),
+    st.lists(
+        st.tuples(st.integers(0, 99), st.integers(0, 99), st.sampled_from([0, 1, -1, F(1, 2), 2])),
+        max_size=2,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_action_axioms_on_generators_match_full_loops(case, edits):
+    # an action with up to two entries set to a drawn value (0 removes one);
+    # the last two cases are trivial actions of k[Z/3] on k[Z/2] and of k on M_2
+    if case < len(PERMUTATION_ACTIONS):
+        order, B_token, perms = PERMUTATION_ACTIONS[case]
+        L = hopf_group_algebra(cyclic_group_table(order))
+        B, e, om = _separable_b(B_token)
+        action = automorphism_action(B, L, perms)
+    else:
+        if case == len(PERMUTATION_ACTIONS):
+            L, (B, e, om) = hopf_group_algebra(cyclic_group_table(3)), _separable_b("cyclic:2")
+        else:
+            L, (B, e, om) = trivial_hopf(), _separable_b("matrix:2")
+        action = trivial_action(B, L)
+    entries = {(r, c): v for r, c, v in action.items()}
+    for r, c, v in edits:
+        entries[r % action.nrows, c % action.ncols] = v
+    action = Mat(action.nrows, action.ncols, entries)
+    expected = naive_action_failure(L, B, e, action)
+    try:
+        QTGInput(L, B, e, om, action)
+        message = None
+    except ConstructionError as exc:
+        message = str(exc)
+    assert message == expected
+
+
 # sha256 of weak_hopf_to_json_str(qtg_build(...)) over the (L, B) pairs of the
 # whopf-qtg benchmark workload, recorded before the action table of qtg_build
 QTG_BUILD_DIGESTS = [
