@@ -24,7 +24,17 @@ the same first basis index.
 The Casimir identity X e_x = e_x X is evaluated in one routine,
 _casimir_columns, which yields both sides column by column: check_casimir,
 casimir_comult and the Delta(1) test above all read it, and each stops at
-the first column that differs.
+the first column that differs.  Once check_algebra passes, e_x X is summed
+for x in the generating set S of AlgebraData.generators only: {a : aX = Xa}
+is a subspace that holds 1 and is closed under products, (ab)X = a(Xb) =
+(Xa)b = X(ab), so S in it gives A.  A failed generator runs the full pass.
+
+Associativity of a monomial table is decided by Light's test (Clifford and
+Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2): the g
+with (xg)y = x(gy) for all x, y form a subspace that holds 1 by the unit
+laws and is closed under products, (x(gh))y = ((xg)h)y = (xg)(hy) =
+x(g(hy)) = x((gh)y).  Neither fact, nor S for a table whose unit laws hold,
+assumes associativity, so the middle factors in S decide it.
 
 Most structure constants of the NSY algebras are zero, so the checkers walk
 only nonzero basis products, listed by factor in AlgebraData.product_index:
@@ -61,6 +71,7 @@ from .exactlin import (
     Vec,
     LinearSystem,
     Scalar,
+    _scalar,
     add_entry,
     addto,
     scalar_from_str,
@@ -102,8 +113,8 @@ class AlgebraData:
     keys mean the product is zero.  Associativity and unitality are not
     assumed; run :func:`check_algebra`.  Fields are never reassigned after
     construction: the monomial table, the product index, the generating
-    set of :meth:`generators` and the check_algebra report are derived from
-    them and kept here.
+    set of :meth:`generators`, the unit-law checks and the check_algebra
+    report are derived from them and kept here.
     """
 
     def __init__(self, dim: int, labels: list[str], mult: dict, unit: Vec):
@@ -129,6 +140,8 @@ class AlgebraData:
         self._monomial_table: dict[int, dict[int, int]] | None | bool = False  # False = unknown
         self._product_index: tuple[list[list[int]], list[list[int]]] | None = None
         self._generators: list[int] | None = None
+        self._generator_set: frozenset[int] = frozenset()
+        self._units: tuple[CheckResult, CheckResult] | None = None
         self._report: VerificationReport | None = None
 
     def basis_product(self, i: int, j: int) -> Vec:
@@ -153,11 +166,12 @@ class AlgebraData:
             return self._monomial_table
         table: dict[int, dict[int, int]] | None = {}
         for (i, j), vec in self.mult.items():
-            items = vec.items()
-            if len(items) != 1 or items[0][1] != ONE:
+            terms = vec.terms()
+            ((k, v),) = terms if len(terms) == 1 else ((None, None),)
+            if v != ONE:
                 table = None
                 break
-            table.setdefault(i, {})[j] = items[0][0]
+            table.setdefault(i, {})[j] = k
         self._monomial_table = table
         return table
 
@@ -179,42 +193,41 @@ class AlgebraData:
         """Indices g of a generating set, kept on the algebra.  The basis is
         walked in order, and e_k is kept when it lies outside the span W of
         1 and the right-nested words e_g1 (e_g2 (... e_gm)) in the
-        generators kept so far.  For an associative unital algebra, 1 and
-        the words span A.
+        generators kept so far.  1 and the words span A; no associativity
+        is assumed, so check_algebra can read the generators.
 
-        On a monomial table that passes check_algebra every word is one
-        basis element (e_g 1 = e_g by the unit law), so W = span(1, e_R) for
-        the set R of word indices, closed under g -> table[g][r].  Then e_k
-        lies in W iff k is in R, or k is in the unit's support and the rest
-        of that support lies in R: a combination a 1 + sum_R b_r e_r equal
-        to e_k with k outside R needs a != 0 and no unit term outside R u {k}.
-        Any other algebra tracks W by one LinearSystem, closed under left
-        multiplication by the kept e_g, each basis vector of W times each
-        generator once."""
+        On a monomial table whose unit laws hold every word is one basis
+        element (e_g 1 = e_g), so W = span(1, e_R) for the set R of word
+        indices, closed under r -> table[g][r] for g in by_right[r].  Then
+        e_k lies in W iff k is in R, or k is in the unit's support and the
+        rest of that support lies in R: a combination a 1 + sum_R b_r e_r
+        equal to e_k with k outside R needs a != 0 and no unit term outside
+        R u {k}.  Any other algebra tracks W by one LinearSystem, closed under
+        left multiplication by the kept e_g, each basis vector of W times
+        each generator once."""
         if self._generators is None:
             table = self.monomial_table()
-            if table is not None and check_algebra(self).passed:
-                self._generators = self._monomial_generators(table)
-            else:
-                self._generators = self._span_generators()
+            monomial = table is not None and all(c.passed for c in _unit_checks(self))
+            gens = self._monomial_generators(table) if monomial else self._span_generators()
+            self._generators, self._generator_set = gens, frozenset(gens)
         return self._generators
 
     def _monomial_generators(self, table: dict[int, dict[int, int]]) -> list[int]:
+        by_right = self.product_index()[0]
         unit = set(self.unit.support())
         words: set[int] = set()  # R
-        gens: list[int] = []
+        gens: set[int] = set()
         for k in range(self.dim):
             if k in words or (k in unit and unit - {k} <= words):
                 continue
-            gens.append(k)
-            row = table.get(k, {})
-            pending = [k, *(row[r] for r in words if r in row)]
+            gens.add(k)
+            pending = [k, *(kr for r, kr in table.get(k, {}).items() if r in words)]
             while pending:  # R += pending, closed under the e_g
                 r = pending.pop()
                 if r not in words:
                     words.add(r)
-                    pending += [table[g][r] for g in gens if r in table.get(g, ())]
-        return gens
+                    pending += [table[g][r] for g in by_right[r] if g in gens]
+        return sorted(gens)
 
     def _span_generators(self) -> list[int]:
         d = self.dim
@@ -378,8 +391,8 @@ def _scalar_witness(indices, lhs: Fraction, rhs: Fraction, note="") -> Witness:
 
 
 def check_algebra(a: AlgebraData) -> VerificationReport:
-    """Associativity over all basis triples and two-sided unitality.
-    The report is kept on ``a``: later calls return the same object."""
+    """Associativity over all basis triples (module docstring) and two-sided
+    unitality.  The report is kept on ``a``: later calls return the same object."""
     if a._report is None:
         a._report = _algebra_report(a)
     return a._report
@@ -387,13 +400,14 @@ def check_algebra(a: AlgebraData) -> VerificationReport:
 
 def _algebra_report(a: AlgebraData) -> VerificationReport:
     d = a.dim
-    checks = []
-
+    units = _unit_checks(a)
     assoc_witness = None
     table = a.monomial_table()
-    # a monomial table is decided by the O(nnz) walk; on one that fails it,
-    # the d^3 scan runs only to find the witness
-    if table is None or not _monomial_associative(a, table):
+    # a monomial table is decided by the O(nnz) walk over the middles in S (all
+    # when a unit law fails); on one that fails it, the d^3 scan gives the witness
+    if table is None or not _monomial_associative(
+        a, table, a.generators() if all(c.passed for c in units) else range(d)
+    ):
         basis = [Vec.basis(d, k) for k in range(d)]
         for i, j, k in itertools.product(range(d), repeat=3):
             lhs = a.mul(a.basis_product(i, j), basis[k])
@@ -401,57 +415,61 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
             if lhs != rhs:
                 assoc_witness = Witness((i, j, k), lhs, rhs, "(e_i e_j) e_k != e_i (e_j e_k)")
                 break
-    checks.append(CheckResult("associativity", assoc_witness is None, assoc_witness))
-
-    by_right, by_left = a.product_index()
-    left: dict[int, dict] = {}
-    right: dict[int, dict] = {}
-    for q, u in a.unit.terms():
-        for k in by_left[q]:
-            addto(left.setdefault(k, {}), u, a.mult[(q, k)].terms())
-        for k in by_right[q]:
-            addto(right.setdefault(k, {}), u, a.mult[(k, q)].terms())
-    left_witness = None
-    right_witness = None
-    for k in range(d):
-        ek = {k: ONE}
-        lhs, rhs = left.get(k, {}), right.get(k, {})
-        if left_witness is None and lhs != ek:
-            left_witness = Witness((k,), Vec.adopt(d, lhs), Vec.adopt(d, ek), "1 * e_k != e_k")
-        if right_witness is None and rhs != ek:
-            right_witness = Witness((k,), Vec.adopt(d, rhs), Vec.adopt(d, ek), "e_k * 1 != e_k")
-    checks.append(CheckResult("unit_left", left_witness is None, left_witness))
-    checks.append(CheckResult("unit_right", right_witness is None, right_witness))
-    return VerificationReport(tuple(checks))
+    assoc = CheckResult("associativity", assoc_witness is None, assoc_witness)
+    return VerificationReport((assoc, *units))
 
 
-def _monomial_associative(a: AlgebraData, table: dict[int, dict[int, int]]) -> bool:
-    """Associativity of a monomial table, walking only nonzero products.
+def _unit_checks(a: AlgebraData) -> tuple[CheckResult, CheckResult]:
+    """The unit_left and unit_right checks, kept on ``a``."""
+    if a._units is None:
+        d, (by_right, by_left) = a.dim, a.product_index()
+        left: dict[int, dict] = {}  # k -> 1 e_k, and right: k -> e_k 1
+        right: dict[int, dict] = {}
+        for q, u in a.unit.terms():
+            for k in by_left[q]:
+                addto(left.setdefault(k, {}), u, a.mult[(q, k)].terms())
+            for k in by_right[q]:
+                addto(right.setdefault(k, {}), u, a.mult[(k, q)].terms())
+        checks = []
+        for name, sums, note in (("unit_left", left, "1 * e_k != e_k"),
+                                 ("unit_right", right, "e_k * 1 != e_k")):
+            k = next((k for k in range(d) if sums.get(k, {}) != {k: ONE}), None)
+            w = None if k is None else Witness((k,), Vec(d, sums.get(k)), Vec.basis(d, k), note)
+            checks.append(CheckResult(name, w is None, w))
+        a._units = tuple(checks)
+    return a._units
 
-    Let L be the set of basis triples (i, j, k) with (e_i e_j) e_k != 0 and R
-    the set with e_i (e_j e_k) != 0.  The walk visits L, that is (i, j) in
-    ``mult`` and k with e_{ij} e_k != 0, and checks that e_i (e_j e_k) is the
-    same basis element.  If no triple differs, L is contained in R, and then
-    |L| = |R| gives L = R: every triple outside L reads 0 = 0.  An
-    associative table has L = R and no differing triple.  So the table is
-    associative iff the walk finds no difference and |L| = |R|, where |R| is
-    the sum over (j, k) in ``mult`` of the number of i with e_i e_{jk} != 0.
+
+def _monomial_associative(a: AlgebraData, table: dict[int, dict[int, int]], middles) -> bool:
+    """Whether (e_i e_g) e_k = e_i (e_g e_k) for all i, k and every g in
+    ``middles``, on a monomial table, walking only nonzero products.
+
+    For one g, let L_g be the set of pairs (i, k) with (e_i e_g) e_k != 0 and
+    R_g the set with e_i (e_g e_k) != 0.  The walk visits L_g (i in
+    by_right[g], k with e_{ig} e_k != 0) and checks that e_i (e_g e_k) is the
+    same basis element.  If no pair differs, L_g lies in R_g, and |L_g| =
+    |R_g| gives L_g = R_g: every other pair reads 0 = 0.  An associative g
+    has L_g = R_g.  So g passes iff no pair differs and |L_g| = |R_g|, the
+    sum over k in table[g] of the number of i with e_i e_{gk} != 0.
     """
     by_right = a.product_index()[0]
-    walked = 0
-    try:  # a missing row or entry is a zero product where (e_i e_j) e_k != 0
-        for ti in table.values():
-            for j, ij in ti.items():
-                tij = table.get(ij)
-                if tij:
-                    tj = table[j]
-                    for k, ijk in tij.items():
-                        if ti[tj[k]] != ijk:
+    try:  # a missing row or entry is a zero product where (e_i e_g) e_k != 0
+        for g in middles:
+            tg = table.get(g, {})
+            walked = 0
+            for i in by_right[g]:
+                ti = table[i]
+                tig = table.get(ti[g])
+                if tig:
+                    for k, igk in tig.items():
+                        if ti[tg[k]] != igk:
                             return False
-                    walked += len(tij)
+                    walked += len(tig)
+            if walked != sum(len(by_right[gk]) for gk in tg.values()):
+                return False
     except KeyError:
         return False
-    return walked == sum(len(by_right[jk]) for tj in table.values() for jk in tj.values())
+    return True
 
 
 def check_coassoc(c: ComultData) -> VerificationReport:
@@ -466,27 +484,25 @@ def check_coassoc(c: ComultData) -> VerificationReport:
     """
     if _from_delta_one(c):
         return VerificationReport((CheckResult("coassociativity", True),))
-    d = c.algebra.dim
-    delta = c.delta
-    witness = None
-    for j in range(d):
-        lhs: dict[int, Fraction] = {}
-        rhs: dict[int, Fraction] = {}
-        for p, q, v in c.delta_pairs(j):
-            addto(lhs, v, delta.col_terms(p), q, d)  # (x*d + y)*d + q
-            addto(rhs, v, delta.col_terms(q), p * d * d)  # (p*d + x)*d + y
+    n = c.algebra.dim ** 3
+    for j in range(c.algebra.dim):
+        lhs, rhs = _coassoc_sides(c, c.delta_pairs(j))
         if lhs != rhs:
-            n = d * d * d
-            witness = Witness(
-                (j,),
-                Vec.adopt(n, lhs),
-                Vec.adopt(n, rhs),
-                "(Delta(x)id)Delta != (id(x)Delta)Delta",
-            )
-            break
-    return VerificationReport(
-        (CheckResult("coassociativity", witness is None, witness),)
-    )
+            note = "(Delta(x)id)Delta != (id(x)Delta)Delta"
+            witness = Witness((j,), Vec.adopt(n, lhs), Vec.adopt(n, rhs), note)
+            return VerificationReport((CheckResult("coassociativity", False, witness),))
+    return VerificationReport((CheckResult("coassociativity", True),))
+
+
+def _coassoc_sides(c: ComultData, pairs) -> tuple[dict, dict]:
+    """(Delta (x) id)T and (id (x) Delta)T over d^3, T with the terms ``pairs``."""
+    d, delta = c.algebra.dim, c.delta
+    lhs: dict[int, Fraction] = {}
+    rhs: dict[int, Fraction] = {}
+    for p, q, v in pairs:
+        addto(lhs, v, delta.col_terms(p), q, d)  # (x*d + y)*d + q
+        addto(rhs, v, delta.col_terms(q), p * d * d)  # (p*d + x)*d + y
+    return lhs, rhs
 
 
 def check_bimodule(c: ComultData) -> VerificationReport:
@@ -550,26 +566,34 @@ def check_casimir_of_delta(c: ComultData) -> VerificationReport:
 
 
 def check_casimir(cas: CasimirElement) -> VerificationReport:
-    """Verify sum_i a_i (x) b_i x = sum_i x a_i (x) b_i for every basis x."""
-    witness = None
-    for x, lhs, rhs in _casimir_columns(cas.algebra, cas.element):
-        if lhs != rhs:
-            witness = _casimir_witness(cas.algebra.dim, x, lhs, rhs)
-            break
+    """Verify sum_i a_i (x) b_i x = sum_i x a_i (x) b_i for every basis x,
+    on the x of :func:`_casimir_rows`; when one fails, the pass over every x
+    gives the witness."""
+    a, d, witness = cas.algebra, cas.algebra.dim, None
+    if any(lhs != rhs for _, lhs, rhs in _casimir_columns(a, cas.element, _casimir_rows(a))):
+        x, lhs, rhs = next(c for c in _casimir_columns(a, cas.element, range(d)) if c[1] != c[2])
+        note = "a_i (x) b_i x != x a_i (x) b_i"
+        witness = Witness((x,), Vec.adopt(d * d, lhs), Vec.adopt(d * d, rhs), note)
     return VerificationReport((CheckResult("casimir", witness is None, witness),))
 
 
-def _casimir_witness(d: int, x: int, lhs: dict, rhs: dict) -> Witness:
-    note = "a_i (x) b_i x != x a_i (x) b_i"
-    return Witness((x,), Vec.adopt(d * d, lhs), Vec.adopt(d * d, rhs), note)
+def _casimir_rows(a: AlgebraData):
+    """The x whose e_x X decide the Casimir identity: the generators once
+    check_algebra passes (module docstring), else every x."""
+    if not check_algebra(a).passed:
+        return range(a.dim)
+    a.generators()
+    return a._generator_set
 
 
-def _casimir_columns(a: AlgebraData, element: Vec):
+def _casimir_columns(a: AlgebraData, element: Vec, right):
     """Yield ``(x, X e_x, e_x X)`` for x = 0, 1, ..., d-1, both sides as
-    dicts over the tensor square, for X = ``element``.  The terms v e_p (x) e_q
-    of X are grouped once by the factor that multiplies, and each side is
-    summed from the products e_q e_x and e_x e_p listed in product_index only.
-    The one evaluator of the Casimir identity X e_x = e_x X."""
+    dicts over the tensor square, for X = ``element``; e_x X is summed for
+    the x in ``right`` only, and the others, decided by those, repeat X e_x.
+    The terms v e_p (x) e_q of X are grouped once by the factor that
+    multiplies, and each side is summed from the products e_q e_x and e_x e_p
+    listed in product_index only.  The one evaluator of the Casimir identity
+    X e_x = e_x X."""
     d = a.dim
     by_q: dict[int, list] = {}  # q -> the (p, v), and by_p: p -> the (q, v)
     by_p: dict[int, list] = {}
@@ -580,13 +604,13 @@ def _casimir_columns(a: AlgebraData, element: Vec):
     mult, (by_right, by_left) = a.mult, a.product_index()
     for x in range(d):
         lhs: dict[int, Fraction] = {}
-        rhs: dict[int, Fraction] = {}
         for q in by_right[x]:
             if q in by_q:
                 prod = mult[q, x].terms()
                 for p, v in by_q[q]:
                     addto(lhs, v, prod, p * d)
-        for p in by_left[x]:
+        rhs: dict[int, Fraction] = {} if x in right else lhs
+        for p in by_left[x] if x in right else ():
             if p in by_p:
                 prod = mult[x, p].terms()
                 for q, v in by_p[p]:
@@ -597,13 +621,13 @@ def _casimir_columns(a: AlgebraData, element: Vec):
 def _from_delta_one(c: ComultData) -> bool:
     """True iff check_algebra passes and Delta(e_j) = Delta(1) e_j =
     e_j Delta(1) for every j, i.e. Delta is the bimodule map of the Casimir
-    element Delta(1).  Stops at the first column that differs; the answer is
-    kept on ``c``."""
+    element Delta(1); e_j Delta(1) is read on :func:`_casimir_rows` only.
+    Stops at the first column that differs; the answer is kept on ``c``."""
     if c._from_delta_one is None:
         a = c.algebra
         c._from_delta_one = check_algebra(a).passed and all(
             lhs == rhs == dict(c.delta.col_terms(j))
-            for j, lhs, rhs in _casimir_columns(a, c.delta_of(a.unit))
+            for j, lhs, rhs in _casimir_columns(a, c.delta_of(a.unit), _casimir_rows(a))
         )
     return c._from_delta_one
 
@@ -613,18 +637,18 @@ def casimir_comult(cas: CasimirElement) -> ComultData:
     X = sum_i a_i (x) b_i, with its counit from the d rows of
     :func:`solve_counit` (None when there is none or check_algebra fails).
 
-    The columns X e_x are decided against e_x X in one pass, as in
-    :func:`check_casimir`; PreconditionError carries the first column that
-    differs as its witness.  The result records :func:`_from_delta_one` as
+    The columns X e_x are decided against e_x X in one pass, on the x of
+    :func:`_casimir_rows`; PreconditionError carries the witness of
+    :func:`check_casimir`.  The result records :func:`_from_delta_one` as
     check_algebra(a).passed: then Delta(1) = X 1 = X by the unit law,
-    Delta(e_j) = X e_j by construction, and X e_j = e_j X was just checked.
+    Delta(e_j) = X e_j by construction, and X e_j = e_j X was just decided.
     """
     a = cas.algebra
     d = a.dim
     cols = []
-    for x, lhs, rhs in _casimir_columns(a, cas.element):  # X e_x = Delta(e_x)
+    for _, lhs, rhs in _casimir_columns(a, cas.element, _casimir_rows(a)):  # X e_x = Delta(e_x)
         if lhs != rhs:
-            witness = _casimir_witness(d, x, lhs, rhs)
+            witness = check_casimir(cas).checks[0].witness
             raise PreconditionError("element fails the Casimir identity", witness)
         cols.append(Vec.adopt(d * d, lhs))
     decided = check_algebra(a).passed
@@ -651,13 +675,15 @@ def counit_failures(c: ComultData, eps: Vec):
     counit identity, in ascending j: ``left = (eps (x) id) Delta(e_j)`` and
     ``right = (id (x) eps) Delta(e_j)``, at least one of them != e_j."""
     d = c.algebra.dim
-    left = eps_tensor_id(c, eps)
-    right = id_tensor_eps(c, eps)
     for j in range(d):
-        ej = Vec.basis(d, j)
-        lcol, rcol = left.col(j), right.col(j)
-        if lcol != ej or rcol != ej:
-            yield j, lcol, rcol
+        left, right = {}, {}  # (eps (x) id)Delta(e_j) and (id (x) eps)Delta(e_j)
+        for p, q, v in c.delta_pairs(j):
+            if ep := eps.get(p):
+                add_entry(left, q, _scalar(v * ep))
+            if eq := eps.get(q):
+                add_entry(right, p, _scalar(v * eq))
+        if left != {j: ONE} or right != {j: ONE}:
+            yield j, Vec.adopt(d, left), Vec.adopt(d, right)
 
 
 def solve_counit(c: ComultData) -> Vec | None:

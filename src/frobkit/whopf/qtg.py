@@ -26,9 +26,9 @@ with counit w(a) lam(l) w(b), and must agree with the generic construction.
 B is a groupoid algebra: M_d (--B matrix:D) of the pair groupoid on d objects,
 k[G] (--B cyclic:N) of G as one object; with m morphisms out of each object,
 e = (1/m) sum_g g (x) g^{-1} and w(id_x) = m.  QTGInput checks the Casimir
-identity of e column by column (finalg._casimir_columns), w by summing
-w(e1) e2 and e1 w(e2) over the terms of e, and the action axioms on the
-generators of L (see QTGInput._validate).
+identity of e with finalg.check_casimir, w by summing w(e1) e2 and
+e1 w(e2) over the terms of e, and the action axioms on the generators of L
+(see QTGInput._validate).
 
 qtg_build assembles the product from three factor tables computed once,
 (a' <| S(l_1)) a, l_2 l'_1 and (b <| l'_2) b', and Delta from one Delta^2(l)
@@ -56,9 +56,10 @@ from ..exactlin import (
 )
 from ..finalg import (
     AlgebraData,
+    CasimirElement,
     ComultData,
-    _casimir_columns,
     check_algebra,
+    check_casimir,
 )
 from .core import (
     WeakHopfData,
@@ -221,7 +222,7 @@ class QTGInput:
         pairs = self.e_pairs()
         basis_b = [Vec.basis(dB, k) for k in range(dB)]
         # idempotent1: b e1 (x) e2 = e1 (x) e2 b, the Casimir identity of e
-        if any(lhs != rhs for _, lhs, rhs in _casimir_columns(B, self.e)):
+        if not check_casimir(CasimirElement(B, self.e)).passed:
             raise ConstructionError("idempotent1: b e1 (x) e2 != e1 (x) e2 b")
         # idempotent2: e1 e2 = 1
         contracted: dict[int, Fraction] = {}

@@ -142,10 +142,10 @@ def test_frobenius_decides_the_casimir_identity_once(argv, dim, monkeypatch, cap
     frobenius = []
     columns, comult = finalg._casimir_columns, whopf_core.casimir_comult
 
-    def columns_spy(a, element):
+    def columns_spy(a, element, right):
         read = [element, 0]
         passes.append(read)
-        for column in columns(a, element):
+        for column in columns(a, element, right):
             read[1] += 1
             yield column
 

@@ -1,7 +1,8 @@
 """check_algebra reads 1 e_k and e_k 1 off the product index in one pass.
 Its whole report, witnesses included, must equal the one the earlier
 per-basis loop gave: 2d full products ``mul(1, e_k)`` and ``mul(e_k, 1)``,
-compared in ascending k.  That report builder is copied verbatim below.
+compared in ascending k.  That report builder is copied verbatim below,
+with the all-middles associativity walk it called.
 
 Passing algebras: NSY, groupoid, k[Z/n], M_2 and a QTG algebra in a basis
 scaled by 1/dim B.  Failing ones: a zero unit, a unit missing one
@@ -22,7 +23,6 @@ from frobkit.finalg import (
     VerificationReport,
     Witness,
     _algebra_report,
-    _monomial_associative,
 )
 from frobkit.nsy import NSYParams, nsy_build
 from frobkit.whopf import (
@@ -34,6 +34,26 @@ from frobkit.whopf import (
 )
 
 
+def monomial_associative(a: AlgebraData, table: dict[int, dict[int, int]]) -> bool:
+    """The all-middles associativity walk check_algebra used before Light's
+    test, kept verbatim (underscore dropped)."""
+    by_right = a.product_index()[0]
+    walked = 0
+    try:  # a missing row or entry is a zero product where (e_i e_j) e_k != 0
+        for ti in table.values():
+            for j, ij in ti.items():
+                tij = table.get(ij)
+                if tij:
+                    tj = table[j]
+                    for k, ijk in tij.items():
+                        if ti[tj[k]] != ijk:
+                            return False
+                    walked += len(tij)
+    except KeyError:
+        return False
+    return walked == sum(len(by_right[jk]) for tj in table.values() for jk in tj.values())
+
+
 def ref_algebra_report(a: AlgebraData) -> VerificationReport:
     d = a.dim
     checks = []
@@ -42,7 +62,7 @@ def ref_algebra_report(a: AlgebraData) -> VerificationReport:
     table = a.monomial_table()
     # a monomial table is decided by the O(nnz) walk; on one that fails it,
     # the d^3 scan runs only to find the witness
-    if table is None or not _monomial_associative(a, table):
+    if table is None or not monomial_associative(a, table):
         basis = [Vec.basis(d, k) for k in range(d)]
         for i, j, k in itertools.product(range(d), repeat=3):
             lhs = a.mul(a.basis_product(i, j), basis[k])
