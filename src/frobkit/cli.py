@@ -522,15 +522,7 @@ def cmd_whopf(args: list[str]) -> int:
         comult = qtg_frobenius(qtg_input, h)
         note = "closed-form comultiplication verified against the integral construction"
     else:
-        pair = find_nondegenerate_integral(h, seed=seed)
-        if pair is None:
-            msg = (
-                "no non-degenerate left integral found "
-                "(probabilistically non-Frobenius, not a proof)"
-            )
-            fields = {"source": desc, "found": False, "note": msg}
-            return _render(flags, "whopf frobenius", seed, fields, lines=[msg])
-        comult = frobenius_from_integral(h, pair[0])
+        comult = frobenius_from_integral(h, find_nondegenerate_integral(h, seed=seed)[0])
         note = None
     report = check_coassoc(comult).merged(check_bimodule(comult))
     eps = comult.counit

@@ -95,8 +95,6 @@ __all__ = [
     "casimir_comult",
     "solve_counit",
     "solve_counit_full",
-    "eps_tensor_id",
-    "id_tensor_eps",
     "counit_failures",
     "classify",
     "classify_report",
@@ -656,18 +654,6 @@ def casimir_comult(cas: CasimirElement) -> ComultData:
     c = ComultData(a, Mat.from_columns(d * d, cols), counit)
     c._from_delta_one = decided
     return c
-
-
-def eps_tensor_id(c: ComultData, eps: Vec) -> Mat:
-    """Matrix of x -> (eps (x) id) Delta(x); equals the identity iff eps is a
-    left counit."""
-    d = c.algebra.dim
-    return Mat(d, d, [(q, j, v * eps.get(p)) for j in range(d) for p, q, v in c.delta_pairs(j)])
-
-
-def id_tensor_eps(c: ComultData, eps: Vec) -> Mat:
-    d = c.algebra.dim
-    return Mat(d, d, [(p, j, v * eps.get(q)) for j in range(d) for p, q, v in c.delta_pairs(j)])
 
 
 def counit_failures(c: ComultData, eps: Vec):

@@ -112,9 +112,7 @@ __all__ = [
     "WeakHopfData",
     "check_weak_hopf",
     "epsilon_s",
-    "epsilon_s_matrix",
     "epsilon_t",
-    "epsilon_t_matrix",
     "find_nondegenerate_integral",
     "frobenius_from_integral",
     "integral_space",
@@ -130,8 +128,8 @@ __all__ = [
     "weak_hopf_to_json_str",
 ]
 
-# Seed for the pseudorandom part of the non-degenerate-integral search;
-# echoed in CLI reports so runs are reproducible.
+# Seed of the draws in the non-degenerate-integral search, after the basis
+# integrals and their sum; echoed in CLI reports so runs are reproducible.
 DEFAULT_INTEGRAL_SEED = 271828
 
 
@@ -209,14 +207,6 @@ def _counital_map(h: WeakHopfData, x: Vec, which: int) -> Vec:
     for j, c in x.terms():
         addto(acc, c, _counital_terms(h)[which][j].items())
     return Vec.adopt(h.dim, acc).scale(Fraction(1, h.denom))
-
-
-def epsilon_s_matrix(h: WeakHopfData) -> Mat:
-    return Mat.from_columns(h.dim, [epsilon_s(h, Vec.basis(h.dim, j)) for j in range(h.dim)])
-
-
-def epsilon_t_matrix(h: WeakHopfData) -> Mat:
-    return Mat.from_columns(h.dim, [epsilon_t(h, Vec.basis(h.dim, j)) for j in range(h.dim)])
 
 
 def source_subalgebra_basis(h: WeakHopfData) -> list[Vec]:
@@ -590,45 +580,45 @@ def phi_prime_map(h: WeakHopfData, lam: Vec) -> Mat:
 
 
 def find_nondegenerate_integral(
-    h: WeakHopfData,
-    seed: int = DEFAULT_INTEGRAL_SEED,
-    attempts: int = 64,
-) -> tuple[Vec, Vec] | None:
-    """Search the left integral space for a non-degenerate element.
+    h: WeakHopfData, seed: int = DEFAULT_INTEGRAL_SEED
+) -> tuple[Vec, Vec]:
+    """A non-degenerate left integral L and the lam with Psi_L(lam) = 1.
 
-    Tries each kernel basis vector, then their plain sum (the canonical
-    candidate; for a groupoid algebra it is the sum of all morphisms), then
-    seeded pseudorandom integer combinations with coefficients in [-3, 3].
-    On success returns (L, lam) with Psi_L(lam) = 1.  A None result is
-    probabilistic evidence only, not a proof that no non-degenerate integral
-    exists.
+    Tries each kernel basis vector of I^L, then their plain sum (for a
+    groupoid algebra, the sum of all morphisms), then seeded integer
+    combinations with coefficients in [-d, d], until Psi_L is invertible.
+    Every answer is certified by the exact solve of Psi_L(lam) = 1.
+
+    The search ends.  A finite-dimensional weak Hopf algebra has a
+    non-degenerate left integral (Boehm-Nill-Szlachanyi, Weak Hopf algebras I,
+    J. Algebra 221 (1999), section 3), so the data must pass check_weak_hopf;
+    otherwise PreconditionError.  Psi_L is linear in L, so det Psi_L is a
+    polynomial of degree <= d in the coefficients, and it is not identically
+    zero because a non-degenerate L lies in their span.  By Schwartz-Zippel
+    (J. ACM 27, 1980) a draw from [-d, d] fails with probability at most
+    d/(2d+1) < 1/2.
     """
-    basis = integral_space(h, "left").basis
+    if not check_weak_hopf(h).passed:
+        raise PreconditionError("the integral search needs data that passes check_weak_hopf")
+    basis, d = integral_space(h, "left").basis, h.dim
 
-    def attempt(candidate: Vec):
-        if candidate.is_zero():
-            return None
+    def combination(coeffs) -> Vec:
+        acc: dict[int, Fraction] = {}
+        for c, b in zip(coeffs, basis):
+            addto(acc, c, b.terms())
+        return Vec.adopt(d, acc)
+
+    def candidates():
+        yield from basis
+        yield combination([ONE] * len(basis))
+        rng = random.Random(seed)
+        while True:
+            yield combination([rng.randint(-d, d) for _ in basis])
+
+    for candidate in candidates():
         lam = _psi_solve(h, candidate)
-        return None if lam is None else (candidate, lam)
-
-    total: dict[int, Fraction] = {}
-    for lam in basis:
-        addto(total, ONE, lam.terms())
-        found = attempt(lam)
-        if found:
-            return found
-    found = attempt(Vec.adopt(h.dim, total))
-    if found:
-        return found
-    rng = random.Random(seed)
-    for _ in range(attempts):
-        combo: dict[int, Fraction] = {}
-        for b in basis:
-            addto(combo, rng.randint(-3, 3), b.terms())
-        found = attempt(Vec.adopt(h.dim, combo))
-        if found:
-            return found
-    return None
+        if lam is not None:
+            return candidate, lam
 
 
 def _psi_solve(h: WeakHopfData, candidate: Vec) -> Vec | None:

@@ -1,5 +1,6 @@
-"""Shared fixtures: the groupoid fixture set, Hopf group algebras, and the
-three quantum transformation groupoid instances used across the suite."""
+"""Shared fixtures: the groupoid fixture set, Hopf group algebras, the
+three quantum transformation groupoid instances used across the suite, and
+a spy on the Psi_L solves of the integral search."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from frobkit.whopf import (
     trivial_groupoid,
     trivial_hopf,
 )
+from frobkit.whopf import core as whopf_core
 
 
 def build_groupoid_fixture_set():
@@ -80,3 +82,17 @@ def qtg_instances():
 @pytest.fixture(scope="session")
 def qtg_built(qtg_instances):
     return {name: qtg_build(q) for name, q in qtg_instances.items()}
+
+
+@pytest.fixture
+def psi_solve_calls(monkeypatch):
+    """The candidates L whose Psi_L the integral search solves, in order."""
+    calls = []
+    psi_solve = whopf_core._psi_solve
+
+    def spy(h, candidate):
+        calls.append(candidate)
+        return psi_solve(h, candidate)
+
+    monkeypatch.setattr(whopf_core, "_psi_solve", spy)
+    return calls

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from counit_maps import eps_tensor_id, id_tensor_eps
 import golden
 from golden import P22_11, P22_21, P43_1122, P43_1212
 from frobkit.exactlin import Mat, Vec, is_invertible
@@ -19,8 +20,6 @@ from frobkit.finalg import (
     check_bimodule,
     check_casimir,
     check_coassoc,
-    eps_tensor_id,
-    id_tensor_eps,
     solve_counit,
 )
 from frobkit.nsy import (

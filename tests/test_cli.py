@@ -13,6 +13,7 @@ from frobkit.nsy import basis_indices, basis_label
 from frobkit.whopf import (
     groupoid_algebra,
     groupoid_to_json,
+    integral_space,
     pair_groupoid,
     weak_hopf_from_json,
     weak_hopf_to_json,
@@ -631,12 +632,24 @@ def test_groupoid_json_non_associative(tmp_path, capsys):
     assert err == "error: groupoid algebra failed axiom associativity\n"
 
 
-def test_csv_whopf_frobenius_not_found(capsys, monkeypatch):
-    """A frobenius search that finds no integral has no check table for csv."""
-    monkeypatch.setattr(cli, "find_nondegenerate_integral", lambda h, seed: None)
-    code, out, err = run(capsys, "whopf", "group", "--cyclic", "2", "frobenius", "--format", "csv")
-    assert (code, out) == (2, "")
-    assert err == "error: whopf frobenius has no check table for --format csv; use json or markdown\n"
+def test_whopf_file_frobenius_reaches_the_seeded_draws(tmp_path, capsys, psi_solve_calls):
+    """On the exported (trivial, M_2) QTG the basis integrals and their sum
+    are degenerate, so the search draws; the seed makes the answer repeat,
+    and it is always Frobenius."""
+    path = tmp_path / "qtg.json"
+    argv = ["whopf", "qtg", "--L", "trivial", "--B", "matrix:2", "check", "--output", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    h = weak_hopf_from_json(json.loads(path.read_text()))
+    undrawn = len(integral_space(h, "left").basis) + 1
+    runs = []
+    for _ in range(2):
+        psi_solve_calls.clear()
+        runs.append(run(capsys, "whopf", str(path), "frobenius", "--seed", "7"))
+        assert len(psi_solve_calls) > undrawn
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert (code, err) == (0, "")
+    assert "classification: Frobenius\n" in out
 
 
 @pytest.mark.parametrize("op", ["integrals", "frobenius"])

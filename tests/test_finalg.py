@@ -28,10 +28,9 @@ from frobkit.finalg import (
     comult_from_json,
     comult_to_json,
     comult_to_json_str,
-    eps_tensor_id,
-    id_tensor_eps,
     solve_counit,
 )
+from counit_maps import eps_tensor_id, id_tensor_eps
 
 F = Fraction
 

@@ -25,9 +25,7 @@ from frobkit.whopf import (
     connected_groupoid,
     cyclic_group_table,
     epsilon_s,
-    epsilon_s_matrix,
     epsilon_t,
-    epsilon_t_matrix,
     groupoid_algebra,
     hopf_group_algebra,
     integral_space,
@@ -41,6 +39,7 @@ from frobkit.whopf import (
     trivial_hopf,
 )
 from frobkit.whopf import core, qtg
+from counit_maps import epsilon_s_matrix, epsilon_t_matrix
 from test_whopf import reference_integral_space
 
 

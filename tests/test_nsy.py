@@ -17,8 +17,6 @@ from frobkit.finalg import (
     check_casimir,
     check_coassoc,
     classify,
-    eps_tensor_id,
-    id_tensor_eps,
     solve_counit,
 )
 from frobkit.nsy import (
@@ -40,6 +38,7 @@ from frobkit.nsy import (
 )
 
 import golden
+from counit_maps import eps_tensor_id, id_tensor_eps
 from golden import DELTA_22_11, DELTA_22_21, P22_11, P22_21, P43_1122, P43_1212
 
 X = NSYBasisIndex

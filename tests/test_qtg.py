@@ -16,8 +16,6 @@ from frobkit.finalg import (
     check_bimodule,
     check_coassoc,
     classify,
-    eps_tensor_id,
-    id_tensor_eps,
     solve_counit,
 )
 from frobkit.whopf import (
@@ -46,6 +44,7 @@ from frobkit.whopf import (
 )
 from frobkit.whopf import qtg as qtg_mod
 from frobkit.whopf.core import _psi_solve
+from counit_maps import eps_tensor_id, id_tensor_eps
 
 F = Fraction
 

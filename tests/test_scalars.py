@@ -274,3 +274,22 @@ def test_true_division_only_in_exactlin():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 offenders.append(f"{path.relative_to(root)}:{node.lineno}")
     assert offenders == []
+
+
+def test_random_only_in_integral_search():
+    """A seeded draw is allowed only where an exact solve certifies the
+    answer: the non-degenerate-integral search of whopf/core.py, whose every
+    result satisfies Psi_L(lam) = 1."""
+    root = Path(frobkit.__file__).parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "random" for m in modules):
+                importers.append(path.relative_to(root).as_posix())
+    assert importers == ["whopf/core.py"]

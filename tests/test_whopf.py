@@ -12,17 +12,13 @@ from frobkit.exactlin import LinearSystem, Mat, Vec, is_invertible, solve_linear
 from frobkit.finalg import AlgebraData, ComultData, check_bimodule, check_coassoc
 from frobkit.whopf import (
     GroupoidData,
-    IntegralSpace,
     Morphism,
     WeakHopfData,
     check_weak_hopf,
     connected_groupoid,
     cyclic_group_table,
-    disjoint_union,
     epsilon_s,
-    epsilon_s_matrix,
     epsilon_t,
-    epsilon_t_matrix,
     find_nondegenerate_integral,
     frobenius_from_integral,
     group_groupoid,
@@ -41,12 +37,12 @@ from frobkit.whopf import (
     separable_matrix_algebra,
     source_subalgebra_basis,
     target_subalgebra_basis,
-    trivial_groupoid,
     trivial_hopf,
     weak_hopf_from_json,
     weak_hopf_to_json_str,
 )
 from frobkit.whopf import core as whopf_core, groupoid, qtg
+from counit_maps import epsilon_s_matrix, epsilon_t_matrix
 from test_weak_hopf_check import reference_epsilon_s, reference_epsilon_t
 
 F = Fraction
@@ -186,7 +182,7 @@ def test_group_algebra_rejects_wrong_label_count():
 
 WHOPF_EXPORTS = {
     "DEFAULT_INTEGRAL_SEED", "IntegralSpace", "WeakHopfData", "check_weak_hopf",
-    "epsilon_s", "epsilon_s_matrix", "epsilon_t", "epsilon_t_matrix",
+    "epsilon_s", "epsilon_t",
     "find_nondegenerate_integral", "frobenius_from_integral", "integral_space",
     "is_hopf", "iterated_comult", "phi_map", "phi_prime_map", "psi_map",
     "source_subalgebra_basis", "target_subalgebra_basis", "weak_hopf_from_json",
@@ -203,7 +199,7 @@ WHOPF_EXPORTS = {
 def test_whopf_exports_each_name_once():
     names = whopf.__all__
     assert names == [*whopf_core.__all__, *groupoid.__all__, *qtg.__all__]
-    assert len(names) == len(set(names)) == 42
+    assert len(names) == len(set(names)) == 40
     assert set(names) == WHOPF_EXPORTS
     assert [n for n in names if not hasattr(whopf, n)] == []
 
@@ -376,33 +372,54 @@ def test_psi_phi_phi_prime_equivalence(groupoid_algebras, hopf_group_algebras):
 def test_find_nondegenerate_integral_groupoid(groupoid_fixtures):
     g = groupoid_fixtures["pair2"]
     h = groupoid_algebra(g)
-    found = find_nondegenerate_integral(h)
-    assert found is not None
-    lam, lam_dual = found
+    lam, lam_dual = find_nondegenerate_integral(h)
     assert psi_map(h, lam).matvec(lam_dual) == h.unit
 
 
 def test_find_nondegenerate_integral_z2():
     h = hopf_group_algebra(cyclic_group_table(2))
-    found = find_nondegenerate_integral(h)
-    assert found is not None
-    lam, _ = found
+    lam, _ = find_nondegenerate_integral(h)
     # 1-dimensional integral space: the result is proportional to 1 + g
     assert lam.get(0) == lam.get(1) != 0
 
 
-def test_find_reports_none_when_all_candidates_degenerate(monkeypatch):
-    # k x k has plenty of integrals; restrict the search to a genuinely
-    # degenerate one and let every attempt fail
-    h = groupoid_algebra(disjoint_union(trivial_groupoid(), trivial_groupoid()))
-    degenerate = Vec.basis(h.dim, 0)
-    assert not is_invertible(psi_map(h, degenerate))
-    monkeypatch.setattr(
-        whopf_core,
-        "integral_space",
-        lambda hh, side: IntegralSpace(side, [degenerate]),
-    )
-    assert whopf_core.find_nondegenerate_integral(h, attempts=8) is None
+def test_find_nondegenerate_integral_needs_weak_hopf_data():
+    """The search ends because a weak Hopf algebra has a non-degenerate left
+    integral, so data that fails check_weak_hopf is refused, not searched."""
+    from test_cli import _drop_morphism_delta
+
+    payload = json.loads(weak_hopf_to_json_str(groupoid_algebra(pair_groupoid(2))))
+    _drop_morphism_delta(payload)
+    h = weak_hopf_from_json(payload)
+    assert not check_weak_hopf(h).passed
+    assert integral_space(h, "left").basis  # integrals remain; none is searched
+    with pytest.raises(PreconditionError, match="passes check_weak_hopf"):
+        find_nondegenerate_integral(h)
+
+
+# the connected groupoids k x Z/m of the whopf-groupoid benchmark workload
+BENCH_CONNECTED = (
+    (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 2), (3, 3), (3, 4), (4, 2),
+)
+
+
+def test_integral_search_never_draws_on_groupoids_and_groups(
+    psi_solve_calls, groupoid_algebras, hopf_group_algebras
+):
+    """On every groupoid and group algebra here a basis integral or their sum
+    is non-degenerate: the seeded draws never run, so the answer does not
+    depend on the seed."""
+    zoo = [*groupoid_algebras.values(), *hopf_group_algebras.values()]
+    zoo += [groupoid_algebra(pair_groupoid(k)) for k in range(2, 7)]
+    zoo += [
+        groupoid_algebra(connected_groupoid(k, cyclic_group_table(m))) for k, m in BENCH_CONNECTED
+    ]
+    zoo += [hopf_group_algebra(cyclic_group_table(m)) for m in range(1, 17)]
+    for h in zoo:
+        psi_solve_calls.clear()
+        lam, lam_dual = find_nondegenerate_integral(h, seed=0)
+        assert 1 <= len(psi_solve_calls) <= len(integral_space(h, "left").basis) + 1
+        assert psi_solve_calls[-1] == lam and psi_map(h, lam).matvec(lam_dual) == h.unit
 
 
 def test_frobenius_from_integral_groupoid_golden(groupoid_fixtures):
