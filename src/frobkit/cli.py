@@ -38,6 +38,7 @@ from .finalg import (
     comult_from_json,
     comult_to_json_str,
     counit_failures,
+    dump_json,
     solve_counit,
 )
 from . import nsy as nsy_mod
@@ -157,10 +158,6 @@ def _report_payload(command: str, seed, extra: dict) -> dict:
     return payload
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _table(fmt: str, header: list, rows, tail=()) -> str:
     """``header`` and ``rows`` as csv, or as a markdown pipe table followed by ``tail``."""
     if fmt == "csv":
@@ -191,7 +188,7 @@ def _render(
     if fmt == "json":
         if report is not None:
             fields = {**fields, "checks": report.to_json()}
-        text = _dump_json(_report_payload(command, seed, fields))
+        text = dump_json(_report_payload(command, seed, fields))
     elif fmt == "csv":
         if report is None:
             raise InputError(
@@ -261,7 +258,7 @@ def cmd_nsy(args: list[str]) -> int:
         labels = [nsy_mod.basis_label(b) for b in nsy_mod.basis_indices(p)]
         cells = nsy_mod.multiplication_table(p)
         if fmt == "json":
-            text = _dump_json({"labels": labels, "cells": cells})
+            text = dump_json({"labels": labels, "cells": cells})
         else:
             text = _table(fmt, ["*", *labels], [[x, *row] for x, row in zip(labels, cells)])
         _emit(text, flags)
@@ -276,7 +273,7 @@ def cmd_nsy(args: list[str]) -> int:
             for idx in nsy_mod.basis_indices(p)
         }
         if fmt == "json":
-            text = _dump_json({"delta": terms})
+            text = dump_json({"delta": terms})
         elif fmt == "csv":
             rows = [[x, *t] for x, ts in terms.items() for t in ts]
             text = _table(fmt, ["element", "left", "right", "coeff"], rows)

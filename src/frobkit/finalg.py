@@ -101,6 +101,7 @@ __all__ = [
     "comult_to_json",
     "comult_from_json",
     "comult_to_json_str",
+    "dump_json",
 ]
 
 
@@ -760,7 +761,62 @@ def classify(c: ComultData) -> Classification:
 # Each value is admitted once: scalar_from_str parses each distinct string
 # literal once per decode call, repeated entries add up in every field
 # through add_entry (which admits their sum again), and the built dicts
-# become vectors and matrices through Vec.adopt and Mat.adopt.
+# become vectors and matrices through Vec.adopt and Mat.adopt.  The encoders
+# build each field in one pass in sorted order (matrices by column, then
+# row), converting each distinct scalar once per call through _ScalarTexts.
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+# The C encoder runs only without indent; NUL as its item separator marks
+# every separator, since encode_basestring_ascii escapes NUL in strings.
+_NUL = "\0"
+_encode_flat = json.JSONEncoder(separators=(_NUL, ": ")).encode
+
+
+def dump_json(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, the one
+    JSON writer of frobkit, with lists of scalars and lists of non-empty
+    rows of scalars encoded by the C encoder.
+
+    The text is re-indented with ``str.replace``.  That is exact: a raw NUL
+    is a separator, and ``]`` NUL ``[`` a row boundary, because a scalar's
+    text never ends in ``]``.  Other shapes (tuples, empty containers, dicts
+    with a non-``str`` key) are written by ``json.dumps`` and shifted to
+    their indent; every raw newline in its output is structural.
+    """
+
+    def node(x, nl: str) -> str:
+        # x as indented JSON whose lines after the first start with nl
+        inner = nl + "  "
+        t = type(x)
+        if t in _SCALAR_TYPES:
+            return _encode_flat(x)
+        if t is dict and x and all(type(k) is str for k in x):
+            items = (f"{_encode_flat(k)}: {node(v, inner)}" for k, v in sorted(x.items()))
+            return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+        if t is list and x:
+            if _SCALAR_TYPES.issuperset(map(type, x)):
+                return f"[{inner}{_encode_flat(x)[1:-1].replace(_NUL, ',' + inner)}{nl}]"
+            cell = inner + "  "
+            if (
+                set(map(type, x)) == {list}
+                and all(x)
+                and _SCALAR_TYPES.issuperset(map(type, itertools.chain.from_iterable(x)))
+            ):
+                rows = _encode_flat(x)[2:-2].replace(f"]{_NUL}[", f"{inner}],{inner}[{cell}")
+                return f"[{inner}[{cell}{rows.replace(_NUL, ',' + cell)}{inner}]{nl}]"
+            return f"[{inner}{(',' + inner).join(node(v, inner) for v in x)}{nl}]"
+        return json.dumps(x, indent=2, sort_keys=True).replace("\n", nl)
+
+    return node(payload, "\n") + "\n"
+
+
+class _ScalarTexts(dict):
+    """scalar -> scalar_to_str(scalar), converting each distinct scalar once.
+    Equal scalars have equal texts, so keying by value is exact."""
+
+    def __missing__(self, v: Scalar) -> str:
+        text = self[v] = scalar_to_str(v)
+        return text
 
 
 def _field(payload, name: str):
@@ -812,7 +868,8 @@ def _vec_from_json(raw, dim: int, field: str, literals: dict) -> Vec:
 
 
 def _mat_to_json(m: Mat) -> list:
-    return sorted([c, r, scalar_to_str(v)] for r, c, v in m.items())
+    texts = _ScalarTexts()
+    return [[c, r, texts[v]] for c in range(m.ncols) for r, v in sorted(m.col_terms(c))]
 
 
 def _mat_from_json(raw, nrows: int, ncols: int, field: str, literals: dict) -> Mat:
@@ -832,13 +889,14 @@ def _mat_from_json(raw, nrows: int, ncols: int, field: str, literals: dict) -> M
 
 def _algebra_to_json(a: AlgebraData) -> dict:
     """The "dim", "labels", "mult" and "unit" fields."""
+    texts = _ScalarTexts()
     return {
         "dim": a.dim,
         "labels": list(a.labels),
         "mult": [
-            [i, j, k, scalar_to_str(v)]
-            for (i, j) in sorted(a.mult)
-            for k, v in a.mult[(i, j)].items()
+            [i, j, k, texts[v]]
+            for (i, j), prod in sorted(a.mult.items())
+            for k, v in sorted(prod.terms())
         ],
         "unit": _vec_to_json(a.unit),
     }
@@ -876,7 +934,7 @@ def comult_to_json(c: ComultData) -> dict:
 
 
 def comult_to_json_str(c: ComultData) -> str:
-    return json.dumps(comult_to_json(c), indent=2, sort_keys=True) + "\n"
+    return dump_json(comult_to_json(c))
 
 
 def comult_from_json(payload: dict) -> ComultData:

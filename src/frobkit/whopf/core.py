@@ -66,7 +66,6 @@ Data that fails the check keeps the rows of every basis h.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -104,6 +103,7 @@ from ..finalg import (
     check_algebra,
     check_coassoc,
     counit_failures,
+    dump_json,
 )
 
 __all__ = [
@@ -409,10 +409,14 @@ def _counital_terms(h: WeakHopfData) -> tuple[list[dict], ...]:
     {m: eps(e_m e_c)} of E from the nonzero products, and src[j] = n eps_s(e_j),
     tgt[j] = n eps_t(e_j) as dicts from the terms of n Delta(1).  Kept on ``h``."""
     if h._counital is None:
-        a, d = h.algebra, h.dim
+        a, d, eps = h.algebra, h.dim, dict(h.epsilon_wk.terms())
         eps_row, eps_col = [{} for _ in range(d)], [{} for _ in range(d)]
         for (m, c), prod in a.mult.items():
-            if v := h.counit_value(prod):
+            v = ZERO
+            for k, x in prod.terms():  # eps(e_m e_c), summed over the product's terms
+                if k in eps:
+                    v += x * eps[k]
+            if v:
                 eps_row[m][c] = eps_col[c][m] = v
         src, tgt = [{} for _ in range(d)], [{} for _ in range(d)]
         for p, q, v in h.scaled_unit_pairs:
@@ -663,7 +667,7 @@ def weak_hopf_to_json(h: WeakHopfData) -> dict:
 
 
 def weak_hopf_to_json_str(h: WeakHopfData) -> str:
-    return json.dumps(weak_hopf_to_json(h), indent=2, sort_keys=True) + "\n"
+    return dump_json(weak_hopf_to_json(h))
 
 
 def weak_hopf_from_json(payload: dict) -> WeakHopfData:

@@ -3,8 +3,11 @@ dim-900 NSY algebra, the quantum transformation groupoids of dim 256 (check)
 and of dim 81 and 162 (frobenius, which cross-checks the closed form),
 k[Z/120] and the groupoid algebras of dim 576 and 192.  Each must exit 0 with
 every check line [PASS] and, where the command classifies, the expected
-classification.  No timing is asserted.
+classification.  The dim-900 ``nsy build`` output must be the indented JSON
+of its payload.  No timing is asserted.
 """
+
+import json
 
 import pytest
 
@@ -53,3 +56,13 @@ def test_large_instance_passes(argv, checks, tail, capsys):
     assert len(lines) == checks + len(tail)
     assert all(line.startswith("[PASS] ") for line in lines[:checks])
     assert lines[checks:] == tail
+
+
+def test_large_nsy_build_is_indented_json(capsys):
+    """The dim-900 ``nsy build`` output is what ``json.dumps`` writes for it."""
+    code = main("nsy build n=6 ell=6 m=5,5,5,5,5,5".split())
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    payload = json.loads(captured.out)
+    assert payload["dim"] == 900
+    assert captured.out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
