@@ -550,6 +550,11 @@ def cmd_verify(args: list[str]) -> int:
         raise InputError("verify needs exactly one input file (or - for stdin)")
     comult = comult_from_json(_load_json(positionals[0]))
     outcome = classify_report(comult)
+    supplied = comult.counit
+    # a counit is unique when it exists, so a supplied one must be the solved one
+    if supplied is not None and outcome.report.passed and supplied != outcome.counit:
+        j = next(counit_failures(comult, supplied))[0]
+        raise PreconditionError(f"supplied counit fails the counit identity at column {j}")
     cls = outcome.classification.value
     lines = [f"classification: {cls}"]
     if outcome.counit is not None:

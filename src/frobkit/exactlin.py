@@ -376,13 +376,18 @@ class LinearSystem:
 
     Equations are added one at a time and kept fully reduced with leftmost
     pivot selection, so solutions and kernel bases are deterministic and
-    depend only on the row space.
+    depend only on the row space.  A new pivot p is eliminated only from the
+    rows that hold column p, found through an index from each free column
+    to the pivots whose rows may hold it; the reduced echelon form is
+    unique, so the rows are those of a pass over every stored row.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         # pivot column -> (row dict with row[pivot] == 1, rhs)
         self._rows: dict[int, tuple[dict[int, Scalar], Scalar]] = {}
+        # free column -> pivots, among them every pivot whose row holds it
+        self._users: dict[int, set[int]] = {}
         self._inconsistent = False
 
     def add(self, coeffs: dict[int, Scalar], rhs=ZERO) -> None:
@@ -413,11 +418,18 @@ class LinearSystem:
         inv = f if f == 1 or f == -1 else 1 / Fraction(f)
         row = {c: _scalar(v * inv) for c, v in row.items()}
         rhs = _scalar(rhs * inv)
-        for q, (qrow, qrhs) in list(self._rows.items()):
+        users = self._users
+        touched = [p]
+        for q in users.pop(p, ()):
+            qrow, qrhs = self._rows[q]
             g = qrow.get(p)
-            if g is None:
-                continue
-            self._rows[q] = (addto(dict(qrow), -g, row.items()), qrhs - g * rhs)
+            if g is not None:  # None: column p cancelled out of row q earlier
+                self._rows[q] = (addto(dict(qrow), -g, row.items()), qrhs - g * rhs)
+                touched.append(q)
+        # row p and every changed row now hold at most the columns of row p
+        for c in row:
+            if c != p:
+                users.setdefault(c, set()).update(touched)
         self._rows[p] = (row, rhs)
 
     def add_matrix(self, a: Mat, b: Vec | None = None) -> None:

@@ -12,19 +12,23 @@ and the Casimir property of a candidate Delta(1).  A comultiplication can be
 built from any Casimir element, and counits are found by exact linear
 solving, so the layer works for arbitrary user-supplied data.
 
-Over a unital associative algebra a bimodule map Delta is fixed by Delta(1):
-Delta(x) = Delta(1) x = x Delta(1).  So the bimodule and coassociativity
-checks first test, once per ComultData, that check_algebra passes and that
-Delta(e_j) = Delta(1) e_j = e_j Delta(1) for every column j: O(d) column
-products instead of O(d^2) basis pairs.  When that holds, both bimodule
-equalities and coassociativity hold (see check_coassoc).  Otherwise the
-pairwise scans run as the only witness path, so every failure is reported at
-the same first basis index.
+Over a unital associative algebra a bimodule map Delta is fixed by
+X = Delta(1): Delta(x) = X x = x X.  So the bimodule, coassociativity and
+counit checks read one record per ComultData, kept by _delta_one: X, the
+nonzero residuals R_j = Delta(e_j) - X e_j, and whether X passes the
+Casimir identity, from O(d) column products instead of O(d^2) basis pairs.
+With no residual and a Casimir X, both bimodule equalities and
+coassociativity hold (see check_coassoc).  Otherwise the witness loops run
+on the residuals and visit only the rows (check_bimodule) and columns
+(check_coassoc) that these touch, in ascending order, so every failure is
+reported at the first basis index of a scan over all of them.  When
+check_algebra fails, X = 0 and the residuals are Delta itself.
 
 The Casimir identity X e_x = e_x X is evaluated in one routine,
 _casimir_columns, which yields both sides column by column: check_casimir,
-casimir_comult and the Delta(1) test above all read it, and each stops at
-the first column that differs.  Once check_algebra passes, e_x X is summed
+casimir_comult and the Delta(1) record above all read it.  The first two
+stop at the first column that differs; the record reads every column, since
+each residual is needed.  Once check_algebra passes, e_x X is summed
 for x in the generating set S of AlgebraData.generators only: {a : aX = Xa}
 is a subspace that holds 1 and is closed under products, (ab)X = a(Xb) =
 (Xa)b = X(ab), so S in it gives A.  A failed generator runs the full pass.
@@ -39,11 +43,10 @@ assumes associativity, so the middle factors in S decide it.
 Most structure constants of the NSY algebras are zero, so the checkers walk
 only nonzero basis products, listed by factor in AlgebraData.product_index:
 the associativity check of a monomial table, the products X e_x and e_x X
-of _casimir_columns, and the bimodule scan, which joins the products e_i e_p
-with the terms of Delta of left factor p (ComultData._terms_by_left).  The
-associativity walk only decides; when it fails, the full triple scan runs
-and gives the witness, as the bimodule and coassociativity scans do for
-theirs.  The unit laws are read off the same index: 1 e_k and e_k 1 for
+of _casimir_columns, and the bimodule loop, which joins the products e_i e_p
+with the terms of the residual L of left factor p.  The associativity walk
+only decides; when it fails, the full triple scan runs and gives the
+witness.  The unit laws are read off the same index: 1 e_k and e_k 1 for
 every k come from one pass over the products with a factor in the unit's
 support, and are compared in ascending k, so the first witness of each law
 is the one a scan over k would give.
@@ -261,8 +264,9 @@ class ComultData:
     ``delta`` is a (dim^2 x dim) matrix whose column j is Delta(e_j) under
     row-major flattening of pairs: flat = p * dim + q for e_p (x) e_q.
     Fields are never reassigned after construction: the column caches and the
-    Delta(1) flag of the bimodule and coassociativity checks derive from them
-    (:func:`casimir_comult` records the flag when it builds Delta).
+    :func:`_delta_one` record read by the bimodule, coassociativity and
+    counit checks derive from them (:func:`casimir_comult` records it when it
+    builds Delta).
     """
 
     def __init__(self, algebra: AlgebraData, delta: Mat, counit: Vec | None = None):
@@ -278,7 +282,7 @@ class ComultData:
         self.counit = counit
         self._cols: list[list[tuple[int, int, Fraction]]] | None = None
         self._by_left: list[list[tuple[int, int, Fraction]]] | None = None
-        self._from_delta_one: bool | None = None
+        self._delta_one: _DeltaOne | None = None
 
     def delta_of(self, x: Vec) -> Vec:
         return self.delta.matvec(x)
@@ -472,23 +476,38 @@ def _monomial_associative(a: AlgebraData, table: dict[int, dict[int, int]], midd
 
 
 def check_coassoc(c: ComultData) -> VerificationReport:
-    """Compare (Delta (x) id) Delta with (id (x) Delta) Delta exactly.
+    """Compare (Delta (x) id) Delta with (id (x) Delta) Delta exactly, column
+    by column in ascending j.
 
-    No scan is needed when Delta is determined by Delta(1) = sum_i a_i (x) b_i
-    over a unital associative algebra (see :func:`_from_delta_one`):
-    Delta(x) = Delta(1) x and the Casimir property y Delta(1) = Delta(1) y
-    turn both (Delta (x) id)Delta(x) and (id (x) Delta)Delta(x) into
-    (sum_{i,j} a_i (x) b_i a_j (x) b_j) x.  So every bimodule Delta over a
-    unital associative algebra is coassociative.
+    Over a unital associative algebra the map C(x) = X x of a Casimir
+    element X = sum_i a_i (x) b_i is coassociative: C(x) = X x and the
+    Casimir property y X = X y turn both (C (x) id)C(x) and (id (x) C)C(x)
+    into (sum_{i,j} a_i (x) b_i a_j (x) b_j) x.  So every bimodule Delta over
+    a unital associative algebra is coassociative.
+
+    When X = Delta(1) is Casimir there (:func:`_delta_one`), write Delta =
+    C + R with the residuals R_j = Delta(e_j) - X e_j.  Take a column j with
+    R_j = 0, so Delta(e_j) = C(e_j), and no leg of its terms v e_p (x) e_q in
+    supp R = {k : R_k != 0}, so Delta(e_p) = C(e_p) and Delta(e_q) = C(e_q).
+    Then (Delta (x) id)Delta(e_j) = sum v C(e_p) (x) e_q = (C (x) id)C(e_j)
+    and (id (x) Delta)Delta(e_j) = (id (x) C)C(e_j), which are equal.  So
+    only the columns with R_j != 0 or a leg in supp R are summed, none when
+    Delta is the bimodule map of X; without a Casimir X every column is.
     """
-    if _from_delta_one(c):
-        return VerificationReport((CheckResult("coassociativity", True),))
-    n = c.algebra.dim ** 3
-    for j in range(c.algebra.dim):
-        lhs, rhs = _coassoc_sides(c, c.delta_pairs(j))
+    d, rec = c.algebra.dim, _delta_one(c)
+    columns = range(d)
+    if rec.casimir:
+        supp = rec.residuals.keys()
+        legs = {t for k in supp for y in range(d) for t in (k * d + y, y * d + k)}
+        columns = (
+            j for j in columns
+            if j in supp or not legs.isdisjoint(dict(c.delta.col_terms(j)))
+        ) if supp else ()
+    for j in columns:
+        lhs, rhs = _coassoc_sides(c, [(t // d, t % d, v) for t, v in c.delta.col_terms(j)])
         if lhs != rhs:
             note = "(Delta(x)id)Delta != (id(x)Delta)Delta"
-            witness = Witness((j,), Vec.adopt(n, lhs), Vec.adopt(n, rhs), note)
+            witness = Witness((j,), Vec.adopt(d**3, lhs), Vec.adopt(d**3, rhs), note)
             return VerificationReport((CheckResult("coassociativity", False, witness),))
     return VerificationReport((CheckResult("coassociativity", True),))
 
@@ -510,56 +529,113 @@ def check_bimodule(c: ComultData) -> VerificationReport:
     right: (id (x) m)(Delta (x) id)(x (x) y) = Delta(xy)
     left:  (m (x) id)(id (x) Delta)(x (x) y) = Delta(xy)
 
-    Both hold without a scan when Delta(x) = Delta(1) x = x Delta(1) over an
-    associative algebra (see :func:`_from_delta_one`): then
-    Delta(x) y = Delta(1) xy and x Delta(y) = xy Delta(1).
+    They are compared on residual maps.  With X = Delta(1) (X = 0 when
+    check_algebra fails), R_j = Delta(e_j) - X e_j and L_j = Delta(e_j) -
+    e_j X.  Over an associative algebra (X e_i) e_j = X (e_i e_j) and
+    e_i (e_j X) = (e_i e_j) X, so
 
-    Otherwise each row i is summed for all j at once from the nonzero
-    products: Delta(e_i) e_j pairs Delta(e_i) with the e_q e_j != 0,
-    e_i Delta(e_j) the e_i e_p != 0 with the terms of left factor p, and
-    Delta(e_i e_j) needs e_i e_j != 0.  Every other pair reads 0 = 0, and j
-    ascends, so the first witnesses are those of the full scan.
+        Delta(e_i) e_j - Delta(e_i e_j) = R_i e_j - R(e_i e_j),
+        e_i Delta(e_j) - Delta(e_i e_j) = e_i L_j - L(e_i e_j),
+
+    and with X = 0 these hold on any algebra.  L = R when X = 0 or X passed
+    the Casimir identity in :func:`_delta_one`; otherwise L comes from one
+    pass of e_x X over every x.  So a row i can fail only when R_i != 0, when e_i e_p != 0
+    for a left factor p of some L_j, or when some e_i e_j has a term in
+    supp R u supp L, where supp R = {k : R_k != 0}.  Only those rows are
+    visited, in ascending i: none when Delta is the bimodule map of X.
+
+    Each row is summed for all j at once from the nonzero products: R_i e_j
+    pairs R_i with the e_q e_j != 0, e_i L_j the e_i e_p != 0 with the terms
+    of L of left factor p, and R(e_i e_j), L(e_i e_j) need e_i e_j != 0.
+    Every other pair reads 0 = 0, and j ascends, so the first witnesses are
+    those of a scan over all pairs (i, j).  The full sides of Delta are
+    summed at the two witness pairs only.
     """
-    names = ("bimodule_right", "bimodule_left")
-    if _from_delta_one(c):
-        return VerificationReport(tuple(CheckResult(name, True) for name in names))
-    a = c.algebra
+    a, rec = c.algebra, _delta_one(c)
     d = a.dim
     mult, by_left = a.mult, a.product_index()[1]
-    terms_by_left = c._terms_by_left()
-    notes = ("(id(x)m)(Delta(x)id) != Delta m", "(m(x)id)(id(x)Delta) != Delta m")
-    witnesses: list[Witness | None] = [None, None]  # right, left
-    for i in range(d):
-        right, left, target = {}, {}, {}  # j -> Delta(e_i) e_j, e_i Delta(e_j), Delta(e_i e_j)
-        if witnesses[0] is None:
-            for p, q, v in c.delta_pairs(i):
-                for j in by_left[q]:
-                    addto(right.setdefault(j, {}), v, mult[q, j].terms(), p * d)
-        if witnesses[1] is None:
-            for p in by_left[i]:
-                prod = mult[i, p].terms()
-                for j, q, v in terms_by_left[p]:
-                    addto(left.setdefault(j, {}), v, prod, q, d)
+    right_res = left_res = rec.residuals
+    if not (rec.casimir or rec.x.is_zero()):
+        left_res = {}
+        for j, _, rhs in _casimir_columns(a, rec.x, range(d)):
+            _add_residual(left_res, c, j, rhs)
+    left_by_p: dict[int, list] = {}  # p -> (j, q, v) of the terms v e_p (x) e_q of L_j
+    for j, res in left_res.items():
+        for t, v in res.items():
+            p, q = divmod(t, d)
+            left_by_p.setdefault(p, []).append((j, q, v))
+
+    def image(res_map: dict, i: int) -> dict:  # j -> res_map(e_i e_j)
+        out: dict[int, dict] = {}
         for j in by_left[i]:
             for k, u in mult[i, j].terms():
-                addto(target.setdefault(j, {}), u, c.delta.col_terms(k))
-        for j in sorted(right.keys() | left.keys() | target.keys()):
-            rhs = target.get(j, {})
-            for side, sums in enumerate((right, left)):
-                if witnesses[side] is None and sums.get(j, {}) != rhs:
-                    lhs = Vec.adopt(d * d, sums.get(j, {}))
-                    witnesses[side] = Witness((i, j), lhs, Vec.adopt(d * d, rhs), notes[side])
-        if None not in witnesses:
+                if k in res_map:
+                    addto(out.setdefault(j, {}), u, res_map[k].items())
+        return out
+
+    found: list[tuple[int, int] | None] = [None, None]  # right, left
+    for i in _bimodule_rows(a, right_res, left_res, left_by_p):
+        right, left = {}, {}  # j -> R_i e_j and e_i L_j
+        if found[0] is None:
+            for t, v in right_res.get(i, {}).items():
+                p, q = divmod(t, d)
+                for j in by_left[q]:
+                    addto(right.setdefault(j, {}), v, mult[q, j].terms(), p * d)
+        if found[1] is None:
+            for p in by_left[i]:
+                if p in left_by_p:
+                    prod = mult[i, p].terms()
+                    for j, q, v in left_by_p[p]:
+                        addto(left.setdefault(j, {}), v, prod, q, d)
+        target_r = image(right_res, i)
+        target_l = target_r if left_res is right_res else image(left_res, i)
+        sides = ((right, target_r), (left, target_l))
+        for j in sorted(right.keys() | left.keys() | target_r.keys() | target_l.keys()):
+            for side, (sums, target) in enumerate(sides):
+                if found[side] is None and sums.get(j, {}) != target.get(j, {}):
+                    found[side] = (i, j)
+        if None not in found:
             break
-    checks = (CheckResult(name, w is None, w) for name, w in zip(names, witnesses))
+    checks = []
+    for side, (name, pair) in enumerate(zip(("bimodule_right", "bimodule_left"), found)):
+        witness = None if pair is None else _bimodule_witness(c, side, *pair)
+        checks.append(CheckResult(name, witness is None, witness))
     return VerificationReport(tuple(checks))
 
 
+def _bimodule_rows(a: AlgebraData, right_res: dict, left_res: dict, left_factors) -> list[int]:
+    """The rows i where check_bimodule can fail, ascending: R_i != 0,
+    e_i e_p != 0 for p in ``left_factors`` (the left factors of L), or some
+    e_i e_j with a term in supp R u supp L."""
+    by_right = a.product_index()[0]
+    supp = right_res.keys() | left_res.keys()
+    rows = {*right_res, *(i for p in left_factors for i in by_right[p])}
+    if supp:
+        rows.update(i for (i, _), prod in a.mult.items() for k, _ in prod.terms() if k in supp)
+    return sorted(rows)
+
+
+def _bimodule_witness(c: ComultData, side: int, i: int, j: int) -> Witness:
+    """Delta(e_i) e_j (side 0, right) or e_i Delta(e_j) (side 1, left)
+    against Delta(e_i e_j)."""
+    a = c.algebra
+    d, mult = a.dim, a.mult
+    lhs: dict[int, Fraction] = {}
+    for t, v in c.delta.col_terms(j if side else i):
+        p, q = divmod(t, d)
+        if side == 0 and (q, j) in mult:
+            addto(lhs, v, mult[q, j].terms(), p * d)
+        elif side == 1 and (i, p) in mult:
+            addto(lhs, v, mult[i, p].terms(), q, d)
+    note = ("(id(x)m)(Delta(x)id) != Delta m", "(m(x)id)(id(x)Delta) != Delta m")[side]
+    return Witness((i, j), Vec.adopt(d * d, lhs), c.delta_of(a.basis_product(i, j)), note)
+
+
 def check_casimir_of_delta(c: ComultData) -> VerificationReport:
-    """check_casimir on X = Delta(1).  No scan is needed when Delta(e_j) =
-    X e_j = e_j X for every j (:func:`_from_delta_one`): X then commutes with
-    every basis element, which is the Casimir identity."""
-    if _from_delta_one(c):
+    """check_casimir on X = Delta(1).  No second pass is needed when
+    :func:`_delta_one` found X e_s = e_s X on the rows of :func:`_casimir_rows`:
+    those decide the identity (module docstring)."""
+    if _delta_one(c).casimir:
         return VerificationReport((CheckResult("casimir", True),))
     return check_casimir(CasimirElement(c.algebra, c.delta_of(c.algebra.unit)))
 
@@ -617,18 +693,48 @@ def _casimir_columns(a: AlgebraData, element: Vec, right):
         yield x, lhs, rhs
 
 
+@dataclass(frozen=True)
+class _DeltaOne:
+    """What X = Delta(1) decides about a ComultData (:func:`_delta_one`):
+    ``x`` is X, or 0 when check_algebra fails; ``residuals`` maps each j with
+    R_j = Delta(e_j) - X e_j != 0 to R_j, a dict over the tensor square; and
+    ``casimir`` is whether check_algebra passes and X e_s = e_s X holds on
+    :func:`_casimir_rows`, so for every s."""
+
+    x: Vec
+    residuals: dict[int, dict[int, Scalar]]
+    casimir: bool
+
+
+def _delta_one(c: ComultData) -> _DeltaOne:
+    """The Delta(1) record of ``c``, kept on it: one pass of
+    :func:`_casimir_columns` over every column, with X = 0 when check_algebra
+    fails, so that the residuals are then the columns of Delta."""
+    if c._delta_one is None:
+        a = c.algebra
+        residuals, casimir = {}, check_algebra(a).passed
+        x = c.delta_of(a.unit) if casimir else Vec(a.dim * a.dim)
+        for j, lhs, rhs in _casimir_columns(a, x, _casimir_rows(a)):
+            casimir = casimir and (rhs is lhs or lhs == rhs)
+            _add_residual(residuals, c, j, lhs)
+        c._delta_one = _DeltaOne(x, residuals, casimir)
+    return c._delta_one
+
+
+def _add_residual(residuals: dict, c: ComultData, j: int, side: dict) -> None:
+    """residuals[j] = Delta(e_j) - ``side`` when that is nonzero."""
+    col = dict(c.delta.col_terms(j))
+    if col != side:
+        residuals[j] = addto(col, -1, side.items())
+
+
 def _from_delta_one(c: ComultData) -> bool:
     """True iff check_algebra passes and Delta(e_j) = Delta(1) e_j =
     e_j Delta(1) for every j, i.e. Delta is the bimodule map of the Casimir
-    element Delta(1); e_j Delta(1) is read on :func:`_casimir_rows` only.
-    Stops at the first column that differs; the answer is kept on ``c``."""
-    if c._from_delta_one is None:
-        a = c.algebra
-        c._from_delta_one = check_algebra(a).passed and all(
-            lhs == rhs == dict(c.delta.col_terms(j))
-            for j, lhs, rhs in _casimir_columns(a, c.delta_of(a.unit), _casimir_rows(a))
-        )
-    return c._from_delta_one
+    element Delta(1): no residual, and the Casimir identity holds on
+    :func:`_casimir_rows`."""
+    rec = _delta_one(c)
+    return rec.casimir and not rec.residuals
 
 
 def casimir_comult(cas: CasimirElement) -> ComultData:
@@ -638,9 +744,10 @@ def casimir_comult(cas: CasimirElement) -> ComultData:
 
     The columns X e_x are decided against e_x X in one pass, on the x of
     :func:`_casimir_rows`; PreconditionError carries the witness of
-    :func:`check_casimir`.  The result records :func:`_from_delta_one` as
-    check_algebra(a).passed: then Delta(1) = X 1 = X by the unit law,
-    Delta(e_j) = X e_j by construction, and X e_j = e_j X was just decided.
+    :func:`check_casimir`.  When check_algebra passes, the result records
+    its :func:`_delta_one`: X, no residual, and the Casimir identity, since
+    Delta(1) = X 1 = X by the unit law, Delta(e_j) = X e_j by construction,
+    and X e_j = e_j X was just decided.
     """
     a = cas.algebra
     d = a.dim
@@ -653,7 +760,8 @@ def casimir_comult(cas: CasimirElement) -> ComultData:
     decided = check_algebra(a).passed
     counit = _counit_rows(a, cas.element) if decided else None
     c = ComultData(a, Mat.from_columns(d * d, cols), counit)
-    c._from_delta_one = decided
+    if decided:
+        c._delta_one = _DeltaOne(cas.element, {}, True)
     return c
 
 
@@ -691,7 +799,7 @@ def solve_counit(c: ComultData) -> Vec | None:
     """
     if not _from_delta_one(c):
         raise PreconditionError("Delta is not a bimodule map over a unital associative algebra")
-    return _counit_rows(c.algebra, c.delta_of(c.algebra.unit))
+    return _counit_rows(c.algebra, _delta_one(c).x)
 
 
 def _counit_rows(a: AlgebraData, element: Vec) -> Vec | None:

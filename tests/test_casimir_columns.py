@@ -208,7 +208,7 @@ def assert_casimir_matches(a, x: Vec) -> None:
         assert not report.passed
     else:
         c = casimir_comult(cas)
-        assert (c.delta, c.counit, c._from_delta_one) == ref
+        assert (c.delta, c.counit, _from_delta_one(c)) == ref
         assert report.passed
 
 

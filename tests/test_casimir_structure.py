@@ -31,6 +31,7 @@ from frobkit.exactlin import Mat, Vec
 from frobkit.finalg import (
     CasimirElement,
     ComultData,
+    _delta_one,
     _from_delta_one,
     casimir_comult,
     check_algebra,
@@ -49,7 +50,8 @@ from frobkit.whopf import (
 
 def assert_matches_fresh(c: ComultData) -> None:
     fresh = ComultData(c.algebra, c.delta)
-    assert c._from_delta_one is _from_delta_one(fresh)
+    assert _delta_one(c) == _delta_one(fresh)
+    assert _from_delta_one(c) is _from_delta_one(fresh)
     if _from_delta_one(fresh):
         assert c.counit == solve_counit(fresh)
     else:
@@ -68,7 +70,7 @@ def combination(basis: list[Vec], dim: int, data) -> Vec:
 def test_casimir_space_structure_matches_fresh(name, data):
     a = base_comult(name).algebra
     c = casimir_comult(CasimirElement(a, combination(casimir_space(name), a.dim, data)))
-    assert c._from_delta_one
+    assert _from_delta_one(c)
     assert_matches_fresh(c)
 
 
@@ -97,7 +99,7 @@ def test_non_associative_structure_matches_fresh(data):
     a = non_associative_kxk()
     assert not check_algebra(a).passed
     c = casimir_comult(CasimirElement(a, combination(casimir_basis(a), a.dim, data)))
-    assert c._from_delta_one is False and c.counit is None
+    assert _from_delta_one(c) is False and c.counit is None
     assert_matches_fresh(c)
 
 

@@ -8,7 +8,7 @@ import pytest
 import golden
 from frobkit import cli
 from frobkit.cli import main
-from frobkit.finalg import comult_from_json, comult_to_json_str
+from frobkit.finalg import comult_from_json, comult_to_json_str, counit_failures
 from frobkit.nsy import basis_indices, basis_label
 from frobkit.whopf import (
     groupoid_algebra,
@@ -213,6 +213,40 @@ def test_verify_non_counital(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0
     assert "classification: NonCounitalOnly" in out
+
+
+@pytest.mark.parametrize(
+    "params, counit, column",
+    [
+        ("n=2 ell=2 m=1,1", [[0, "5"]], 0),  # Frobenius: not the solved counit
+        ("n=2 ell=2 m=2,1", [[1, "1"], [4, "1"]], 0),  # NonCounitalOnly: no counit at all
+    ],
+)
+def test_verify_rejects_a_supplied_counit_that_fails(params, counit, column, tmp_path, capsys):
+    path = tmp_path / "b.json"
+    run(capsys, "nsy", "build", *params.split(), "--output", str(path))
+    payload = json.loads(path.read_text())
+    payload["counit"] = counit
+    path.write_text(json.dumps(payload))
+    first = next(counit_failures(comult_from_json(payload), comult_from_json(payload).counit))
+    assert first[0] == column
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"check failed: supplied counit fails the counit identity at column {column}\n"
+
+
+@pytest.mark.parametrize("params", ["n=2 ell=2 m=1,1", "n=3 ell=3 m=2,2,2", "n=2 ell=2 m=2,1"])
+def test_verify_output_is_the_same_with_the_solved_counit_or_none(params, tmp_path, capsys):
+    """nsy build writes the solved counit of a Frobenius instance and none
+    otherwise; dropping it leaves the verify output unchanged."""
+    path = tmp_path / "b.json"
+    run(capsys, "nsy", "build", *params.split(), "--output", str(path))
+    outputs = [run(capsys, "verify", str(path), "--format", "json")]
+    payload = json.loads(path.read_text())
+    payload.pop("counit", None)
+    path.write_text(json.dumps(payload))
+    outputs.append(run(capsys, "verify", str(path), "--format", "json"))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_verify_broken_bimodule_exit_one(tmp_path, capsys):

@@ -74,6 +74,13 @@ def _scale_first_delta(payload):
     payload["delta"][0][2] = "2"
 
 
+def _set_counit(counit):
+    def corrupt(payload):
+        payload["counit"] = counit
+
+    return corrupt
+
+
 def _retarget_first_mult(payload):
     # keeps the table monomial, breaks associativity
     entry = payload["mult"][0]
@@ -139,6 +146,9 @@ INPUT_FILES = {
     "non_counital": _nsy_file("n=3 ell=2 m=1,1,2"),
     "bad_delta": _nsy_file("n=2 ell=2 m=1,1", _scale_first_delta),
     "bad_mult": _nsy_file("n=2 ell=2 m=2,1", _retarget_first_mult),
+    # verify compares a supplied counit with the solved one
+    "wrong_counit": _nsy_file("n=2 ell=2 m=1,1", _set_counit([[0, "5"]])),
+    "non_counital_counit": _nsy_file("n=2 ell=2 m=2,1", _set_counit([[1, "1"], [4, "1"]])),
     "pair2": _pair2_file(False),
     "pair2_degenerate": _pair2_file(True),
     "non_associative": _non_associative_file,
@@ -164,6 +174,8 @@ def _cases() -> dict[str, list[str]]:
     commands.append(["whopf", "check", "<tmp>/pair2.json"])
     commands.append(["whopf", "<tmp>/pair2_degenerate.json", "frobenius"])
     cases = [cmd + list(fmt) for cmd in commands for fmt in FORMATS]
+    for name in ("wrong_counit", "non_counital_counit"):
+        cases.append(["verify", f"<tmp>/{name}.json"])
     for name in ("qtg_delta", "qtg_antipode", "qtg_epsilon"):
         for fmt in ("markdown", "json"):
             cases.append(["whopf", "check", f"<tmp>/{name}.json", "--format", fmt])

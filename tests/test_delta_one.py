@@ -14,8 +14,16 @@ The pairwise bimodule scan visits only pairs where some side can be nonzero,
 and the Casimir products walk only nonzero basis products; the cases below
 with first witnesses at a pair whose product e_i e_j is zero, products added
 outside the algebra's support, and corrupted Casimir elements pin both.
+
+Both scans run on the residuals of Delta against Delta(1) and visit only the
+rows and columns those touch.  Entries added in two or three distinct
+columns, inside the unit's support (Delta(1) changes and may fail the
+Casimir identity, so L != R and coassociativity runs over every column) and
+removed entries pin the row and column sets; a spy pins that on one added
+entry off the unit's support fewer than d of each are visited.
 """
 
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -23,13 +31,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
-from test_witness import naive_bimodule, naive_casimir, naive_coassoc
+from test_witness import (
+    corrupted_comult,
+    naive_bimodule,
+    naive_casimir,
+    naive_coassoc,
+    seeded_params,
+)
 
+from frobkit import finalg
 from frobkit.exactlin import Mat, Vec, kernel_basis
 from frobkit.finalg import (
     AlgebraData,
     CasimirElement,
     ComultData,
+    _delta_one,
     _from_delta_one,
     casimir_comult,
     check_algebra,
@@ -245,11 +261,17 @@ def with_delta_entry(c: ComultData, column: int, flat: int, value=Fraction(1)) -
         ("nsy_1_2_2", 1, 3, 6),
         ("nsy_2_2_12", 1, 4, 45),
         ("m2", 1, 3, 5),
+        # in the unit's support, so Delta(1) fails the Casimir identity
+        ("nsy_2_2_12", 0, 3, 0),
+        ("nsy_3_2_112", 1, 2, 0),
+        ("m2", 1, 3, 1),
     ],
 )
 def test_first_witness_at_a_zero_product(name, side, column, flat):
     """One added delta entry whose first right (side 0) or left (side 1)
-    witness sits at a pair (i, j) with e_i e_j = 0: zero target, nonzero lhs."""
+    witness sits at a pair (i, j) with e_i e_j = 0: zero target, nonzero lhs.
+    Outside the unit's support the residual loops run with L = R; inside
+    it, with L from the full e_x X pass."""
     c = with_delta_entry(base_comult(name), column, flat)
     indices, lhs, target = naive_bimodule(c)[side]
     assert c.algebra.basis_product(*indices).is_zero()
@@ -304,3 +326,73 @@ def test_corrupted_casimir_element_matches_reference(name, data):
     ref = naive_casimir(cas)
     expected = None if ref is None else (*ref, "a_i (x) b_i x != x a_i (x) b_i")
     assert outcome(result) == (ref is None, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BIMODULE_CASES), st.data())
+def test_entries_added_in_distinct_columns_match_reference(name, data):
+    """Two or three residual columns: the rows and columns of the residual
+    loops are the union of what each one touches."""
+    c = base_comult(name)
+    d = c.algebra.dim
+    columns = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=3, unique=True))
+    for j in columns:
+        c = with_delta_entry(
+            c, j, data.draw(st.integers(0, d * d - 1)), data.draw(st.sampled_from(SCALARS))
+        )
+    if not set(columns) & set(c.algebra.unit.support()):
+        assert sorted(_delta_one(c).residuals) == sorted(columns)
+    assert_matches_reference(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BIMODULE_CASES), st.data())
+def test_entry_added_in_the_unit_support_matches_reference(name, data):
+    """Delta(1) changes and may fail the Casimir identity: then L != R and
+    coassociativity runs over every column."""
+    c = base_comult(name)
+    a = c.algebra
+    d = a.dim
+    column = data.draw(st.sampled_from(a.unit.support()))
+    edited = with_delta_entry(
+        c, column, data.draw(st.integers(0, d * d - 1)), data.draw(st.sampled_from(SCALARS))
+    )
+    assert edited.delta_of(a.unit) != c.delta_of(a.unit)
+    assert _delta_one(edited).casimir == check_casimir(CasimirElement(a, edited.delta_of(a.unit))).passed
+    assert_matches_reference(edited)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CASES), st.data())
+def test_removed_entry_matches_reference(name, data):
+    c = base_comult(name)
+    d = c.algebra.dim
+    t, j, _ = data.draw(st.sampled_from(c.delta.items()))
+    kept = [(r, k, v) for r, k, v in c.delta.items() if (r, k) != (t, j)]
+    assert_matches_reference(ComultData(c.algebra, Mat(d * d, d, kept)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_residual_loops_visit_fewer_than_d_rows_and_columns(seed, monkeypatch):
+    """One delta entry added off the unit's support of an NSY build, as in
+    the verify-mixed benchmark: Delta(1) stays Casimir, so coassociativity
+    sums fewer than d columns and the bimodule loop visits fewer than d rows,
+    with the witnesses of the reference scans."""
+    c = corrupted_comult(seeded_params(seed), random.Random(3000 + seed))
+    d = c.algebra.dim
+    sides, rows = finalg._coassoc_sides, finalg._bimodule_rows
+    summed, visited = [], []
+
+    def sides_spy(*args):
+        summed.append(args[1])
+        return sides(*args)
+
+    def rows_spy(*args):
+        visited.extend(rows(*args))
+        return visited
+
+    monkeypatch.setattr(finalg, "_coassoc_sides", sides_spy)
+    monkeypatch.setattr(finalg, "_bimodule_rows", rows_spy)
+    assert _delta_one(c).casimir and len(_delta_one(c).residuals) == 1
+    assert_matches_reference(c)
+    assert 0 < len(summed) < d and 0 < len(visited) < d

@@ -24,7 +24,14 @@ from test_delta_one import CASES, SCALARS, base_comult, edited_comult, with_delt
 from test_generators import generator_cases  # noqa: F401 (fixture)
 
 from frobkit.exactlin import Mat, Vec, addto
-from frobkit.finalg import CheckResult, ComultData, VerificationReport, Witness, check_bimodule
+from frobkit.finalg import (
+    CheckResult,
+    ComultData,
+    VerificationReport,
+    Witness,
+    _DeltaOne,
+    check_bimodule,
+)
 from frobkit.nsy import NSYParams, nsy_delta
 from frobkit.whopf import WeakHopfData, core
 
@@ -133,9 +140,12 @@ def scan_outcome(report: VerificationReport):
 
 def assert_scans_agree(c: ComultData) -> None:
     """The join against visit_scan on the failure path, forced even where
-    Delta is decided from Delta(1), and the index against the transpose."""
+    Delta is decided from Delta(1) by the record of X = 0, whose residuals
+    are the columns of Delta, and the index against the transpose."""
+    d = c.algebra.dim
     forced = ComultData(c.algebra, c.delta)
-    forced._from_delta_one = False
+    columns = {j: dict(c.delta.col_terms(j)) for j in range(d) if c.delta.col_terms(j)}
+    forced._delta_one = _DeltaOne(Vec(d * d), columns, False)
     assert scan_outcome(check_bimodule(forced)) == scan_outcome(visit_scan(forced))
     assert forced._terms_by_left() == transpose(forced)
     assert forced._terms_by_left() is forced._terms_by_left()
