@@ -22,16 +22,19 @@ coassociativity hold (see check_coassoc).  Otherwise the witness loops run
 on the residuals and visit only the rows (check_bimodule) and columns
 (check_coassoc) that these touch, in ascending order, so every failure is
 reported at the first basis index of a scan over all of them.  When
-check_algebra fails, X = 0 and the residuals are Delta itself.
+check_algebra fails or Delta(1) is not Casimir, the record keeps X = 0
+instead, whose residuals are the columns of Delta: the scans then visit
+every row and column on which Delta can fail.
 
 The Casimir identity X e_x = e_x X is evaluated in one routine,
 _casimir_columns, which yields both sides column by column: check_casimir,
 casimir_comult and the Delta(1) record above all read it.  The first two
-stop at the first column that differs; the record reads every column, since
-each residual is needed.  Once check_algebra passes, e_x X is summed
-for x in the generating set S of AlgebraData.generators only: {a : aX = Xa}
-is a subspace that holds 1 and is closed under products, (ab)X = a(Xb) =
-(Xa)b = X(ab), so S in it gives A.  A failed generator runs the full pass.
+stop at the first column that differs; the record reads every column of a
+Casimir X, since each residual is needed.  Once check_algebra passes, e_x X
+is summed for x in the generating set S of AlgebraData.generators only:
+{a : aX = Xa} is a subspace that holds 1 and is closed under products,
+(ab)X = a(Xb) = (Xa)b = X(ab), so S in it gives A.  A failed generator runs
+the full pass.
 
 Associativity of a monomial table is decided by Light's test (Clifford and
 Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2): the g
@@ -44,7 +47,7 @@ Most structure constants of the NSY algebras are zero, so the checkers walk
 only nonzero basis products, listed by factor in AlgebraData.product_index:
 the associativity check of a monomial table, the products X e_x and e_x X
 of _casimir_columns, and the bimodule loop, which joins the products e_i e_p
-with the terms of the residual L of left factor p.  The associativity walk
+with the terms of the residuals R of left factor p.  The associativity walk
 only decides; when it fails, the full triple scan runs and gives the
 witness.  The unit laws are read off the same index: 1 e_k and e_k 1 for
 every k come from one pass over the products with a factor in the unit's
@@ -501,8 +504,9 @@ def check_coassoc(c: ComultData) -> VerificationReport:
         legs = {t for k in supp for y in range(d) for t in (k * d + y, y * d + k)}
         columns = (
             j for j in columns
-            if j in supp or not legs.isdisjoint(dict(c.delta.col_terms(j)))
+            if j in supp or not legs.isdisjoint(t for t, _ in c.delta.col_terms(j))
         ) if supp else ()
+    # Not delta_pairs: its cache of all d columns doubles this loop when few are visited.
     for j in columns:
         lhs, rhs = _coassoc_sides(c, [(t // d, t % d, v) for t, v in c.delta.col_terms(j)])
         if lhs != rhs:
@@ -529,24 +533,24 @@ def check_bimodule(c: ComultData) -> VerificationReport:
     right: (id (x) m)(Delta (x) id)(x (x) y) = Delta(xy)
     left:  (m (x) id)(id (x) Delta)(x (x) y) = Delta(xy)
 
-    They are compared on residual maps.  With X = Delta(1) (X = 0 when
-    check_algebra fails), R_j = Delta(e_j) - X e_j and L_j = Delta(e_j) -
-    e_j X.  Over an associative algebra (X e_i) e_j = X (e_i e_j) and
-    e_i (e_j X) = (e_i e_j) X, so
+    They are compared on the residuals R_j = Delta(e_j) - X e_j of the
+    :func:`_delta_one` record, whose X is Delta(1) when that is Casimir over
+    a unital associative algebra and 0 otherwise.  Over an associative
+    algebra (X e_i) e_j = X (e_i e_j) and e_i (e_j X) = (e_i e_j) X, and
+    e_j X = X e_j for a Casimir X, so
 
         Delta(e_i) e_j - Delta(e_i e_j) = R_i e_j - R(e_i e_j),
-        e_i Delta(e_j) - Delta(e_i e_j) = e_i L_j - L(e_i e_j),
+        e_i Delta(e_j) - Delta(e_i e_j) = e_i R_j - R(e_i e_j);
 
-    and with X = 0 these hold on any algebra.  L = R when X = 0 or X passed
-    the Casimir identity in :func:`_delta_one`; otherwise L comes from one
-    pass of e_x X over every x.  So a row i can fail only when R_i != 0, when e_i e_p != 0
-    for a left factor p of some L_j, or when some e_i e_j has a term in
-    supp R u supp L, where supp R = {k : R_k != 0}.  Only those rows are
-    visited, in ascending i: none when Delta is the bimodule map of X.
+    with X = 0, R = Delta and both hold on any algebra.  So a row i can fail
+    only when R_i != 0, when e_i e_p != 0 for a left factor p of some R_j,
+    or when some e_i e_j has a term in supp R = {k : R_k != 0}.  Only those
+    rows are visited, in ascending i: none when Delta is the bimodule map of
+    X, and with X = 0 every row that a scan of Delta can fail on.
 
     Each row is summed for all j at once from the nonzero products: R_i e_j
-    pairs R_i with the e_q e_j != 0, e_i L_j the e_i e_p != 0 with the terms
-    of L of left factor p, and R(e_i e_j), L(e_i e_j) need e_i e_j != 0.
+    pairs R_i with the e_q e_j != 0, e_i R_j the e_i e_p != 0 with the terms
+    of R of left factor p, and R(e_i e_j) needs e_i e_j != 0.
     Every other pair reads 0 = 0, and j ascends, so the first witnesses are
     those of a scan over all pairs (i, j).  The full sides of Delta are
     summed at the two witness pairs only.
@@ -554,44 +558,33 @@ def check_bimodule(c: ComultData) -> VerificationReport:
     a, rec = c.algebra, _delta_one(c)
     d = a.dim
     mult, by_left = a.mult, a.product_index()[1]
-    right_res = left_res = rec.residuals
-    if not (rec.casimir or rec.x.is_zero()):
-        left_res = {}
-        for j, _, rhs in _casimir_columns(a, rec.x, range(d)):
-            _add_residual(left_res, c, j, rhs)
-    left_by_p: dict[int, list] = {}  # p -> (j, q, v) of the terms v e_p (x) e_q of L_j
-    for j, res in left_res.items():
+    residuals = rec.residuals
+    by_p: dict[int, list] = {}  # p -> (j, q, v) of the terms v e_p (x) e_q of R_j
+    for j, res in residuals.items():
         for t, v in res.items():
             p, q = divmod(t, d)
-            left_by_p.setdefault(p, []).append((j, q, v))
-
-    def image(res_map: dict, i: int) -> dict:  # j -> res_map(e_i e_j)
-        out: dict[int, dict] = {}
-        for j in by_left[i]:
-            for k, u in mult[i, j].terms():
-                if k in res_map:
-                    addto(out.setdefault(j, {}), u, res_map[k].items())
-        return out
+            by_p.setdefault(p, []).append((j, q, v))
 
     found: list[tuple[int, int] | None] = [None, None]  # right, left
-    for i in _bimodule_rows(a, right_res, left_res, left_by_p):
-        right, left = {}, {}  # j -> R_i e_j and e_i L_j
+    for i in _bimodule_rows(a, residuals, by_p):
+        right, left, target = {}, {}, {}  # j -> R_i e_j, e_i R_j and R(e_i e_j)
         if found[0] is None:
-            for t, v in right_res.get(i, {}).items():
+            for t, v in residuals.get(i, {}).items():
                 p, q = divmod(t, d)
                 for j in by_left[q]:
                     addto(right.setdefault(j, {}), v, mult[q, j].terms(), p * d)
         if found[1] is None:
             for p in by_left[i]:
-                if p in left_by_p:
+                if p in by_p:
                     prod = mult[i, p].terms()
-                    for j, q, v in left_by_p[p]:
+                    for j, q, v in by_p[p]:
                         addto(left.setdefault(j, {}), v, prod, q, d)
-        target_r = image(right_res, i)
-        target_l = target_r if left_res is right_res else image(left_res, i)
-        sides = ((right, target_r), (left, target_l))
-        for j in sorted(right.keys() | left.keys() | target_r.keys() | target_l.keys()):
-            for side, (sums, target) in enumerate(sides):
+        for j in by_left[i]:
+            for k, u in mult[i, j].terms():
+                if k in residuals:
+                    addto(target.setdefault(j, {}), u, residuals[k].items())
+        for j in sorted(right.keys() | left.keys() | target.keys()):
+            for side, sums in enumerate((right, left)):
                 if found[side] is None and sums.get(j, {}) != target.get(j, {}):
                     found[side] = (i, j)
         if None not in found:
@@ -603,15 +596,14 @@ def check_bimodule(c: ComultData) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-def _bimodule_rows(a: AlgebraData, right_res: dict, left_res: dict, left_factors) -> list[int]:
+def _bimodule_rows(a: AlgebraData, residuals: dict, left_factors) -> list[int]:
     """The rows i where check_bimodule can fail, ascending: R_i != 0,
-    e_i e_p != 0 for p in ``left_factors`` (the left factors of L), or some
-    e_i e_j with a term in supp R u supp L."""
+    e_i e_p != 0 for p in ``left_factors`` (the left factors of R), or some
+    e_i e_j with a term in supp R."""
     by_right = a.product_index()[0]
-    supp = right_res.keys() | left_res.keys()
-    rows = {*right_res, *(i for p in left_factors for i in by_right[p])}
-    if supp:
-        rows.update(i for (i, _), prod in a.mult.items() for k, _ in prod.terms() if k in supp)
+    rows = {*residuals, *(i for p in left_factors for i in by_right[p])}
+    if residuals:
+        rows.update(i for (i, _), prod in a.mult.items() for k, _ in prod.terms() if k in residuals)
     return sorted(rows)
 
 
@@ -695,11 +687,12 @@ def _casimir_columns(a: AlgebraData, element: Vec, right):
 
 @dataclass(frozen=True)
 class _DeltaOne:
-    """What X = Delta(1) decides about a ComultData (:func:`_delta_one`):
-    ``x`` is X, or 0 when check_algebra fails; ``residuals`` maps each j with
-    R_j = Delta(e_j) - X e_j != 0 to R_j, a dict over the tensor square; and
-    ``casimir`` is whether check_algebra passes and X e_s = e_s X holds on
-    :func:`_casimir_rows`, so for every s."""
+    """What Delta(1) decides about a ComultData (:func:`_delta_one`):
+    ``casimir`` is whether check_algebra passes and Delta(1) e_s =
+    e_s Delta(1) holds on :func:`_casimir_rows`, so for every s; ``x`` is
+    X = Delta(1) when it does and 0 otherwise; and ``residuals`` maps each j
+    with R_j = Delta(e_j) - X e_j != 0 to R_j, a dict over the tensor
+    square: the nonzero columns of Delta when X = 0."""
 
     x: Vec
     residuals: dict[int, dict[int, Scalar]]
@@ -707,16 +700,22 @@ class _DeltaOne:
 
 
 def _delta_one(c: ComultData) -> _DeltaOne:
-    """The Delta(1) record of ``c``, kept on it: one pass of
-    :func:`_casimir_columns` over every column, with X = 0 when check_algebra
-    fails, so that the residuals are then the columns of Delta."""
+    """The Delta(1) record of ``c``, kept on it: once check_algebra passes,
+    one pass of :func:`_casimir_columns` for X = Delta(1) over every column.
+    When check_algebra fails or X e_s != e_s X for some s, X = 0 instead, so
+    that the residuals are the columns of Delta."""
     if c._delta_one is None:
         a = c.algebra
-        residuals, casimir = {}, check_algebra(a).passed
-        x = c.delta_of(a.unit) if casimir else Vec(a.dim * a.dim)
-        for j, lhs, rhs in _casimir_columns(a, x, _casimir_rows(a)):
-            casimir = casimir and (rhs is lhs or lhs == rhs)
+        x, residuals, casimir = c.delta_of(a.unit), {}, check_algebra(a).passed
+        for j, lhs, rhs in _casimir_columns(a, x, _casimir_rows(a)) if casimir else ():
+            if rhs is not lhs and lhs != rhs:
+                casimir = False
+                break
             _add_residual(residuals, c, j, lhs)
+        if not casimir:
+            x, residuals = Vec(a.dim * a.dim), {}
+            for j in range(a.dim):
+                _add_residual(residuals, c, j, {})
         c._delta_one = _DeltaOne(x, residuals, casimir)
     return c._delta_one
 

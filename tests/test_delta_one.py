@@ -18,8 +18,8 @@ outside the algebra's support, and corrupted Casimir elements pin both.
 Both scans run on the residuals of Delta against Delta(1) and visit only the
 rows and columns those touch.  Entries added in two or three distinct
 columns, inside the unit's support (Delta(1) changes and may fail the
-Casimir identity, so L != R and coassociativity runs over every column) and
-removed entries pin the row and column sets; a spy pins that on one added
+Casimir identity, so the record keeps X = 0 and both scans run on Delta
+itself) and removed entries pin the row and column sets; a spy pins that on one added
 entry off the unit's support fewer than d of each are visited.
 """
 
@@ -348,8 +348,8 @@ def test_entries_added_in_distinct_columns_match_reference(name, data):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(BIMODULE_CASES), st.data())
 def test_entry_added_in_the_unit_support_matches_reference(name, data):
-    """Delta(1) changes and may fail the Casimir identity: then L != R and
-    coassociativity runs over every column."""
+    """Delta(1) changes and may fail the Casimir identity: then the record
+    keeps X = 0, whose residuals are the nonzero columns of Delta."""
     c = base_comult(name)
     a = c.algebra
     d = a.dim
@@ -358,7 +358,11 @@ def test_entry_added_in_the_unit_support_matches_reference(name, data):
         c, column, data.draw(st.integers(0, d * d - 1)), data.draw(st.sampled_from(SCALARS))
     )
     assert edited.delta_of(a.unit) != c.delta_of(a.unit)
-    assert _delta_one(edited).casimir == check_casimir(CasimirElement(a, edited.delta_of(a.unit))).passed
+    rec = _delta_one(edited)
+    assert rec.casimir == check_casimir(CasimirElement(a, edited.delta_of(a.unit))).passed
+    if not rec.casimir:
+        columns = {j: dict(edited.delta.col_terms(j)) for j in range(d)}
+        assert rec.x.is_zero() and rec.residuals == {j: col for j, col in columns.items() if col}
     assert_matches_reference(edited)
 
 
