@@ -23,10 +23,13 @@ an ``int`` again when it passes through a constructor.  The one ``/`` in the
 package is the pivot division of :meth:`LinearSystem.add`, taken through
 ``Fraction``.
 
-Every sparse sum in the package goes through one kernel, :func:`addto`:
+Sparse sums over a stream of entries go through one kernel, :func:`addto`:
 ``acc[base + stride*k] += coeff*v`` over a stream of ``(k, v)`` entries,
 dropping entries that cancel to zero.  That one affine key map covers every
 tensor flattening used (``p*d + k``, ``k*d + q``, ``(x*d + y)*d + q``, ...).
+On a monomial table (``finalg.AlgebraData.monomial_table``) a basis product
+is one index, not a stream, so the hottest evaluators add each term at its
+flat key in place, dropping it in the same way when it cancels.
 Dicts the kernel built become vectors through :meth:`Vec.adopt` without a
 copy.  Sums iterate stored dicts in storage order, since exact addition does
 not depend on it; sorted order (``Vec.items``, ``Mat.items``) is used only

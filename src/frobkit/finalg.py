@@ -52,7 +52,11 @@ only decides; when it fails, the full triple scan runs and gives the
 witness.  The unit laws are read off the same index: 1 e_k and e_k 1 for
 every k come from one pass over the products with a factor in the unit's
 support, and are compared in ascending k, so the first witness of each law
-is the one a scan over k would give.
+is the one a scan over k would give.  On a monomial table a product is the
+one index table[i][j]: these walks (and the weak-Hopf rows of whopf.core)
+add each term at its flat key in place, and the bimodule rows with a
+product in supp R are read off the table's rows.  Any other table streams
+each product's terms through addto.
 
 The counit is solved from X = Delta(1) too.  For a bimodule Delta,
 (eps (x) id)Delta(e_j) = ((eps (x) id)X) e_j and (id (x) eps)Delta(e_j) =
@@ -82,7 +86,6 @@ from .exactlin import (
     addto,
     scalar_from_str,
     scalar_to_str,
-    solve_linear,
 )
 
 __all__ = [
@@ -428,14 +431,20 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
 def _unit_checks(a: AlgebraData) -> tuple[CheckResult, CheckResult]:
     """The unit_left and unit_right checks, kept on ``a``."""
     if a._units is None:
-        d, (by_right, by_left) = a.dim, a.product_index()
+        d, (by_right, by_left), table = a.dim, a.product_index(), a.monomial_table()
         left: dict[int, dict] = {}  # k -> 1 e_k, and right: k -> e_k 1
         right: dict[int, dict] = {}
         for q, u in a.unit.terms():
             for k in by_left[q]:
-                addto(left.setdefault(k, {}), u, a.mult[(q, k)].terms())
+                if table is None:
+                    addto(left.setdefault(k, {}), u, a.mult[(q, k)].terms())
+                else:
+                    add_entry(left.setdefault(k, {}), table[q][k], u)
             for k in by_right[q]:
-                addto(right.setdefault(k, {}), u, a.mult[(k, q)].terms())
+                if table is None:
+                    addto(right.setdefault(k, {}), u, a.mult[(k, q)].terms())
+                else:
+                    add_entry(right.setdefault(k, {}), table[k][q], u)
         checks = []
         for name, sums, note in (("unit_left", left, "1 * e_k != e_k"),
                                  ("unit_right", right, "e_k * 1 != e_k")):
@@ -600,9 +609,11 @@ def _bimodule_rows(a: AlgebraData, residuals: dict, left_factors) -> list[int]:
     """The rows i where check_bimodule can fail, ascending: R_i != 0,
     e_i e_p != 0 for p in ``left_factors`` (the left factors of R), or some
     e_i e_j with a term in supp R."""
-    by_right = a.product_index()[0]
+    by_right, table = a.product_index()[0], a.monomial_table()
     rows = {*residuals, *(i for p in left_factors for i in by_right[p])}
-    if residuals:
+    if residuals and table is not None:
+        rows.update(i for i, row in table.items() if not residuals.keys().isdisjoint(row.values()))
+    elif residuals:
         rows.update(i for (i, _), prod in a.mult.items() for k, _ in prod.terms() if k in residuals)
     return sorted(rows)
 
@@ -662,23 +673,45 @@ def _casimir_columns(a: AlgebraData, element: Vec, right):
     listed in product_index only.  The one evaluator of the Casimir identity
     X e_x = e_x X."""
     d = a.dim
-    by_q: dict[int, list] = {}  # q -> the (p, v), and by_p: p -> the (q, v)
+    by_q: dict[int, list] = {}  # q -> the (p*d, v), and by_p: p -> the (q, v)
     by_p: dict[int, list] = {}
     for t, v in element.terms():
         p, q = divmod(t, d)
-        by_q.setdefault(q, []).append((p, v))
+        by_q.setdefault(q, []).append((t - q, v))
         by_p.setdefault(p, []).append((q, v))
-    mult, (by_right, by_left) = a.mult, a.product_index()
+    mult, (by_right, by_left), table = a.mult, a.product_index(), a.monomial_table()
     for x in range(d):
         lhs: dict[int, Fraction] = {}
         for q in by_right[x]:
             if q in by_q:
+                if table is not None:
+                    k = table[q][x]
+                    for pd, v in by_q[q]:
+                        t = pd + k
+                        if t in lhs:
+                            v += lhs[t]
+                            if not v:
+                                del lhs[t]
+                                continue
+                        lhs[t] = v
+                    continue
                 prod = mult[q, x].terms()
-                for p, v in by_q[q]:
-                    addto(lhs, v, prod, p * d)
+                for pd, v in by_q[q]:
+                    addto(lhs, v, prod, pd)
         rhs: dict[int, Fraction] = {} if x in right else lhs
         for p in by_left[x] if x in right else ():
             if p in by_p:
+                if table is not None:
+                    kd = table[x][p] * d
+                    for q, v in by_p[p]:
+                        t = kd + q
+                        if t in rhs:
+                            v += rhs[t]
+                            if not v:
+                                del rhs[t]
+                                continue
+                        rhs[t] = v
+                    continue
                 prod = mult[x, p].terms()
                 for q, v in by_p[p]:
                     addto(rhs, v, prod, q, d)
@@ -722,9 +755,9 @@ def _delta_one(c: ComultData) -> _DeltaOne:
 
 def _add_residual(residuals: dict, c: ComultData, j: int, side: dict) -> None:
     """residuals[j] = Delta(e_j) - ``side`` when that is nonzero."""
-    col = dict(c.delta.col_terms(j))
-    if col != side:
-        residuals[j] = addto(col, -1, side.items())
+    terms = c.delta.col_terms(j)
+    if terms != side.items():
+        residuals[j] = addto(dict(terms), -1, side.items())
 
 
 def _from_delta_one(c: ComultData) -> bool:
@@ -806,7 +839,16 @@ def _counit_rows(a: AlgebraData, element: Vec) -> Vec | None:
     row k with the coefficient of e_p (x) e_k in X at column p; see
     :func:`solve_counit`."""
     d = a.dim
-    return solve_linear(Mat(d, d, [(t % d, t // d, v) for t, v in element.terms()]), a.unit)
+    rows: dict[int, dict] = {}
+    for t, v in element.terms():
+        p, k = divmod(t, d)
+        rows.setdefault(k, {})[p] = v
+    system = LinearSystem(d)
+    for k in range(d):
+        coeffs, rhs = rows.get(k, {}), a.unit.get(k)
+        if coeffs or rhs:
+            system.add(coeffs, rhs)
+    return system.solution()
 
 
 # bench/tracer.py times the solve under this name

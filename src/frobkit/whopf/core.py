@@ -367,9 +367,24 @@ def _mult_row(h: WeakHopfData, x_pairs, x: Vec, terms_by_left: list[list]):
     for every j in one pass over the nonzero products, then compared in
     ascending j."""
     a, d, n = h.algebra, h.dim, h.denom
-    mult, by_left = a.mult, a.product_index()[1]
+    mult, by_left, table = a.mult, a.product_index()[1], a.monomial_table()
     lhs: dict[int, dict] = {}
     for p, q, v in x_pairs:
+        if table is not None:
+            row_q = table.get(q, {})
+            for p2 in by_left[p]:
+                kd = table[p][p2] * d
+                for j, q2, v2 in terms_by_left[p2]:
+                    kr = row_q.get(q2)
+                    if kr is not None:
+                        acc, t, w = lhs.setdefault(j, {}), kd + kr, v * v2
+                        if t in acc:
+                            w += acc[t]
+                            if not w:
+                                del acc[t]
+                                continue
+                        acc[t] = w
+            continue
         for p2 in by_left[p]:
             left_terms = mult[p, p2].terms()
             for j, q2, v2 in terms_by_left[p2]:
@@ -380,6 +395,9 @@ def _mult_row(h: WeakHopfData, x_pairs, x: Vec, terms_by_left: list[list]):
     rhs: dict[int, dict] = {}
     for k, c in x.terms():
         for j in by_left[k]:
+            if table is not None:
+                addto(rhs.setdefault(j, {}), n * c, h.scaled.delta.col_terms(table[k][j]))
+                continue
             for m, u in mult[k, j].terms():
                 addto(rhs.setdefault(j, {}), n * c * u, h.scaled.delta.col_terms(m))
     for j in sorted(lhs.keys() | rhs.keys()):
