@@ -10,6 +10,12 @@ object X.
 The groupoid algebra has basis the morphisms, product composition-or-zero,
 unit the sum of identities, group-like comultiplication g -> g (x) g,
 counit g -> 1, and antipode g -> g^{-1}.
+
+Validation and composition visit only the composable pairs, not all n^2
+pairs: ``GroupoidData`` buckets the morphisms by source and by target.
+:func:`connected_groupoid` on N objects with vertex group G numbers the
+morphism (s, t, k) from s to t with group part k as (s N + t) |G| + k, so
+composites and inverses are index arithmetic.
 """
 
 from __future__ import annotations
@@ -67,77 +73,57 @@ class GroupoidData:
 
     def _validate(self):
         objs = set(range(len(self.objects)))
-        n = len(self.morphisms)
+        mor, comp = self.morphisms, self.compose
+        n = len(mor)
         if not self.objects:
             raise ConstructionError("groupoid must have at least one object")
-        for m in self.morphisms:
+        out_of = {x: [] for x in objs}
+        into = {x: [] for x in objs}
+        for g, m in enumerate(mor):
             if m.src not in objs or m.tgt not in objs:
                 raise ConstructionError(
                     f"morphism {m.name} has source or target outside the object set"
                 )
-        composable = {
-            (g, h)
-            for g in range(n)
-            for h in range(n)
-            if self.morphisms[g].tgt == self.morphisms[h].src
-        }
-        if set(self.compose) != composable:
+            out_of[m.src].append(g)
+            into[m.tgt].append(g)
+        composable = {(g, h) for x in objs for g in into[x] for h in out_of[x]}
+        if set(comp) != composable:
             raise ConstructionError(
                 "composition table domain must be exactly the composable pairs"
             )
-        for (g, h), k in self.compose.items():
+        for (g, h), k in comp.items():
             if not 0 <= k < n:
                 raise ConstructionError("composition table value out of range")
-            if (
-                self.morphisms[k].src != self.morphisms[g].src
-                or self.morphisms[k].tgt != self.morphisms[h].tgt
-            ):
+            if mor[k].src != mor[g].src or mor[k].tgt != mor[h].tgt:
                 raise ConstructionError(
-                    f"composite of {self.morphisms[g].name} and "
-                    f"{self.morphisms[h].name} has wrong endpoints"
+                    f"composite of {mor[g].name} and {mor[h].name} has wrong endpoints"
                 )
-        # identities: for each object, a loop acting as a two-sided unit
+        # identities: for each object, the first loop acting as a two-sided unit
         for x in objs:
-            loops = [
-                e
-                for e in range(n)
-                if self.morphisms[e].src == x and self.morphisms[e].tgt == x
-            ]
-            ident = None
-            for e in loops:
-                left_ok = all(
-                    self.compose[(e, f)] == f
-                    for f in range(n)
-                    if self.morphisms[f].src == x
-                )
-                right_ok = all(
-                    self.compose[(f, e)] == f
-                    for f in range(n)
-                    if self.morphisms[f].tgt == x
-                )
-                if left_ok and right_ok:
-                    ident = e
+            for e in out_of[x]:
+                if (
+                    mor[e].tgt == x
+                    and all(comp[(e, f)] == f for f in out_of[x])
+                    and all(comp[(f, e)] == f for f in into[x])
+                ):
+                    self.identities[x] = e
                     break
-            if ident is None:
+            else:
                 raise ConstructionError(f"object {self.objects[x]} has no identity")
-            self.identities[x] = ident
         # inverses
         if len(self.inv) != n:
             raise ConstructionError("inverse map must be total")
-        for g in range(n):
-            gi = self.inv[g]
+        for g, gi in enumerate(self.inv):
             if not 0 <= gi < n:
                 raise ConstructionError("inverse map value out of range")
-            m, mi = self.morphisms[g], self.morphisms[gi]
+            m, mi = mor[g], mor[gi]
             if (mi.src, mi.tgt) != (m.tgt, m.src):
-                raise ConstructionError(
-                    f"inverse of {m.name} has wrong endpoints"
-                )
-            if self.compose[(g, gi)] != self.identities[m.src]:
+                raise ConstructionError(f"inverse of {m.name} has wrong endpoints")
+            if comp[(g, gi)] != self.identities[m.src]:
                 raise ConstructionError(
                     f"{m.name} composed with its inverse is not the identity at its source"
                 )
-            if self.compose[(gi, g)] != self.identities[m.tgt]:
+            if comp[(gi, g)] != self.identities[m.tgt]:
                 raise ConstructionError(
                     f"inverse composed with {m.name} is not the identity at its target"
                 )
@@ -149,19 +135,22 @@ class GroupoidData:
 
 def _groupoid_product(g: GroupoidData, labels: list[str] | None = None) -> AlgebraData:
     """The algebra of the groupoid: product composition-or-zero, unit the sum
-    of identities, basis the morphisms (labelled by their names by default)."""
+    of identities, basis the morphisms (labelled by their names by default).
+    The n basis vectors are shared between the products."""
     n = g.num_morphisms
     if labels is None:
         labels = [m.name for m in g.morphisms]
-    mult = {(a, b): Vec.basis(n, k) for (a, b), k in g.compose.items()}
+    basis = [Vec.basis(n, k) for k in range(n)]
+    mult = {(a, b): basis[k] for (a, b), k in g.compose.items()}
     unit = Vec(n, [(e, ONE) for e in g.identities.values()])
     return AlgebraData(n, labels, mult, unit)
 
 
-def groupoid_algebra(g: GroupoidData) -> WeakHopfData:
-    """The groupoid algebra as verified WeakHopfData."""
+def groupoid_algebra(g: GroupoidData, labels: list[str] | None = None) -> WeakHopfData:
+    """The groupoid algebra as verified WeakHopfData, its basis labelled by
+    ``labels`` (the morphism names by default)."""
     n = g.num_morphisms
-    algebra = _groupoid_product(g)
+    algebra = _groupoid_product(g, labels)
     delta = Mat(n * n, n, [(j * n + j, j, ONE) for j in range(n)])
     epsilon = Vec(n, [(j, ONE) for j in range(n)])
     antipode = Mat(n, n, [(g.inv[j], j, ONE) for j in range(n)])
@@ -183,10 +172,7 @@ def hopf_group_algebra(table: list[list[int]], labels: list[str] | None = None) 
         labels = [f"g{k}" for k in range(n)]
     if len(labels) != n:
         raise InputError(f"expected {n} labels for the group elements, got {len(labels)}")
-    _, inv = _group_of(table)
-    morphisms = [Morphism(name, 0, 0) for name in labels]
-    compose = {(a, b): table[a][b] for a in range(n) for b in range(n)}
-    return groupoid_algebra(GroupoidData([0], morphisms, compose, inv))
+    return groupoid_algebra(group_groupoid(table), labels)
 
 
 def _group_of(table) -> tuple[int, list[int]]:
@@ -196,7 +182,7 @@ def _group_of(table) -> tuple[int, list[int]]:
     if any(len(table[g]) != n for g in range(n)):
         raise InputError("group table must be square")
     for g, x in itertools.product(range(n), repeat=2):
-        if table[g][x] not in range(n):
+        if not isinstance(table[g][x], int) or table[g][x] not in range(n):
             raise InputError(f"group table entry {table[g][x]!r} at ({g}, {x}) is out of range")
     for ident in range(n):
         if all(table[ident][x] == x and table[x][ident] == x for x in range(n)):
@@ -223,30 +209,19 @@ def connected_groupoid(num_objects: int, table: list[list[int]]) -> GroupoidData
     (src, tgt, group element), composed by multiplying group parts."""
     if num_objects < 1:
         raise InputError("need at least one object")
-    order = len(table)
+    N, order = num_objects, len(table)
     ident, inv_tab = _group_of(table)
-    morphisms = []
-    index = {}
-    for src in range(num_objects):
-        for tgt in range(num_objects):
-            for k in range(order):
-                idx = len(morphisms)
-                if src == tgt and k == ident:
-                    name = f"id{src}" if order == 1 else f"id{src}g{k}"
-                else:
-                    name = f"m{src}_{tgt}" if order == 1 else f"m{src}_{tgt}g{k}"
-                morphisms.append(Morphism(name, src, tgt))
-                index[(src, tgt, k)] = idx
-    compose = {}
-    for (s1, t1, k1), g in index.items():
-        for (s2, t2, k2), h in index.items():
-            if t1 != s2:
-                continue
-            compose[(g, h)] = index[(s1, t2, table[k1][k2])]
-    inv = [0] * len(morphisms)
-    for (s, t, k), g in index.items():
-        inv[g] = index[(t, s, inv_tab[k])]
-    return GroupoidData(list(range(num_objects)), morphisms, compose, inv)
+    objs, group = range(N), range(order)
+    morphisms, inv = [], []
+    for s, t, k in itertools.product(objs, objs, group):
+        name = f"id{s}" if s == t and k == ident else f"m{s}_{t}"
+        morphisms.append(Morphism(name if order == 1 else f"{name}g{k}", s, t))
+        inv.append((t * N + s) * order + inv_tab[k])
+    compose = {
+        ((s * N + t) * order + a, (t * N + u) * order + b): (s * N + u) * order + table[a][b]
+        for s, t, a, u, b in itertools.product(objs, objs, group, objs, group)
+    }
+    return GroupoidData(list(objs), morphisms, compose, inv)
 
 
 def group_groupoid(table: list[list[int]]) -> GroupoidData:

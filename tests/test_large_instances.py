@@ -1,10 +1,11 @@
 """The larger instances ROADMAP.md times, run end to end through the CLI: the
 dim-900 NSY algebra, the quantum transformation groupoids of dim 256 (check)
 and of dim 81 and 162 (frobenius, which cross-checks the closed form),
-k[Z/120] and the groupoid algebras of dim 576 and 192.  Each must exit 0 with
-every check line [PASS] and, where the command classifies, the expected
-classification.  The dim-900 ``nsy build`` output must be the indented JSON
-of its payload.  No timing is asserted.
+k[Z/120] and k[Z/400] (frobenius) and the groupoid algebras of dim 576, 192
+and 1,600 (check).  Each must exit 0 with every check line [PASS] and, where
+the command classifies, the expected classification.  The dim-900
+``nsy build`` output must be the indented JSON of its payload.  No timing is
+asserted.
 """
 
 import json
@@ -40,13 +41,20 @@ def _qtg_matrix3_frobenius_tail(one: str) -> list[str]:
             3,
             ["classification: Frobenius", "counit: g0", f"frobkit {__version__}, seed 271828"],
         ),
+        (
+            "whopf group --cyclic 400 frobenius",
+            3,
+            ["classification: Frobenius", "counit: g0", f"frobkit {__version__}, seed 271828"],
+        ),
         ("whopf groupoid --pair-objects 24 check", WEAK_HOPF_CHECKS, []),
+        ("whopf groupoid --pair-objects 40 check", WEAK_HOPF_CHECKS, []),
         ("whopf groupoid --objects 4 --group cyclic:12 check", WEAK_HOPF_CHECKS, []),
         ("whopf qtg --L trivial --B matrix:3 frobenius", 3, _qtg_matrix3_frobenius_tail("1")),
         ("whopf qtg --L cyclic:2 --B matrix:3 frobenius", 3, _qtg_matrix3_frobenius_tail("g0")),
     ],
-    ids=["nsy_900", "qtg_matrix4_256", "kZ120_frobenius", "pair24_576", "objects4_z12_192",
-         "qtg_matrix3_frobenius_81", "qtg_z2_matrix3_frobenius_162"],
+    ids=["nsy_900", "qtg_matrix4_256", "kZ120_frobenius", "kZ400_frobenius", "pair24_576",
+         "pair40_1600", "objects4_z12_192", "qtg_matrix3_frobenius_81",
+         "qtg_z2_matrix3_frobenius_162"],
 )
 def test_large_instance_passes(argv, checks, tail, capsys):
     code = main(argv.split())

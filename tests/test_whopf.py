@@ -175,6 +175,17 @@ def test_group_table_entry_out_of_range(build):
         build([[0, 1, 2], [1, 2, 0], [2, 0, 7]])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda t: connected_groupoid(2, t), hopf_group_algebra, separable_group_algebra],
+    ids=["connected", "hopf_group_algebra", "separable_group_algebra"],
+)
+def test_group_table_entry_must_be_an_integer(build):
+    """1.0 == 1, but a float entry would become a float morphism index."""
+    with pytest.raises(InputError, match=r"group table entry 1\.0 at \(0, 1\) is out of range"):
+        build([[0, 1.0], [1, 0]])
+
+
 def test_group_algebra_rejects_wrong_label_count():
     with pytest.raises(InputError, match="expected 2 labels for the group elements, got 1"):
         hopf_group_algebra(cyclic_group_table(2), ["a"])
