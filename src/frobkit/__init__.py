@@ -18,8 +18,6 @@ from .exactlin import (
     Vec,
     inverse,
     is_invertible,
-    kernel_basis,
-    solve_linear,
 )
 from .finalg import (
     AlgebraData,

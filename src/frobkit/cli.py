@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -320,6 +321,11 @@ def cmd_nsy(args: list[str]) -> int:
     raise InputError(f"unknown nsy action {action!r}")
 
 
+# sweep_params builds the whole grid before the first instance runs, so a
+# larger grid is refused up front (the widest tested grid has 480 points).
+_MAX_SWEEP_POINTS = 10_000
+
+
 def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:
     try:
         nmax = int(params.get("nmax", "3"))
@@ -330,6 +336,11 @@ def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:
     extra = set(params) - {"nmax", "lmax", "mmax"}
     if extra:
         raise InputError(f"unknown parameters: {', '.join(sorted(extra))}")
+    # sum_{n <= nmax} lmax mmax^n points, summed until the bound is passed;
+    # sweep_params refuses bounds below 1
+    sizes = itertools.accumulate(lmax * mmax**n for n in range(1, nmax + 1))
+    if min(nmax, lmax, mmax) >= 1 and any(s > _MAX_SWEEP_POINTS for s in sizes):
+        raise InputError(f"sweep grid has more than {_MAX_SWEEP_POINTS} points")
     items = []
     counts = {
         Classification.FROBENIUS.value: 0,

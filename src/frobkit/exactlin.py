@@ -197,9 +197,6 @@ class Vec:
     def __sub__(self, other: "Vec") -> "Vec":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "Vec":
-        return self.scale(-1)
-
     def dot(self, other: "Vec") -> Scalar:
         if self.dim != other.dim:
             raise InputError("vector dimension mismatch in dot product")
@@ -267,10 +264,6 @@ class Mat:
         m = cls(nrows, ncols)
         m._c = cols
         return m
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Mat":
-        return cls(nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -343,9 +336,6 @@ class Mat:
             if not addto(m._c.setdefault(c, {}), ONE, col.items()):
                 del m._c[c]
         return m
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = _scalar(c)
@@ -446,10 +436,6 @@ class LinearSystem:
                 self.add(coeffs, rhs)
 
     @property
-    def consistent(self) -> bool:
-        return not self._inconsistent
-
-    @property
     def rank(self) -> int:
         return len(self._rows)
 
@@ -475,26 +461,6 @@ class LinearSystem:
                     e[p] = -v
             out.append(Vec(self.ncols, e))
         return out
-
-
-def solve_linear(a: Mat, b: Vec) -> Vec | None:
-    """Exact solution of a x = b, or None when inconsistent.
-
-    Underdetermined consistent systems return the reduced-echelon solution
-    with all free variables set to zero (leftmost pivot selection).
-    """
-    if a.nrows != b.dim:
-        raise InputError(f"solve_linear: {a.nrows} rows vs rhs dimension {b.dim}")
-    sys_ = LinearSystem(a.ncols)
-    sys_.add_matrix(a, b)
-    return sys_.solution()
-
-
-def kernel_basis(a: Mat) -> list[Vec]:
-    """Deterministic exact basis of the null space; empty iff a is injective."""
-    sys_ = LinearSystem(a.ncols)
-    sys_.add_matrix(a)
-    return sys_.kernel()
 
 
 def inverse(a: Mat) -> Mat | None:

@@ -339,8 +339,8 @@ class Witness:
     def to_json(self) -> dict:
         return {
             "indices": list(self.indices),
-            "lhs": [[k, scalar_to_str(v)] for k, v in self.lhs.items()],
-            "rhs": [[k, scalar_to_str(v)] for k, v in self.rhs.items()],
+            "lhs": _vec_to_json(self.lhs),
+            "rhs": _vec_to_json(self.rhs),
             "note": self.note,
         }
 

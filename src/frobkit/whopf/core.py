@@ -188,9 +188,6 @@ class WeakHopfData:
         d = self.dim
         return [(t // d, t % d, v) for t, v in self.comult(x).terms()]
 
-    def counit_value(self, x: Vec) -> Fraction:
-        return self.epsilon_wk.dot(x)
-
 
 def epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
     """Source counital map eps_s(x) = 1_1 eps(x 1_2)."""
@@ -587,18 +584,22 @@ def psi_map(h: WeakHopfData, lam: Vec) -> Mat:
 def phi_map(h: WeakHopfData, lam: Vec) -> Mat:
     """Matrix of Phi_L : phi -> phi(L_1) S(L_2)."""
     d = h.dim
-    cols: list[dict[int, Fraction]] = [{} for _ in range(d)]
-    for p, q, v in h.comult_pairs_of(lam):
-        addto(cols[p], v, h.antipode.col_terms(q))
-    return Mat.from_columns(d, [Vec.adopt(d, c) for c in cols])
+    return Mat(d, d, [(t % d, t // d, v) for t, v in _l1_s_l2(h, lam).items()])
 
 
 def phi_prime_map(h: WeakHopfData, lam: Vec) -> Mat:
-    """Matrix of Phi'_L : phi -> L_1 phi(S(L_2))."""
+    """Matrix of Phi'_L : phi -> L_1 phi(S(L_2)), the transpose of Phi_L."""
     d = h.dim
-    return Mat(d, d, [
-        (p, k, v * w) for p, q, v in h.comult_pairs_of(lam) for k, w in h.antipode.col_terms(q)
-    ])
+    return Mat(d, d, [(t // d, t % d, v) for t, v in _l1_s_l2(h, lam).items()])
+
+
+def _l1_s_l2(h: WeakHopfData, lam: Vec) -> dict[int, Fraction]:
+    """L_1 (x) S(L_2) for L = lam, as a dict over flat indices p*d + k."""
+    d = h.dim
+    acc: dict[int, Fraction] = {}
+    for p, q, v in h.comult_pairs_of(lam):
+        addto(acc, v, h.antipode.col_terms(q), p * d)
+    return acc
 
 
 def find_nondegenerate_integral(
@@ -663,10 +664,7 @@ def frobenius_from_integral(h: WeakHopfData, lam: Vec) -> ComultData:
     check_algebra.
     """
     d = h.dim
-    cas_entries: dict[int, Fraction] = {}
-    for p, q, v in h.comult_pairs_of(lam):
-        addto(cas_entries, v, h.antipode.col_terms(q), p * d)
-    comult = casimir_comult(CasimirElement(h.algebra, Vec.adopt(d * d, cas_entries)))
+    comult = casimir_comult(CasimirElement(h.algebra, Vec.adopt(d * d, _l1_s_l2(h, lam))))
     if not check_algebra(h.algebra).passed:
         raise PreconditionError("Delta is not a bimodule map over a unital associative algebra")
     return comult

@@ -35,10 +35,8 @@ __all__ = [
     "hopf_group_algebra",
     "cyclic_group_table",
     "group_groupoid",
-    "trivial_groupoid",
     "pair_groupoid",
     "connected_groupoid",
-    "disjoint_union",
     "groupoid_to_json",
     "groupoid_from_json",
 ]
@@ -229,30 +227,9 @@ def group_groupoid(table: list[list[int]]) -> GroupoidData:
     return connected_groupoid(1, table)
 
 
-def trivial_groupoid() -> GroupoidData:
-    return connected_groupoid(1, cyclic_group_table(1))
-
-
 def pair_groupoid(num_objects: int) -> GroupoidData:
     """Exactly one morphism between every ordered pair of objects."""
     return connected_groupoid(num_objects, cyclic_group_table(1))
-
-
-def disjoint_union(a: GroupoidData, b: GroupoidData) -> GroupoidData:
-    """Disjoint union; no morphisms connect the two pieces."""
-    off_obj = len(a.objects)
-    off_mor = a.num_morphisms
-    objects = [f"L.{x}" for x in a.objects] + [f"R.{x}" for x in b.objects]
-    morphisms = [Morphism(f"L.{m.name}", m.src, m.tgt) for m in a.morphisms]
-    morphisms += [
-        Morphism(f"R.{m.name}", m.src + off_obj, m.tgt + off_obj)
-        for m in b.morphisms
-    ]
-    compose = dict(a.compose)
-    for (g, h), k in b.compose.items():
-        compose[(g + off_mor, h + off_mor)] = k + off_mor
-    inv = list(a.inv) + [k + off_mor for k in b.inv]
-    return GroupoidData(objects, morphisms, compose, inv)
 
 
 def groupoid_to_json(g: GroupoidData) -> dict:

@@ -1,16 +1,18 @@
-"""Shared fixtures: the groupoid fixture set, Hopf group algebras, the
-three quantum transformation groupoid instances used across the suite, and
-a spy on the Psi_L solves of the integral search."""
+"""Shared fixtures: the groupoid fixture set (and the disjoint union that
+builds its disconnected members), Hopf group algebras, the three quantum
+transformation groupoid instances used across the suite, and a spy on the
+Psi_L solves of the integral search."""
 
 from __future__ import annotations
 
 import pytest
 
 from frobkit.whopf import (
+    GroupoidData,
+    Morphism,
     QTGInput,
     connected_groupoid,
     cyclic_group_table,
-    disjoint_union,
     group_groupoid,
     groupoid_algebra,
     hopf_group_algebra,
@@ -19,29 +21,43 @@ from frobkit.whopf import (
     separable_group_algebra,
     separable_matrix_algebra,
     trivial_action,
-    trivial_groupoid,
     trivial_hopf,
 )
 from frobkit.whopf import core as whopf_core
 
 
+def disjoint_union(a: GroupoidData, b: GroupoidData) -> GroupoidData:
+    """Disjoint union; no morphisms connect the two pieces."""
+    off_obj = len(a.objects)
+    off_mor = a.num_morphisms
+    objects = [f"L.{x}" for x in a.objects] + [f"R.{x}" for x in b.objects]
+    morphisms = [Morphism(f"L.{m.name}", m.src, m.tgt) for m in a.morphisms]
+    morphisms += [
+        Morphism(f"R.{m.name}", m.src + off_obj, m.tgt + off_obj)
+        for m in b.morphisms
+    ]
+    compose = dict(a.compose)
+    for (g, h), k in b.compose.items():
+        compose[(g + off_mor, h + off_mor)] = k + off_mor
+    inv = list(a.inv) + [k + off_mor for k in b.inv]
+    return GroupoidData(objects, morphisms, compose, inv)
+
+
 def build_groupoid_fixture_set():
     """Groupoids with <= 3 objects and <= 2 parallel morphisms per hom-fibre."""
     z2 = cyclic_group_table(2)
+    point = pair_groupoid(1)
     fixtures = {
-        "point": trivial_groupoid(),
-        "two_points": disjoint_union(trivial_groupoid(), trivial_groupoid()),
-        "three_points": disjoint_union(
-            disjoint_union(trivial_groupoid(), trivial_groupoid()),
-            trivial_groupoid(),
-        ),
+        "point": point,
+        "two_points": disjoint_union(point, point),
+        "three_points": disjoint_union(disjoint_union(point, point), point),
         "z2_loop": group_groupoid(z2),
         "pair2": pair_groupoid(2),
         "pair3": pair_groupoid(3),
         "pair2_x_z2": connected_groupoid(2, z2),
         "pair3_x_z2": connected_groupoid(3, z2),
-        "z2_plus_point": disjoint_union(group_groupoid(z2), trivial_groupoid()),
-        "pair2_plus_point": disjoint_union(pair_groupoid(2), trivial_groupoid()),
+        "z2_plus_point": disjoint_union(group_groupoid(z2), point),
+        "pair2_plus_point": disjoint_union(pair_groupoid(2), point),
     }
     return fixtures
 

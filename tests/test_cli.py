@@ -7,6 +7,7 @@ import pytest
 
 import golden
 from frobkit import cli
+from frobkit import nsy as nsy_mod
 from frobkit.cli import main
 from frobkit.finalg import comult_from_json, comult_to_json_str, counit_failures
 from frobkit.nsy import basis_indices, basis_label
@@ -193,6 +194,31 @@ def test_sweep_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["tool"] == "frobkit"
     assert "version" in payload
+
+
+@pytest.mark.parametrize(
+    "bounds, allowed",
+    [
+        (("nmax=3", "lmax=3", "mmax=2"), True),  # the default grid, 42 points
+        (("nmax=4", "lmax=4", "mmax=3"), True),  # the wide sweep, 480 points
+        (("nmax=1", "lmax=10000", "mmax=1"), True),
+        (("nmax=1", "lmax=10001", "mmax=1"), False),
+        (("nmax=13", "lmax=1", "mmax=2"), False),
+        (("nmax=1000000000", "lmax=1", "mmax=1"), False),
+        (("nmax=1000000000",), False),
+    ],
+)
+def test_sweep_grid_is_sized_before_it_is_built(bounds, allowed, capsys, monkeypatch):
+    """A grid above 10,000 points exits 2 without a call to sweep_params,
+    which would build the whole grid first."""
+    calls = []
+    monkeypatch.setattr(nsy_mod, "sweep_params", lambda *grid: calls.append(grid) or [])
+    code, out, err = run(capsys, "nsy", "sweep", *bounds)
+    if allowed:
+        assert (code, err, len(calls)) == (0, "", 1)
+    else:
+        assert (code, out, err) == (2, "", "error: sweep grid has more than 10000 points\n")
+        assert calls == []
 
 
 def test_build_verify_round_trip(tmp_path, capsys):
@@ -568,6 +594,7 @@ MALFORMED_INPUTS = {
     ),
     "nsy_check_with_cyclic": _argv("nsy", "check", "n=2", "ell=2", "m=1,1", "--cyclic", "3"),
     "nsy_sweep_with_B": _argv("nsy", "sweep", "nmax=1", "lmax=1", "mmax=1", "--B", "cyclic:2"),
+    "nsy_sweep_grid_too_large": _argv("nsy", "sweep", "nmax=1000000000"),
     "nsy_table_with_json": _argv("nsy", "table", "n=1", "ell=1", "m=1", "--json", "x"),
     "verify_with_objects_and_seed": _with_flags(
         _file_case(["verify"], "nsy", lambda payload: None), "--objects", "3", "--seed", "4"

@@ -60,13 +60,13 @@ def reference_counit_system(c: ComultData) -> LinearSystem:
 
 def assert_matches_reference(c: ComultData) -> None:
     ref = reference_counit_system(c)
-    if ref.consistent:
+    if ref.solution() is not None:
         assert ref.rank == c.algebra.dim
     assert solve_counit(c) == ref.solution()
 
 
 def zero_comult(a: AlgebraData) -> ComultData:
-    return ComultData(a, Mat.zero(a.dim * a.dim, a.dim))
+    return ComultData(a, Mat(a.dim * a.dim, a.dim))
 
 
 def unital_non_associative() -> AlgebraData:

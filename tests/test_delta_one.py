@@ -40,7 +40,7 @@ from test_witness import (
 )
 
 from frobkit import finalg
-from frobkit.exactlin import Mat, Vec, kernel_basis
+from frobkit.exactlin import LinearSystem, Mat, Vec
 from frobkit.finalg import (
     AlgebraData,
     CasimirElement,
@@ -227,7 +227,9 @@ def casimir_basis(a: AlgebraData) -> list[Vec]:
             for x in range(d):
                 diff = e[p].tensor(a.mul(e[q], e[x])) - a.mul(e[x], e[p]).tensor(e[q])
                 entries += [(x * d * d + s, p * d + q, v) for s, v in diff.terms()]
-    return kernel_basis(Mat(d**3, d * d, entries))
+    sys_ = LinearSystem(d * d)
+    sys_.add_matrix(Mat(d**3, d * d, entries))
+    return sys_.kernel()
 
 
 @settings(max_examples=30, deadline=None)

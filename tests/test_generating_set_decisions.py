@@ -32,7 +32,7 @@ from test_unit_laws import monomial_associative, ref_algebra_report
 from test_weak_hopf_check import EDIT_VALUES, add_delta_entry, add_mult_entry, reference_report
 
 from frobkit import cli, finalg
-from frobkit.exactlin import Mat, Vec, addto, kernel_basis
+from frobkit.exactlin import LinearSystem, Mat, Vec, addto
 from frobkit.finalg import (
     AlgebraData,
     CasimirElement,
@@ -411,7 +411,9 @@ def commutant(a: AlgebraData, xs) -> list[Vec]:
             for x in xs:
                 diff = e[p].tensor(a.mul(e[q], e[x])) - a.mul(e[x], e[p]).tensor(e[q])
                 entries += [(x * d * d + s, p * d + q, v) for s, v in diff.terms()]
-    return kernel_basis(Mat(d**3, d * d, entries))
+    sys_ = LinearSystem(d * d)
+    sys_.add_matrix(Mat(d**3, d * d, entries))
+    return sys_.kernel()
 
 
 def _redirect(a: AlgebraData, key: tuple[int, int], k: int) -> AlgebraData:

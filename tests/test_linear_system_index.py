@@ -95,7 +95,7 @@ def assert_same(sys_: LinearSystem, ref: PassOverEveryRow) -> None:
     assert all(held[c] <= sys_._users.get(c, set()) for c in held)
     assert all(c not in sys_._rows and qs <= sys_._rows.keys() for c, qs in sys_._users.items())
     assert sys_.rank == len(ref._rows)
-    assert sys_.consistent == (not ref._inconsistent)
+    assert (sys_.solution() is not None) == (not ref._inconsistent)
     sol, expected = sys_.solution(), ref.solution()
     assert (sol is None) == (expected is None)
     if sol is not None:

@@ -18,7 +18,7 @@ from functools import cache
 from hypothesis import Phase, find, given, settings, strategies as st
 
 import conftest
-from frobkit.exactlin import ONE, Mat, Vec, addto, solve_linear
+from frobkit.exactlin import ONE, LinearSystem, Mat, Vec, addto
 from frobkit.finalg import (
     AlgebraData,
     CheckResult,
@@ -102,8 +102,11 @@ def bimodule_rows(a: AlgebraData, residuals: dict, left_factors) -> list[int]:
 
 
 def counit_rows(a: AlgebraData, element: Vec) -> Vec | None:
+    # the copy called exactlin.solve_linear, since deleted; its body inlined
     d = a.dim
-    return solve_linear(Mat(d, d, [(t % d, t // d, v) for t, v in element.terms()]), a.unit)
+    sys_ = LinearSystem(d)
+    sys_.add_matrix(Mat(d, d, [(t % d, t // d, v) for t, v in element.terms()]), a.unit)
+    return sys_.solution()
 
 
 def mult_row(h: WeakHopfData, x_pairs, x: Vec, terms_by_left: list[list]):

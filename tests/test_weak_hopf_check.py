@@ -245,7 +245,7 @@ def test_cli_verifies_each_structure_once(monkeypatch, capsys, argv, structures)
 def reference_epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
     acc = {}
     for p, q, v in h.comult_pairs_of(h.unit):
-        c = h.counit_value(h.algebra.mul(x, Vec.basis(h.dim, q)))
+        c = h.epsilon_wk.dot(h.algebra.mul(x, Vec.basis(h.dim, q)))
         addto(acc, c, ((p, v),))
     return Vec.adopt(h.dim, acc)
 
@@ -253,7 +253,7 @@ def reference_epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
 def reference_epsilon_t(h: WeakHopfData, x: Vec) -> Vec:
     acc = {}
     for p, q, v in h.comult_pairs_of(h.unit):
-        c = h.counit_value(h.algebra.mul(Vec.basis(h.dim, p), x))
+        c = h.epsilon_wk.dot(h.algebra.mul(Vec.basis(h.dim, p), x))
         addto(acc, c, ((q, v),))
     return Vec.adopt(h.dim, acc)
 
@@ -314,7 +314,7 @@ def reference_report(h: WeakHopfData) -> VerificationReport:
     checks.append(CheckResult("delta_wk_multiplicative", mult_w is None, mult_w))
 
     eps_row = [
-        {k: c for k in range(d) if (c := h.counit_value(a.basis_product(m, k)))}
+        {k: c for k in range(d) if (c := h.epsilon_wk.dot(a.basis_product(m, k)))}
         for m in range(d)
     ]
     weak_a = None

@@ -2,13 +2,14 @@
 and the Frobenius structure from a left integral."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from frobkit import whopf
 from frobkit.errors import ConstructionError, InputError, PreconditionError
-from frobkit.exactlin import LinearSystem, Mat, Vec, is_invertible, solve_linear
+from frobkit.exactlin import LinearSystem, Mat, Vec, addto, is_invertible
 from frobkit.finalg import AlgebraData, ComultData, check_bimodule, check_coassoc
 from frobkit.whopf import (
     GroupoidData,
@@ -199,8 +200,8 @@ WHOPF_EXPORTS = {
     "source_subalgebra_basis", "target_subalgebra_basis", "weak_hopf_from_json",
     "weak_hopf_to_json", "weak_hopf_to_json_str",
     "GroupoidData", "Morphism", "connected_groupoid", "cyclic_group_table",
-    "disjoint_union", "group_groupoid", "groupoid_algebra", "groupoid_from_json",
-    "groupoid_to_json", "hopf_group_algebra", "pair_groupoid", "trivial_groupoid",
+    "group_groupoid", "groupoid_algebra", "groupoid_from_json", "groupoid_to_json",
+    "hopf_group_algebra", "pair_groupoid",
     "QTGInput", "automorphism_action", "qtg_build", "qtg_frobenius", "qtg_integral",
     "separable_group_algebra", "separable_matrix_algebra", "trivial_action",
     "trivial_hopf",
@@ -210,7 +211,7 @@ WHOPF_EXPORTS = {
 def test_whopf_exports_each_name_once():
     names = whopf.__all__
     assert names == [*whopf_core.__all__, *groupoid.__all__, *qtg.__all__]
-    assert len(names) == len(set(names)) == 40
+    assert len(names) == len(set(names)) == 38
     assert set(names) == WHOPF_EXPORTS
     assert [n for n in names if not hasattr(whopf, n)] == []
 
@@ -365,8 +366,9 @@ def test_solve_linear_recovers_dual_integral(groupoid_fixtures):
     g = groupoid_fixtures["pair2"]
     h = groupoid_algebra(g)
     lam = all_morphisms_integral(h)
-    x = solve_linear(psi_map(h, lam), h.unit)
-    assert x == identity_indicator(g)
+    sys_ = LinearSystem(h.dim)
+    sys_.add_matrix(psi_map(h, lam), h.unit)
+    assert sys_.solution() == identity_indicator(g)
 
 
 def test_psi_phi_phi_prime_equivalence(groupoid_algebras, hopf_group_algebras):
@@ -378,6 +380,38 @@ def test_psi_phi_phi_prime_equivalence(groupoid_algebras, hopf_group_algebras):
             inv_phi = is_invertible(phi_map(h, lam))
             inv_phi_p = is_invertible(phi_prime_map(h, lam))
             assert inv_psi == inv_phi == inv_phi_p
+
+
+# Phi_L and Phi'_L as each built L_1 (x) S(L_2) itself, before both read it
+# from one helper: verbatim copies, the reference of the test below.
+def reference_phi_map(h: WeakHopfData, lam: Vec) -> Mat:
+    """Matrix of Phi_L : phi -> phi(L_1) S(L_2)."""
+    d = h.dim
+    cols: list[dict[int, Fraction]] = [{} for _ in range(d)]
+    for p, q, v in h.comult_pairs_of(lam):
+        addto(cols[p], v, h.antipode.col_terms(q))
+    return Mat.from_columns(d, [Vec.adopt(d, c) for c in cols])
+
+
+def reference_phi_prime_map(h: WeakHopfData, lam: Vec) -> Mat:
+    """Matrix of Phi'_L : phi -> L_1 phi(S(L_2))."""
+    d = h.dim
+    return Mat(d, d, [
+        (p, k, v * w) for p, q, v in h.comult_pairs_of(lam) for k, w in h.antipode.col_terms(q)
+    ])
+
+
+def test_phi_maps_match_reference(groupoid_algebras, hopf_group_algebras, qtg_built):
+    """Entry for entry, not only invertibility: a transposed Phi_L keeps that.
+    L runs over the left integrals, the basis and a seeded rational vector."""
+    rng = random.Random(2204)
+    for h in [*groupoid_algebras.values(), *hopf_group_algebras.values(), *qtg_built.values()]:
+        d = h.dim
+        candidates = [*integral_space(h, "left").basis, *(Vec.basis(d, k) for k in range(d))]
+        candidates.append(Vec(d, [(k, F(rng.randint(-3, 3), rng.randint(1, 3))) for k in range(d)]))
+        for lam in candidates:
+            assert phi_map(h, lam) == reference_phi_map(h, lam)
+            assert phi_prime_map(h, lam) == reference_phi_prime_map(h, lam)
 
 
 def test_find_nondegenerate_integral_groupoid(groupoid_fixtures):
