@@ -67,18 +67,23 @@ from .whopf import (
     weak_hopf_to_json_str,
 )
 
-_VALUE_FLAGS = {
-    "--format",
-    "--output",
-    "--seed",
-    "--pair-objects",
-    "--cyclic",
-    "--objects",
-    "--group",
-    "--L",
-    "--B",
-    "--json",
+# the flags of each whopf source; --group (the vertex group of a connected
+# groupoid) only with --objects
+_SOURCE_FLAGS = {
+    "groupoid": {"--json", "--pair-objects", "--objects", "--group"},
+    "group": {"--cyclic"},
+    "qtg": {"--L", "--B"},
 }
+_VALUE_FLAGS = {"--format", "--output", "--seed"}.union(*_SOURCE_FLAGS.values())
+
+# Work bounds, sized in closed form before anything is built: the dimension
+# of an NSY algebra (n=8 ell=8 m=6,...,6 has 2,304), the points of a sweep
+# grid and, before any instance runs, their sum of dim^2, and the basis pairs
+# a whopf source multiplies: composable pairs, or all dim^2 for a QTG.
+_MAX_NSY_DIM = 2_500
+_MAX_SWEEP_POINTS = 10_000
+_MAX_SWEEP_WORK = _MAX_NSY_DIM**2
+_MAX_PAIRS = 400_000
 
 _FORMATS = {"json", "markdown", "csv"}
 
@@ -153,12 +158,6 @@ def _fmt_vec(v: Vec, labels: list[str]) -> str:
     return " + ".join(parts)
 
 
-def _report_payload(command: str, seed, extra: dict) -> dict:
-    payload = {"tool": "frobkit", "version": __version__, "command": command, "seed": seed}
-    payload.update(extra)
-    return payload
-
-
 def _table(fmt: str, header: list, rows, tail=()) -> str:
     """``header`` and ``rows`` as csv, or as a markdown pipe table followed by ``tail``."""
     if fmt == "csv":
@@ -189,7 +188,9 @@ def _render(
     if fmt == "json":
         if report is not None:
             fields = {**fields, "checks": report.to_json()}
-        text = dump_json(_report_payload(command, seed, fields))
+        text = dump_json(
+            {"tool": "frobkit", "version": __version__, "command": command, "seed": seed, **fields}
+        )
     elif fmt == "csv":
         if report is None:
             raise InputError(
@@ -245,6 +246,9 @@ def cmd_nsy(args: list[str]) -> int:
     if extra:
         raise InputError(f"unknown parameters: {', '.join(sorted(extra))}")
     p = _nsy_params_from(params)
+    dim = nsy_mod.nsy_dimension(p)
+    if dim > _MAX_NSY_DIM:
+        raise InputError(f"NSY algebra of dimension {dim} is above the bound {_MAX_NSY_DIM}")
 
     if action == "build":
         algebra = nsy_mod.nsy_build(p)
@@ -321,11 +325,6 @@ def cmd_nsy(args: list[str]) -> int:
     raise InputError(f"unknown nsy action {action!r}")
 
 
-# sweep_params builds the whole grid before the first instance runs, so a
-# larger grid is refused up front (the widest tested grid has 480 points).
-_MAX_SWEEP_POINTS = 10_000
-
-
 def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:
     try:
         nmax = int(params.get("nmax", "3"))
@@ -341,12 +340,16 @@ def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:
     sizes = itertools.accumulate(lmax * mmax**n for n in range(1, nmax + 1))
     if min(nmax, lmax, mmax) >= 1 and any(s > _MAX_SWEEP_POINTS for s in sizes):
         raise InputError(f"sweep grid has more than {_MAX_SWEEP_POINTS} points")
+    grid = nsy_mod.sweep_params(nmax, lmax, mmax)
+    dims = [nsy_mod.nsy_dimension(p) for p in grid]
+    if sum(d * d for d in dims) > _MAX_SWEEP_WORK:
+        raise InputError(f"sweep grid sums dim^2 to more than {_MAX_SWEEP_WORK}")
     items = []
     counts = {
         Classification.FROBENIUS.value: 0,
         Classification.NON_COUNITAL_ONLY.value: 0,
     }
-    for p in nsy_mod.sweep_params(nmax, lmax, mmax):
+    for p, dim in zip(grid, dims):
         comult = nsy_mod.nsy_delta(p)
         outcome = classify_report(comult)
         cls = outcome.classification.value
@@ -356,7 +359,7 @@ def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:
                 "n": p.n,
                 "ell": p.ell,
                 "m": list(p.mults),
-                "dim": nsy_mod.nsy_dimension(p),
+                "dim": dim,
                 "classification": cls,
             }
         )
@@ -394,10 +397,9 @@ def _parse_source_token(raw: str, kinds: tuple[str, ...]) -> tuple[str, int | No
 def _build_whopf_source(source: str, flags: dict[str, str]):
     """Returns (WeakHopfData, qtg_input_or_None, description).  A flag of
     another source is an error, not silently dropped."""
-    own = {"groupoid": {"--json", "--pair-objects", "--objects"}, "group": {"--cyclic"},
-           "qtg": {"--L", "--B"}}.get(source, set())
-    if source == "groupoid" and "--objects" in flags:
-        own.add("--group")  # the vertex group of a connected groupoid
+    own = _SOURCE_FLAGS.get(source, set())
+    if "--objects" not in flags:
+        own = own - {"--group"}
     _reject_foreign(flags, own | {"--seed"}, f"whopf source {source}")
     if source == "groupoid":
         if sum(f in flags for f in ("--json", "--pair-objects", "--objects")) != 1:
@@ -409,12 +411,14 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
             return groupoid_algebra(g), None, "groupoid from JSON"
         if "--pair-objects" in flags:
             k = _int_flag(flags, "--pair-objects")
+            _bound_pairs(k**3, f"pair groupoid on {k} objects")
             return groupoid_algebra(pair_groupoid(k)), None, f"pair groupoid on {k} objects"
         k = _int_flag(flags, "--objects")
         grp = flags.get("--group", "cyclic:1")
         kind, order = _parse_source_token(grp, ("cyclic",))
         if order is None:
             raise InputError(f"--group {grp!r} needs a size, e.g. cyclic:2")
+        _bound_pairs(k**3 * max(order, 0) ** 2, f"connected groupoid on {k} objects with Z/{order}")
         return (
             groupoid_algebra(connected_groupoid(k, cyclic_group_table(order))),
             None,
@@ -424,6 +428,7 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
         if "--cyclic" not in flags:
             raise InputError("group needs --cyclic N")
         k = _int_flag(flags, "--cyclic")
+        _bound_pairs(max(k, 0) ** 2, f"group algebra k(Z/{k})")
         return hopf_group_algebra(cyclic_group_table(k)), None, f"group algebra k(Z/{k})"
     if source == "qtg":
         l_raw = flags.get("--L", "trivial")
@@ -431,25 +436,30 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
         if b_raw is None:
             raise InputError("qtg needs --B matrix:D or --B cyclic:N")
         lkind, lnum = _parse_source_token(l_raw, ("trivial", "cyclic"))
-        if lkind == "trivial":
-            if lnum is not None:
-                raise InputError(f"--L {l_raw!r} takes no size; use --L trivial")
-            L = trivial_hopf()
-        elif lnum is None:
+        if lkind == "trivial" and lnum is not None:
+            raise InputError(f"--L {l_raw!r} takes no size; use --L trivial")
+        if lkind == "cyclic" and lnum is None:
             raise InputError(f"--L {l_raw!r} needs a size, e.g. cyclic:2")
-        else:
-            L = hopf_group_algebra(cyclic_group_table(lnum))
         bkind, bnum = _parse_source_token(b_raw, ("matrix", "cyclic"))
         if bnum is None:
             raise InputError(f"--B {b_raw!r} needs a size, e.g. matrix:2")
+        desc = f"quantum transformation groupoid ({l_raw}, {b_raw})"
+        dim_b = max(bnum, 0) ** (2 if bkind == "matrix" else 1)
+        _bound_pairs((max(lnum or 1, 0) * dim_b * dim_b) ** 2, desc)
+        L = trivial_hopf() if lnum is None else hopf_group_algebra(cyclic_group_table(lnum))
         if bkind == "matrix":
             B, e, omega = separable_matrix_algebra(bnum)
         else:
             B, e, omega = separable_group_algebra(cyclic_group_table(bnum))
         q = QTGInput(L, B, e, omega, trivial_action(B, L))
-        return qtg_build(q), q, f"quantum transformation groupoid ({l_raw}, {b_raw})"
+        return qtg_build(q), q, desc
     # otherwise: a file with WeakHopfData JSON
     return weak_hopf_from_json(_load_json(source)), None, f"data from {source}"
+
+
+def _bound_pairs(pairs: int, source: str) -> None:
+    if pairs > _MAX_PAIRS:
+        raise InputError(f"{source} multiplies {pairs} basis pairs, more than {_MAX_PAIRS}")
 
 
 def _int_flag(flags: dict[str, str], name: str) -> int:

@@ -243,8 +243,6 @@ class Mat:
         self.ncols = ncols
         cols: dict[int, dict[int, Scalar]] = {}
         if entries:
-            if isinstance(entries, dict):
-                entries = [(r, c, v) for (r, c), v in entries.items()]
             for r, c, v in entries:
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise InputError(f"entry ({r}, {c}) out of range for {nrows}x{ncols}")
@@ -356,9 +354,6 @@ class Mat:
             and self.ncols == other.ncols
             and self._c == other._c
         )
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(self.items())))
 
     def __repr__(self) -> str:
         return f"Mat({self.nrows}x{self.ncols}, {len(self.items())} entries)"

@@ -760,15 +760,6 @@ def _add_residual(residuals: dict, c: ComultData, j: int, side: dict) -> None:
         residuals[j] = addto(dict(terms), -1, side.items())
 
 
-def _from_delta_one(c: ComultData) -> bool:
-    """True iff check_algebra passes and Delta(e_j) = Delta(1) e_j =
-    e_j Delta(1) for every j, i.e. Delta is the bimodule map of the Casimir
-    element Delta(1): no residual, and the Casimir identity holds on
-    :func:`_casimir_rows`."""
-    rec = _delta_one(c)
-    return rec.casimir and not rec.residuals
-
-
 def casimir_comult(cas: CasimirElement) -> ComultData:
     """The Frobenius structure Delta(x) = X x of a Casimir element
     X = sum_i a_i (x) b_i, with its counit from the d rows of
@@ -827,11 +818,12 @@ def solve_counit(c: ComultData) -> Vec | None:
     unique when it exists, for any linear Delta: eps'(x) = (eps (x) eps')
     Delta(x) = eps(x), so a consistent system has rank d.  Raises
     PreconditionError unless check_algebra passes and Delta is the bimodule
-    map of X (:func:`_from_delta_one`).
+    map of X: the :func:`_delta_one` record is Casimir with no residual.
     """
-    if not _from_delta_one(c):
+    rec = _delta_one(c)
+    if not rec.casimir or rec.residuals:
         raise PreconditionError("Delta is not a bimodule map over a unital associative algebra")
-    return _counit_rows(c.algebra, _delta_one(c).x)
+    return _counit_rows(c.algebra, rec.x)
 
 
 def _counit_rows(a: AlgebraData, element: Vec) -> Vec | None:

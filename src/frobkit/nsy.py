@@ -117,10 +117,13 @@ def basis_label(idx: NSYBasisIndex) -> str:
 
 
 def nsy_dimension(p: NSYParams) -> int:
-    """sum_i sum_{j < ell} m_i * m_{(i+j) % n}."""
-    return sum(
-        p.mults[i] * p.mult_at(i + j) for i in range(p.n) for j in range(p.ell)
-    )
+    """sum_i sum_{j < ell} m_i * m_{(i+j) % n}, with no loop over ell: for
+    ell = t*n + r the j < t*n run t times round the cycle, t * (sum m)^2, and
+    the last r are a window of the doubled cycle, read off its prefix sums."""
+    t, r = divmod(p.ell, p.n)
+    prefix = [0, *itertools.accumulate(p.mults * 2)]
+    window = sum(m * (prefix[i + r] - prefix[i]) for i, m in enumerate(p.mults))
+    return t * sum(p.mults) ** 2 + window
 
 
 def nakayama_permutation(p: NSYParams) -> list[int]:

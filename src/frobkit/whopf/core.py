@@ -275,9 +275,13 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
                 break
 
     # coassociativity, decided on the same rows once Delta is multiplicative
-    # (module docstring); check_coassoc gives the witness
+    # (module docstring); check_coassoc gives the witness.  The unit row's
+    # lhs (Delta (x) id)Delta(1) is also the Delta^2(1) of the unit checks.
+    lhs, unit_rhs = _coassoc_sides(scaled, h.scaled_unit_pairs)
     coassoc = CheckResult("coassociativity_wk", True)
-    if not decided or any(x != y for x, y in (_coassoc_sides(scaled, p) for p, _ in rows)):
+    if not decided or lhs != unit_rhs or any(
+        x != y for x, y in (_coassoc_sides(scaled, p) for p, _ in rows[1:])
+    ):
         (coassoc,) = check_coassoc(scaled).checks
     w = coassoc.witness
     if w is not None:
@@ -305,7 +309,6 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     # Delta^2(1) = (Delta(1) (x) 1)(1 (x) Delta(1)) = (1 (x) Delta(1))(Delta(1) (x) 1);
     # a product joins e_p (x) e_q with the nonzero e_q e_r (e_r e_q) and the
     # e_r (x) e_s by left factor, middle slot k at flat (p*d + k)*d + s
-    lhs: dict[int, Fraction] = {}
     acc_a: dict[int, Fraction] = {}
     acc_b: dict[int, Fraction] = {}
     unit_by_left: dict[int, list] = {}
@@ -313,7 +316,6 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
         unit_by_left.setdefault(r, []).append((s, w))
     mult, (by_right, by_left) = a.mult, a.product_index()
     for p, q, v in h.scaled_unit_pairs:
-        addto(lhs, v, scaled.delta.col_terms(p), q, d)  # (Delta (x) id)Delta(1)
         for r in by_left[q]:
             for s, w in unit_by_left.get(r, ()):
                 addto(acc_a, v * w, mult[q, r].terms(), p * d * d + s, d)

@@ -162,7 +162,12 @@ def automorphism_action(
 class QTGInput:
     """Validated input data (L, B, e, w, <|) for a quantum transformation
     groupoid.  Every defining identity is checked at construction and a
-    failure raises ConstructionError naming the equation."""
+    failure raises ConstructionError naming the equation.
+
+    The factor tables are built here, once; no field is reassigned: ``pairs``
+    (p, q, v) for e = sum v e_p (x) e_q, the bases ``basis_b`` and ``basis_l``,
+    ``s_cols[u]`` = S(e_u), ``acts[b][l]`` = e_b <| e_l, ``act_s[b][u]`` = e_b <| S(e_u).
+    """
 
     def __init__(self, L: WeakHopfData, B: AlgebraData, e: Vec, omega: Vec, action: Mat):
         if e.dim != B.dim * B.dim:
@@ -177,16 +182,19 @@ class QTGInput:
         self.omega = omega
         self.action = action
         self.s_inv = inverse(L.antipode)
+        dB, dL = B.dim, L.dim
+        self.pairs = [(flat // dB, flat % dB, v) for flat, v in e.items()]
+        self.basis_b = [Vec.basis(dB, k) for k in range(dB)]
+        self.basis_l = [Vec.basis(dL, k) for k in range(dL)]
+        self.s_cols = [L.antipode.col(j) for j in range(dL)]
+        # e_b <| e_l is column b*dL + l of the action matrix
+        self.acts = [[action.col(b * dL + l) for l in range(dL)] for b in range(dB)]
+        self.act_s = [[self.act(self.basis_b[b], s) for s in self.s_cols] for b in range(dB)]
         self._validate()
 
-    # -- action helpers ----------------------------------------------------
     def act(self, b: Vec, l: Vec) -> Vec:
         """Bilinear b <| l."""
         return self.action.matvec(b.tensor(l))
-
-    def e_pairs(self) -> list[tuple[int, int, Fraction]]:
-        d = self.B.dim
-        return [(flat // d, flat % d, v) for flat, v in self.e.items()]
 
     def _validate(self):
         """Check every defining identity, in the order of the messages.
@@ -218,9 +226,8 @@ class QTGInput:
             )
         if not is_hopf(L):
             raise ConstructionError("L must be a Hopf algebra (Delta(1) = 1 (x) 1)")
-        dB = B.dim
-        pairs = self.e_pairs()
-        basis_b = [Vec.basis(dB, k) for k in range(dB)]
+        dB, dL = B.dim, L.dim
+        pairs, basis_b, basis_l, acts = self.pairs, self.basis_b, self.basis_l, self.acts
         # idempotent1: b e1 (x) e2 = e1 (x) e2 b, the Casimir identity of e
         if not check_casimir(CasimirElement(B, self.e)).passed:
             raise ConstructionError("idempotent1: b e1 (x) e2 != e1 (x) e2 b")
@@ -241,10 +248,7 @@ class QTGInput:
         e1_w_e2 = Vec(dB, [(p, v * self.omega.get(q)) for p, q, v in pairs])
         if not w_e1_e2 == e1_w_e2 == B.unit:
             raise ConstructionError("trace: w(e1) e2 = 1_B = e1 w(e2) fails")
-        # action axioms; e_b <| e_l is column b*dL + l of the action matrix
-        dL = L.dim
-        basis_l = [Vec.basis(dL, k) for k in range(dL)]
-        acts = [[self.action.col(b * dL + l) for l in range(dL)] for b in range(dB)]
+        # action axioms
         gens = L.algebra.generators()
         for b in range(dB):
             if self.act(basis_b[b], L.unit) != basis_b[b]:
@@ -278,10 +282,9 @@ class QTGInput:
         for l in range(dL):
             lhs = {}
             rhs = {}
-            s_l = L.antipode.col(l)
             for p, q, v in pairs:
                 addto(lhs, v, acts[p][l].terms(), q, dB)
-                addto(rhs, v, self.act(basis_b[q], s_l).terms(), p * dB)
+                addto(rhs, v, self.act_s[q][l].terms(), p * dB)
             if lhs != rhs:
                 raise ConstructionError(
                     "idempotentAction: (e1 <| l) (x) e2 != e1 (x) (e2 <| S(l))"
@@ -297,14 +300,12 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
     dim = dB * dL * dB
     triples = list(product(range(dB), range(dL), range(dB)))  # flat (a*dL + l)*dB + b
     labels = [f"{B.labels[a]}(x){L.algebra.labels[l]}(x){B.labels[b]}" for a, l, b in triples]
-    basis_b = [Vec.basis(dB, k) for k in range(dB)]
-    s_cols = [L.antipode.col(j) for j in range(dL)]
-    act_s = [[q.act(basis_b[b], s_cols[u]) for u in range(dL)] for b in range(dB)]  # b <| S(e_u)
+    basis_b, act_s = q.basis_b, q.act_s
     firsts = [[[tuple(B.mul(act_s[a2][u], basis_b[a1]).terms()) for a1 in range(dB)]
                for u in range(dL)] for a2 in range(dB)]
     mids = [[tuple(L.algebra.basis_product(u, v).terms()) for v in range(dL)] for u in range(dL)]
-    lasts = [[[tuple(B.mul(q.action.col(b1 * dL + v), basis_b[b2]).terms()) for b2 in range(dB)]
-              for v in range(dL)] for b1 in range(dB)]
+    lasts = [[[tuple(B.mul(act, basis_b[b2]).terms()) for b2 in range(dB)] for act in by_v]
+             for by_v in q.acts]
     comult_pairs = [L.comult_pairs(l) for l in range(dL)]
 
     mult = {}
@@ -328,20 +329,19 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
     algebra = AlgebraData(dim, labels, mult, unit)
 
     # Delta, eps and S in one pass over the columns (a, l, b)
-    e_pairs = q.e_pairs()
     delta2 = [iterated_comult(L, Vec.basis(dL, l), 3).items() for l in range(dL)]  # Delta^2(e_l)
     s_inv_cols = [q.s_inv.col(l) for l in range(dL)]
     delta_entries, eps_entries, antipode_entries = [], [], []
     for col, (a, l, b) in enumerate(triples):
         for (u1, u2, u3), c in delta2[l]:
-            for p, qq, ce in e_pairs:
+            for p, qq, ce in q.pairs:
                 left = ((a * dL + u1) * dB + p) * dim
                 for bp, cb in act_s[qq][u2].items():
                     delta_entries.append((left + (bp * dL + u3) * dB + b, col, ce * (c * cb)))
         val = q.omega.dot(B.mul(basis_b[a], q.act(basis_b[b], s_inv_cols[l])))
         if val:
             eps_entries.append((col, val))
-        for lk, cv in s_cols[l].items():
+        for lk, cv in q.s_cols[l].items():
             antipode_entries.append(((b * dL + lk) * dB + a, col, cv))
     delta = Mat(dim * dim, dim, delta_entries)
     epsilon = Vec(dim, eps_entries)
@@ -356,30 +356,25 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
     return h
 
 
-def qtg_integral(q: QTGInput, h: WeakHopfData | None = None) -> tuple[Vec, Vec]:
-    """The verified non-degenerate left integral pair (Ibar, lam_bar)."""
-    if h is None:
-        h = qtg_build(q)
+def qtg_integral(q: QTGInput, h: WeakHopfData) -> tuple[Vec, Vec]:
+    """The verified non-degenerate left integral pair (Ibar, lam_bar) of
+    h = qtg_build(q)."""
     return _integral_pair(q, h, integral_space(q.L, "right").basis[0])
 
 
 def _integral_pair(q: QTGInput, h: WeakHopfData, lam_r: Vec) -> tuple[Vec, Vec]:
     """qtg_integral from the right integral lam_r of L."""
-    L, B = q.L, q.B
-    dB, dL = B.dim, L.dim
+    L = q.L
     lam_dual = _psi_solve(L, L.antipode.matvec(lam_r))  # lam(S(I_1)) S(I_2) = 1_L
     if lam_dual is None:
         raise InternalConsistencyError(
             "no solution for the dual integral of L; L is not Frobenius?"
         )
 
-    basis_b = [Vec.basis(dB, k) for k in range(dB)]
     acc: dict[int, Fraction] = {}
-    for u1, u2, c in q.L.comult_pairs_of(lam_r):
-        s_u2 = L.antipode.col(u2)
-        for p, qq, ce in q.e_pairs():
-            first = q.action.col(p * dL + u1)  # e_p <| e_u1
-            addto(acc, c * ce, first.tensor(s_u2).tensor(basis_b[qq]).terms())
+    for u1, u2, c in L.comult_pairs_of(lam_r):
+        for p, qq, ce in q.pairs:  # (e_p <| e_u1) (x) S(e_u2) (x) e_qq
+            addto(acc, c * ce, q.acts[p][u1].tensor(q.s_cols[u2]).tensor(q.basis_b[qq]).terms())
     ibar = Vec.adopt(h.dim, acc)
 
     lam_bar = q.omega.tensor(lam_dual).tensor(q.omega)
@@ -398,12 +393,10 @@ def _integral_pair(q: QTGInput, h: WeakHopfData, lam_r: Vec) -> tuple[Vec, Vec]:
     return ibar, lam_bar
 
 
-def qtg_frobenius(q: QTGInput, h: WeakHopfData | None = None) -> ComultData:
-    """The Frobenius structure of Ibar, with the closed-form comultiplication
-    and counit checked equal to the generic integral construction, which is
-    returned."""
-    if h is None:
-        h = qtg_build(q)
+def qtg_frobenius(q: QTGInput, h: WeakHopfData) -> ComultData:
+    """The Frobenius structure of Ibar on h = qtg_build(q), with the
+    closed-form comultiplication and counit checked equal to the generic
+    integral construction, which is returned."""
     lam_r = integral_space(q.L, "right").basis[0]
     ibar, lam_bar = _integral_pair(q, h, lam_r)
     delta = _closed_form_delta(q, lam_r, h.dim)
@@ -428,12 +421,10 @@ def _closed_form_delta(q: QTGInput, lam_r: Vec, dim: int) -> Mat:
     stored entry is divided by n^2 once."""
     L, B = q.L, q.B
     dB, dL = B.dim, L.dim
-    basis_b = [Vec.basis(dB, k) for k in range(dB)]
-    basis_l = [Vec.basis(dL, k) for k in range(dL)]
-    s_cols = [L.antipode.col(j) for j in range(dL)]
+    basis_b, basis_l, s_cols = q.basis_b, q.basis_l, q.s_cols
     s2_cols = [L.antipode.matvec(c) for c in s_cols]
     n = math.lcm(*(v.denominator for _, v in q.e.terms()))
-    e_pairs = [(p, qq, _scalar(v * n)) for p, qq, v in q.e_pairs()]
+    e_pairs = [(p, qq, _scalar(v * n)) for p, qq, v in q.pairs]
 
     # e_p <| I_1 S(l_1), then (e_p <| I_1 S(l_1)) a, l_2 S(I_4), (b e'1 <| S(I_3))
     # and e2 (x) S^2(I_2) (x) e'2

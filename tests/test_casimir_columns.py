@@ -5,7 +5,7 @@ read them.
 
 Compared: the check_casimir report and witness; the columns, counit and
 Delta(1) flag of casimir_comult, or its PreconditionError witness;
-_from_delta_one; and solve_counit (or the PreconditionError it raises).
+the Delta(1) decision of solve_counit; and solve_counit (or the PreconditionError it raises).
 
 Cases: the NSY algebras of sweep_params(3, 3, 2) with their Delta(1), and
 the groupoid, group and QTG algebras of conftest.py with the X of a
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
+from test_delta_one import from_delta_one
 from frobkit.errors import PreconditionError
 from frobkit.exactlin import LinearSystem, Mat, Vec, addto
 from frobkit.finalg import (
@@ -29,7 +30,6 @@ from frobkit.finalg import (
     ComultData,
     VerificationReport,
     Witness,
-    _from_delta_one,
     casimir_comult,
     check_algebra,
     check_casimir,
@@ -208,13 +208,13 @@ def assert_casimir_matches(a, x: Vec) -> None:
         assert not report.passed
     else:
         c = casimir_comult(cas)
-        assert (c.delta, c.counit, _from_delta_one(c)) == ref
+        assert (c.delta, c.counit, from_delta_one(c)) == ref
         assert report.passed
 
 
 def assert_delta_matches(c: ComultData) -> None:
     fresh = ComultData(c.algebra, c.delta)
-    assert _from_delta_one(fresh) is reference_from_delta_one(c)
+    assert from_delta_one(fresh) is reference_from_delta_one(c)
     expected = reference_solve_counit(c)
     if expected is PreconditionError:
         with pytest.raises(PreconditionError):

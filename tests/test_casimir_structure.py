@@ -1,9 +1,9 @@
 """casimir_comult returns the whole Frobenius structure of a Casimir element:
-Delta(x) = X x, the counit, and the Delta(1) decision of _from_delta_one.
+Delta(x) = X x, the counit, and the Delta(1) decision of solve_counit.
 
 The Casimir identity is decided on the columns X e_x themselves, as
 check_casimir decides it.  The recorded decision and counit are compared with
-a fresh ComultData on the same Delta, where _from_delta_one scans the columns
+a fresh ComultData on the same Delta, where _delta_one scans the columns
 and solve_counit solves again.  Cases: any element of the solved Casimir
 space of the NSY, k[Z/3] and M_2 algebras and of a non-associative k x k,
 and the integral comultiplications of the groupoid, group and QTG fixtures.
@@ -22,6 +22,7 @@ from test_delta_one import (
     base_comult,
     casimir_basis,
     casimir_space,
+    from_delta_one,
     non_associative_kxk,
 )
 
@@ -32,7 +33,6 @@ from frobkit.finalg import (
     CasimirElement,
     ComultData,
     _delta_one,
-    _from_delta_one,
     casimir_comult,
     check_algebra,
     check_casimir,
@@ -51,8 +51,8 @@ from frobkit.whopf import (
 def assert_matches_fresh(c: ComultData) -> None:
     fresh = ComultData(c.algebra, c.delta)
     assert _delta_one(c) == _delta_one(fresh)
-    assert _from_delta_one(c) is _from_delta_one(fresh)
-    if _from_delta_one(fresh):
+    assert from_delta_one(c) is from_delta_one(fresh)
+    if from_delta_one(fresh):
         assert c.counit == solve_counit(fresh)
     else:
         assert c.counit is None
@@ -70,7 +70,7 @@ def combination(basis: list[Vec], dim: int, data) -> Vec:
 def test_casimir_space_structure_matches_fresh(name, data):
     a = base_comult(name).algebra
     c = casimir_comult(CasimirElement(a, combination(casimir_space(name), a.dim, data)))
-    assert _from_delta_one(c)
+    assert from_delta_one(c)
     assert_matches_fresh(c)
 
 
@@ -99,7 +99,7 @@ def test_non_associative_structure_matches_fresh(data):
     a = non_associative_kxk()
     assert not check_algebra(a).passed
     c = casimir_comult(CasimirElement(a, combination(casimir_basis(a), a.dim, data)))
-    assert _from_delta_one(c) is False and c.counit is None
+    assert from_delta_one(c) is False and c.counit is None
     assert_matches_fresh(c)
 
 

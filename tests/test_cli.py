@@ -608,6 +608,33 @@ MALFORMED_INPUTS = {
     ),
     "groupoid_unhashable_morphism_id": _groupoid_case(_unhashable_morphism_id),
     "groupoid_colliding_morphism_labels": _z2_integer_and_string_ids,
+    "format_flag_without_value": _argv("nsy", "check", "n=2", "ell=2", "m=1,1", "--format"),
+    "seed_not_an_integer": _argv("whopf", "group", "--cyclic", "2", "--seed", "x"),
+    "seed_negative": _argv("whopf", "group", "--cyclic", "2", "--seed", "-1"),
+    "nsy_parameter_without_value": _argv("nsy", "check", "n=2", "ell"),
+    "nsy_parameter_not_an_integer": _argv("nsy", "check", "n=x", "ell=2", "m=1,1"),
+    "nsy_without_action": _argv("nsy"),
+    "nsy_unknown_action": _argv("nsy", "bogus", "n=2", "ell=2", "m=1,1"),
+    "nsy_unknown_parameter": _argv("nsy", "check", "n=2", "ell=2", "m=1,1", "k=3"),
+    "nsy_sweep_unknown_parameter": _argv("nsy", "sweep", "k=3"),
+    "nsy_sweep_bound_not_an_integer": _argv("nsy", "sweep", "nmax=x"),
+    "nsy_sweep_bound_zero": _argv("nsy", "sweep", "mmax=0"),
+    "nsy_sweep_work_too_large": _argv("nsy", "sweep", "nmax=1", "lmax=10000", "mmax=1"),
+    "nsy_dimension_too_large": _argv("nsy", "check", "n=1", "ell=1000000000", "m=1"),
+    "qtg_B_size_not_an_integer": _argv("whopf", "qtg", "--B", "matrix:x"),
+    "qtg_B_unknown_kind": _argv("whopf", "qtg", "--B", "bogus:2"),
+    "qtg_without_B": _argv("whopf", "qtg"),
+    "qtg_B_without_size": _argv("whopf", "qtg", "--B", "matrix"),
+    "qtg_too_large": _argv("whopf", "qtg", "--L", "cyclic:100000", "--B", "matrix:100"),
+    "group_without_cyclic": _argv("whopf", "group"),
+    "group_cyclic_not_an_integer": _argv("whopf", "group", "--cyclic", "x"),
+    "group_too_large": _argv("whopf", "group", "--cyclic", "100000"),
+    "groupoid_pair_objects_too_large": _argv("whopf", "groupoid", "--pair-objects", "100000"),
+    "whopf_missing_file": lambda tmp_path, capsys: ["whopf", str(tmp_path / "missing.json")],
+    "whopf_without_source": _argv("whopf"),
+    "whopf_check_without_file": _argv("whopf", "check"),
+    "whopf_unknown_operation": _argv("whopf", "group", "bogus", "--cyclic", "2"),
+    "verify_without_file": _argv("verify"),
 }
 
 
@@ -633,6 +660,155 @@ Z2_GROUP = {
 def test_groupoid_json_repeat_is_named(case, message, tmp_path, capsys):
     argv = MALFORMED_INPUTS[case](tmp_path, capsys)
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("format_flag_without_value", "flag --format needs a value"),
+        ("seed_not_an_integer", "bad seed 'x'"),
+        ("seed_negative", "seed must be non-negative"),
+        ("nsy_parameter_without_value", "expected key=value, got 'ell'"),
+        (
+            "nsy_parameter_not_an_integer",
+            "n, ell must be integers and m a comma list of integers",
+        ),
+        ("nsy_without_action", "nsy needs an action: build, table, delta, counit, check, sweep"),
+        ("nsy_unknown_action", "unknown nsy action 'bogus'"),
+        ("nsy_unknown_parameter", "unknown parameters: k"),
+        ("nsy_sweep_unknown_parameter", "unknown parameters: k"),
+        ("nsy_sweep_bound_not_an_integer", "sweep bounds must be integers"),
+        ("nsy_sweep_bound_zero", "sweep bounds must be >= 1"),
+        ("nsy_sweep_grid_too_large", "sweep grid has more than 10000 points"),
+        ("nsy_sweep_work_too_large", "sweep grid sums dim^2 to more than 6250000"),
+        ("nsy_dimension_too_large", "NSY algebra of dimension 1000000000 is above the bound 2500"),
+        ("qtg_B_size_not_an_integer", "bad argument in 'matrix:x'"),
+        ("qtg_B_unknown_kind", "expected one of matrix, cyclic, got 'bogus:2'"),
+        ("qtg_without_B", "qtg needs --B matrix:D or --B cyclic:N"),
+        ("qtg_B_without_size", "--B 'matrix' needs a size, e.g. matrix:2"),
+        (
+            "qtg_too_large",
+            "quantum transformation groupoid (cyclic:100000, matrix:100) multiplies "
+            f"{(100000 * 100**4) ** 2} basis pairs, more than 400000",
+        ),
+        ("group_without_cyclic", "group needs --cyclic N"),
+        ("group_cyclic_not_an_integer", "--cyclic must be an integer"),
+        (
+            "group_too_large",
+            "group algebra k(Z/100000) multiplies 10000000000 basis pairs, more than 400000",
+        ),
+        (
+            "groupoid_pair_objects_too_large",
+            f"pair groupoid on 100000 objects multiplies {100000**3} basis pairs, more than 400000",
+        ),
+        (
+            "whopf_missing_file",
+            "cannot read {tmp}/missing.json: [Errno 2] No such file or directory: "
+            "'{tmp}/missing.json'",
+        ),
+        ("whopf_without_source", "whopf needs a source (groupoid, group, qtg, or a JSON file)"),
+        ("whopf_check_without_file", "whopf check needs an input file"),
+        ("whopf_unknown_operation", "unknown whopf operation 'bogus'"),
+        ("verify_without_file", "verify needs exactly one input file (or - for stdin)"),
+    ],
+)
+def test_malformed_input_message_is_pinned(case, message, tmp_path, capsys):
+    argv = MALFORMED_INPUTS[case](tmp_path, capsys)
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
+
+
+class Reached(Exception):
+    """Raised by a spy in place of the work it stands for."""
+
+
+def _spy(calls: list, name: str):
+    def record(*args):
+        calls.append(name)
+        raise Reached(name)
+
+    return record
+
+
+@pytest.mark.parametrize(
+    "bounds, refused",
+    [
+        (("nmax=4", "lmax=4", "mmax=3"), False),  # the wide sweep: sum dim^2 = 990,362
+        (("nmax=1", "lmax=265", "mmax=1"), False),  # sum dim^2 = 6,238,345
+        (("nmax=1", "lmax=266", "mmax=1"), True),  # sum dim^2 = 6,309,261
+        (("nmax=1", "lmax=10000", "mmax=1"), True),  # 10,000 points, each with dim ell
+    ],
+)
+def test_sweep_work_is_bounded_before_any_instance_runs(bounds, refused, capsys, monkeypatch):
+    """A grid within the point bound whose instances sum to more than
+    6,250,000 in dim^2 exits 2 before classify_report runs once."""
+    calls = []
+    monkeypatch.setattr(cli, "classify_report", _spy(calls, "classify_report"))
+    if refused:
+        message = "error: sweep grid sums dim^2 to more than 6250000\n"
+        assert run(capsys, "nsy", "sweep", *bounds) == (2, "", message)
+        assert calls == []
+    else:
+        with pytest.raises(Reached):
+            main(["nsy", "sweep", *bounds])
+
+
+_BUILDERS = (
+    "cyclic_group_table",
+    "pair_groupoid",
+    "connected_groupoid",
+    "hopf_group_algebra",
+    "trivial_hopf",
+    "separable_matrix_algebra",
+    "separable_group_algebra",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (["nsy", "check", "n=8", "ell=8", "m=6,6,6,6,6,6,6,6"], None),  # dim 2,304
+        (["nsy", "table", "n=1", "ell=2500", "m=1"], None),
+        (["nsy", "build", "n=1", "ell=2501", "m=1"], "NSY algebra of dimension 2501"),
+        (["nsy", "delta", "n=2", "ell=1000000000", "m=1,1"], "NSY algebra of dimension 2000000000"),
+        (["whopf", "group", "--cyclic", "632"], None),
+        (["whopf", "group", "--cyclic", "633"], "group algebra k(Z/633) multiplies 400689"),
+        (["whopf", "groupoid", "--pair-objects", "73"], None),
+        (
+            ["whopf", "groupoid", "--pair-objects", "74"],
+            "pair groupoid on 74 objects multiplies 405224",
+        ),
+        (["whopf", "groupoid", "--objects", "8", "--group", "cyclic:27"], None),
+        (
+            ["whopf", "groupoid", "--objects", "8", "--group", "cyclic:28"],
+            "connected groupoid on 8 objects with Z/28 multiplies 401408",
+        ),
+        (["whopf", "qtg", "--L", "trivial", "--B", "matrix:5"], None),  # dim 625
+        (["whopf", "qtg", "--L", "cyclic:2", "--B", "matrix:4"], None),  # dim 512
+        (
+            ["whopf", "qtg", "--L", "cyclic:2", "--B", "matrix:5"],
+            "quantum transformation groupoid (cyclic:2, matrix:5) multiplies 1562500",
+        ),
+        (
+            ["whopf", "qtg", "--L", "cyclic:7", "--B", "cyclic:10"],
+            "quantum transformation groupoid (cyclic:7, cyclic:10) multiplies 490000",
+        ),
+    ],
+)
+def test_sources_are_sized_before_they_are_built(argv, pairs, capsys, monkeypatch):
+    """Above the bound, exit 2 before the first builder runs; at or below
+    it, the first builder is reached.  Every builder is a spy."""
+    calls = []
+    for name in _BUILDERS:
+        monkeypatch.setattr(cli, name, _spy(calls, name))
+    monkeypatch.setattr(nsy_mod, "_layout", _spy(calls, "_layout"))
+    if pairs is None:
+        with pytest.raises(Reached):
+            main(argv)
+    else:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, calls) == (2, "", [])
+        bound = "is above the bound 2500" if argv[0] == "nsy" else "basis pairs, more than 400000"
+        assert err == f"error: {pairs} {bound}\n"
 
 
 @pytest.mark.parametrize(

@@ -344,6 +344,14 @@ def test_dimension_formula_matches_basis_count():
         assert nsy_dimension(p) == len(basis_indices(p))
 
 
+def test_dimension_closed_form_matches_the_double_sum():
+    """ell below, at and many times past n: the full turns of the cycle and
+    the window of the last ell mod n steps."""
+    for p in sweep_params(4, 11, 3):
+        direct = sum(p.mults[i] * p.mult_at(i + j) for i in range(p.n) for j in range(p.ell))
+        assert nsy_dimension(p) == direct, p
+
+
 def test_casimir_rebuild_recovers_delta():
     # Delta(x) = a_i (x) b_i x with a_i (x) b_i = Delta(1), so rebuilding the
     # comultiplication from its own Casimir element is the identity operation

@@ -143,7 +143,7 @@ def test_example_structure_maps_l_trivial_b_mat2(qtg_instances, qtg_built):
     h = qtg_built["k_mat2"]
     B = q.B
     d = B.dim
-    pairs = q.e_pairs()
+    pairs = q.pairs
     for a in range(d):
         for b in range(d):
             col = _m2_h_index(a, b)
@@ -179,7 +179,7 @@ def test_qtg_integral_l_trivial(qtg_instances, qtg_built):
     h = qtg_built["k_mat2"]
     ibar, lam_bar = qtg_integral(q, h)
     expected_ibar = Vec(h.dim)
-    for p, qq, v in q.e_pairs():
+    for p, qq, v in q.pairs:
         expected_ibar = expected_ibar + Vec(h.dim, {_m2_h_index(p, qq): v})
     assert ibar == expected_ibar
     expected_lam = Vec(h.dim)
@@ -248,7 +248,7 @@ def test_qtg_frobenius_closed_form_mat2(qtg_instances, qtg_built):
     comult = qtg_frobenius(q, h)
     B = q.B
     d = B.dim
-    pairs = q.e_pairs()
+    pairs = q.pairs
     for a in range(d):
         for b in range(d):
             col = _m2_h_index(a, b)
@@ -538,7 +538,7 @@ def test_action_axioms_on_generators_match_full_loops(case, edits):
     entries = {(r, c): v for r, c, v in action.items()}
     for r, c, v in edits:
         entries[r % action.nrows, c % action.ncols] = v
-    action = Mat(action.nrows, action.ncols, entries)
+    action = Mat(action.nrows, action.ncols, [(r, c, v) for (r, c), v in entries.items()])
     expected = naive_action_failure(L, B, e, action)
     try:
         QTGInput(L, B, e, om, action)
@@ -674,7 +674,7 @@ def _per_pair_reference(q: QTGInput):
             if acc:
                 mult[(p1, p2)] = Vec.adopt(dim, acc)
 
-    e_pairs = q.e_pairs()
+    e_pairs = q.pairs
     delta_entries = []
     for col in range(dim):
         a, l, b = split(col)

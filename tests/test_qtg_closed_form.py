@@ -34,7 +34,7 @@ def reference_closed_form(q, lam_r, dim) -> Mat:
     s = L.antipode
     s_cols = [s.col(j) for j in range(dL)]
     quad = iterated_comult(L, lam_r, 4)
-    e_pairs = q.e_pairs()
+    e_pairs = q.pairs
 
     # the factors that depend on fewer indices than the column, each once
     s2_cols = [s.matvec(c) for c in s_cols]
