@@ -79,7 +79,7 @@ _VALUE_FLAGS = {"--format", "--output", "--seed"}.union(*_SOURCE_FLAGS.values())
 # Work bounds, sized in closed form before anything is built: the dimension
 # of an NSY algebra (n=8 ell=8 m=6,...,6 has 2,304), the points of a sweep
 # grid and, before any instance runs, their sum of dim^2, and the basis pairs
-# a whopf source multiplies: composable pairs, or all dim^2 for a QTG.
+# a source multiplies: nonzero NSY products, composable pairs, or dim^2 (QTG).
 _MAX_NSY_DIM = 2_500
 _MAX_SWEEP_POINTS = 10_000
 _MAX_SWEEP_WORK = _MAX_NSY_DIM**2
@@ -249,6 +249,7 @@ def cmd_nsy(args: list[str]) -> int:
     dim = nsy_mod.nsy_dimension(p)
     if dim > _MAX_NSY_DIM:
         raise InputError(f"NSY algebra of dimension {dim} is above the bound {_MAX_NSY_DIM}")
+    _bound_pairs(_nsy_products(p), f"NSY algebra of dimension {dim}")
 
     if action == "build":
         algebra = nsy_mod.nsy_build(p)
@@ -455,6 +456,18 @@ def _build_whopf_source(source: str, flags: dict[str, str]):
         return qtg_build(q), q, desc
     # otherwise: a file with WeakHopfData JSON
     return weak_hopf_from_json(_load_json(source)), None, f"data from {source}"
+
+
+def _nsy_products(p: NSYParams) -> int:
+    """The nonzero products X[i,j] X[a,b] of nsy_build, a = i+j and b < ell-j:
+    m_i m_a times the sum of m over that window of the cycle, read off the
+    prefix sums pre of the doubled cycle.  n*ell <= dim, so this loop is short."""
+    m, n, ell = p.mults, p.n, p.ell
+    pre = [0, *itertools.accumulate(m * 2)]
+    return sum(
+        m[i] * m[a] * ((ell - j) // n * pre[n] + pre[a + (ell - j) % n] - pre[a])
+        for i, j in itertools.product(range(n), range(ell)) for a in [(i + j) % n]
+    )
 
 
 def _bound_pairs(pairs: int, source: str) -> None:

@@ -10,11 +10,11 @@ a reduced ``fractions.Fraction`` (denominator > 1) otherwise, never a
 equality and :func:`scalar_to_str` do not see the difference, while integer
 data (every NSY, groupoid and group structure constant) is computed in
 ``int`` arithmetic.  One normaliser, :func:`_scalar`, admits values where
-they enter (the vector and matrix constructors, ``scale``,
-:func:`scalar_from_str`, the sum of a repeated entry in :func:`add_entry`
-and :meth:`LinearSystem.add`) and rejects anything else, such as floats or
-numpy integers that overflow silently.  The JSON decoder in ``finalg``
-admits each value once, through :func:`scalar_from_str` and
+they enter (the vector, matrix and ``finalg.AlgebraData`` constructors,
+``scale``, :func:`scalar_from_str`, the sum of a repeated entry in
+:func:`add_entry` and :meth:`LinearSystem.add`) and rejects anything else,
+such as floats or numpy integers that overflow silently.  The JSON decoder
+in ``finalg`` admits each value through :func:`scalar_from_str` and
 :func:`add_entry`, and wraps the dicts it built with :meth:`Vec.adopt` and
 :meth:`Mat.adopt`; so does the closed-form comultiplication in ``whopf.qtg``,
 which sums integer numerators and divides each entry once.  Sums and products of stored values need no division, so
@@ -27,9 +27,10 @@ Sparse sums over a stream of entries go through one kernel, :func:`addto`:
 ``acc[base + stride*k] += coeff*v`` over a stream of ``(k, v)`` entries,
 dropping entries that cancel to zero.  That one affine key map covers every
 tensor flattening used (``p*d + k``, ``k*d + q``, ``(x*d + y)*d + q``, ...).
-On a monomial table (``finalg.AlgebraData.monomial_table``) a basis product
-is one index, not a stream, so the hottest evaluators add each term at its
-flat key in place, dropping it in the same way when it cancels.
+A basis product is stored as its term tuple ``((k, c), ...)``, such a stream;
+on a monomial table (``finalg.AlgebraData.monomial_table``) it is one index,
+so the hottest evaluators add it at its flat key in place, dropping it in
+the same way when it cancels.
 Dicts the kernel built become vectors through :meth:`Vec.adopt` without a
 copy.  Sums iterate stored dicts in storage order, since exact addition does
 not depend on it; sorted order (``Vec.items``, ``Mat.items``) is used only

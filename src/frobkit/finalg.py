@@ -1,6 +1,8 @@
 """Finite-dimensional algebras with comultiplications, and their axiom checkers.
 
-An algebra is given by structure constants on a chosen basis.  A candidate
+An algebra is given by structure constants on a chosen basis: AlgebraData
+keeps each nonzero product e_i e_j as its term tuple ((k, c), ...), admitted
+once, and indexes the products in the same pass.  A candidate
 comultiplication is a linear map into the tensor square (stored as a matrix
 with row-major pair flattening) plus an optional counit functional.  Nothing
 is assumed about supplied data: the check_* operations verify associativity,
@@ -44,7 +46,7 @@ x(g(hy)) = x((gh)y).  Neither fact, nor S for a table whose unit laws hold,
 assumes associativity, so the middle factors in S decide it.
 
 Most structure constants of the NSY algebras are zero, so the checkers walk
-only nonzero basis products, listed by factor in AlgebraData.product_index:
+only nonzero basis products, listed by factor in AlgebraData.by_right/by_left:
 the associativity check of a monomial table, the products X e_x and e_x X
 of _casimir_columns, and the bimodule loop, which joins the products e_i e_p
 with the terms of the residuals R of left factor p.  The associativity walk
@@ -56,7 +58,7 @@ is the one a scan over k would give.  On a monomial table a product is the
 one index table[i][j]: these walks (and the weak-Hopf rows of whopf.core)
 add each term at its flat key in place, and the bimodule rows with a
 product in supp R are read off the table's rows.  Any other table streams
-each product's terms through addto.
+each product's term tuple through addto.
 
 The counit is solved from X = Delta(1) too.  For a bimodule Delta,
 (eps (x) id)Delta(e_j) = ((eps (x) id)X) e_j and (id (x) eps)Delta(e_j) =
@@ -117,12 +119,16 @@ __all__ = [
 class AlgebraData:
     """A unital algebra by structure constants.
 
-    ``mult`` maps a basis pair (i, j) to the product vector e_i * e_j; absent
-    keys mean the product is zero.  Associativity and unitality are not
-    assumed; run :func:`check_algebra`.  Fields are never reassigned after
-    construction: the monomial table, the product index, the generating
-    set of :meth:`generators`, the unit-law checks and the check_algebra
-    report are derived from them and kept here.
+    ``mult`` maps a basis pair (i, j) to the term tuple ``((k, c), ...)`` of
+    e_i e_j = sum c e_k; absent keys mean the product is zero.  The
+    constructor admits each term once (i, j and k in range, c through
+    ``_scalar``, no k twice in a product), drops zero terms and empty
+    products, and in the same pass fills ``monomial_table`` (``{i: {j: k}}``
+    when every product is ``((k, 1),)``, else None), ``by_right[x]`` (the q
+    with e_q e_x != 0) and ``by_left[x]`` (the p with e_x e_p != 0).
+    Associativity and unitality are not assumed; run :func:`check_algebra`.
+    Fields are never reassigned: the generating set of :meth:`generators`,
+    the unit-law checks and the check_algebra report derive from them.
     """
 
     def __init__(self, dim: int, labels: list[str], mult: dict, unit: Vec):
@@ -132,28 +138,43 @@ class AlgebraData:
             raise InputError(f"expected {dim} labels, got {len(labels)}")
         if unit.dim != dim:
             raise InputError("unit vector dimension mismatch")
-        clean: dict[tuple[int, int], Vec] = {}
-        for (i, j), vec in mult.items():
+        clean: dict[tuple[int, int], tuple] = {}
+        table: dict[int, dict[int, int]] | None = {}
+        by_right, by_left = [[] for _ in range(dim)], [[] for _ in range(dim)]
+        for key, terms in mult.items():
+            i, j = key
             if not (0 <= i < dim and 0 <= j < dim):
                 raise InputError(f"structure constant index ({i}, {j}) out of range")
-            if vec.dim != dim:
-                raise InputError(f"product vector for ({i}, {j}) has wrong dimension")
-            if not vec.is_zero():
-                clean[(i, j)] = vec
-        self.dim = dim
-        self.labels = list(labels)
-        self.mult = clean
-        self.unit = unit
-        self._zero = Vec(dim)
-        self._monomial_table: dict[int, dict[int, int]] | None | bool = False  # False = unknown
-        self._product_index: tuple[list[list[int]], list[list[int]]] | None = None
+            k, c = terms[0] if type(terms) is tuple and len(terms) == 1 else (-1, None)
+            if type(c) is not int or not c or not 0 <= k < dim:
+                # anything but an admitted one-term tuple is admitted term by term
+                kept: dict[int, Scalar] = {}
+                for k, c in terms:
+                    if not 0 <= k < dim:
+                        raise InputError(f"index {k} out of range for dimension {dim}")
+                    if k in kept:
+                        raise InputError(f"product ({i}, {j}) lists index {k} more than once")
+                    kept[k] = _scalar(c)
+                terms = tuple((k, c) for k, c in kept.items() if c)
+                if not terms:
+                    continue
+                k, c = terms[0] if len(terms) == 1 else (-1, None)
+            clean[key] = terms
+            by_right[j].append(i)
+            by_left[i].append(j)
+            if table is not None and c == ONE:
+                table.setdefault(i, {})[j] = k
+            else:
+                table = None
+        self.dim, self.labels, self.unit, self.mult = dim, list(labels), unit, clean
+        self.monomial_table, self.by_right, self.by_left = table, by_right, by_left
         self._generators: list[int] | None = None
         self._generator_set: frozenset[int] = frozenset()
         self._units: tuple[CheckResult, CheckResult] | None = None
         self._report: VerificationReport | None = None
 
     def basis_product(self, i: int, j: int) -> Vec:
-        return self.mult.get((i, j), self._zero)
+        return Vec.adopt(self.dim, dict(self.mult.get((i, j), ())))
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         """Bilinear extension of the structure constants."""
@@ -163,39 +184,8 @@ class AlgebraData:
             for j, b in y.terms():
                 prod = mult.get((i, j))
                 if prod is not None:
-                    addto(acc, a * b, prod.terms())
+                    addto(acc, a * b, prod)
         return Vec.adopt(self.dim, acc)
-
-    def monomial_table(self) -> dict[int, dict[int, int]] | None:
-        """Product table as indices, ``table[i][j] = k`` for e_i e_j = e_k, when
-        every basis product is 0 or one basis element with coefficient 1; None
-        otherwise.  Built from ``mult`` alone, so zero products have no entry."""
-        if self._monomial_table is not False:
-            return self._monomial_table
-        table: dict[int, dict[int, int]] | None = {}
-        for (i, j), vec in self.mult.items():
-            terms = vec.terms()
-            ((k, v),) = terms if len(terms) == 1 else ((None, None),)
-            if v != ONE:
-                table = None
-                break
-            table.setdefault(i, {})[j] = k
-        self._monomial_table = table
-        return table
-
-    def product_index(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The nonzero basis products by factor, as ``(by_right, by_left)``:
-        ``by_right[x]`` lists the q with e_q e_x != 0 and ``by_left[x]`` the
-        p with e_x e_p != 0; the products themselves stay in ``mult``.  Only
-        indices are kept, so the index costs one list slot per product."""
-        if self._product_index is None:
-            by_right: list[list[int]] = [[] for _ in range(self.dim)]
-            by_left: list[list[int]] = [[] for _ in range(self.dim)]
-            for i, j in self.mult:
-                by_right[j].append(i)
-                by_left[i].append(j)
-            self._product_index = (by_right, by_left)
-        return self._product_index
 
     def generators(self) -> list[int]:
         """Indices g of a generating set, kept on the algebra.  The basis is
@@ -214,14 +204,14 @@ class AlgebraData:
         left multiplication by the kept e_g, each basis vector of W times
         each generator once."""
         if self._generators is None:
-            table = self.monomial_table()
+            table = self.monomial_table
             monomial = table is not None and all(c.passed for c in _unit_checks(self))
             gens = self._monomial_generators(table) if monomial else self._span_generators()
             self._generators, self._generator_set = gens, frozenset(gens)
         return self._generators
 
     def _monomial_generators(self, table: dict[int, dict[int, int]]) -> list[int]:
-        by_right = self.product_index()[0]
+        by_right = self.by_right
         unit = set(self.unit.support())
         words: set[int] = set()  # R
         gens: set[int] = set()
@@ -411,16 +401,17 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
     d = a.dim
     units = _unit_checks(a)
     assoc_witness = None
-    table = a.monomial_table()
+    table = a.monomial_table
     # a monomial table is decided by the O(nnz) walk over the middles in S (all
     # when a unit law fails); on one that fails it, the d^3 scan gives the witness
     if table is None or not _monomial_associative(
         a, table, a.generators() if all(c.passed for c in units) else range(d)
     ):
         basis = [Vec.basis(d, k) for k in range(d)]
+        zero, prods = Vec(d), {key: Vec.adopt(d, dict(terms)) for key, terms in a.mult.items()}
         for i, j, k in itertools.product(range(d), repeat=3):
-            lhs = a.mul(a.basis_product(i, j), basis[k])
-            rhs = a.mul(basis[i], a.basis_product(j, k))
+            lhs = a.mul(prods.get((i, j), zero), basis[k])
+            rhs = a.mul(basis[i], prods.get((j, k), zero))
             if lhs != rhs:
                 assoc_witness = Witness((i, j, k), lhs, rhs, "(e_i e_j) e_k != e_i (e_j e_k)")
                 break
@@ -431,18 +422,18 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
 def _unit_checks(a: AlgebraData) -> tuple[CheckResult, CheckResult]:
     """The unit_left and unit_right checks, kept on ``a``."""
     if a._units is None:
-        d, (by_right, by_left), table = a.dim, a.product_index(), a.monomial_table()
+        d, by_right, by_left, table = a.dim, a.by_right, a.by_left, a.monomial_table
         left: dict[int, dict] = {}  # k -> 1 e_k, and right: k -> e_k 1
         right: dict[int, dict] = {}
         for q, u in a.unit.terms():
             for k in by_left[q]:
                 if table is None:
-                    addto(left.setdefault(k, {}), u, a.mult[(q, k)].terms())
+                    addto(left.setdefault(k, {}), u, a.mult[q, k])
                 else:
                     add_entry(left.setdefault(k, {}), table[q][k], u)
             for k in by_right[q]:
                 if table is None:
-                    addto(right.setdefault(k, {}), u, a.mult[(k, q)].terms())
+                    addto(right.setdefault(k, {}), u, a.mult[k, q])
                 else:
                     add_entry(right.setdefault(k, {}), table[k][q], u)
         checks = []
@@ -467,7 +458,7 @@ def _monomial_associative(a: AlgebraData, table: dict[int, dict[int, int]], midd
     has L_g = R_g.  So g passes iff no pair differs and |L_g| = |R_g|, the
     sum over k in table[g] of the number of i with e_i e_{gk} != 0.
     """
-    by_right = a.product_index()[0]
+    by_right = a.by_right
     try:  # a missing row or entry is a zero product where (e_i e_g) e_k != 0
         for g in middles:
             tg = table.get(g, {})
@@ -566,7 +557,7 @@ def check_bimodule(c: ComultData) -> VerificationReport:
     """
     a, rec = c.algebra, _delta_one(c)
     d = a.dim
-    mult, by_left = a.mult, a.product_index()[1]
+    mult, by_left = a.mult, a.by_left
     residuals = rec.residuals
     by_p: dict[int, list] = {}  # p -> (j, q, v) of the terms v e_p (x) e_q of R_j
     for j, res in residuals.items():
@@ -581,15 +572,15 @@ def check_bimodule(c: ComultData) -> VerificationReport:
             for t, v in residuals.get(i, {}).items():
                 p, q = divmod(t, d)
                 for j in by_left[q]:
-                    addto(right.setdefault(j, {}), v, mult[q, j].terms(), p * d)
+                    addto(right.setdefault(j, {}), v, mult[q, j], p * d)
         if found[1] is None:
             for p in by_left[i]:
                 if p in by_p:
-                    prod = mult[i, p].terms()
+                    prod = mult[i, p]
                     for j, q, v in by_p[p]:
                         addto(left.setdefault(j, {}), v, prod, q, d)
         for j in by_left[i]:
-            for k, u in mult[i, j].terms():
+            for k, u in mult[i, j]:
                 if k in residuals:
                     addto(target.setdefault(j, {}), u, residuals[k].items())
         for j in sorted(right.keys() | left.keys() | target.keys()):
@@ -609,12 +600,12 @@ def _bimodule_rows(a: AlgebraData, residuals: dict, left_factors) -> list[int]:
     """The rows i where check_bimodule can fail, ascending: R_i != 0,
     e_i e_p != 0 for p in ``left_factors`` (the left factors of R), or some
     e_i e_j with a term in supp R."""
-    by_right, table = a.product_index()[0], a.monomial_table()
+    by_right, table = a.by_right, a.monomial_table
     rows = {*residuals, *(i for p in left_factors for i in by_right[p])}
     if residuals and table is not None:
         rows.update(i for i, row in table.items() if not residuals.keys().isdisjoint(row.values()))
     elif residuals:
-        rows.update(i for (i, _), prod in a.mult.items() for k, _ in prod.terms() if k in residuals)
+        rows.update(i for (i, _), prod in a.mult.items() for k, _ in prod if k in residuals)
     return sorted(rows)
 
 
@@ -627,9 +618,9 @@ def _bimodule_witness(c: ComultData, side: int, i: int, j: int) -> Witness:
     for t, v in c.delta.col_terms(j if side else i):
         p, q = divmod(t, d)
         if side == 0 and (q, j) in mult:
-            addto(lhs, v, mult[q, j].terms(), p * d)
+            addto(lhs, v, mult[q, j], p * d)
         elif side == 1 and (i, p) in mult:
-            addto(lhs, v, mult[i, p].terms(), q, d)
+            addto(lhs, v, mult[i, p], q, d)
     note = ("(id(x)m)(Delta(x)id) != Delta m", "(m(x)id)(id(x)Delta) != Delta m")[side]
     return Witness((i, j), Vec.adopt(d * d, lhs), c.delta_of(a.basis_product(i, j)), note)
 
@@ -670,7 +661,7 @@ def _casimir_columns(a: AlgebraData, element: Vec, right):
     the x in ``right`` only, and the others, decided by those, repeat X e_x.
     The terms v e_p (x) e_q of X are grouped once by the factor that
     multiplies, and each side is summed from the products e_q e_x and e_x e_p
-    listed in product_index only.  The one evaluator of the Casimir identity
+    listed in by_right and by_left only.  The one evaluator of the Casimir identity
     X e_x = e_x X."""
     d = a.dim
     by_q: dict[int, list] = {}  # q -> the (p*d, v), and by_p: p -> the (q, v)
@@ -679,7 +670,7 @@ def _casimir_columns(a: AlgebraData, element: Vec, right):
         p, q = divmod(t, d)
         by_q.setdefault(q, []).append((t - q, v))
         by_p.setdefault(p, []).append((q, v))
-    mult, (by_right, by_left), table = a.mult, a.product_index(), a.monomial_table()
+    mult, by_right, by_left, table = a.mult, a.by_right, a.by_left, a.monomial_table
     for x in range(d):
         lhs: dict[int, Fraction] = {}
         for q in by_right[x]:
@@ -695,7 +686,7 @@ def _casimir_columns(a: AlgebraData, element: Vec, right):
                                 continue
                         lhs[t] = v
                     continue
-                prod = mult[q, x].terms()
+                prod = mult[q, x]
                 for pd, v in by_q[q]:
                     addto(lhs, v, prod, pd)
         rhs: dict[int, Fraction] = {} if x in right else lhs
@@ -712,7 +703,7 @@ def _casimir_columns(a: AlgebraData, element: Vec, right):
                                 continue
                         rhs[t] = v
                     continue
-                prod = mult[x, p].terms()
+                prod = mult[x, p]
                 for q, v in by_p[p]:
                     addto(rhs, v, prod, q, d)
         yield x, lhs, rhs
@@ -901,8 +892,9 @@ def classify(c: ComultData) -> Classification:
 # entry; range faults are reported only after the whole field has parsed.
 # Each value is admitted once: scalar_from_str parses each distinct string
 # literal once per decode call, repeated entries add up in every field
-# through add_entry (which admits their sum again), and the built dicts
-# become vectors and matrices through Vec.adopt and Mat.adopt.  The encoders
+# through add_entry (which admits their sum again), the built dicts become
+# vectors and matrices through Vec.adopt and Mat.adopt, and each product's
+# terms a tuple that AlgebraData passes through _scalar unchanged.  The encoders
 # build each field in one pass in sorted order (matrices by column, then
 # row), converting each distinct scalar once per call through _ScalarTexts.
 
@@ -1037,7 +1029,7 @@ def _algebra_to_json(a: AlgebraData) -> dict:
         "mult": [
             [i, j, k, texts[v]]
             for (i, j), prod in sorted(a.mult.items())
-            for k, v in sorted(prod.terms())
+            for k, v in sorted(prod)
         ],
         "unit": _vec_to_json(a.unit),
     }
@@ -1061,7 +1053,7 @@ def _algebra_from_json(payload, literals: dict) -> AlgebraData:
     return AlgebraData(
         dim,
         [str(x) for x in labels],
-        {key: Vec.adopt(dim, e) for key, e in mult.items()},
+        {key: tuple(e.items()) for key, e in mult.items()},
         _vec_from_json(_field(payload, "unit"), dim, "unit", literals),
     )
 

@@ -146,11 +146,11 @@ def nsy_build(p: NSYParams) -> AlgebraData:
     Only the nonzero products are visited: for x = X[i,j]^(r,s) they are
     y = X[i+j,b]^(s,s') with b < ell-j, read off the block offsets of
     ``_layout`` in ascending position of x, then of y.  Every product is a
-    basis element, and the d basis vectors are shared between them.
+    basis element, and the d term tuples ``((k, 1),)`` are shared between them.
     """
     off, basis = _layout(p)
     dim, m, n = len(basis), p.mults, p.n
-    e = [Vec.adopt(dim, {k: ONE}) for k in range(dim)]
+    e = [((k, ONE),) for k in range(dim)]
     mult = {}
     for p1, (i, j, r, s) in enumerate(basis):
         a = (i + j) % n
@@ -210,7 +210,7 @@ def nsy_build_oracle(p: NSYParams) -> AlgebraData:
         for idx in basis
     ]
 
-    def expand(mat: Mat) -> Vec:
+    def expand(mat: Mat) -> tuple:
         coeffs = {k: v for k, (row, col) in enumerate(witness_cells) if (v := mat.entry(row, col))}
         recon = Mat(mat.nrows, mat.ncols)
         for k, v in coeffs.items():
@@ -219,15 +219,10 @@ def nsy_build_oracle(p: NSYParams) -> AlgebraData:
             raise InternalConsistencyError(
                 "endomorphism not in the span of the X basis"
             )
-        return Vec(dim, coeffs)
+        return tuple(coeffs.items())
 
-    mult = {}
-    for a in range(dim):
-        for b in range(dim):
-            prod = expand(mats[a] @ mats[b])
-            if not prod.is_zero():
-                mult[(a, b)] = prod
-    unit = expand(Mat.identity(len(ppos)))
+    mult = {(a, b): expand(mats[a] @ mats[b]) for a in range(dim) for b in range(dim)}
+    unit = Vec(dim, expand(Mat.identity(len(ppos))))
     return AlgebraData(dim, [basis_label(x) for x in basis], mult, unit)
 
 
@@ -310,10 +305,9 @@ def multiplication_table(p: NSYParams) -> list[list[str]]:
     Every nonzero product of nsy_build is one basis element with
     coefficient 1, so the cells are read off its monomial table."""
     alg = nsy_build(p)
-    table = alg.monomial_table()
     return [
         [alg.labels[row[j]] if j in row else "0" for j in range(alg.dim)]
-        for row in (table.get(i, {}) for i in range(alg.dim))
+        for row in (alg.monomial_table.get(i, {}) for i in range(alg.dim))
     ]
 
 

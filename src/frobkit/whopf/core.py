@@ -314,14 +314,14 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     unit_by_left: dict[int, list] = {}
     for r, s, w in h.scaled_unit_pairs:
         unit_by_left.setdefault(r, []).append((s, w))
-    mult, (by_right, by_left) = a.mult, a.product_index()
+    mult, by_right, by_left = a.mult, a.by_right, a.by_left
     for p, q, v in h.scaled_unit_pairs:
         for r in by_left[q]:
             for s, w in unit_by_left.get(r, ()):
-                addto(acc_a, v * w, mult[q, r].terms(), p * d * d + s, d)
+                addto(acc_a, v * w, mult[q, r], p * d * d + s, d)
         for r in by_right[q]:
             for s, w in unit_by_left.get(r, ()):
-                addto(acc_b, v * w, mult[r, q].terms(), p * d * d + s, d)
+                addto(acc_b, v * w, mult[r, q], p * d * d + s, d)
     wa = None if lhs == acc_a else _scaled_witness(
         h, (), lhs, acc_a, d * d * d, 2, "Delta^2(1) != (Delta(1)(x)1)(1(x)Delta(1))"
     )
@@ -366,7 +366,7 @@ def _mult_row(h: WeakHopfData, x_pairs, x: Vec, terms_by_left: list[list]):
     for every j in one pass over the nonzero products, then compared in
     ascending j."""
     a, d, n = h.algebra, h.dim, h.denom
-    mult, by_left, table = a.mult, a.product_index()[1], a.monomial_table()
+    mult, by_left, table = a.mult, a.by_left, a.monomial_table
     lhs: dict[int, dict] = {}
     for p, q, v in x_pairs:
         if table is not None:
@@ -385,19 +385,19 @@ def _mult_row(h: WeakHopfData, x_pairs, x: Vec, terms_by_left: list[list]):
                         acc[t] = w
             continue
         for p2 in by_left[p]:
-            left_terms = mult[p, p2].terms()
+            left_terms = mult[p, p2]
             for j, q2, v2 in terms_by_left[p2]:
                 right = mult.get((q, q2))
                 if right is not None:
                     for kl, vl in left_terms:
-                        addto(lhs.setdefault(j, {}), v * v2 * vl, right.terms(), kl * d)
+                        addto(lhs.setdefault(j, {}), v * v2 * vl, right, kl * d)
     rhs: dict[int, dict] = {}
     for k, c in x.terms():
         for j in by_left[k]:
             if table is not None:
                 addto(rhs.setdefault(j, {}), n * c, h.scaled.delta.col_terms(table[k][j]))
                 continue
-            for m, u in mult[k, j].terms():
+            for m, u in mult[k, j]:
                 addto(rhs.setdefault(j, {}), n * c * u, h.scaled.delta.col_terms(m))
     for j in sorted(lhs.keys() | rhs.keys()):
         if lhs.get(j, {}) != rhs.get(j, {}):
@@ -430,7 +430,7 @@ def _counital_terms(h: WeakHopfData) -> tuple[list[dict], ...]:
         eps_row, eps_col = [{} for _ in range(d)], [{} for _ in range(d)]
         for (m, c), prod in a.mult.items():
             v = ZERO
-            for k, x in prod.terms():  # eps(e_m e_c), summed over the product's terms
+            for k, x in prod:  # eps(e_m e_c), summed over the product's terms
                 if k in eps:
                     v += x * eps[k]
             if v:
@@ -456,7 +456,7 @@ def _weak_mult_rows(h: WeakHopfData, on_basis: bool):
         dpairs = h.scaled.delta_pairs(b)
         for i in indices:
             row_i, direct, split_a, split_b = eps_row[i], {}, {}, {}
-            for m, c in h.algebra.basis_product(i, b).terms():
+            for m, c in h.algebra.mult.get((i, b), ()):
                 addto(direct, n * c, rows[m])
             for p, q, v in dpairs:  # addto skips a zero coefficient
                 addto(split_a, v * row_i.get(p, ZERO), rows[q])
@@ -479,14 +479,14 @@ def _weak_mult_scan(h: WeakHopfData) -> tuple[Witness | None, Witness | None]:
 
 def _convolutions(h: WeakHopfData, j: int) -> tuple[dict, dict]:
     """n S(h_1) h_2 and n h_1 S(h_2) for h = e_j, as dicts."""
-    a, s = h.algebra, h.antipode
+    mult, s = h.algebra.mult, h.antipode
     src: dict[int, Fraction] = {}
     tgt: dict[int, Fraction] = {}
     for p, q, v in h.scaled.delta_pairs(j):
         for k, c in s.col_terms(p):
-            addto(src, v * c, a.basis_product(k, q).terms())
+            addto(src, v * c, mult.get((k, q), ()))
         for k, c in s.col_terms(q):
-            addto(tgt, v * c, a.basis_product(p, k).terms())
+            addto(tgt, v * c, mult.get((p, k), ()))
     return src, tgt
 
 
@@ -526,14 +526,13 @@ def integral_space(h: WeakHopfData, side: str) -> IntegralSpace:
     if side not in ("left", "right"):
         raise InputError("side must be 'left' or 'right'")
     a, d, left = h.algebra, h.dim, side == "left"
-    by_factor = a.product_index()[1 if left else 0]
+    by_factor = a.by_left if left else a.by_right
     sys_ = LinearSystem(d)
     for x in _integral_annihilators(h, left):
         rows: dict[int, dict[int, Fraction]] = {}
         for m, y in x.items():
             for c in by_factor[m]:
-                prod = a.basis_product(m, c) if left else a.basis_product(c, m)
-                for r, v in prod.terms():
+                for r, v in a.mult[(m, c) if left else (c, m)]:
                     addto(rows.setdefault(r, {}), y, ((c, v),))
         for r in sorted(rows):
             if rows[r]:
@@ -561,7 +560,7 @@ def _integral_annihilators(h: WeakHopfData, left: bool) -> list[dict[int, Fracti
             for b in basis:
                 y: dict[int, Fraction] = {}
                 for m, c in b.items():
-                    addto(y, c, (a.basis_product(s, m) if left else a.basis_product(m, s)).terms())
+                    addto(y, c, a.mult.get((s, m) if left else (m, s), ()))
                 if y:
                     ys.append(y)
     else:

@@ -134,11 +134,11 @@ class GroupoidData:
 def _groupoid_product(g: GroupoidData, labels: list[str] | None = None) -> AlgebraData:
     """The algebra of the groupoid: product composition-or-zero, unit the sum
     of identities, basis the morphisms (labelled by their names by default).
-    The n basis vectors are shared between the products."""
+    The n term tuples ``((k, 1),)`` are shared between the products."""
     n = g.num_morphisms
     if labels is None:
         labels = [m.name for m in g.morphisms]
-    basis = [Vec.basis(n, k) for k in range(n)]
+    basis = [((k, ONE),) for k in range(n)]
     mult = {(a, b): basis[k] for (a, b), k in g.compose.items()}
     unit = Vec(n, [(e, ONE) for e in g.identities.values()])
     return AlgebraData(n, labels, mult, unit)

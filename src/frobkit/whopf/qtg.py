@@ -148,7 +148,7 @@ def automorphism_action(
     for g, perm in enumerate(perms):
         if len(perm) != b.dim or set(perm) != set(range(b.dim)):
             raise InputError(f"perms[{g}] is not a permutation of range({b.dim})")
-    table = l.algebra.monomial_table()
+    table = l.algebra.monomial_table
     if table is None or len(table) != l.dim or any(len(row) != l.dim for row in table.values()):
         raise InputError("automorphism_action needs a group-algebra L")
     _, inv = _group_of(table)
@@ -234,7 +234,7 @@ class QTGInput:
         # idempotent2: e1 e2 = 1
         contracted: dict[int, Fraction] = {}
         for p, q, v in pairs:
-            addto(contracted, v, B.basis_product(p, q).terms())
+            addto(contracted, v, B.mult.get((p, q), ()))
         if Vec.adopt(dB, contracted) != B.unit:
             raise ConstructionError("idempotent2: e1 e2 != 1_B")
         # idempotent3: symmetry
@@ -303,7 +303,7 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
     basis_b, act_s = q.basis_b, q.act_s
     firsts = [[[tuple(B.mul(act_s[a2][u], basis_b[a1]).terms()) for a1 in range(dB)]
                for u in range(dL)] for a2 in range(dB)]
-    mids = [[tuple(L.algebra.basis_product(u, v).terms()) for v in range(dL)] for u in range(dL)]
+    mids = [[L.algebra.mult.get((u, v), ()) for v in range(dL)] for u in range(dL)]
     lasts = [[[tuple(B.mul(act, basis_b[b2]).terms()) for b2 in range(dB)] for act in by_v]
              for by_v in q.acts]
     comult_pairs = [L.comult_pairs(l) for l in range(dL)]
@@ -323,8 +323,7 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
                     for a, ca in first:
                         for l, cl in mids[u2][v1]:
                             addto(acc, c1 * c2 * ca * cl, last, (a * dL + l) * dB)
-            if acc:
-                mult[(p1, p2)] = Vec.adopt(dim, acc)
+            mult[(p1, p2)] = tuple(acc.items())
     unit = B.unit.tensor(L.unit).tensor(B.unit)
     algebra = AlgebraData(dim, labels, mult, unit)
 

@@ -65,10 +65,10 @@ def tensor_factors(cas: CasimirElement) -> tuple[dict, dict]:
 def casimir_times(a, by_q: dict, x: int) -> dict[int, Fraction]:
     d = a.dim
     acc: dict[int, Fraction] = {}
-    for q in a.product_index()[0][x]:
+    for q in a.by_right[x]:
         pv = by_q.get(q)
         if pv:
-            prod = a.mult[q, x].terms()
+            prod = a.mult[q, x]
             for p, v in pv:
                 addto(acc, v, prod, p * d)
     return acc
@@ -77,10 +77,10 @@ def casimir_times(a, by_q: dict, x: int) -> dict[int, Fraction]:
 def times_casimir(a, by_p: dict, x: int) -> dict[int, Fraction]:
     d = a.dim
     acc: dict[int, Fraction] = {}
-    for p in a.product_index()[1][x]:
+    for p in a.by_left[x]:
         qv = by_p.get(p)
         if qv:
-            prod = a.mult[x, p].terms()
+            prod = a.mult[x, p]
             for q, v in qv:
                 addto(acc, v, prod, q, d)
     return acc

@@ -621,6 +621,7 @@ MALFORMED_INPUTS = {
     "nsy_sweep_bound_zero": _argv("nsy", "sweep", "mmax=0"),
     "nsy_sweep_work_too_large": _argv("nsy", "sweep", "nmax=1", "lmax=10000", "mmax=1"),
     "nsy_dimension_too_large": _argv("nsy", "check", "n=1", "ell=1000000000", "m=1"),
+    "nsy_products_too_many": _argv("nsy", "check", "n=1", "ell=894", "m=1"),
     "qtg_B_size_not_an_integer": _argv("whopf", "qtg", "--B", "matrix:x"),
     "qtg_B_unknown_kind": _argv("whopf", "qtg", "--B", "bogus:2"),
     "qtg_without_B": _argv("whopf", "qtg"),
@@ -682,6 +683,10 @@ def test_groupoid_json_repeat_is_named(case, message, tmp_path, capsys):
         ("nsy_sweep_grid_too_large", "sweep grid has more than 10000 points"),
         ("nsy_sweep_work_too_large", "sweep grid sums dim^2 to more than 6250000"),
         ("nsy_dimension_too_large", "NSY algebra of dimension 1000000000 is above the bound 2500"),
+        (
+            "nsy_products_too_many",
+            "NSY algebra of dimension 894 multiplies 400065 basis pairs, more than 400000",
+        ),
         ("qtg_B_size_not_an_integer", "bad argument in 'matrix:x'"),
         ("qtg_B_unknown_kind", "expected one of matrix, cyclic, got 'bogus:2'"),
         ("qtg_without_B", "qtg needs --B matrix:D or --B cyclic:N"),
@@ -767,7 +772,7 @@ _BUILDERS = (
     "argv, pairs",
     [
         (["nsy", "check", "n=8", "ell=8", "m=6,6,6,6,6,6,6,6"], None),  # dim 2,304
-        (["nsy", "table", "n=1", "ell=2500", "m=1"], None),
+        (["nsy", "table", "n=1", "ell=893", "m=1"], None),  # 399,171 products
         (["nsy", "build", "n=1", "ell=2501", "m=1"], "NSY algebra of dimension 2501"),
         (["nsy", "delta", "n=2", "ell=1000000000", "m=1,1"], "NSY algebra of dimension 2000000000"),
         (["whopf", "group", "--cyclic", "632"], None),
@@ -792,6 +797,7 @@ _BUILDERS = (
             ["whopf", "qtg", "--L", "cyclic:7", "--B", "cyclic:10"],
             "quantum transformation groupoid (cyclic:7, cyclic:10) multiplies 490000",
         ),
+        (["nsy", "check", "n=1", "ell=894", "m=1"], "NSY algebra of dimension 894 multiplies 400065"),
     ],
 )
 def test_sources_are_sized_before_they_are_built(argv, pairs, capsys, monkeypatch):
@@ -807,7 +813,7 @@ def test_sources_are_sized_before_they_are_built(argv, pairs, capsys, monkeypatc
     else:
         code, out, err = run(capsys, *argv)
         assert (code, out, calls) == (2, "", [])
-        bound = "is above the bound 2500" if argv[0] == "nsy" else "basis pairs, more than 400000"
+        bound = "basis pairs, more than 400000" if "multiplies" in pairs else "is above the bound 2500"
         assert err == f"error: {pairs} {bound}\n"
 
 

@@ -72,9 +72,9 @@ def zero_comult(a: AlgebraData) -> ComultData:
 def unital_non_associative() -> AlgebraData:
     """Unit e_0 and e_1 e_1 = e_2, e_2 e_1 = e_1: (e_1 e_1) e_1 = e_1 but
     e_1 (e_1 e_1) = 0."""
-    e = [Vec.basis(3, k) for k in range(3)]
+    e = [((k, 1),) for k in range(3)]
     mult = {(0, k): e[k] for k in range(3)} | {(k, 0): e[k] for k in range(3)}
-    return AlgebraData(3, ["1", "a", "b"], {**mult, (1, 1): e[2], (2, 1): e[1]}, e[0])
+    return AlgebraData(3, ["1", "a", "b"], {**mult, (1, 1): e[2], (2, 1): e[1]}, Vec.basis(3, 0))
 
 
 NON_ASSOCIATIVE = {"kxk": non_associative_kxk, "unital": unital_non_associative}

@@ -164,7 +164,8 @@ def test_corrupted_mult_runs_the_scan(name, data):
     if data.draw(st.booleans()) and key in mult:
         del mult[key]
     else:
-        mult[key] = mult.get(key, Vec(d)) + Vec.basis(d, data.draw(st.integers(0, d - 1)))
+        prod = Vec(d, mult.get(key, ())) + Vec.basis(d, data.draw(st.integers(0, d - 1)))
+        mult[key] = tuple(prod.terms())
     broken = AlgebraData(d, a.labels, mult, a.unit)
     assume(not check_algebra(broken).passed)
     c = ComultData(broken, c.delta)
@@ -201,7 +202,7 @@ def non_associative_kxk() -> AlgebraData:
     """k x k with e_1 e_1 = e_0 + e_1 and 1 = e_0 + e_1: neither associative
     nor unital."""
     e0, e1 = Vec.basis(2, 0), Vec.basis(2, 1)
-    return AlgebraData(2, ["e0", "e1"], {(0, 0): e0, (1, 1): e0 + e1}, e0 + e1)
+    return AlgebraData(2, ["e0", "e1"], {(0, 0): ((0, 1),), (1, 1): ((0, 1), (1, 1))}, e0 + e1)
 
 
 def broken_kxk_comult() -> ComultData:
@@ -306,7 +307,7 @@ def test_product_outside_support_matches_reference(name, data):
     d = a.dim
     index = st.integers(0, d - 1)
     key = data.draw(st.tuples(index, index).filter(lambda key: key not in a.mult))
-    mult = {**a.mult, key: Vec.basis(d, data.draw(index))}
+    mult = {**a.mult, key: ((data.draw(index), 1),)}
     assert_matches_reference(ComultData(AlgebraData(d, a.labels, mult, a.unit), c.delta))
 
 

@@ -145,7 +145,7 @@ def reference_groupoid_product(g: GroupoidData, labels: list[str] | None = None)
     n = g.num_morphisms
     if labels is None:
         labels = [m.name for m in g.morphisms]
-    mult = {(a, b): Vec.basis(n, k) for (a, b), k in g.compose.items()}
+    mult = {(a, b): ((k, 1),) for (a, b), k in g.compose.items()}
     unit = Vec(n, [(e, ONE) for e in g.identities.values()])
     return AlgebraData(n, labels, mult, unit)
 

@@ -72,7 +72,7 @@ def _algebra_from_json(payload) -> AlgebraData:
     return AlgebraData(
         dim,
         [str(x) for x in labels],
-        {key: Vec(dim, e) for key, e in mult.items()},
+        {key: tuple(Vec(dim, e).terms()) for key, e in mult.items()},
         _vec_from_json(_field(payload, "unit"), dim, "unit"),
     )
 
@@ -110,7 +110,7 @@ def _mat_key(m: Mat):
 
 
 def _algebra_key(a: AlgebraData):
-    mult = [(key, _vec_key(v)) for key, v in a.mult.items()]
+    mult = [(key, [(k, type(x), x) for k, x in terms]) for key, terms in a.mult.items()]
     return a.dim, a.labels, mult, _vec_key(a.unit)
 
 

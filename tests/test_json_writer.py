@@ -51,7 +51,7 @@ def _algebra_to_json(a: AlgebraData) -> dict:
         "mult": [
             [i, j, k, scalar_to_str(v)]
             for (i, j) in sorted(a.mult)
-            for k, v in a.mult[(i, j)].items()
+            for k, v in sorted(a.mult[(i, j)])
         ],
         "unit": _vec_to_json(a.unit),
     }
@@ -163,8 +163,8 @@ def test_builders_match_reference_on_hand_built_mat():
 def test_builders_match_reference_on_hand_built_algebra():
     """Products listed out of order, with terms stored out of order."""
     h = Fraction(1, 2)
-    mult = {(2, 1): Vec(3, {2: h, 0: -3}), (0, 2): Vec(3, {1: h}),
-            (1, 1): Vec(3, {2: 1, 1: -h, 0: 2**70}), (0, 0): Vec(3, {0: 1})}
+    mult = {(2, 1): ((2, h), (0, -3)), (0, 2): ((1, h),),
+            (1, 1): ((2, 1), (1, -h), (0, 2**70)), (0, 0): ((0, 1),)}
     a = AlgebraData(3, ["x", "]\x00[", "y"], mult, Vec(3, {2: h, 0: 1}))
     assert new_algebra_to_json(a) == _algebra_to_json(a)
     assert new_algebra_to_json(a)["mult"][:2] == [[0, 0, 0, "1"], [0, 2, 1, "1/2"]]

@@ -59,7 +59,7 @@ def ref_nsy_build(p: NSYParams) -> AlgebraData:
             if y.i != end or y.r != x.s or x.j + y.j >= p.ell:
                 continue
             target = NSYBasisIndex(x.i, x.j + y.j, x.r, y.s)
-            mult[(p1, p2)] = Vec.basis(dim, pos[target])
+            mult[(p1, p2)] = ((pos[target], 1),)
     unit = Vec(
         dim,
         [

@@ -300,7 +300,7 @@ def test_qtg_nontrivial_automorphism_action():
 def _one_dim_weak_hopf(square: Vec) -> WeakHopfData:
     """Structure maps of k on one basis element x with x x = ``square``;
     the product is wrong on purpose, so nothing here is verified."""
-    alg = AlgebraData(1, ["x"], {(0, 0): square}, Vec.basis(1, 0))
+    alg = AlgebraData(1, ["x"], {(0, 0): tuple(square.terms())}, Vec.basis(1, 0))
     return WeakHopfData(alg, Mat(1, 1, [(0, 0, 1)]), Vec.basis(1, 0), Mat.identity(1))
 
 
@@ -672,7 +672,7 @@ def _per_pair_reference(q: QTGInput):
                         continue
                     add_tensor3(acc, c1 * c2, first, mid, last)
             if acc:
-                mult[(p1, p2)] = Vec.adopt(dim, acc)
+                mult[(p1, p2)] = tuple(acc.items())
 
     e_pairs = q.pairs
     delta_entries = []

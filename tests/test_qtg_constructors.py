@@ -52,7 +52,7 @@ def reference_separable_matrix_algebra(d: int) -> tuple[AlgebraData, Vec, Vec]:
     for (i, j), p in pos.items():
         for (k, l), q in pos.items():
             if j == k:
-                mult[(p, q)] = Vec.basis(dim, pos[(i, l)])
+                mult[(p, q)] = ((pos[(i, l)], ONE),)
     unit = Vec(dim, [(pos[(i, i)], ONE) for i in range(d)])
     algebra = AlgebraData(dim, labels, mult, unit)
     inv_d = Fraction(1, d)
@@ -73,7 +73,7 @@ def reference_separable_group_algebra(table: list[list[int]]) -> tuple[AlgebraDa
     n = len(table)
     ident, inv = _group_of(table)
     labels = [f"g{k}" for k in range(n)]
-    mult = {(a, b): Vec.basis(n, table[a][b]) for a in range(n) for b in range(n)}
+    mult = {(a, b): ((table[a][b], ONE),) for a in range(n) for b in range(n)}
     algebra = AlgebraData(n, labels, mult, Vec.basis(n, ident))
     inv_n = Fraction(1, n)
     e = Vec(n * n, [(g * n + inv[g], inv_n) for g in range(n)])

@@ -40,7 +40,7 @@ def visit_scan(c: ComultData) -> VerificationReport:
     """The pairwise failure scan of check_bimodule before the join, verbatim."""
     a = c.algebra
     d = a.dim
-    by_left = a.product_index()[1]
+    by_left = a.by_left
     cols_with_left: list[set[int]] = [set() for _ in range(d)]
     for j in range(d):
         for p, _, _ in c.delta_pairs(j):
@@ -99,7 +99,7 @@ def grouped(h: WeakHopfData) -> list[dict[int, list]]:
 def grouped_mult_row(h: WeakHopfData, x_pairs, x: Vec, grouped: list[dict]):
     """_mult_row before the join, verbatim."""
     a, d, n = h.algebra, h.dim, h.denom
-    mult, by_left = a.mult, a.product_index()[1]
+    mult, by_left = a.mult, a.by_left
     for j in range(d):
         acc: dict[int, Fraction] = {}
         for p, q, v in x_pairs:
@@ -107,12 +107,12 @@ def grouped_mult_row(h: WeakHopfData, x_pairs, x: Vec, grouped: list[dict]):
                 left = mult.get((p, p2))
                 if left is None or p2 not in grouped[j]:
                     continue
-                left_terms = left.terms()
+                left_terms = left
                 for q2, v2 in grouped[j][p2]:
                     right = mult.get((q, q2))
                     if right is not None:
                         for kl, vl in left_terms:
-                            addto(acc, v * v2 * vl, right.terms(), kl * d)
+                            addto(acc, v * v2 * vl, right, kl * d)
         rhs: dict[int, Fraction] = {}
         for k, c in a.mul(x, Vec.basis(d, j)).terms():
             addto(rhs, n * c, h.scaled.delta.col_terms(k))

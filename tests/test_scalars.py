@@ -89,8 +89,8 @@ def _mat_scalars(m: Mat):
 
 def _algebra_scalars(a):
     out = list(_vec_scalars(a.unit))
-    for vec in a.mult.values():
-        out += _vec_scalars(vec)
+    for terms in a.mult.values():
+        out += [x for _, x in terms]
     return out
 
 
@@ -145,7 +145,7 @@ def test_repeated_json_entries_sum_to_canonical_scalars():
     c = comult_from_json(_repeated("1/2", "1/2"))
     h = weak_hopf_from_json(_repeated("1/2", "1/2"))
     for x in (
-        c.algebra.mult[(0, 1)].get(1),
+        dict(c.algebra.mult[(0, 1)])[1],
         c.algebra.unit.get(1),
         c.delta.entry(3, 1),
         h.delta_wk.entry(3, 1),

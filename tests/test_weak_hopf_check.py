@@ -76,7 +76,7 @@ def add_delta_entry(h: WeakHopfData, row: int, col: int, value) -> WeakHopfData:
 def add_mult_entry(h: WeakHopfData, i: int, j: int, k: int, value) -> WeakHopfData:
     a = h.algebra
     mult = dict(a.mult)
-    mult[(i, j)] = a.basis_product(i, j) + Vec(a.dim, {k: value})
+    mult[(i, j)] = tuple((a.basis_product(i, j) + Vec(a.dim, {k: value})).terms())
     algebra = AlgebraData(a.dim, a.labels, mult, a.unit)
     return WeakHopfData(algebra, h.delta_wk, h.epsilon_wk, h.antipode)
 

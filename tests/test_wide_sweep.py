@@ -66,8 +66,8 @@ def table_associative(a) -> bool:
     d = a.dim
     zero = [-1] * (d + 1)
     table = [[-1] * (d + 1) for _ in range(d)] + [zero]
-    for (i, j), vec in a.mult.items():
-        ((k, v),) = vec.terms()
+    for (i, j), terms in a.mult.items():
+        ((k, v),) = terms
         assert v == 1
         table[i][j] = k
     for i in range(d):
