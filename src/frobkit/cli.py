@@ -490,7 +490,7 @@ def _load_json(path: str) -> dict:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

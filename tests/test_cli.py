@@ -405,6 +405,16 @@ def _set(field, index, value):
     return corrupt
 
 
+def _set_last(field, index, value=None):
+    """Set item ``index`` of a field's last entry to ``value``, or to the
+    algebra dimension when no value is given."""
+
+    def corrupt(payload):
+        payload[field][-1][index] = payload["dim"] if value is None else value
+
+    return corrupt
+
+
 def _set_values(field, *values):
     """Set the values of the first len(values) entries of a field."""
 
@@ -534,6 +544,12 @@ MALFORMED_INPUTS = {
     "verify_int_then_float_mult_value": _file_case(
         ["verify"], "nsy", _set_values("mult", 1, 1.0)
     ),
+    # well-formed files whose last entry sends its field off the bulk path
+    "verify_zero_denominator_delta_value": _file_case(
+        ["verify"], "nsy", _set_last("delta", 2, "1/0")
+    ),
+    "verify_mult_index_at_dim": _file_case(["verify"], "nsy", _set_last("mult", 2)),
+    "verify_unit_index_at_dim": _file_case(["verify"], "nsy", _set_last("unit", 0)),
     "whopf_short_delta_wk_entry": _file_case(["whopf", "check"], "whopf", _truncate("delta_wk")),
     "whopf_non_integer_delta_wk_index": _file_case(
         ["whopf", "check"], "whopf", _set("delta_wk", 0, "x")
@@ -706,10 +722,12 @@ def test_groupoid_json_repeat_is_named(case, message, tmp_path, capsys):
             "groupoid_pair_objects_too_large",
             f"pair groupoid on 100000 objects multiplies {100000**3} basis pairs, more than 400000",
         ),
+        ("verify_zero_denominator_delta_value", "bad rational literal '1/0': Fraction(1, 0)"),
+        ("verify_mult_index_at_dim", "index 4 out of range for dimension 4"),
+        ("verify_unit_index_at_dim", "index 4 out of range for dimension 4"),
         (
             "whopf_missing_file",
-            "cannot read {tmp}/missing.json: [Errno 2] No such file or directory: "
-            "'{tmp}/missing.json'",
+            "cannot read {tmp}/missing.json: No such file or directory",
         ),
         ("whopf_without_source", "whopf needs a source (groupoid, group, qtg, or a JSON file)"),
         ("whopf_check_without_file", "whopf check needs an input file"),

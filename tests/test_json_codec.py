@@ -1,12 +1,18 @@
 """Differential test of the algebra JSON decoder.
 
-``finalg`` decodes each field in one pass: it parses each distinct string
-literal once per call and builds the sparse columns directly.  The reference
-below is the earlier decoder, kept verbatim: it parses every entry into a
-list and hands the lists to the Vec, Mat and AlgebraData constructors, which
-admit every value again.  On valid payloads and on mutated ones, both must
-give equal objects with the same scalar type at every entry, or raise
-InputError with the same message.
+``finalg`` decodes each field on one of two paths.  A field in the shape
+the encoders write (lists of the right length, int indices in range,
+nonzero str literals, no key listed twice) is tested whole and built in
+bulk; any other field goes through the per-entry loop
+``finalg._entries_from_json``.  Both parse each distinct string literal
+once per call and build the sparse columns directly.  The reference below
+is the earlier decoder, kept verbatim: it parses every entry into a list and
+hands the lists to the Vec, Mat and AlgebraData constructors, which admit
+every value again.  On valid payloads and on mutated ones, including the
+SHAPE_EDITS that keep a field's shape but move it off the bulk path, both
+must give equal objects with the same scalar type at every entry, or raise
+InputError with the same message.  A spy on the per-entry loop pins which
+path each field takes.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from frobkit import finalg
 from frobkit.errors import InputError
 from frobkit.exactlin import Mat, Vec, scalar_from_str
 from frobkit.finalg import AlgebraData, ComultData, comult_from_json, comult_to_json
@@ -189,12 +196,65 @@ def _containers(node, path=()):
             yield from _containers(child, (*path, key))
 
 
+def _repeat(entries, n, bound):
+    entries.append(copy.deepcopy(entries[n]))
+
+
+def _value(v):
+    def edit(entries, n, bound):
+        entries[n][-1] = v
+
+    return edit
+
+
+def _at_bound(entries, n, bound):
+    entries[n][-2] = bound
+
+
+def _move_first(entries, n, bound):
+    entries.insert(0, entries.pop(n))
+
+
+# Edits of entry n of a field that keep the field a list of lists of the
+# right length: (edit, whether the field stays on the bulk path).  "2/4" is
+# a nonzero str literal, so it stays there beside "1/2", with an equal value.
+SHAPE_EDITS = {
+    "repeated_entry": (_repeat, False),
+    "zero_literal": (_value("0"), False),
+    "unreduced_literal": (_value("2/4"), True),
+    "integer_value": (_value(1), False),
+    "true_value": (_value(True), False),
+    "last_index_at_bound": (_at_bound, False),
+    "moved_out_of_order": (_move_first, True),
+}
+
+# the entry fields, and the bound of an entry's last index as a power of dim
+LAST_INDEX_POWER = {
+    "mult": 1, "unit": 1, "counit": 1, "delta": 2,
+    "delta_wk": 2, "epsilon_wk": 1, "antipode": 1,
+}
+
+
+def shape_edit(payload, field: str, edit: str, n: int) -> None:
+    SHAPE_EDITS[edit][0](payload[field], n, payload["dim"] ** LAST_INDEX_POWER[field])
+
+
 @st.composite
 def mutated(draw, payload):
-    """``payload`` with 1-4 edits: replace a value, or drop, duplicate or
-    truncate list items and dict keys."""
+    """``payload`` with 1-4 edits: replace a value, drop, duplicate or
+    truncate list items and dict keys, or make one of SHAPE_EDITS."""
     payload = copy.deepcopy(payload)
     for _ in range(draw(st.integers(1, 4))):
+        fields = [
+            f for f in LAST_INDEX_POWER
+            if isinstance(payload.get(f), list) and payload[f]
+        ]
+        if fields and type(payload.get("dim")) is int and draw(st.booleans()):
+            field = draw(st.sampled_from(fields))
+            n = draw(st.integers(0, len(payload[field]) - 1))
+            if isinstance(payload[field][n], list) and len(payload[field][n]) >= 2:
+                shape_edit(payload, field, draw(st.sampled_from(sorted(SHAPE_EDITS))), n)
+            continue
         path = draw(st.sampled_from(list(_containers(payload))))
         node = payload
         for key in path:
@@ -246,6 +306,49 @@ def test_mutated_nsy_payloads_decode_alike(data):
 def test_mutated_weak_hopf_payloads_decode_alike(weak_hopf_payloads, data):
     name = data.draw(st.sampled_from(sorted(weak_hopf_payloads)))
     assert_decodes_alike("weak_hopf", data.draw(mutated(weak_hopf_payloads[name])))
+
+
+@pytest.fixture
+def per_entry_fields(monkeypatch):
+    """The fields that finalg decodes entry by entry, in order."""
+    fields = []
+    loop = finalg._entries_from_json
+
+    def spy(raw, arity, field, literals):
+        fields.append(field)
+        return loop(raw, arity, field, literals)
+
+    monkeypatch.setattr(finalg, "_entries_from_json", spy)
+    return fields
+
+
+def test_written_payloads_take_the_bulk_path(weak_hopf_payloads, per_entry_fields):
+    for payload in NSY_PAYLOADS:
+        comult_from_json(payload)
+    for payload in weak_hopf_payloads.values():
+        weak_hopf_from_json(payload)
+    assert per_entry_fields == []
+
+
+SHAPE_EDIT_FIELDS = [
+    ("comult", "mult"), ("comult", "unit"), ("comult", "delta"), ("comult", "counit"),
+    ("weak_hopf", "mult"), ("weak_hopf", "delta_wk"),
+    ("weak_hopf", "epsilon_wk"), ("weak_hopf", "antipode"),
+]
+
+
+@pytest.mark.parametrize("edit", sorted(SHAPE_EDITS))
+@pytest.mark.parametrize("kind, field", SHAPE_EDIT_FIELDS)
+def test_shape_edit_takes_its_path(kind, field, edit, weak_hopf_payloads, per_entry_fields):
+    # the first NSY payload with a counit; the QTG data carry "1/2"
+    payload = copy.deepcopy(
+        next(p for p in NSY_PAYLOADS if "counit" in p)
+        if kind == "comult"
+        else weak_hopf_payloads["qtg_k_mat2"]
+    )
+    shape_edit(payload, field, edit, len(payload[field]) - 1)
+    assert_decodes_alike(kind, payload)
+    assert per_entry_fields == ([] if SHAPE_EDITS[edit][1] else [field])
 
 
 def _small(**fields) -> dict:
@@ -306,6 +409,11 @@ FAULT_ORDER = {
     "first_delta_fault_in_file_order": (
         _small(delta=[[0, 0, "1"], [1, 9, "1"], [2, 0, "1"]]),
         "entry (9, 1) out of range for 4x2",
+    ),
+    # a well-formed field reports its first bad literal in file order
+    "first_bad_literal_of_shaped_field": (
+        _small(delta=[[0, 0, "a"], [0, 1, "b"], [0, 2, "c"], [1, 0, "d"], [1, 3, "e"]]),
+        "bad rational literal 'a'",
     ),
     "bool_after_int": (_small(unit=[[0, 1], [1, True]]), "bad rational literal True"),
     "float_after_int": (_small(unit=[[0, 1], [1, 1.0]]), "bad rational literal 1.0"),
