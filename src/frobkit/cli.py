@@ -619,7 +619,7 @@ usage:
 
 def main(argv: list[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    if not args or args[0] in ("-h", "--help", "help"):
+    if not args or args[0] in ("-h", "--help", "help") or "--help" in args[1:]:
         sys.stdout.write(_USAGE.format(version=__version__))
         return 0 if args else 2
     cmd, rest = args[0], args[1:]

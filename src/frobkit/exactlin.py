@@ -39,7 +39,10 @@ rows fed to :class:`LinearSystem`.
 
 Likewise every row reduction goes through one elimination,
 :meth:`LinearSystem.add`: solving, kernels, ranks, inverses and
-invertibility are all read off its reduced rows.
+invertibility are all read off its reduced rows.  It eliminates and
+normalizes only the rows that need it (see :class:`LinearSystem`), and
+returns whether the system is still consistent, so the counit solve stops
+at the first contradictory row.
 """
 
 from __future__ import annotations
@@ -369,6 +372,21 @@ class LinearSystem:
     rows that hold column p, found through an index from each free column
     to the pivots whose rows may hold it; the reduced echelon form is
     unique, so the rows are those of a pass over every stored row.
+
+    :meth:`add` costs what its row needs.  An ``int`` entry is admitted
+    as it is, any other through :func:`_scalar`, and the stored pivots the
+    row meets are collected in the same pass; only a row that meets one is
+    sorted and eliminated.  A row left with one entry has no free column,
+    so it finds its pivot without ``min`` and adds nothing to the index.
+    The row is divided by its pivot and every value passed through
+    :func:`_scalar` again, except when the pivot is 1 and the row met no
+    pivot (its values and rhs are as admitted) or holds only ``int`` values
+    and rhs: elimination can leave an integral ``Fraction`` that this pass
+    turns back into an ``int``.  So the stored rows, their order and their
+    scalar types do not depend on which rows skip the pass.  ``add``
+    returns whether the system is still consistent; once a row has
+    contradicted the others it stays inconsistent, so a caller that only
+    needs to know whether a solution exists can stop at the first False.
     """
 
     def __init__(self, ncols: int):
@@ -379,47 +397,67 @@ class LinearSystem:
         self._users: dict[int, set[int]] = {}
         self._inconsistent = False
 
-    def add(self, coeffs: dict[int, Scalar], rhs=ZERO) -> None:
-        row = {}
+    def add(self, coeffs: dict[int, Scalar], rhs=ZERO) -> bool:
+        """Add the equation ``sum coeffs[c] x_c = rhs``; return whether the
+        system is still consistent."""
+        pivots, ncols = self._rows, self.ncols
+        row, hits = {}, []
         for c, v in coeffs.items():
-            v = _scalar(v)
+            if type(v) is not int:
+                v = _scalar(v)
             if v:
-                if not 0 <= c < self.ncols:
+                if not 0 <= c < ncols:
                     raise InputError(f"column {c} out of range")
                 row[c] = v
-        rhs = _scalar(rhs)
+                if c in pivots:
+                    hits.append(c)
+        if type(rhs) is not int:
+            rhs = _scalar(rhs)
         # Stored rows contain their pivot plus free columns only, so one pass
         # over the incoming row's pivot columns reduces it completely.
-        for p in sorted(c for c in row if c in self._rows):
-            f = row.get(p)
-            if not f:
-                continue
-            prow, prhs = self._rows[p]
-            addto(row, -f, prow.items())
-            rhs -= f * prhs
+        if hits:
+            hits.sort()
+            for p in hits:
+                f = row.get(p)
+                if not f:
+                    continue
+                prow, prhs = pivots[p]
+                addto(row, -f, prow.items())
+                rhs -= f * prhs
         if not row:
             if rhs:
                 self._inconsistent = True
-            return
-        p = min(row)
-        f = row[p]
-        # The one division: exact through Fraction, skipped for a unit pivot.
-        inv = f if f == 1 or f == -1 else 1 / Fraction(f)
-        row = {c: _scalar(v * inv) for c, v in row.items()}
-        rhs = _scalar(rhs * inv)
+            return not self._inconsistent
+        one = len(row) == 1
+        if one:
+            ((p, f),) = row.items()
+        else:
+            p = min(row)
+            f = row[p]
+        # A row that met no pivot holds admitted scalars, and so does an
+        # all-int one; with pivot 1 it is already normalized.
+        if f != 1 or hits and (
+            type(rhs) is not int or any(type(v) is not int for v in row.values())
+        ):
+            # The one division: exact through Fraction, skipped for a unit pivot.
+            inv = f if f == 1 or f == -1 else 1 / Fraction(f)
+            row = {c: _scalar(v * inv) for c, v in row.items()}
+            rhs = _scalar(rhs * inv)
         users = self._users
         touched = [p]
         for q in users.pop(p, ()):
-            qrow, qrhs = self._rows[q]
+            qrow, qrhs = pivots[q]
             g = qrow.get(p)
             if g is not None:  # None: column p cancelled out of row q earlier
-                self._rows[q] = (addto(dict(qrow), -g, row.items()), qrhs - g * rhs)
+                pivots[q] = (addto(dict(qrow), -g, row.items()), qrhs - g * rhs)
                 touched.append(q)
-        # row p and every changed row now hold at most the columns of row p
-        for c in row:
-            if c != p:
-                users.setdefault(c, set()).update(touched)
-        self._rows[p] = (row, rhs)
+        if not one:
+            # row p and every changed row now hold at most the columns of row p
+            for c in row:
+                if c != p:
+                    users.setdefault(c, set()).update(touched)
+        pivots[p] = (row, rhs)
+        return not self._inconsistent
 
     def add_matrix(self, a: Mat, b: Vec | None = None) -> None:
         if b is not None and b.dim != a.nrows:

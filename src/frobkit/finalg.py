@@ -807,7 +807,9 @@ def solve_counit(c: ComultData) -> Vec | None:
     is non-degenerate (A is finite-dimensional).  Then eps(a z) =
     eps(sum eps(a x_i) y_i) = eps(a) for every a, hence z = 1.  A counit is
     unique when it exists, for any linear Delta: eps'(x) = (eps (x) eps')
-    Delta(x) = eps(x), so a consistent system has rank d.  Raises
+    Delta(x) = eps(x), so a consistent system has rank d.  A row that
+    contradicts the rows before it decides "no counit": adding the later
+    rows cannot make the system consistent again.  Raises
     PreconditionError unless check_algebra passes and Delta is the bimodule
     map of X: the :func:`_delta_one` record is Casimir with no residual.
     """
@@ -820,7 +822,8 @@ def solve_counit(c: ComultData) -> Vec | None:
 def _counit_rows(a: AlgebraData, element: Vec) -> Vec | None:
     """The solution of (eps (x) id)X = 1 for X = ``element``, or None: d rows,
     row k with the coefficient of e_p (x) e_k in X at column p; see
-    :func:`solve_counit`."""
+    :func:`solve_counit`.  The first row that makes the system inconsistent
+    certifies that there is no solution, so the rows after it are not fed."""
     d = a.dim
     rows: dict[int, dict] = {}
     for t, v in element.terms():
@@ -829,8 +832,8 @@ def _counit_rows(a: AlgebraData, element: Vec) -> Vec | None:
     system = LinearSystem(d)
     for k in range(d):
         coeffs, rhs = rows.get(k, {}), a.unit.get(k)
-        if coeffs or rhs:
-            system.add(coeffs, rhs)
+        if (coeffs or rhs) and not system.add(coeffs, rhs):
+            return None
     return system.solution()
 
 

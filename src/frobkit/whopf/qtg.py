@@ -323,7 +323,8 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
                     for a, ca in first:
                         for l, cl in mids[u2][v1]:
                             addto(acc, c1 * c2 * ca * cl, last, (a * dL + l) * dB)
-            mult[(p1, p2)] = tuple(acc.items())
+            if acc:
+                mult[(p1, p2)] = tuple(acc.items())
     unit = B.unit.tensor(L.unit).tensor(B.unit)
     algebra = AlgebraData(dim, labels, mult, unit)
 

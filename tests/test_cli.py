@@ -40,6 +40,13 @@ def test_help(capsys):
     assert "frobkit" in out
 
 
+@pytest.mark.parametrize("argv", [["nsy", "--help"], ["whopf", "--help"], ["verify", "--help"]])
+def test_help_after_a_subcommand(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == cli._USAGE.format(version=cli.__version__)
+
+
 def _usage_flags() -> dict[str, set[str]]:
     """The flags each command's entries in the usage text name; an entry
     starts at '  frobkit CMD' and runs over its indented continuation lines."""

@@ -29,12 +29,15 @@ from frobkit.finalg import (
     CasimirElement,
     Classification,
     ComultData,
+    _counit_rows,
+    _delta_one,
     casimir_comult,
     check_algebra,
     classify,
     solve_counit,
 )
-from frobkit.nsy import nsy_delta, sweep_params
+from frobkit import finalg
+from frobkit.nsy import is_frobenius, nsy_delta, sweep_params
 from frobkit.whopf import frobenius_from_integral, integral_space
 
 
@@ -85,6 +88,44 @@ def test_nsy_sweep_matches_reference():
         c = nsy_delta(p)
         assert_matches_reference(c)
         assert_matches_reference(zero_comult(c.algebra))
+
+
+def full_counit_rows(a: AlgebraData, x: Vec) -> Vec | None:
+    """All d rows (eps (x) id)X = 1 of _counit_rows, none skipped."""
+    d = a.dim
+    rows: list[dict] = [{} for _ in range(d)]
+    for t, v in x.terms():
+        p, k = divmod(t, d)
+        rows[k][p] = v
+    sys_ = LinearSystem(d)
+    for k, coeffs in enumerate(rows):
+        rhs = a.unit.get(k)
+        if coeffs or rhs:
+            sys_.add(coeffs, rhs)
+    return sys_.solution()
+
+
+@pytest.mark.parametrize("p", sweep_params(3, 3, 2), ids=str)
+def test_counit_rows_stop_at_the_first_contradiction(p, monkeypatch):
+    """_counit_rows equals the solve of all d rows, no row is added after
+    the first one that returns False, and a None answer comes from such a
+    row.  A counit exists exactly on the Frobenius instances."""
+    c = nsy_delta(p)
+    x = _delta_one(c).x
+    returned = []
+
+    class Spy(LinearSystem):
+        def add(self, coeffs, rhs=ZERO):
+            assert all(returned), "row added after the system became inconsistent"
+            returned.append(super().add(coeffs, rhs))
+            return returned[-1]
+
+    monkeypatch.setattr(finalg, "LinearSystem", Spy)
+    eps = _counit_rows(c.algebra, x)
+    monkeypatch.undo()
+    assert eps == full_counit_rows(c.algebra, x)
+    assert (eps is not None) == is_frobenius(p)
+    assert returned and returned[-1] is (eps is not None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -312,3 +312,43 @@ def test_nsy_build_shares_one_term_tuple_per_basis_element():
     a = nsy_build(NSYParams(3, 4, (2, 1, 2)))
     assert len({id(t) for t in a.mult.values()}) <= a.dim
     assert all(len(t) == 1 and t[0][1] == 1 for t in itertools.islice(a.mult.values(), 50))
+
+
+# ------------------------------------------------------------ no empty products
+
+
+@pytest.fixture
+def handed_mults(monkeypatch):
+    """Every ``mult`` handed to AlgebraData while the test runs."""
+    seen = []
+    init = AlgebraData.__init__
+
+    def spy(self, dim, labels, mult, unit):
+        seen.append(dict(mult))
+        init(self, dim, labels, mult, unit)
+
+    monkeypatch.setattr(AlgebraData, "__init__", spy)
+    return seen
+
+
+def test_builders_hand_no_empty_product(handed_mults, qtg_instances):
+    """nsy_build, _groupoid_product, qtg_build and the JSON decoder store a
+    product only when it is nonzero: the constructor would drop an empty
+    one, but only after its per-term admission path.  nsy_build_oracle is
+    the independent reference and keeps its empties.  The per-entry decoder
+    also hands over a product whose entries cancel, so that the constructor
+    range-checks its pair (see test_json_codec)."""
+    for p in sweep_params(3, 3, 2):
+        nsy_build(p)
+    for g in GROUPOIDS.values():
+        _groupoid_product(g)
+    for q in {**qtg_instances, **_qtg_inputs()}.values():
+        qtg_build(q)
+    payload = comult_to_json(nsy_delta(NSYParams(2, 3, (2, 1))))
+    count = len(handed_mults)
+    comult_from_json(payload)  # the bulk path
+    payload["mult"].append(payload["mult"][0])  # a pair listed twice: the per-entry path
+    comult_from_json(payload)
+    assert len(handed_mults) == count + 2
+    for mult in handed_mults:
+        assert () not in mult.values()
