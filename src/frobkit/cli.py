@@ -491,13 +491,15 @@ def _load_json(path: str) -> dict:
                 text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"JSON parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    except ValueError as exc:  # e.g. an integer literal past the int-digit limit
+    except (ValueError, RecursionError) as exc:  # past the int-digit or nesting limit
         raise InputError(f"JSON parse error in {path}: {exc}") from None
 
 

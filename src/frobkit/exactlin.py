@@ -14,10 +14,12 @@ they enter (the vector, matrix and ``finalg.AlgebraData`` constructors,
 ``scale``, :func:`scalar_from_str`, the sum of a repeated entry in
 :func:`add_entry` and :meth:`LinearSystem.add`) and rejects anything else,
 such as floats or numpy integers that overflow silently.  The JSON decoder
-in ``finalg`` admits each value through :func:`scalar_from_str` and
-:func:`add_entry`, and wraps the dicts it built with :meth:`Vec.adopt` and
-:meth:`Mat.adopt`; so does the closed-form comultiplication in ``whopf.qtg``,
-which sums integer numerators and divides each entry once.  Sums and products of stored values need no division, so
+in ``finalg`` parses each distinct literal once through
+:func:`scalar_from_str`; it wraps a matrix field in the encoders' shape with
+:meth:`Mat.adopt` and hands every other field to the :class:`Vec` and
+:class:`Mat` constructors.  The closed-form comultiplication in ``whopf.qtg``
+sums integer numerators, divides each entry once and wraps the result with
+:meth:`Mat.adopt`.  Sums and products of stored values need no division, so
 they stay exact; a result that cancels to an integral ``Fraction`` becomes
 an ``int`` again when it passes through a constructor.  The one ``/`` in the
 package is the pivot division of :meth:`LinearSystem.add`, taken through

@@ -890,21 +890,19 @@ def classify(c: ComultData) -> Classification:
 #  "unit": [[k, "p/q"], ...], "delta": [[i, t, "p/q"], ...],
 #  "counit": [[k, "p/q"], ...]}
 # where t is a row-major flattened pair index and counit is optional.
-# Matrix entries are [column, row, "p/q"].  A field takes one of two paths
-# to the same object.  In the shape the encoders write (see _dumped: int
-# indices in range, nonzero str literals, no key listed twice, and for
-# "mult" no pair (i, j) listed twice) it is tested whole and then built in
-# bulk: a product as the one-term tuple ((k, c),), a matrix column by
-# setdefault.  Any other field goes entry by entry over _entries_from_json,
-# which raises InputError at the first malformed entry; range faults are
-# reported only after the whole field has parsed, zero values are dropped,
-# and repeated entries add up through add_entry (which admits their sum
-# again).  Each value is admitted once: scalar_from_str parses each distinct
-# string literal once per decode call, the built dicts become vectors and
-# matrices through Vec.adopt and Mat.adopt, and each product's terms a tuple
-# that AlgebraData passes through _scalar unchanged.  The encoders build
-# each field in one pass in sorted order (matrices by column, then row),
-# converting each distinct scalar once per call through _ScalarTexts.
+# Matrix entries are [column, row, "p/q"].  A "mult" or matrix field in the
+# shape the encoders write (see _dumped: int indices in range, nonzero str
+# literals, no key listed twice, and for "mult" no pair (i, j) listed twice)
+# is tested whole and then built in bulk: a product as the one-term tuple
+# ((k, c),), a matrix column by setdefault, wrapped by Mat.adopt.  Any other
+# field, and every vector field, is parsed whole by _entries_from_json,
+# which raises InputError at the first malformed entry, and then goes to the
+# Vec and Mat constructors (for "mult", one Vec per pair in order of first
+# listing), which raise at the first range fault, drop zero values and add
+# up repeated entries.  scalar_from_str parses each distinct string literal
+# once per decode call.  The encoders build each field in one pass in sorted
+# order (matrices by column, then row), converting each distinct scalar once
+# per call through _ScalarTexts.
 
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 # The C encoder runs only without indent; NUL as its item separator marks
@@ -1000,7 +998,7 @@ def _dumped(raw, arity: int, literals: dict) -> bool:
     """Whether ``raw`` is a list of lists of ``arity`` items, each ending in a
     str literal that parses to a nonzero scalar, as the encoders write it.
     Each new literal is parsed once into ``literals``; a bad one sends the
-    field to the per-entry loop, which raises for it in file order.  Callers
+    field to _entries_from_json, which raises for it in file order.  Callers
     test the indices and count the keys after the build."""
     if type(raw) is not list or not all(
         type(e) is list and len(e) == arity and type(e[-1]) is str for e in raw
@@ -1016,20 +1014,7 @@ def _dumped(raw, arity: int, literals: dict) -> bool:
 
 
 def _vec_from_json(raw, dim: int, field: str, literals: dict) -> Vec:
-    if dim >= 0 and _dumped(raw, 2, literals) and all(
-        type(k) is int and 0 <= k < dim for k, _ in raw
-    ):
-        e: dict[int, Scalar] = {k: literals[v] for k, v in raw}
-        if len(e) == len(raw):  # no index listed twice
-            return Vec.adopt(dim, e)
-    e, fault = {}, None
-    for (k, _), v in _entries_from_json(raw, 2, field, literals):
-        if not 0 <= k < dim:
-            fault = fault or (k, v)
-        elif v:
-            add_entry(e, k, v)
-    Vec(dim, [fault] if fault else None)  # raises for a negative dim or the first fault
-    return Vec.adopt(dim, e)
+    return Vec(dim, [(k, v) for (k, _), v in _entries_from_json(raw, 2, field, literals)])
 
 
 def _mat_to_json(m: Mat) -> list:
@@ -1038,27 +1023,17 @@ def _mat_to_json(m: Mat) -> list:
 
 
 def _mat_from_json(raw, nrows: int, ncols: int, field: str, literals: dict) -> Mat:
-    cols: dict[int, dict[int, Scalar]] = {}
     if _dumped(raw, 3, literals) and all(
         type(c) is int and type(r) is int and 0 <= c < ncols and 0 <= r < nrows
         for c, r, _ in raw
     ):
+        cols: dict[int, dict[int, Scalar]] = {}
         for c, r, v in raw:
             cols.setdefault(c, {})[r] = literals[v]
         if sum(map(len, cols.values())) == len(raw):  # no entry listed twice
             return Mat.adopt(nrows, ncols, cols)
-        cols = {}
-    fault = None
-    for (c, r, _), v in _entries_from_json(raw, 3, field, literals):
-        if not (0 <= r < nrows and 0 <= c < ncols):
-            fault = fault or (r, c, v)
-        elif v:
-            col = cols.setdefault(c, {})
-            add_entry(col, r, v)
-            if not col:
-                del cols[c]
-    Mat(nrows, ncols, [fault] if fault else None)  # raises for the first fault
-    return Mat.adopt(nrows, ncols, cols)
+    entries = _entries_from_json(raw, 3, field, literals)
+    return Mat(nrows, ncols, [(r, c, v) for (c, r, _), v in entries])
 
 
 def _algebra_to_json(a: AlgebraData) -> dict:
@@ -1089,18 +1064,11 @@ def _algebra_from_json(payload, literals: dict) -> AlgebraData:
     ):
         products = {(i, j): ((k, literals[v]),) for i, j, k, v in raw}
     if products is None or len(products) < len(raw):  # a pair listed twice
-        mult: dict[tuple[int, int], dict[int, Scalar]] = {}
-        faults: dict[tuple[int, int], tuple[int, Scalar]] = {}
+        mult: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
         for (i, j, k, _), v in _entries_from_json(raw, 4, "mult", literals):
-            e = mult.setdefault((i, j), {})
-            if not 0 <= k < dim:
-                faults.setdefault((i, j), (k, v))
-            elif v:
-                add_entry(e, k, v)
-        if faults:
-            # product vectors are admitted pair by pair, in order of first listing
-            Vec(dim, [faults[next(key for key in mult if key in faults)]])
-        products = {key: tuple(e.items()) for key, e in mult.items()}
+            mult.setdefault((i, j), []).append((k, v))
+        # product vectors are admitted pair by pair, in order of first listing
+        products = {key: tuple(Vec(dim, e).terms()) for key, e in mult.items()}
     return AlgebraData(
         dim,
         [str(x) for x in labels],

@@ -464,6 +464,25 @@ def _file_case(command, source, corrupt):
     return make
 
 
+# the three commands that read a JSON file
+_FILE_COMMANDS = {
+    "verify": lambda path: ["verify", path],
+    "whopf": lambda path: ["whopf", "check", path],
+    "groupoid": lambda path: ["whopf", "groupoid", "--json", path, "check"],
+}
+
+
+def _bytes_case(command, data: bytes):
+    """``command`` on a file holding exactly ``data``."""
+
+    def make(tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+        return _FILE_COMMANDS[command](str(path))
+
+    return make
+
+
 def _unknown_compose_name(payload):
     payload["compose"][0][2] = "nope"
 
@@ -659,7 +678,21 @@ MALFORMED_INPUTS = {
     "whopf_check_without_file": _argv("whopf", "check"),
     "whopf_unknown_operation": _argv("whopf", "group", "bogus", "--cyclic", "2"),
     "verify_without_file": _argv("verify"),
+    **{f"{c}_file_not_utf8": _bytes_case(c, b"\xff{}") for c in _FILE_COMMANDS},
+    **{
+        f"{c}_file_nested_100000_deep": _bytes_case(c, b"[" * 100_000 + b"]" * 100_000)
+        for c in _FILE_COMMANDS
+    },
 }
+
+NOT_UTF8 = (
+    "cannot read {tmp}/in.json: "
+    "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+)
+TOO_DEEP = (
+    "JSON parse error in {tmp}/in.json: "
+    "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+)
 
 
 Z2_GROUP = {
@@ -740,6 +773,8 @@ def test_groupoid_json_repeat_is_named(case, message, tmp_path, capsys):
         ("whopf_check_without_file", "whopf check needs an input file"),
         ("whopf_unknown_operation", "unknown whopf operation 'bogus'"),
         ("verify_without_file", "verify needs exactly one input file (or - for stdin)"),
+        *[(f"{c}_file_not_utf8", NOT_UTF8) for c in _FILE_COMMANDS],
+        *[(f"{c}_file_nested_100000_deep", TOO_DEEP) for c in _FILE_COMMANDS],
     ],
 )
 def test_malformed_input_message_is_pinned(case, message, tmp_path, capsys):

@@ -3,7 +3,9 @@
 Each case edits one spot of a valid payload (replaces a value, drops a key or
 a list item, duplicates or truncates a list) and runs the command on it.
 Whatever the edit, the command must end with exit 0, exit 1 from a failed
-check, or exit 2 with a one-line message, and never with a traceback.
+check, or exit 2 with a one-line message, and never with a traceback.  The
+byte-level cases edit the file text itself (a byte that is not UTF-8, or the
+payload nested in many lists), and must end in exit 2 with a one-line message.
 
 Replacement integers stay small: a mutated ``dim`` or index must not turn a
 payload into an expensive request.
@@ -91,10 +93,14 @@ def mutated(draw, name):
 
 
 def run_on(name, payload):
+    return run_on_bytes(name, json.dumps(payload).encode())
+
+
+def run_on_bytes(name, data: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        with open(path, "wb") as fh:
+            fh.write(data)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(COMMANDS[name](path))
@@ -132,6 +138,26 @@ def test_fuzz_whopf_check(payload):
 @FUZZ
 def test_fuzz_groupoid_json(payload):
     assert_total(*run_on("groupoid_json", payload))
+
+
+def assert_refused(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+@given(name=st.sampled_from(sorted(VALID)), data=st.data())
+@FUZZ
+def test_fuzz_byte_not_utf8(name, data):
+    text = json.dumps(VALID[name]).encode()
+    at = data.draw(st.integers(0, len(text)))
+    assert_refused(*run_on_bytes(name, text[:at] + b"\xff" + text[at:]))
+
+
+@given(name=st.sampled_from(sorted(VALID)), depth=st.integers(1, 100_000))
+@FUZZ
+def test_fuzz_nested_in_lists(name, depth):
+    text = json.dumps(VALID[name]).encode()
+    assert_refused(*run_on_bytes(name, b"[" * depth + text + b"]" * depth))
 
 
 def test_valid_payloads_pass():
