@@ -485,10 +485,11 @@ def _int_flag(flags: dict[str, str], name: str) -> int:
 def _load_json(path: str) -> dict:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -124,7 +124,8 @@ class AlgebraData:
     constructor admits each term once (i, j and k in range, c through
     ``_scalar``, no k twice in a product), drops zero terms and empty
     products, and in the same pass fills ``monomial_table`` (``{i: {j: k}}``
-    when every product is ``((k, 1),)``, else None), ``by_right[x]`` (the q
+    when every product is ``((k, 1),)``, else None; :meth:`generators` indexes
+    other one-term products ``((k, c),)`` itself), ``by_right[x]`` (the q
     with e_q e_x != 0) and ``by_left[x]`` (the p with e_x e_p != 0).
     Associativity and unitality are not assumed; run :func:`check_algebra`.
     Fields are never reassigned: the generating set of :meth:`generators`,
@@ -194,19 +195,24 @@ class AlgebraData:
         generators kept so far.  1 and the words span A; no associativity
         is assumed, so check_algebra can read the generators.
 
-        On a monomial table whose unit laws hold every word is one basis
-        element (e_g 1 = e_g), so W = span(1, e_R) for the set R of word
-        indices, closed under r -> table[g][r] for g in by_right[r].  Then
-        e_k lies in W iff k is in R, or k is in the unit's support and the
-        rest of that support lies in R: a combination a 1 + sum_R b_r e_r
-        equal to e_k with k outside R needs a != 0 and no unit term outside
-        R u {k}.  Any other algebra tracks W by one LinearSystem, closed under
-        left multiplication by the kept e_g, each basis vector of W times
-        each generator once."""
+        When the unit laws hold and every product is 0 or a nonzero multiple
+        of one basis element, so is every word (e_g 1 = e_g), and W =
+        span(1, e_R) for the set R of indices of nonzero words, closed under
+        r -> k for e_g e_r = c e_k, g in by_right[r].  Then e_k lies in W iff
+        k is in R, or k is in the unit's support and the rest of that support
+        lies in R: a combination a 1 + sum_R b_r e_r equal to e_k with k
+        outside R needs a != 0 and no unit term outside R u {k}.  The walk
+        reads monomial_table or the index {i: {j: k}} of mult.  Any other
+        table keeps the whole basis: no decision reads S when the unit laws
+        fail, and on a multi-term table the decisions only visit more rows."""
         if self._generators is None:
-            table = self.monomial_table
-            monomial = table is not None and all(c.passed for c in _unit_checks(self))
-            gens = self._monomial_generators(table) if monomial else self._span_generators()
+            table, mult = self.monomial_table, self.mult
+            if table is None and all(len(terms) == 1 for terms in mult.values()):
+                table = {}
+                for (i, j), ((k, _),) in mult.items():
+                    table.setdefault(i, {})[j] = k
+            walk = table is not None and all(c.passed for c in _unit_checks(self))
+            gens = self._monomial_generators(table) if walk else list(range(self.dim))
             self._generators, self._generator_set = gens, frozenset(gens)
         return self._generators
 
@@ -226,32 +232,6 @@ class AlgebraData:
                     words.add(r)
                     pending += [table[g][r] for g in by_right[r] if g in gens]
         return sorted(gens)
-
-    def _span_generators(self) -> list[int]:
-        d = self.dim
-        basis = [Vec.basis(d, k) for k in range(d)]
-        span, seen, words, gens = LinearSystem(d), set(), [], []
-
-        def close(pending: list[Vec]) -> None:  # W += pending, closed under the e_g
-            while pending and span.rank < d:
-                v = pending.pop()
-                if v.is_zero() or v in seen:
-                    continue
-                seen.add(v)
-                rank = span.rank
-                span.add(dict(v.terms()))
-                if span.rank > rank:
-                    words.append(v)
-                    pending += [self.mul(basis[g], v) for g in gens]
-
-        close([self.unit])
-        for k in range(d):
-            rank = span.rank
-            close([basis[k]])
-            if span.rank > rank:  # e_k = e_k 1 lies outside W: keep it
-                gens.append(k)
-                close([self.mul(basis[k], w) for w in words])
-        return gens
 
 
 class ComultData:
@@ -404,9 +384,7 @@ def _algebra_report(a: AlgebraData) -> VerificationReport:
     table = a.monomial_table
     # a monomial table is decided by the O(nnz) walk over the middles in S (all
     # when a unit law fails); on one that fails it, the d^3 scan gives the witness
-    if table is None or not _monomial_associative(
-        a, table, a.generators() if all(c.passed for c in units) else range(d)
-    ):
+    if table is None or not _monomial_associative(a, table, a.generators()):
         basis = [Vec.basis(d, k) for k in range(d)]
         zero, prods = Vec(d), {key: Vec.adopt(d, dict(terms)) for key, terms in a.mult.items()}
         for i, j, k in itertools.product(range(d), repeat=3):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ..errors import ConstructionError, InputError
 from ..exactlin import Mat, ONE, Vec
-from ..finalg import AlgebraData
+from ..finalg import AlgebraData, _field
 from .core import WeakHopfData, check_weak_hopf
 
 __all__ = [
@@ -265,10 +265,7 @@ def _names(entry, arity: int, name_index: dict, field: str) -> list[int]:
 
 
 def groupoid_from_json(payload: dict) -> GroupoidData:
-    try:
-        fields = [payload[k] for k in ("objects", "morphisms", "compose", "inv")]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"missing or malformed field: {exc}") from None
+    fields = [_field(payload, k) for k in ("objects", "morphisms", "compose", "inv")]
     if not all(isinstance(f, list) for f in fields):
         raise InputError("objects, morphisms, compose and inv must be lists")
     objects, morph_raw, comp_raw, inv_raw = fields

@@ -1,5 +1,6 @@
 """Command-line interface tests: golden output, exit codes, round trips."""
 
+import io
 import json
 import re
 
@@ -297,15 +298,39 @@ def test_verify_broken_bimodule_exit_one(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
-def test_verify_stdin(tmp_path, capsys, monkeypatch):
-    import io
+def _stdin(monkeypatch, data: bytes) -> None:
+    """Bytes on stdin, its text layer decoded as under the C locale."""
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stream)
 
+
+def test_verify_stdin(tmp_path, capsys, monkeypatch):
     path = tmp_path / "b.json"
     run(capsys, "nsy", "build", "n=2", "ell=2", "m=1,1", "--output", str(path))
-    monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+    _stdin(monkeypatch, path.read_bytes())
     code, out, _ = run(capsys, "verify", "-")
     assert code == 0
     assert "Frobenius" in out
+
+
+def test_verify_stdin_not_utf8(capsys, monkeypatch):
+    _stdin(monkeypatch, b"\xff{}")
+    message = "cannot read -: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert run(capsys, "verify", "-") == (2, "", f"error: {message}\n")
+
+
+def test_verify_stdin_reads_the_bytes_a_file_would(tmp_path, capsys, monkeypatch):
+    """An nsy build file with one 0xff byte in a label: stdin and the file
+    both exit 2, with the same message but for the name."""
+    path = tmp_path / "b.json"
+    run(capsys, "nsy", "build", "n=2", "ell=2", "m=1,1", "--output", str(path))
+    data = path.read_bytes().replace(b'"labels": [\n    "', b'"labels": [\n    "\xff', 1)
+    assert b"\xff" in data
+    path.write_bytes(data)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read {path}: ")
+    _stdin(monkeypatch, data)
+    assert run(capsys, "verify", "-") == (2, "", err.replace(str(path), "-", 1))
 
 
 def test_verify_malformed_json_exit_two(tmp_path, capsys):
@@ -583,6 +608,7 @@ MALFORMED_INPUTS = {
     "groupoid_unknown_compose_name": _groupoid_case(_unknown_compose_name),
     "groupoid_short_inv_entry": _groupoid_case(_short_inv),
     "groupoid_unhashable_objects": _groupoid_case(_unhashable_objects),
+    "groupoid_top_level_list": _bytes_case("groupoid", b'[{"objects": ["x"]}]'),
     "output_missing_directory": _missing_output_dir,
     "qtg_cyclic_zero_L": _argv("whopf", "qtg", "--L", "cyclic:0", "--B", "cyclic:2", "check"),
     "qtg_trivial_with_size": _argv("whopf", "qtg", "--L", "trivial:3", "--B", "cyclic:2", "check"),
@@ -773,6 +799,7 @@ def test_groupoid_json_repeat_is_named(case, message, tmp_path, capsys):
         ("whopf_check_without_file", "whopf check needs an input file"),
         ("whopf_unknown_operation", "unknown whopf operation 'bogus'"),
         ("verify_without_file", "verify needs exactly one input file (or - for stdin)"),
+        ("groupoid_top_level_list", "missing or malformed field: 'objects'"),
         *[(f"{c}_file_not_utf8", NOT_UTF8) for c in _FILE_COMMANDS],
         *[(f"{c}_file_nested_100000_deep", TOO_DEEP) for c in _FILE_COMMANDS],
     ],

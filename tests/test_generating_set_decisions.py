@@ -7,7 +7,8 @@ each against a test-local copy of the code it replaced.
   that are non-associative or fail a unit law, and (slow) on NSY d 900,
   k[Z/120], pair(24) and the QTG (trivial, M_4).
 - The generator walk, which now needs only the unit laws and visits
-  by_right[r], against the walk it replaced and the LinearSystem walk.
+  by_right[r], against the walk it replaced and the LinearSystem walk; a
+  table whose unit laws fail keeps the whole basis.
 - Coassociativity of a multiplicative Delta in check_weak_hopf, decided on
   the rows {1} u S, against check_coassoc and the reference report of
   test_weak_hopf_check, on multiplicative Deltas that are not coassociative.
@@ -166,10 +167,12 @@ def assert_algebra_report_matches(a: AlgebraData) -> None:
     assert json.dumps(report.to_json()) == json.dumps(expected.to_json())
     b = fresh(a)
     table = b.monomial_table
-    assert b.generators() == reference_generators(b)
     if units_hold(b):
+        assert b.generators() == reference_generators(b)
         assert b.generators() == old_monomial_generators(b, table)
         assert _monomial_associative(b, table, b.generators()) == monomial_associative(b, table)
+    else:
+        assert b.generators() == list(range(b.dim))
 
 
 @settings(max_examples=200, deadline=None)

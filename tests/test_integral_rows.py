@@ -6,16 +6,24 @@ basis of A_t (A_s).  Its kernel basis is compared with the all-basis
 reference of test_whopf on groupoid, group and QTG algebras up to dim 81; the
 two weak bialgebra identities the proof uses are checked on all basis pairs
 of the same algebras.  Data that fails the check keeps the all-basis rows.
-AlgebraData.generators on a monomial table is compared with a test-local
-copy of the LinearSystem walk, which still runs on every other algebra.
+AlgebraData.generators is compared with a test-local copy of the
+LinearSystem walk it replaced, on monomial tables, on their bases rescaled
+by signs and scalars, and on E(1); it builds no LinearSystem.  A table
+whose unit laws fail, or whose products are not one term each, keeps the
+whole basis, and the Casimir, bimodule and coassociativity checks of a
+multi-term table still agree with the naive references.
 """
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import conftest
 from frobkit import exactlin, finalg
 from frobkit.errors import InternalConsistencyError
 from frobkit.exactlin import LinearSystem, Mat, Vec, addto, rank_raising
-from frobkit.finalg import AlgebraData
+from frobkit.finalg import AlgebraData, CasimirElement, casimir_comult, check_casimir
 from frobkit.nsy import nsy_build, sweep_params
 from frobkit.whopf import (
     QTGInput,
@@ -40,7 +48,9 @@ from frobkit.whopf import (
 )
 from frobkit.whopf import core, qtg
 from counit_maps import epsilon_s_matrix, epsilon_t_matrix
+from test_delta_one import assert_matches_reference, casimir_basis, with_delta_entry
 from test_whopf import reference_integral_space
+from test_witness import naive_casimir, witness_tuple
 
 
 def _qtg_input(L, separable, perms=None) -> QTGInput:
@@ -188,18 +198,21 @@ def reference_generators(a: AlgebraData) -> list[int]:
     return gens
 
 
+def _refuse(*args):
+    raise AssertionError("generators() built a LinearSystem")
+
+
 @pytest.fixture
-def span_walks(monkeypatch):
-    """The algebras on which generators() ran the LinearSystem walk."""
-    walked = []
-    original = AlgebraData._span_generators
+def no_linear_system(monkeypatch):
+    """generators() may not build a LinearSystem: building one raises."""
+    monkeypatch.setattr(finalg, "LinearSystem", _refuse)
 
-    def spy(self):
-        walked.append(self)
-        return original(self)
 
-    monkeypatch.setattr(AlgebraData, "_span_generators", spy)
-    return walked
+def walked_generators(a: AlgebraData) -> list[int]:
+    """generators() of a fresh copy of ``a``, with no LinearSystem allowed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finalg, "LinearSystem", _refuse)
+        return _fresh(a).generators()
 
 
 def _fresh(a: AlgebraData) -> AlgebraData:
@@ -212,12 +225,11 @@ MONOMIAL_ALGEBRAS = [
 ]
 
 
-def test_monomial_walk_matches_the_span_walk(span_walks):
+def test_monomial_walk_matches_the_span_walk(no_linear_system):
     for a in MONOMIAL_ALGEBRAS:
         a = _fresh(a)
         assert a.monomial_table is not None and finalg.check_algebra(a).passed
         assert a.generators() == reference_generators(a), a.labels
-    assert span_walks == []
 
 
 def _kz2_with_basis_1_2g() -> AlgebraData:
@@ -231,17 +243,96 @@ def _kz2_with_basis_1_2g() -> AlgebraData:
     return AlgebraData(2, ["1", "2g"], mult, Vec.basis(2, 0))
 
 
-def test_non_monomial_algebra_runs_the_span_walk(span_walks):
+def test_scaled_one_term_table_runs_the_index_walk(no_linear_system):
     a = _kz2_with_basis_1_2g()
     assert a.monomial_table is None
     assert a.generators() == reference_generators(a) == [1]
-    assert span_walks == [a]
 
 
-def test_monomial_table_without_unit_law_runs_the_span_walk(span_walks):
-    """pair2 with the unit e_0 only: the unit laws fail, so no word shortcut."""
+def test_monomial_table_without_unit_law_keeps_the_basis(no_linear_system):
+    """pair2 with the unit e_0 only: the unit laws fail, so S is the basis."""
     b = CASES["pair2"].algebra
     a = AlgebraData(b.dim, b.labels, b.mult, Vec.basis(b.dim, 0))
     assert a.monomial_table is not None and not finalg.check_algebra(a).passed
-    assert a.generators() == reference_generators(a)
-    assert span_walks == [a]
+    assert a.generators() == list(range(a.dim))
+
+
+def sweedler() -> AlgebraData:
+    """E(1) on 1, g, x, gx: g^2 = 1, x^2 = 0 and xg = -gx, a signed table."""
+    mult = {(0, k): ((k, 1),) for k in range(4)}
+    mult.update({(k, 0): ((k, 1),) for k in range(1, 4)})
+    mult.update({
+        (1, 1): ((0, 1),), (1, 2): ((3, 1),), (1, 3): ((2, 1),),
+        (2, 1): ((3, -1),), (3, 1): ((2, -1),),
+    })
+    return AlgebraData(4, ["1", "g", "x", "gx"], mult, Vec.basis(4, 0))
+
+
+def test_sweedler_algebra_runs_the_index_walk(no_linear_system):
+    a = sweedler()
+    assert a.monomial_table is None and finalg.check_algebra(a).passed
+    assert a.generators() == reference_generators(a) == [1, 2]
+
+
+def kz3_on_1_g_h() -> AlgebraData:
+    """k[Z/3] on 1, g, h = g + g^2: g^2 = h - g, gh = hg = 1 - g + h and
+    h^2 = 2 + h, a table of multi-term products."""
+    gh = ((0, 1), (1, -1), (2, 1))
+    mult = {(0, k): ((k, 1),) for k in range(3)}
+    mult.update({(k, 0): ((k, 1),) for k in (1, 2)})
+    mult.update({(1, 1): ((1, -1), (2, 1)), (1, 2): gh, (2, 1): gh, (2, 2): ((0, 2), (2, 1))})
+    return AlgebraData(3, ["1", "g", "h"], mult, Vec.basis(3, 0))
+
+
+def test_multi_term_table_keeps_the_basis(no_linear_system):
+    a = kz3_on_1_g_h()
+    assert finalg.check_algebra(a).passed
+    assert a.generators() == [0, 1, 2]
+    assert reference_generators(a) == [1]
+
+
+def test_multi_term_table_decides_casimir_bimodule_and_coassociativity():
+    """A Casimir comultiplication of k[Z/3] on 1, g, h with one Delta entry
+    added anywhere: every check agrees with the naive references."""
+    a = kz3_on_1_g_h()
+    d = a.dim
+    x = Vec(d * d)
+    for b, v in zip(casimir_basis(a), (1, 2, -3, Fraction(1, 2))):
+        x = x + b.scale(v)
+    assert naive_casimir(CasimirElement(a, x)) is None
+    c = casimir_comult(CasimirElement(a, x))
+    assert_matches_reference(c)
+    for column in range(d):
+        for flat in range(d * d):
+            assert_matches_reference(with_delta_entry(c, column, flat, Fraction(-2)))
+    for flat in range(d * d):
+        cas = CasimirElement(a, x + Vec(d * d, {flat: 1}))
+        (result,) = check_casimir(cas).checks
+        assert witness_tuple(result) == naive_casimir(cas)
+
+
+RESCALED_BASES = {
+    **{f"groupoid_{k}": groupoid_algebra(g).algebra
+       for k, g in conftest.build_groupoid_fixture_set().items()},
+    **{f"kZ{n}": hopf_group_algebra(cyclic_group_table(n)).algebra for n in range(1, 7)},
+    **{f"nsy_{p.n}_{p.ell}_{p.mults}": nsy_build(p) for p in sweep_params(3, 3, 2)},
+}
+
+
+def rescaled(a: AlgebraData, c: list[Fraction]) -> AlgebraData:
+    """``a`` on the basis f_k = c_k e_k: f_i f_j = (c_i c_j / c_k) f_k for
+    e_i e_j = e_k, and 1 = sum_k (u_k / c_k) f_k."""
+    mult = {(i, j): tuple((k, v * c[i] * c[j] / c[k]) for k, v in terms)
+            for (i, j), terms in a.mult.items()}
+    unit = Vec(a.dim, {k: u / c[k] for k, u in a.unit.terms()})
+    return AlgebraData(a.dim, a.labels, mult, unit)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_rescaled_tables_run_the_index_walk(data):
+    a = RESCALED_BASES[data.draw(st.sampled_from(sorted(RESCALED_BASES)))]
+    scale = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3)])
+    b = rescaled(a, [data.draw(scale) for _ in range(a.dim)])
+    assert finalg.check_algebra(b).passed
+    assert walked_generators(b) == reference_generators(b) == walked_generators(a)
