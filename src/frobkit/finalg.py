@@ -121,12 +121,14 @@ class AlgebraData:
 
     ``mult`` maps a basis pair (i, j) to the term tuple ``((k, c), ...)`` of
     e_i e_j = sum c e_k; absent keys mean the product is zero.  The
-    constructor admits each term once (i, j and k in range, c through
-    ``_scalar``, no k twice in a product), drops zero terms and empty
-    products, and in the same pass fills ``monomial_table`` (``{i: {j: k}}``
-    when every product is ``((k, 1),)``, else None; :meth:`generators` indexes
-    other one-term products ``((k, c),)`` itself), ``by_right[x]`` (the q
-    with e_q e_x != 0) and ``by_left[x]`` (the p with e_x e_p != 0).
+    constructor copies ``mult`` whole and admits each term once (i, j and k
+    in range, c through ``_scalar``, no k twice in a product); only products
+    other than ``((k, c),)`` with a nonzero ``int`` c are rewritten in place,
+    zero terms dropped, or deleted when they cancel to empty.  The same pass
+    fills ``monomial_table`` (``{i: {j: k}}`` when every product is
+    ``((k, 1),)``, else None; :meth:`generators` indexes other one-term
+    products ``((k, c),)`` itself), ``by_right[x]`` (the q with e_q e_x != 0)
+    and ``by_left[x]`` (the p with e_x e_p != 0).
     Associativity and unitality are not assumed; run :func:`check_algebra`.
     Fields are never reassigned: the generating set of :meth:`generators`,
     the unit-law checks and the check_algebra report derive from them.
@@ -139,7 +141,7 @@ class AlgebraData:
             raise InputError(f"expected {dim} labels, got {len(labels)}")
         if unit.dim != dim:
             raise InputError("unit vector dimension mismatch")
-        clean: dict[tuple[int, int], tuple] = {}
+        clean: dict[tuple[int, int], tuple] = dict(mult)
         table: dict[int, dict[int, int]] | None = {}
         by_right, by_left = [[] for _ in range(dim)], [[] for _ in range(dim)]
         for key, terms in mult.items():
@@ -158,9 +160,10 @@ class AlgebraData:
                     kept[k] = _scalar(c)
                 terms = tuple((k, c) for k, c in kept.items() if c)
                 if not terms:
+                    del clean[key]
                     continue
+                clean[key] = terms
                 k, c = terms[0] if len(terms) == 1 else (-1, None)
-            clean[key] = terms
             by_right[j].append(i)
             by_left[i].append(j)
             if table is not None and c == ONE:

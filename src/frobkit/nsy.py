@@ -15,9 +15,11 @@ must agree constant-by-constant.
 
 The basis is ordered lexicographically in (i, j, r, s), so the X[i,j] form
 one m_i x m_{i+j} block each: with off[i][j] the position of X[i,j]^(0,0),
-X[i,j]^(r,s) sits at off[i][j] + r*m_{i+j} + s.  nsy_build and nsy_delta
-write every position from these offsets, and nsy_build visits only the
-nonzero products, never all d^2 basis pairs.
+X[i,j]^(r,s) sits at off[i][j] + r*m_{i+j} + s.  nsy_build, nsy_delta and
+counit_candidate walk the blocks and copies straight from these offsets;
+only basis_indices builds NSYBasisIndex objects, for ``nsy table`` and
+``nsy delta``.  nsy_build visits only the nonzero products, never all d^2
+basis pairs.
 
 The comultiplication makes every such algebra non-counital Frobenius; a counit
 exists exactly when m_i = m_{(i + ell - 1) % n} for all i, in which case it is
@@ -94,26 +96,29 @@ class PathBasisIndex(NamedTuple):
     r: int  # copy index at vertex i
 
 
-def _layout(p: NSYParams) -> tuple[list[list[int]], list[NSYBasisIndex]]:
+def _layout(p: NSYParams) -> tuple[list[list[int]], int]:
     """The block offsets ``off[i][j]``, the positions of X[i,j]^(0,0), and
-    the basis in canonical order: X[i,j]^(r,s) is at off[i][j] + r*m_{i+j} + s."""
-    off, basis = [], []
+    the dimension d: X[i,j]^(r,s) is at off[i][j] + r*m_{i+j} + s."""
+    off, dim = [], 0
     for i in range(p.n):
         off.append([])
         for j in range(p.ell):
-            off[i].append(len(basis))
-            mt = p.mult_at(i + j)
-            basis += [NSYBasisIndex(i, j, r, s) for r in range(p.mults[i]) for s in range(mt)]
-    return off, basis
+            off[i].append(dim)
+            dim += p.mults[i] * p.mult_at(i + j)
+    return off, dim
 
 
 def basis_indices(p: NSYParams) -> list[NSYBasisIndex]:
     """All basis labels in the canonical lexicographic (i, j, r, s) order."""
-    return _layout(p)[1]
+    return [NSYBasisIndex(i, j, r, s) for i in range(p.n) for j in range(p.ell)
+            for r in range(p.mults[i]) for s in range(p.mult_at(i + j))]
 
 
 def basis_label(idx: NSYBasisIndex) -> str:
-    return f"X[{idx.i},{idx.j}]^({idx.r},{idx.s})"
+    """X[i,j]^(r,s); nsy_build passes "{}" for r and s to get the template
+    of a whole block."""
+    i, j, r, s = idx
+    return f"X[{i},{j}]^({r},{s})"
 
 
 def nsy_dimension(p: NSYParams) -> int:
@@ -144,23 +149,29 @@ def nsy_build(p: NSYParams) -> AlgebraData:
     X[i,0]^(r,r).
 
     Only the nonzero products are visited: for x = X[i,j]^(r,s) they are
-    y = X[i+j,b]^(s,s') with b < ell-j, read off the block offsets of
-    ``_layout`` in ascending position of x, then of y.  Every product is a
-    basis element, and the d term tuples ``((k, 1),)`` are shared between them.
+    y = X[i+j,b]^(s,s') with b < ell-j, read block by block off the offsets
+    of ``_layout`` in ascending position of x, then of y, with each block's
+    labels formatted from one template.  Every product is a basis element, and
+    the d term tuples ``((k, 1),)`` are shared between them.
     """
-    off, basis = _layout(p)
-    dim, m, n = len(basis), p.mults, p.n
+    off, dim = _layout(p)
+    m, n, ell = p.mults, p.n, p.ell
     e = [((k, ONE),) for k in range(dim)]
-    mult = {}
-    for p1, (i, j, r, s) in enumerate(basis):
-        a = (i + j) % n
-        for b in range(p.ell - j):
-            mb = m[(a + b) % n]  # copies s' of y, and of the product
-            y, xy = off[a][b] + s * mb, off[i][j + b] + r * mb
-            for t in range(mb):
-                mult[(p1, y + t)] = e[xy + t]
+    mult, labels = {}, []
+    for i in range(n):
+        for j in range(ell):
+            a = (i + j) % n
+            copies = list(itertools.product(range(m[i]), range(m[a])))
+            labels += itertools.starmap(basis_label((i, j, "{}", "{}")).format, copies)
+            # the blocks X[a,b] of y and X[i,j+b] of xy, and the copies s' of both
+            rights = [(off[a][b], off[i][j + b], m[(a + b) % n]) for b in range(ell - j)]
+            for x, (r, s) in enumerate(copies, off[i][j]):
+                for y0, xy0, mb in rights:
+                    y, xy = y0 + s * mb, xy0 + r * mb
+                    for t in range(mb):
+                        mult[(x, y + t)] = e[xy + t]
     unit = Vec.adopt(dim, {off[i][0] + r * m[i] + r: ONE for i in range(n) for r in range(m[i])})
-    return AlgebraData(dim, [basis_label(b) for b in basis], mult, unit)
+    return AlgebraData(dim, labels, mult, unit)
 
 
 def path_basis(p: NSYParams) -> list[PathBasisIndex]:
@@ -266,8 +277,8 @@ def nsy_delta(p: NSYParams, algebra: AlgebraData | None = None) -> ComultData:
     """
     if algebra is None:
         algebra = nsy_build(p)
-    off, basis = _layout(p)
-    d, m, n = len(basis), p.mults, p.n
+    off, d = _layout(p)
+    m, n = p.mults, p.n
     cols: dict[int, dict] = {}
     for i in range(n):
         for j in range(p.ell):
@@ -289,10 +300,10 @@ def counit_candidate(p: NSYParams) -> Vec:
     This is a genuine counit exactly in the Frobenius case; applying it
     anyway to a non-Frobenius instance exhibits the counitality failure.
     """
-    basis = basis_indices(p)
-    return Vec.adopt(
-        len(basis), {k: ONE for k, idx in enumerate(basis) if idx.j == p.ell - 1 and idx.r == idx.s}
-    )
+    off, dim = _layout(p)
+    top = p.ell - 1
+    return Vec.adopt(dim, {off[i][top] + r * p.mult_at(i + top) + r: ONE
+                           for i in range(p.n) for r in range(min(p.mults[i], p.mult_at(i + top)))})
 
 
 def nsy_epsilon(p: NSYParams) -> Vec | None:

@@ -27,6 +27,7 @@ from frobkit.finalg import AlgebraData, comult_from_json, comult_to_json
 from frobkit.nsy import (
     NSYParams,
     _layout,
+    basis_indices,
     basis_label,
     nsy_build,
     nsy_build_oracle,
@@ -94,7 +95,7 @@ def assert_same_algebra(a: AlgebraData, dim: int, labels: list, mult: dict, unit
 
 
 def vec_nsy_build(p: NSYParams) -> tuple:
-    off, basis = _layout(p)
+    off, basis = _layout(p)[0], basis_indices(p)
     dim, m, n = len(basis), p.mults, p.n
     e = [Vec.adopt(dim, {k: ONE}) for k in range(dim)]
     mult = {}
