@@ -207,6 +207,8 @@ def _render(
 
 # ---------------------------------------------------------------- nsy
 
+_NSY_ACTIONS = ("build", "table", "delta", "counit", "check", "sweep")
+
 
 def _parse_nsy_params(tokens: list[str]) -> dict[str, str]:
     params = {}
@@ -236,8 +238,10 @@ def cmd_nsy(args: list[str]) -> int:
     positionals, flags = _split_args(args)
     _reject_foreign(flags, set(), "nsy")
     if not positionals:
-        raise InputError("nsy needs an action: build, table, delta, counit, check, sweep")
+        raise InputError(f"nsy needs an action: {', '.join(_NSY_ACTIONS)}")
     action, rest = positionals[0], positionals[1:]
+    if action not in _NSY_ACTIONS:
+        raise InputError(f"unknown nsy action {action!r}")
     params = _parse_nsy_params(rest)
     if action == "sweep":
         return _nsy_sweep(params, flags)
@@ -251,18 +255,12 @@ def cmd_nsy(args: list[str]) -> int:
         raise InputError(f"NSY algebra of dimension {dim} is above the bound {_MAX_NSY_DIM}")
     _bound_pairs(_nsy_products(p), f"NSY algebra of dimension {dim}")
 
-    if action == "build":
-        algebra = nsy_mod.nsy_build(p)
-        comult = nsy_mod.nsy_delta(p, algebra)
-        eps = nsy_mod.nsy_epsilon(p)
-        payload = comult_to_json_str(ComultData(algebra, comult.delta, eps))
-        _emit(payload, flags)
-        return 0
-
+    algebra = nsy_mod.nsy_build(p)
+    labels = algebra.labels
     fmt = flags["--format"]
     if action == "table":
-        labels = [nsy_mod.basis_label(b) for b in nsy_mod.basis_indices(p)]
-        cells = nsy_mod.multiplication_table(p)
+        rows = (algebra.monomial_table.get(x, {}) for x in range(dim))
+        cells = [[labels[row[y]] if y in row else "0" for y in range(dim)] for row in rows]
         if fmt == "json":
             text = dump_json({"labels": labels, "cells": cells})
         else:
@@ -270,13 +268,12 @@ def cmd_nsy(args: list[str]) -> int:
         _emit(text, flags)
         return 0
 
+    comult = nsy_mod.nsy_delta(p, algebra)
     if action == "delta":
+        cols = (comult.delta.col_terms(j) for j in range(dim))
         terms = {
-            nsy_mod.basis_label(idx): [
-                [nsy_mod.basis_label(l), nsy_mod.basis_label(r), "1"]
-                for l, r in nsy_mod.delta_terms(p, idx)
-            ]
-            for idx in nsy_mod.basis_indices(p)
+            x: [[labels[t // dim], labels[t % dim], scalar_to_str(v)] for t, v in col]
+            for x, col in zip(labels, cols)
         }
         if fmt == "json":
             text = dump_json({"delta": terms})
@@ -289,23 +286,26 @@ def cmd_nsy(args: list[str]) -> int:
         _emit(text, flags)
         return 0
 
+    if action == "build":
+        eps = nsy_mod.nsy_epsilon(p)
+        _emit(comult_to_json_str(ComultData(algebra, comult.delta, eps)), flags)
+        return 0
+
     params_json = {"n": p.n, "ell": p.ell, "m": list(p.mults)}
     if action == "counit":
-        algebra = nsy_mod.nsy_build(p)
-        comult = nsy_mod.nsy_delta(p, algebra)
         eps = solve_counit(comult)
         if eps is None:
             lines = ["counit: none"]
             cand = nsy_mod.counit_candidate(p)
             for j, lcol, rcol in counit_failures(comult, cand):
                 lines.append(
-                    f"closed-form candidate fails at {algebra.labels[j]}: "
-                    f"(eps(x)id)Delta = {_fmt_vec(lcol, algebra.labels)}, "
-                    f"(id(x)eps)Delta = {_fmt_vec(rcol, algebra.labels)}"
+                    f"closed-form candidate fails at {labels[j]}: "
+                    f"(eps(x)id)Delta = {_fmt_vec(lcol, labels)}, "
+                    f"(id(x)eps)Delta = {_fmt_vec(rcol, labels)}"
                 )
                 break
         else:
-            lines = [f"counit: {_fmt_vec(eps, algebra.labels)}"]
+            lines = [f"counit: {_fmt_vec(eps, labels)}"]
         fields = {
             "params": params_json,
             "counit": None if eps is None else _vec_to_json(eps),
@@ -314,16 +314,11 @@ def cmd_nsy(args: list[str]) -> int:
         }
         return _render(flags, "nsy counit", None, fields, lines=lines)
 
-    if action == "check":
-        algebra = nsy_mod.nsy_build(p)
-        comult = nsy_mod.nsy_delta(p, algebra)
-        outcome = classify_report(comult)
-        cls = outcome.classification.value
-        fields = {"params": params_json, "dim": algebra.dim, "classification": cls}
-        report = outcome.report.merged(check_casimir_of_delta(comult))
-        return _render(flags, "nsy check", None, fields, report, [f"classification: {cls}"])
-
-    raise InputError(f"unknown nsy action {action!r}")
+    outcome = classify_report(comult)  # action == "check"
+    cls = outcome.classification.value
+    fields = {"params": params_json, "dim": dim, "classification": cls}
+    report = outcome.report.merged(check_casimir_of_delta(comult))
+    return _render(flags, "nsy check", None, fields, report, [f"classification: {cls}"])
 
 
 def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:

@@ -17,16 +17,16 @@ The basis is ordered lexicographically in (i, j, r, s), so the X[i,j] form
 one m_i x m_{i+j} block each: with off[i][j] the position of X[i,j]^(0,0),
 X[i,j]^(r,s) sits at off[i][j] + r*m_{i+j} + s.  nsy_build, nsy_delta and
 counit_candidate walk the blocks and copies straight from these offsets;
-only basis_indices builds NSYBasisIndex objects, for ``nsy table`` and
-``nsy delta``.  nsy_build visits only the nonzero products, never all d^2
+only basis_indices builds NSYBasisIndex objects, for the independent
+nsy_build_oracle.  nsy_build visits only the nonzero products, never all d^2
 basis pairs.
 
 The comultiplication makes every such algebra non-counital Frobenius; a counit
 exists exactly when m_i = m_{(i + ell - 1) % n} for all i, in which case it is
 eps(X[i,j]^(r,s)) = [j == ell-1][r == s].
 
-This module holds only constructions and data (product cells, Delta terms,
-labels); every table is rendered by ``frobkit.cli``.
+This module holds only constructions and data; ``frobkit.cli`` renders every
+table from the labels and products of nsy_build and the columns of nsy_delta.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ __all__ = [
     "nsy_delta",
     "counit_candidate",
     "nsy_epsilon",
-    "multiplication_table",
-    "delta_terms",
     "sweep_params",
 ]
 
@@ -237,24 +235,6 @@ def nsy_build_oracle(p: NSYParams) -> AlgebraData:
     return AlgebraData(dim, [basis_label(x) for x in basis], mult, unit)
 
 
-def delta_terms(
-    p: NSYParams, idx: NSYBasisIndex
-) -> list[tuple[NSYBasisIndex, NSYBasisIndex]]:
-    """Tensor terms of Delta(X[i,j]^(r,s)), each with coefficient 1.
-
-    Delta(X[i,j]^(r,s)) sums X[i,j+k]^(r,t) (x) X[i+j+k-ell+1, ell-1-k]^(t',s)
-    over 0 <= k <= ell-1-j, where t runs over the copies at vertex i+j+k and
-    t' over the copies at vertex i+j+k-ell+1; when those two multiplicities
-    are equal only the diagonal t = t' survives, otherwise all pairs appear.
-    """
-    i, j, r, s = idx
-    return [
-        (NSYBasisIndex(i, jl, r, t), NSYBasisIndex(v, jr, t2, s))
-        for jl, v, jr, pairs in _delta_blocks(p, i, j)
-        for t, t2 in pairs
-    ]
-
-
 def _delta_blocks(p: NSYParams, i: int, j: int):
     """The terms of Delta(X[i,j]^(r,s)) by k, as the path lengths j+k and
     ell-1-k, the right start vertex v and the copy pairs (t, t'); these do
@@ -272,8 +252,13 @@ def _delta_blocks(p: NSYParams, i: int, j: int):
 def nsy_delta(p: NSYParams, algebra: AlgebraData | None = None) -> ComultData:
     """The non-counital Frobenius comultiplication; counit left empty.
 
-    Column X[i,j]^(r,s) holds the terms of :func:`delta_terms` in order, at
-    rows written from the block offsets of ``_layout``, each with coefficient 1.
+    Delta(X[i,j]^(r,s)) sums X[i,j+k]^(r,t) (x) X[i+j+k-ell+1, ell-1-k]^(t',s)
+    over 0 <= k <= ell-1-j, where t runs over the copies at vertex i+j+k and
+    t' over the copies at vertex i+j+k-ell+1; when those two multiplicities
+    are equal only the diagonal t = t' survives, otherwise all pairs appear.
+    Column X[i,j]^(r,s) holds these terms in that order (k, then t, then t'),
+    at rows written from the block offsets of ``_layout``, each with
+    coefficient 1.
     """
     if algebra is None:
         algebra = nsy_build(p)
@@ -309,17 +294,6 @@ def counit_candidate(p: NSYParams) -> Vec:
 def nsy_epsilon(p: NSYParams) -> Vec | None:
     """The counit when the algebra is Frobenius, else None."""
     return counit_candidate(p) if is_frobenius(p) else None
-
-
-def multiplication_table(p: NSYParams) -> list[list[str]]:
-    """Product table cells in canonical order; each cell a label or "0".
-    Every nonzero product of nsy_build is one basis element with
-    coefficient 1, so the cells are read off its monomial table."""
-    alg = nsy_build(p)
-    return [
-        [alg.labels[row[j]] if j in row else "0" for j in range(alg.dim)]
-        for row in (alg.monomial_table.get(i, {}) for i in range(alg.dim))
-    ]
 
 
 def sweep_params(nmax: int, lmax: int, mmax: int) -> list[NSYParams]:

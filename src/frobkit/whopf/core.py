@@ -118,10 +118,7 @@ __all__ = [
     "integral_space",
     "is_hopf",
     "iterated_comult",
-    "phi_map",
-    "phi_prime_map",
     "psi_map",
-    "source_subalgebra_basis",
     "target_subalgebra_basis",
     "weak_hopf_from_json",
     "weak_hopf_to_json",
@@ -204,10 +201,6 @@ def _counital_map(h: WeakHopfData, x: Vec, which: int) -> Vec:
     for j, c in x.terms():
         addto(acc, c, _counital_terms(h)[which][j].items())
     return Vec.adopt(h.dim, acc).scale(Fraction(1, h.denom))
-
-
-def source_subalgebra_basis(h: WeakHopfData) -> list[Vec]:
-    return [Vec.adopt(h.dim, c).scale(Fraction(1, h.denom)) for c in _counital_basis(h, 2)]
 
 
 def target_subalgebra_basis(h: WeakHopfData) -> list[Vec]:
@@ -580,18 +573,6 @@ def psi_map(h: WeakHopfData, lam: Vec) -> Mat:
     dual basis."""
     d = h.dim
     return Mat(d, d, [(p, q, v) for p, q, v in h.comult_pairs_of(lam)])
-
-
-def phi_map(h: WeakHopfData, lam: Vec) -> Mat:
-    """Matrix of Phi_L : phi -> phi(L_1) S(L_2)."""
-    d = h.dim
-    return Mat(d, d, [(t % d, t // d, v) for t, v in _l1_s_l2(h, lam).items()])
-
-
-def phi_prime_map(h: WeakHopfData, lam: Vec) -> Mat:
-    """Matrix of Phi'_L : phi -> L_1 phi(S(L_2)), the transpose of Phi_L."""
-    d = h.dim
-    return Mat(d, d, [(t // d, t % d, v) for t, v in _l1_s_l2(h, lam).items()])
 
 
 def _l1_s_l2(h: WeakHopfData, lam: Vec) -> dict[int, Fraction]:

@@ -37,7 +37,6 @@ __all__ = [
     "group_groupoid",
     "pair_groupoid",
     "connected_groupoid",
-    "groupoid_to_json",
     "groupoid_from_json",
 ]
 
@@ -230,24 +229,6 @@ def group_groupoid(table: list[list[int]]) -> GroupoidData:
 def pair_groupoid(num_objects: int) -> GroupoidData:
     """Exactly one morphism between every ordered pair of objects."""
     return connected_groupoid(num_objects, cyclic_group_table(1))
-
-
-def groupoid_to_json(g: GroupoidData) -> dict:
-    return {
-        "objects": list(g.objects),
-        "morphisms": [
-            {"id": m.name, "src": g.objects[m.src], "tgt": g.objects[m.tgt]}
-            for m in g.morphisms
-        ],
-        "compose": sorted(
-            [g.morphisms[a].name, g.morphisms[b].name, g.morphisms[k].name]
-            for (a, b), k in g.compose.items()
-        ),
-        "inv": [
-            [g.morphisms[a].name, g.morphisms[g.inv[a]].name]
-            for a in range(g.num_morphisms)
-        ],
-    }
 
 
 def _lookup(index: dict, key, what: str) -> int:

@@ -14,13 +14,13 @@ from frobkit.finalg import comult_from_json, comult_to_json_str, counit_failures
 from frobkit.nsy import basis_indices, basis_label
 from frobkit.whopf import (
     groupoid_algebra,
-    groupoid_to_json,
     integral_space,
     pair_groupoid,
     weak_hopf_from_json,
     weak_hopf_to_json,
     weak_hopf_to_json_str,
 )
+from test_whopf import groupoid_to_json, non_associative_groupoid
 
 
 def run(capsys, *args):
@@ -683,6 +683,9 @@ MALFORMED_INPUTS = {
     "nsy_parameter_not_an_integer": _argv("nsy", "check", "n=x", "ell=2", "m=1,1"),
     "nsy_without_action": _argv("nsy"),
     "nsy_unknown_action": _argv("nsy", "bogus", "n=2", "ell=2", "m=1,1"),
+    # the action is named before the parameters are parsed
+    "nsy_misspelled_action_without_parameters": _argv("nsy", "biuld"),
+    "nsy_misspelled_action_with_unknown_parameter": _argv("nsy", "biuld", "foo=1"),
     "nsy_unknown_parameter": _argv("nsy", "check", "n=2", "ell=2", "m=1,1", "k=3"),
     "nsy_sweep_unknown_parameter": _argv("nsy", "sweep", "k=3"),
     "nsy_sweep_bound_not_an_integer": _argv("nsy", "sweep", "nmax=x"),
@@ -758,6 +761,8 @@ def test_groupoid_json_repeat_is_named(case, message, tmp_path, capsys):
         ),
         ("nsy_without_action", "nsy needs an action: build, table, delta, counit, check, sweep"),
         ("nsy_unknown_action", "unknown nsy action 'bogus'"),
+        ("nsy_misspelled_action_without_parameters", "unknown nsy action 'biuld'"),
+        ("nsy_misspelled_action_with_unknown_parameter", "unknown nsy action 'biuld'"),
         ("nsy_unknown_parameter", "unknown parameters: k"),
         ("nsy_sweep_unknown_parameter", "unknown parameters: k"),
         ("nsy_sweep_bound_not_an_integer", "sweep bounds must be integers"),
@@ -953,8 +958,6 @@ def test_whopf_one_extra_argument(argv, tmp_path, capsys):
 def test_groupoid_json_non_associative(tmp_path, capsys):
     """Associativity of groupoid JSON is decided by the weak Hopf check of
     its algebra, which names the failed axiom."""
-    from test_whopf import non_associative_groupoid
-
     path = tmp_path / "loop.json"
     path.write_text(json.dumps(groupoid_to_json(non_associative_groupoid())))
     code, out, err = run(capsys, "whopf", "groupoid", "--json", str(path), "check")

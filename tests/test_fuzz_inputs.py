@@ -21,7 +21,8 @@ import tempfile
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from frobkit.cli import main
-from frobkit.whopf import groupoid_algebra, groupoid_to_json, pair_groupoid, weak_hopf_to_json
+from frobkit.whopf import groupoid_algebra, pair_groupoid, weak_hopf_to_json
+from test_whopf import groupoid_to_json
 
 
 def _nsy_payload():

@@ -1,5 +1,9 @@
 """NSY algebra tests: dimensions, golden multiplication tables, golden
-comultiplications, the counit dichotomy, and the path-model oracle."""
+comultiplications, the counit dichotomy, and the path-model oracle.
+
+The tables and Delta terms are read the way ``nsy table`` and ``nsy delta``
+read them: off the products of nsy_build and the columns of nsy_delta,
+through the labels."""
 
 import itertools
 
@@ -25,9 +29,7 @@ from frobkit.nsy import (
     basis_indices,
     basis_label,
     counit_candidate,
-    delta_terms,
     is_frobenius,
-    multiplication_table,
     nakayama_permutation,
     nsy_build,
     nsy_build_oracle,
@@ -46,6 +48,32 @@ X = NSYBasisIndex
 
 def pos_of(p, idx):
     return basis_indices(p).index(idx)
+
+
+def built_cells(p):
+    """The product table of nsy_build: each cell the label of the product,
+    or "0"; every nonzero product is one basis element with coefficient 1."""
+    alg = nsy_build(p)
+    cells = [["0"] * alg.dim for _ in range(alg.dim)]
+    for (x, y), terms in alg.mult.items():
+        ((k, c),) = terms
+        assert c == 1
+        cells[x][y] = alg.labels[k]
+    return cells
+
+
+def delta_columns(p):
+    """Delta of each basis element as its (left, right) index pairs, in
+    column order: the nsy_delta columns read through the labels."""
+    comult = nsy_delta(p)
+    labels, d = comult.algebra.labels, comult.algebra.dim
+    index = {basis_label(b): b for b in basis_indices(p)}
+    out = {}
+    for j, x in enumerate(labels):
+        terms = list(comult.delta.col_terms(j))
+        assert all(v == 1 for _, v in terms)
+        out[index[x]] = [(index[labels[t // d]], index[labels[t % d]]) for t, _ in terms]
+    return out
 
 
 def test_params_validation():
@@ -102,13 +130,13 @@ def _table_from_positions(params, table):
 
 
 def test_golden_table_22_11():
-    assert multiplication_table(P22_11) == _table_from_positions(
+    assert built_cells(P22_11) == _table_from_positions(
         P22_11, golden.TABLE_22_11
     )
 
 
 def test_golden_table_22_21():
-    assert multiplication_table(P22_21) == _table_from_positions(
+    assert built_cells(P22_21) == _table_from_positions(
         P22_21, golden.TABLE_22_21
     )
 
@@ -156,24 +184,28 @@ def test_unitality_b43_1122():
 
 
 def test_golden_delta_22_11():
+    got = delta_columns(P22_11)
     for idx, expected in DELTA_22_11.items():
-        assert sorted(delta_terms(P22_11, idx)) == sorted(expected)
+        assert sorted(got[idx]) == sorted(expected)
 
 
 def test_golden_delta_22_21_all_nine():
     assert len(DELTA_22_21) == 9
+    got = delta_columns(P22_21)
     for idx, expected in DELTA_22_21.items():
-        assert sorted(delta_terms(P22_21, idx)) == sorted(expected), idx
+        assert sorted(got[idx]) == sorted(expected), idx
 
 
 def test_golden_delta_43_1212():
+    got = delta_columns(P43_1212)
     for idx, expected in golden.DELTA_43_1212.items():
-        assert sorted(delta_terms(P43_1212, idx)) == sorted(expected)
+        assert sorted(got[idx]) == sorted(expected)
 
 
 def test_golden_delta_43_1122():
+    got = delta_columns(P43_1122)
     for idx, expected in golden.DELTA_43_1122.items():
-        assert sorted(delta_terms(P43_1122, idx)) == sorted(expected)
+        assert sorted(got[idx]) == sorted(expected)
 
 
 def test_epsilon_golden_22_11():
@@ -296,6 +328,8 @@ def test_ell_one_gives_product_of_matrix_algebras():
 def test_all_ones_multiplicities_simplified_delta():
     for n, ell in [(2, 2), (3, 2), (3, 3), (4, 3)]:
         p = NSYParams(n, ell, (1,) * n)
+        got = delta_columns(p)
+        assert list(got) == basis_indices(p)
         for idx in basis_indices(p):
             expected = [
                 (
@@ -304,7 +338,7 @@ def test_all_ones_multiplicities_simplified_delta():
                 )
                 for k in range(ell - idx.j)
             ]
-            assert delta_terms(p, idx) == expected
+            assert got[idx] == expected
         # eps(X[i,j]) = [j == ell-1]
         eps = nsy_epsilon(p)
         for pos, idx in enumerate(basis_indices(p)):

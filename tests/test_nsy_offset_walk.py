@@ -1,17 +1,17 @@
 """nsy_build, nsy_delta and counit_candidate walk the blocks (i, j) and their
 copies (r, s) straight from the block offsets, with no NSYBasisIndex per
-basis element; only ``basis_indices`` (read by ``nsy table``, ``nsy delta``
-and the tests) still builds the namedtuples.
+basis element; only ``basis_indices`` (read by ``nsy_build_oracle`` and the
+tests) still builds the namedtuples.
 
 The reference below is the earlier namedtuple walk, copied verbatim in
 substance: ``_layout`` built the basis list next to the offsets, and
 ``nsy_build`` and ``nsy_delta`` read the basis from it.  Both must give the
 same ``mult`` (keys, values and insertion order), labels, unit, Delta
 columns and column term order (``nsy_build_oracle`` stays the independent
-reference of ``nsy_build`` in ``test_term_tuples.py``).  The spy tests replace ``nsy.NSYBasisIndex``:
-``nsy check``, ``nsy build``, ``nsy counit`` and ``nsy sweep`` must print
-their pinned bytes with it raising, and ``nsy table`` and ``nsy delta``
-still build it.
+reference of ``nsy_build`` in ``test_term_tuples.py``).  The spy tests replace
+``nsy.NSYBasisIndex`` and ``nsy.basis_indices`` with functions that raise:
+every ``nsy`` action, ``table`` and ``delta`` included, must still print its
+pinned bytes.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def test_block_label_format():
 
 
 def _raise(*args):
-    raise AssertionError(f"NSYBasisIndex{args} built on an offset-only path")
+    raise AssertionError(f"basis namedtuples built on a command path: {args}")
 
 
 @pytest.fixture(scope="module")
@@ -155,41 +155,23 @@ def snapshot_inputs(tmp_path_factory):
     return root, json.loads(SNAPSHOT_FILE.read_text(encoding="utf-8"))
 
 
-def _nsy_cases(*actions: str) -> list[str]:
-    return sorted(c for c in CASES if c.split()[:2] in [["nsy", a] for a in actions])
-
-
-OFFSET_ONLY = _nsy_cases("check", "counit", "sweep")
-NAMEDTUPLE = _nsy_cases("table", "delta")
-
-
-@pytest.mark.parametrize("case", OFFSET_ONLY)
-def test_offset_only_commands_build_no_namedtuple(case, snapshot_inputs, monkeypatch):
-    root, snapshots = snapshot_inputs
+@pytest.fixture
+def no_namedtuples(monkeypatch):
     monkeypatch.setattr(nsy, "NSYBasisIndex", _raise)
+    monkeypatch.setattr(nsy, "basis_indices", _raise)
+
+
+NSY_CASES = sorted(c for c in CASES if c.split()[0] == "nsy")
+
+
+@pytest.mark.parametrize("case", NSY_CASES)
+def test_nsy_commands_build_no_namedtuple(case, snapshot_inputs, no_namedtuples):
+    root, snapshots = snapshot_inputs
     assert _run(CASES[case], root) == snapshots[case]
 
 
 @pytest.mark.parametrize("params", sorted(NSY_BUILD_DIGESTS))
-def test_nsy_build_builds_no_namedtuple(params, monkeypatch, capsys):
-    monkeypatch.setattr(nsy, "NSYBasisIndex", _raise)
+def test_nsy_build_builds_no_namedtuple(params, no_namedtuples, capsys):
     assert cli.main(["nsy", "build", *params.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == NSY_BUILD_DIGESTS[params]
-
-
-@pytest.mark.parametrize("case", NAMEDTUPLE)
-def test_table_and_delta_still_build_the_namedtuples(case, snapshot_inputs, monkeypatch):
-    """Each command builds the whole basis first, in canonical order."""
-    root, snapshots = snapshot_inputs
-    p = cli._nsy_params_from(cli._parse_nsy_params(CASES[case][2:5]))
-    basis = [tuple(b) for b in basis_indices(p)]
-    built = []
-
-    def spy(*args):
-        built.append(args)
-        return NSYBasisIndex(*args)
-
-    monkeypatch.setattr(nsy, "NSYBasisIndex", spy)
-    assert _run(CASES[case], root) == snapshots[case]
-    assert built[: len(basis)] == basis

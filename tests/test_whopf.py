@@ -2,7 +2,6 @@
 and the Frobenius structure from a left integral."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -25,18 +24,14 @@ from frobkit.whopf import (
     group_groupoid,
     groupoid_algebra,
     groupoid_from_json,
-    groupoid_to_json,
     hopf_group_algebra,
     integral_space,
     is_hopf,
     iterated_comult,
     pair_groupoid,
-    phi_map,
-    phi_prime_map,
     psi_map,
     separable_group_algebra,
     separable_matrix_algebra,
-    source_subalgebra_basis,
     target_subalgebra_basis,
     trivial_hopf,
     weak_hopf_from_json,
@@ -106,6 +101,26 @@ def non_associative_groupoid() -> GroupoidData:
     morphisms = [Morphism(f"g{k}", 0, 0) for k in range(n)]
     compose = {(a, b): NON_ASSOCIATIVE_LOOP[a][b] for a in range(n) for b in range(n)}
     return GroupoidData([0], morphisms, compose, list(range(n)))
+
+
+def groupoid_to_json(g: GroupoidData) -> dict:
+    """The groupoid JSON that groupoid_from_json reads, for writing fixture
+    files."""
+    return {
+        "objects": list(g.objects),
+        "morphisms": [
+            {"id": m.name, "src": g.objects[m.src], "tgt": g.objects[m.tgt]}
+            for m in g.morphisms
+        ],
+        "compose": sorted(
+            [g.morphisms[a].name, g.morphisms[b].name, g.morphisms[k].name]
+            for (a, b), k in g.compose.items()
+        ),
+        "inv": [
+            [g.morphisms[a].name, g.morphisms[g.inv[a]].name]
+            for a in range(g.num_morphisms)
+        ],
+    }
 
 
 def test_groupoid_algebra_decides_associativity():
@@ -196,11 +211,10 @@ WHOPF_EXPORTS = {
     "DEFAULT_INTEGRAL_SEED", "IntegralSpace", "WeakHopfData", "check_weak_hopf",
     "epsilon_s", "epsilon_t",
     "find_nondegenerate_integral", "frobenius_from_integral", "integral_space",
-    "is_hopf", "iterated_comult", "phi_map", "phi_prime_map", "psi_map",
-    "source_subalgebra_basis", "target_subalgebra_basis", "weak_hopf_from_json",
+    "is_hopf", "iterated_comult", "psi_map", "target_subalgebra_basis", "weak_hopf_from_json",
     "weak_hopf_to_json", "weak_hopf_to_json_str",
     "GroupoidData", "Morphism", "connected_groupoid", "cyclic_group_table",
-    "group_groupoid", "groupoid_algebra", "groupoid_from_json", "groupoid_to_json",
+    "group_groupoid", "groupoid_algebra", "groupoid_from_json",
     "hopf_group_algebra", "pair_groupoid",
     "QTGInput", "automorphism_action", "qtg_build", "qtg_frobenius", "qtg_integral",
     "separable_group_algebra", "separable_matrix_algebra", "trivial_action",
@@ -211,7 +225,7 @@ WHOPF_EXPORTS = {
 def test_whopf_exports_each_name_once():
     names = whopf.__all__
     assert names == [*whopf_core.__all__, *groupoid.__all__, *qtg.__all__]
-    assert len(names) == len(set(names)) == 38
+    assert len(names) == len(set(names)) == 34
     assert set(names) == WHOPF_EXPORTS
     assert [n for n in names if not hasattr(whopf, n)] == []
 
@@ -270,7 +284,7 @@ def test_counital_maps_idempotent(groupoid_algebras, hopf_group_algebras):
 def test_counital_subalgebras_of_groupoid(groupoid_fixtures):
     g = groupoid_fixtures["pair3_x_z2"]
     h = groupoid_algebra(g)
-    assert len(source_subalgebra_basis(h)) == len(g.objects)
+    assert len(whopf_core._counital_basis(h, 2)) == len(g.objects)
     assert len(target_subalgebra_basis(h)) == len(g.objects)
 
 
@@ -377,13 +391,13 @@ def test_psi_phi_phi_prime_equivalence(groupoid_algebras, hopf_group_algebras):
         candidates.append(all_morphisms_integral(h))
         for lam in candidates:
             inv_psi = is_invertible(psi_map(h, lam))
-            inv_phi = is_invertible(phi_map(h, lam))
-            inv_phi_p = is_invertible(phi_prime_map(h, lam))
+            inv_phi = is_invertible(reference_phi_map(h, lam))
+            inv_phi_p = is_invertible(reference_phi_prime_map(h, lam))
             assert inv_psi == inv_phi == inv_phi_p
 
 
-# Phi_L and Phi'_L as each built L_1 (x) S(L_2) itself, before both read it
-# from one helper: verbatim copies, the reference of the test below.
+# Phi_L and Phi'_L, built straight from their definitions; the package has
+# no caller of either, so they live here.
 def reference_phi_map(h: WeakHopfData, lam: Vec) -> Mat:
     """Matrix of Phi_L : phi -> phi(L_1) S(L_2)."""
     d = h.dim
@@ -399,19 +413,6 @@ def reference_phi_prime_map(h: WeakHopfData, lam: Vec) -> Mat:
     return Mat(d, d, [
         (p, k, v * w) for p, q, v in h.comult_pairs_of(lam) for k, w in h.antipode.col_terms(q)
     ])
-
-
-def test_phi_maps_match_reference(groupoid_algebras, hopf_group_algebras, qtg_built):
-    """Entry for entry, not only invertibility: a transposed Phi_L keeps that.
-    L runs over the left integrals, the basis and a seeded rational vector."""
-    rng = random.Random(2204)
-    for h in [*groupoid_algebras.values(), *hopf_group_algebras.values(), *qtg_built.values()]:
-        d = h.dim
-        candidates = [*integral_space(h, "left").basis, *(Vec.basis(d, k) for k in range(d))]
-        candidates.append(Vec(d, [(k, F(rng.randint(-3, 3), rng.randint(1, 3))) for k in range(d)]))
-        for lam in candidates:
-            assert phi_map(h, lam) == reference_phi_map(h, lam)
-            assert phi_prime_map(h, lam) == reference_phi_prime_map(h, lam)
 
 
 def test_find_nondegenerate_integral_groupoid(groupoid_fixtures):
