@@ -331,21 +331,25 @@ def _nsy_sweep(params: dict[str, str], flags: dict[str, str]) -> int:
     extra = set(params) - {"nmax", "lmax", "mmax"}
     if extra:
         raise InputError(f"unknown parameters: {', '.join(sorted(extra))}")
-    # sum_{n <= nmax} lmax mmax^n points, summed until the bound is passed;
-    # sweep_params refuses bounds below 1
+    # sum_{n <= nmax} lmax mmax^n points, summed until the bound is passed,
+    # then their dim^2, summed point by point as the grid is walked, before
+    # any instance runs; sweep_params refuses bounds below 1
     sizes = itertools.accumulate(lmax * mmax**n for n in range(1, nmax + 1))
     if min(nmax, lmax, mmax) >= 1 and any(s > _MAX_SWEEP_POINTS for s in sizes):
         raise InputError(f"sweep grid has more than {_MAX_SWEEP_POINTS} points")
-    grid = nsy_mod.sweep_params(nmax, lmax, mmax)
-    dims = [nsy_mod.nsy_dimension(p) for p in grid]
-    if sum(d * d for d in dims) > _MAX_SWEEP_WORK:
-        raise InputError(f"sweep grid sums dim^2 to more than {_MAX_SWEEP_WORK}")
+    grid, work = [], 0
+    for p in nsy_mod.sweep_params(nmax, lmax, mmax):
+        dim = nsy_mod.nsy_dimension(p)
+        work += dim * dim
+        if work > _MAX_SWEEP_WORK:
+            raise InputError(f"sweep grid sums dim^2 to more than {_MAX_SWEEP_WORK}")
+        grid.append((p, dim))
     items = []
     counts = {
         Classification.FROBENIUS.value: 0,
         Classification.NON_COUNITAL_ONLY.value: 0,
     }
-    for p, dim in zip(grid, dims):
+    for p, dim in grid:
         comult = nsy_mod.nsy_delta(p)
         outcome = classify_report(comult)
         cls = outcome.classification.value

@@ -270,12 +270,6 @@ class Mat:
         return m
 
     @classmethod
-    def identity(cls, n: int) -> "Mat":
-        m = cls(n, n)
-        m._c = {j: {j: ONE} for j in range(n)}
-        return m
-
-    @classmethod
     def from_columns(cls, nrows: int, columns: Iterable[Vec]) -> "Mat":
         cols = list(columns)
         m = cls(nrows, len(cols))
@@ -285,9 +279,6 @@ class Mat:
             if not v.is_zero():
                 m._c[j] = dict(v._e)
         return m
-
-    def entry(self, r: int, c: int) -> Scalar:
-        return self._c.get(c, {}).get(r, ZERO)
 
     def col(self, j: int) -> Vec:
         if not 0 <= j < self.ncols:
@@ -318,28 +309,6 @@ class Mat:
         for j, coeff in v._e.items():
             addto(acc, coeff, self.col_terms(j))
         return Vec.adopt(self.nrows, acc)
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
-            raise InputError("matmul dimension mismatch")
-        result = Mat(self.nrows, other.ncols)
-        for j, col in other._c.items():
-            acc: dict[int, Scalar] = {}
-            for k, coeff in col.items():
-                addto(acc, coeff, self.col_terms(k))
-            if acc:
-                result._c[j] = acc
-        return result
-
-    def __add__(self, other: "Mat") -> "Mat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise InputError("matrix dimension mismatch in addition")
-        m = Mat(self.nrows, self.ncols)
-        m._c = {c: dict(col) for c, col in self._c.items()}
-        for c, col in other._c.items():
-            if not addto(m._c.setdefault(c, {}), ONE, col.items()):
-                del m._c[c]
-        return m
 
     def scale(self, c) -> "Mat":
         c = _scalar(c)

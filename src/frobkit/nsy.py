@@ -8,18 +8,17 @@ i, a path length 0 <= j <= ell-1, and copy indices r < m_i, s < m_{(i+j) % n};
 X[i,j]^(r,s) is pre-composition by the length-j path starting at i, mapping
 copy s of the projective at vertex i+j into copy r of the projective at i.
 
-Two independent constructions are provided: structure constants from the
-closed product formula (nsy_build) and explicit endomorphism matrices on the
-path basis composed and re-expanded in the X basis (nsy_build_oracle).  They
-must agree constant-by-constant.
+The structure constants come from the closed product formula (nsy_build),
+and Delta from its closed formula (nsy_delta).  The path-model oracle, which
+composes explicit endomorphism matrices on the path basis and re-expands them
+in the X basis, is their independent reference and lives with the tests.
 
 The basis is ordered lexicographically in (i, j, r, s), so the X[i,j] form
 one m_i x m_{i+j} block each: with off[i][j] the position of X[i,j]^(0,0),
 X[i,j]^(r,s) sits at off[i][j] + r*m_{i+j} + s.  nsy_build, nsy_delta and
-counit_candidate walk the blocks and copies straight from these offsets;
-only basis_indices builds NSYBasisIndex objects, for the independent
-nsy_build_oracle.  nsy_build visits only the nonzero products, never all d^2
-basis pairs.
+counit_candidate walk the blocks and copies straight from these offsets,
+with no per-element index objects.  nsy_build visits only the nonzero
+products, never all d^2 basis pairs.
 
 The comultiplication makes every such algebra non-counital Frobenius; a counit
 exists exactly when m_i = m_{(i + ell - 1) % n} for all i, in which case it is
@@ -33,23 +32,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator
 
-from .errors import InputError, InternalConsistencyError
+from .errors import InputError
 from .exactlin import Mat, ONE, Vec
 from .finalg import AlgebraData, ComultData
 
 __all__ = [
     "NSYParams",
-    "NSYBasisIndex",
-    "PathBasisIndex",
-    "basis_indices",
     "basis_label",
     "nsy_dimension",
-    "nakayama_permutation",
     "is_frobenius",
     "nsy_build",
-    "nsy_build_oracle",
     "nsy_delta",
     "counit_candidate",
     "nsy_epsilon",
@@ -81,19 +75,6 @@ class NSYParams:
         return self.mults[vertex % self.n]
 
 
-class NSYBasisIndex(NamedTuple):
-    i: int  # start vertex
-    j: int  # path length
-    r: int  # copy index at vertex i
-    s: int  # copy index at vertex (i + j) % n
-
-
-class PathBasisIndex(NamedTuple):
-    i: int  # start vertex
-    k: int  # path length
-    r: int  # copy index at vertex i
-
-
 def _layout(p: NSYParams) -> tuple[list[list[int]], int]:
     """The block offsets ``off[i][j]``, the positions of X[i,j]^(0,0), and
     the dimension d: X[i,j]^(r,s) is at off[i][j] + r*m_{i+j} + s."""
@@ -106,15 +87,9 @@ def _layout(p: NSYParams) -> tuple[list[list[int]], int]:
     return off, dim
 
 
-def basis_indices(p: NSYParams) -> list[NSYBasisIndex]:
-    """All basis labels in the canonical lexicographic (i, j, r, s) order."""
-    return [NSYBasisIndex(i, j, r, s) for i in range(p.n) for j in range(p.ell)
-            for r in range(p.mults[i]) for s in range(p.mult_at(i + j))]
-
-
-def basis_label(idx: NSYBasisIndex) -> str:
-    """X[i,j]^(r,s); nsy_build passes "{}" for r and s to get the template
-    of a whole block."""
+def basis_label(idx: tuple) -> str:
+    """X[i,j]^(r,s) for the tuple (i, j, r, s); nsy_build passes "{}" for r
+    and s to get the template of a whole block."""
     i, j, r, s = idx
     return f"X[{i},{j}]^({r},{s})"
 
@@ -127,11 +102,6 @@ def nsy_dimension(p: NSYParams) -> int:
     prefix = [0, *itertools.accumulate(p.mults * 2)]
     window = sum(m * (prefix[i + r] - prefix[i]) for i, m in enumerate(p.mults))
     return t * sum(p.mults) ** 2 + window
-
-
-def nakayama_permutation(p: NSYParams) -> list[int]:
-    """The permutation i -> (i + ell - 1) mod n matching socles to tops."""
-    return [(i + p.ell - 1) % p.n for i in range(p.n)]
 
 
 def is_frobenius(p: NSYParams) -> bool:
@@ -170,69 +140,6 @@ def nsy_build(p: NSYParams) -> AlgebraData:
                         mult[(x, y + t)] = e[xy + t]
     unit = Vec.adopt(dim, {off[i][0] + r * m[i] + r: ONE for i in range(n) for r in range(m[i])})
     return AlgebraData(dim, labels, mult, unit)
-
-
-def path_basis(p: NSYParams) -> list[PathBasisIndex]:
-    return [
-        PathBasisIndex(i, k, r)
-        for i in range(p.n)
-        for k in range(p.ell)
-        for r in range(p.mults[i])
-    ]
-
-
-def endomorphism_matrix(p: NSYParams, idx: NSYBasisIndex, pos: dict) -> Mat:
-    """X[i,j]^(r,s) as a linear endomorphism of the total path space.
-
-    It sends the path of length k starting at vertex i+j in copy s to the
-    path of length j+k starting at i in copy r (zero once j+k exceeds
-    ell-1), and kills every other path basis vector.
-    """
-    n_paths = len(pos)
-    src_vertex = (idx.i + idx.j) % p.n
-    entries = []
-    for k in range(p.ell - idx.j):
-        row = pos[PathBasisIndex(idx.i, idx.j + k, idx.r)]
-        col = pos[PathBasisIndex(src_vertex, k, idx.s)]
-        entries.append((row, col, ONE))
-    return Mat(n_paths, n_paths, entries)
-
-
-def nsy_build_oracle(p: NSYParams) -> AlgebraData:
-    """Independent construction through explicit path-space endomorphisms.
-
-    Products are computed by composing matrices and re-expanding in the X
-    basis.  Each X[i,j]^(r,s) is the unique basis endomorphism with a nonzero
-    entry at (path(i,j,r), path(i+j,0,s)), which makes the expansion a direct
-    coefficient read-off; the re-expansion is then verified entry by entry.
-    """
-    basis = sorted(basis_indices(p))  # lexicographic, independent of _layout
-    dim = len(basis)
-    ppos = {idx: k for k, idx in enumerate(path_basis(p))}
-    mats = [endomorphism_matrix(p, idx, ppos) for idx in basis]
-
-    witness_cells = [
-        (
-            ppos[PathBasisIndex(idx.i, idx.j, idx.r)],
-            ppos[PathBasisIndex((idx.i + idx.j) % p.n, 0, idx.s)],
-        )
-        for idx in basis
-    ]
-
-    def expand(mat: Mat) -> tuple:
-        coeffs = {k: v for k, (row, col) in enumerate(witness_cells) if (v := mat.entry(row, col))}
-        recon = Mat(mat.nrows, mat.ncols)
-        for k, v in coeffs.items():
-            recon = recon + mats[k].scale(v)
-        if recon != mat:
-            raise InternalConsistencyError(
-                "endomorphism not in the span of the X basis"
-            )
-        return tuple(coeffs.items())
-
-    mult = {(a, b): expand(mats[a] @ mats[b]) for a in range(dim) for b in range(dim)}
-    unit = Vec(dim, expand(Mat.identity(len(ppos))))
-    return AlgebraData(dim, [basis_label(x) for x in basis], mult, unit)
 
 
 def _delta_blocks(p: NSYParams, i: int, j: int):
@@ -296,14 +203,14 @@ def nsy_epsilon(p: NSYParams) -> Vec | None:
     return counit_candidate(p) if is_frobenius(p) else None
 
 
-def sweep_params(nmax: int, lmax: int, mmax: int) -> list[NSYParams]:
+def sweep_params(nmax: int, lmax: int, mmax: int) -> Iterator[NSYParams]:
     """All parameter tuples with n <= nmax, ell <= lmax, 1 <= m_i <= mmax,
-    in lexicographic order."""
+    in lexicographic order, made one at a time as they are read."""
     if nmax < 1 or lmax < 1 or mmax < 1:
         raise InputError("sweep bounds must be >= 1")
-    return [
+    return (
         NSYParams(n, ell, mults)
         for n in range(1, nmax + 1)
         for ell in range(1, lmax + 1)
         for mults in itertools.product(range(1, mmax + 1), repeat=n)
-    ]
+    )

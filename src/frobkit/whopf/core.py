@@ -158,7 +158,7 @@ class WeakHopfData:
         self.epsilon_wk = epsilon_wk
         self.antipode = antipode
         self.coalgebra = ComultData(algebra, delta_wk)
-        denominators = (v.denominator for j in range(d) for _, _, v in self.comult_pairs(j))
+        denominators = (v.denominator for j in range(d) for _, _, v in self.coalgebra.delta_pairs(j))
         self.denom = n = math.lcm(*denominators)
         self.scaled = self.coalgebra if n == 1 else ComultData(algebra, delta_wk.scale(n))
         self.scaled_unit_pairs = [
@@ -177,9 +177,6 @@ class WeakHopfData:
 
     def comult(self, x: Vec) -> Vec:
         return self.delta_wk.matvec(x)
-
-    def comult_pairs(self, j: int) -> list[tuple[int, int, Fraction]]:
-        return self.coalgebra.delta_pairs(j)
 
     def comult_pairs_of(self, x: Vec) -> list[tuple[int, int, Fraction]]:
         d = self.dim

@@ -272,7 +272,7 @@ class QTGInput:
                 for l in gens:
                     lhs = self.act(prod, basis_l[l])
                     acc: dict[int, Fraction] = {}
-                    for p, q, v in L.comult_pairs(l):
+                    for p, q, v in L.coalgebra.delta_pairs(l):
                         addto(acc, v, B.mul(acts[b1][p], acts[b2][q]).terms())
                     if lhs != Vec.adopt(dB, acc):
                         raise ConstructionError(
@@ -306,7 +306,7 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
     mids = [[L.algebra.mult.get((u, v), ()) for v in range(dL)] for u in range(dL)]
     lasts = [[[tuple(B.mul(act, basis_b[b2]).terms()) for b2 in range(dB)] for act in by_v]
              for by_v in q.acts]
-    comult_pairs = [L.comult_pairs(l) for l in range(dL)]
+    comult_pairs = [L.coalgebra.delta_pairs(l) for l in range(dL)]
 
     mult = {}
     for p1, (a1, l1, b1) in enumerate(triples):
@@ -445,7 +445,7 @@ def _closed_form_delta(q: QTGInput, lam_r: Vec, dim: int) -> Mat:
     for col, (a, l, b) in enumerate(product(range(dB), range(dL), range(dB))):
         acc: dict[int, Fraction] = {}
         for (i1, i2, i3, i4), ci in quad:
-            for u1, u2, cl in L.comult_pairs(l):
+            for u1, u2, cl in L.coalgebra.delta_pairs(l):
                 mid = mids[u2][i4]
                 if not mid:
                     continue

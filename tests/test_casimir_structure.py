@@ -123,7 +123,7 @@ def test_frobenius_from_integral_rejects_a_non_associative_algebra():
     """L = e_0 on the k x k algebra with Delta(e_0) = e_0 (x) e_0 and S = id:
     X = e_0 (x) e_0 is Casimir, but check_algebra fails."""
     a = non_associative_kxk()
-    h = WeakHopfData(a, Mat(4, 2, [(0, 0, 1)]), Vec(2), Mat.identity(2))
+    h = WeakHopfData(a, Mat(4, 2, [(0, 0, 1)]), Vec(2), Mat(2, 2, [(0, 0, 1), (1, 1, 1)]))
     with pytest.raises(PreconditionError):
         frobenius_from_integral(h, Vec.basis(2, 0))
 

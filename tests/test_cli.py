@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from frobkit import cli
 from frobkit import nsy as nsy_mod
 from frobkit.cli import main
 from frobkit.finalg import comult_from_json, comult_to_json_str, counit_failures
-from frobkit.nsy import basis_indices, basis_label
+from frobkit.nsy import basis_label
 from frobkit.whopf import (
     groupoid_algebra,
     integral_space,
@@ -20,6 +21,7 @@ from frobkit.whopf import (
     weak_hopf_to_json,
     weak_hopf_to_json_str,
 )
+from nsy_oracle import basis_indices
 from test_whopf import groupoid_to_json, non_associative_groupoid
 
 
@@ -847,6 +849,20 @@ def test_sweep_work_is_bounded_before_any_instance_runs(bounds, refused, capsys,
     else:
         with pytest.raises(Reached):
             main(["nsy", "sweep", *bounds])
+
+
+def test_sweep_work_is_refused_as_the_grid_is_walked(capsys):
+    """10,000 points, so within the point bound, whose sum of dim^2 passes
+    6,250,000 by n = 155.  Building the whole grid first (n up to 5,000)
+    peaked at 202 MB under tracemalloc; walking it stops there."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, "nsy", "sweep", "nmax=5000", "lmax=2", "mmax=1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", "error: sweep grid sums dim^2 to more than 6250000\n")
+    assert peak < 5_000_000
 
 
 _BUILDERS = (

@@ -261,7 +261,7 @@ def semisimple_comult(m: int, owner: dict) -> WeakHopfData:
     mult = {(i, i): ((i, 1),) for i in range(d)}
     a = AlgebraData(d, [f"e{i}" for i in range(d)], mult, Vec(d, {i: 1 for i in range(d)}))
     delta = Mat(d * d, d, [(p * d + q, i, 1) for (p, q), i in owner.items()])
-    return WeakHopfData(a, delta, Vec(d), Mat.identity(d))
+    return WeakHopfData(a, delta, Vec(d), Mat(d, d, [(k, k, 1) for k in range(d)]))
 
 
 def power_comult(n: int, s: int, t: int) -> WeakHopfData:

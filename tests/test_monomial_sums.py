@@ -350,7 +350,7 @@ def mult_rows(draw) -> tuple[WeakHopfData, list, Vec]:
     a = draw(algebras())
     d = a.dim
     delta = Mat.from_columns(d * d, [tensor(cancelling_terms(draw, a), d) for _ in range(d)])
-    h = WeakHopfData(a, delta, Vec(d), Mat.identity(d))
+    h = WeakHopfData(a, delta, Vec(d), Mat(d, d, [(k, k, 1) for k in range(d)]))
     x = Vec(d, draw(st.dictionaries(st.integers(0, d - 1), st.sampled_from(SCALARS), max_size=3)))
     if draw(st.booleans()):
         return h, [(p, q, v) for (p, q), v in cancelling_terms(draw, a).items()], x

@@ -24,15 +24,11 @@ from frobkit.finalg import (
     solve_counit,
 )
 from frobkit.nsy import (
-    NSYBasisIndex,
     NSYParams,
-    basis_indices,
     basis_label,
     counit_candidate,
     is_frobenius,
-    nakayama_permutation,
     nsy_build,
-    nsy_build_oracle,
     nsy_delta,
     nsy_dimension,
     nsy_epsilon,
@@ -42,6 +38,7 @@ from frobkit.nsy import (
 import golden
 from counit_maps import eps_tensor_id, id_tensor_eps
 from golden import DELTA_22_11, DELTA_22_21, P22_11, P22_21, P43_1122, P43_1212
+from nsy_oracle import NSYBasisIndex, basis_indices, nakayama_permutation, nsy_build_oracle
 
 X = NSYBasisIndex
 

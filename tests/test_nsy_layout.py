@@ -20,14 +20,13 @@ from frobkit import cli, finalg
 from frobkit.exactlin import Mat, ONE, Vec
 from frobkit.finalg import AlgebraData, ComultData
 from frobkit.nsy import (
-    NSYBasisIndex,
     NSYParams,
-    basis_indices,
     basis_label,
     counit_candidate,
     nsy_build,
     nsy_delta,
 )
+from nsy_oracle import NSYBasisIndex, basis_indices
 from test_nsy import delta_columns
 
 

@@ -1,17 +1,16 @@
 """nsy_build, nsy_delta and counit_candidate walk the blocks (i, j) and their
 copies (r, s) straight from the block offsets, with no NSYBasisIndex per
-basis element; only ``basis_indices`` (read by ``nsy_build_oracle`` and the
-tests) still builds the namedtuples.
+basis element; ``frobkit.nsy`` defines no namedtuple at all, and only the
+test oracle ``nsy_oracle`` still builds them.
 
 The reference below is the earlier namedtuple walk, copied verbatim in
 substance: ``_layout`` built the basis list next to the offsets, and
 ``nsy_build`` and ``nsy_delta`` read the basis from it.  Both must give the
 same ``mult`` (keys, values and insertion order), labels, unit, Delta
-columns and column term order (``nsy_build_oracle`` stays the independent
-reference of ``nsy_build`` in ``test_term_tuples.py``).  The spy tests replace
-``nsy.NSYBasisIndex`` and ``nsy.basis_indices`` with functions that raise:
-every ``nsy`` action, ``table`` and ``delta`` included, must still print its
-pinned bytes.
+columns and column term order (``nsy_oracle.nsy_build_oracle`` stays the
+independent reference of ``nsy_build`` in ``test_term_tuples.py``).  With no
+namedtuple class left in ``frobkit.nsy``, every ``nsy`` action, ``table`` and
+``delta`` included, must still print its pinned bytes.
 """
 
 from __future__ import annotations
@@ -26,17 +25,16 @@ from frobkit import cli, nsy
 from frobkit.exactlin import Mat, ONE, Vec
 from frobkit.finalg import AlgebraData, ComultData
 from frobkit.nsy import (
-    NSYBasisIndex,
     NSYParams,
     _delta_blocks,
     _layout,
-    basis_indices,
     basis_label,
     counit_candidate,
     nsy_build,
     nsy_delta,
     sweep_params,
 )
+from nsy_oracle import NSYBasisIndex, basis_indices
 from test_cli_snapshots import CASES, SNAPSHOT_FILE, _run, _write_inputs
 from test_nsy_layout import NSY_BUILD_DIGESTS
 
@@ -138,14 +136,17 @@ def test_offset_walk_matches_namedtuple_walk_drawn(p):
 
 
 def test_block_label_format():
-    assert basis_label(NSYBasisIndex(10, 2, 3, 11)) == "X[10,2]^(3,11)"
+    assert basis_label((10, 2, 3, 11)) == "X[10,2]^(3,11)"
 
 
-# ---- the spy tests ----------------------------------------------------------
+# ---- no namedtuples ---------------------------------------------------------
 
 
-def _raise(*args):
-    raise AssertionError(f"basis namedtuples built on a command path: {args}")
+def test_nsy_defines_no_namedtuple():
+    assert [
+        name for name, v in vars(nsy).items()
+        if isinstance(v, type) and issubclass(v, tuple) and hasattr(v, "_fields")
+    ] == []
 
 
 @pytest.fixture(scope="module")
@@ -155,23 +156,17 @@ def snapshot_inputs(tmp_path_factory):
     return root, json.loads(SNAPSHOT_FILE.read_text(encoding="utf-8"))
 
 
-@pytest.fixture
-def no_namedtuples(monkeypatch):
-    monkeypatch.setattr(nsy, "NSYBasisIndex", _raise)
-    monkeypatch.setattr(nsy, "basis_indices", _raise)
-
-
 NSY_CASES = sorted(c for c in CASES if c.split()[0] == "nsy")
 
 
 @pytest.mark.parametrize("case", NSY_CASES)
-def test_nsy_commands_build_no_namedtuple(case, snapshot_inputs, no_namedtuples):
+def test_nsy_commands_build_no_namedtuple(case, snapshot_inputs):
     root, snapshots = snapshot_inputs
     assert _run(CASES[case], root) == snapshots[case]
 
 
 @pytest.mark.parametrize("params", sorted(NSY_BUILD_DIGESTS))
-def test_nsy_build_builds_no_namedtuple(params, no_namedtuples, capsys):
+def test_nsy_build_builds_no_namedtuple(params, capsys):
     assert cli.main(["nsy", "build", *params.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == NSY_BUILD_DIGESTS[params]

@@ -17,14 +17,13 @@ from hypothesis import given, settings
 from frobkit import cli
 from frobkit.finalg import dump_json
 from frobkit.nsy import (
-    NSYBasisIndex,
     NSYParams,
     _delta_blocks,
-    basis_indices,
     basis_label,
     nsy_build,
     sweep_params,
 )
+from nsy_oracle import NSYBasisIndex, basis_indices
 from test_nsy_offset_walk import nsy_params
 
 FORMATS = ("markdown", "json", "csv")

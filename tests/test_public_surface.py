@@ -1,4 +1,4 @@
-"""The public names of the package root and of ``exactlin``, pinned.
+"""The public names of the package root, of ``exactlin`` and of ``nsy``, pinned.
 
 A name that only tests call does not belong in ``src/``; pinning the
 surface makes adding one, or dropping one a command uses, a visible edit
@@ -7,7 +7,7 @@ of this file.  ``whopf.__all__`` is pinned in ``test_whopf``."""
 from types import ModuleType
 
 import frobkit
-from frobkit import exactlin
+from frobkit import exactlin, nsy
 
 FROBKIT_NAMES = {
     "AlgebraData", "CasimirElement", "Classification", "ComultData", "ConstructionError",
@@ -31,10 +31,21 @@ EXACTLIN_MEMBERS = {
         "tensor", "terms",
     },
     "Mat": {
-        "adopt", "col", "col_terms", "entry", "from_columns", "identity", "is_zero", "items",
-        "matvec", "ncols", "nrows", "rows_items", "scale",
+        "adopt", "col", "col_terms", "from_columns", "is_zero", "items", "matvec", "ncols",
+        "nrows", "rows_items", "scale",
     },
     "LinearSystem": {"add", "add_matrix", "free_columns", "kernel", "rank", "solution"},
+}
+
+NSY_ALL = [
+    "NSYParams", "basis_label", "nsy_dimension", "is_frobenius", "nsy_build", "nsy_delta",
+    "counit_candidate", "nsy_epsilon", "sweep_params",
+]
+
+# what nsy imports rather than defines
+NSY_IMPORTS = {
+    "annotations", "itertools", "dataclass", "Iterator", "InputError", "Mat", "ONE", "Vec",
+    "AlgebraData", "ComultData",
 }
 
 
@@ -54,3 +65,13 @@ def test_exactlin_public_names():
 def test_exactlin_public_members():
     for cls, members in EXACTLIN_MEMBERS.items():
         assert public(vars(getattr(exactlin, cls))) == members, cls
+
+
+def test_exactlin_mat_has_no_dense_algebra():
+    assert not hasattr(exactlin.Mat, "__add__")
+    assert not hasattr(exactlin.Mat, "__matmul__")
+
+
+def test_nsy_public_names():
+    assert nsy.__all__ == NSY_ALL
+    assert public(vars(nsy)) - NSY_IMPORTS == set(NSY_ALL)

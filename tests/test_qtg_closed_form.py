@@ -44,7 +44,7 @@ def reference_closed_form(q, lam_r, dim) -> Mat:
     entries = []
     for col, (a, l, b) in enumerate(product(range(dB), range(dL), range(dB))):
         for (i1, i2, i3, i4), ci in quad.items():
-            for u1, u2, cl in L.comult_pairs(l):
+            for u1, u2, cl in L.coalgebra.delta_pairs(l):
                 # (e1 <| I_1 S(l_1)) a  (x)  l_2 S(I_4)  (x)  (b e'1 <| S(I_3))
                 mid = L.algebra.mul(Vec.basis(dL, u2), s_cols[i4])
                 if mid.is_zero():

@@ -52,7 +52,7 @@ def test_unsafe_scalars_are_rejected(bad):
     with pytest.raises(InputError):
         Vec(1, {0: 1}).scale(bad)
     with pytest.raises(InputError):
-        Mat.identity(1).scale(bad)
+        Mat(1, 1, [(0, 0, 1)]).scale(bad)
     with pytest.raises(InputError):
         LinearSystem(1).add({0: bad})
     with pytest.raises(InputError):
@@ -147,10 +147,10 @@ def test_repeated_json_entries_sum_to_canonical_scalars():
     for x in (
         dict(c.algebra.mult[(0, 1)])[1],
         c.algebra.unit.get(1),
-        c.delta.entry(3, 1),
-        h.delta_wk.entry(3, 1),
+        c.delta.col(1).get(3),
+        h.delta_wk.col(1).get(3),
         h.epsilon_wk.get(1),
-        h.antipode.entry(0, 1),
+        h.antipode.col(1).get(0),
     ):
         assert x == 1 and type(x) is int
     # a sum that cancels leaves no entry, no empty column and no product

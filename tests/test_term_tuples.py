@@ -27,10 +27,8 @@ from frobkit.finalg import AlgebraData, comult_from_json, comult_to_json
 from frobkit.nsy import (
     NSYParams,
     _layout,
-    basis_indices,
     basis_label,
     nsy_build,
-    nsy_build_oracle,
     nsy_delta,
     sweep_params,
 )
@@ -48,6 +46,7 @@ from frobkit.whopf import (
     weak_hopf_to_json,
 )
 from frobkit.whopf.groupoid import _groupoid_product
+from nsy_oracle import basis_indices, nsy_build_oracle
 
 # ------------------------------------------------------------ the Vec design
 
@@ -130,7 +129,7 @@ def vec_qtg_product(q: QTGInput) -> tuple:
     mids = [[tuple(L.algebra.basis_product(u, v).terms()) for v in range(dL)] for u in range(dL)]
     lasts = [[[tuple(B.mul(act, basis_b[b2]).terms()) for b2 in range(dB)] for act in by_v]
              for by_v in q.acts]
-    comult_pairs = [L.comult_pairs(l) for l in range(dL)]
+    comult_pairs = [L.coalgebra.delta_pairs(l) for l in range(dL)]
     mult = {}
     for p1, (a1, l1, b1) in enumerate(triples):
         for p2, (a2, l2, b2) in enumerate(triples):
@@ -168,7 +167,7 @@ def vec_json_product(payload) -> tuple:
 # ------------------------------------------------------------ every constructor
 
 
-@pytest.mark.parametrize("p", sweep_params(3, 3, 2) + [NSYParams(5, 5, (3, 2, 3, 2, 3))], ids=str)
+@pytest.mark.parametrize("p", [*sweep_params(3, 3, 2), NSYParams(5, 5, (3, 2, 3, 2, 3))], ids=str)
 def test_nsy_build_fields_match_vec_build_and_oracle(p):
     a = nsy_build(p)
     assert_same_algebra(a, *vec_nsy_build(p))

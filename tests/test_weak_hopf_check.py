@@ -267,7 +267,7 @@ def reference_convolutions(h: WeakHopfData, j: int) -> tuple[Vec, Vec]:
     a, s = h.algebra, h.antipode
     src = {}
     tgt = {}
-    for p, q, v in h.comult_pairs(j):
+    for p, q, v in h.coalgebra.delta_pairs(j):
         for k, c in s.col_terms(p):
             addto(src, v * c, a.basis_product(k, q).terms())
         for k, c in s.col_terms(q):
@@ -296,11 +296,11 @@ def reference_report(h: WeakHopfData) -> VerificationReport:
 
     mult_w = None
     for i in range(d):
-        pairs_i = h.comult_pairs(i)
+        pairs_i = h.coalgebra.delta_pairs(i)
         for j in range(d):
             acc = {}
             for p, q, v in pairs_i:
-                for p2, q2, v2 in h.comult_pairs(j):
+                for p2, q2, v2 in h.coalgebra.delta_pairs(j):
                     right_terms = a.basis_product(q, q2).terms()
                     for kl, vl in a.basis_product(p, p2).terms():
                         addto(acc, v * v2 * vl, right_terms, kl * d)
@@ -320,7 +320,7 @@ def reference_report(h: WeakHopfData) -> VerificationReport:
     weak_a = None
     weak_b = None
     for b_mid in range(d):
-        dpairs = h.comult_pairs(b_mid)
+        dpairs = h.coalgebra.delta_pairs(b_mid)
         for i in range(d):
             row_i = eps_row[i]
             direct = {}

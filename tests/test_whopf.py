@@ -39,6 +39,7 @@ from frobkit.whopf import (
 )
 from frobkit.whopf import core as whopf_core, groupoid, qtg
 from counit_maps import epsilon_s_matrix, epsilon_t_matrix
+from nsy_oracle import cells, mat_product
 from test_weak_hopf_check import reference_epsilon_s, reference_epsilon_t
 
 F = Fraction
@@ -277,8 +278,8 @@ def test_counital_maps_idempotent(groupoid_algebras, hopf_group_algebras):
     for h in list(groupoid_algebras.values()) + list(hopf_group_algebras.values()):
         es = epsilon_s_matrix(h)
         et = epsilon_t_matrix(h)
-        assert es @ es == es
-        assert et @ et == et
+        assert mat_product(cells(es), cells(es)) == cells(es)
+        assert mat_product(cells(et), cells(et)) == cells(et)
 
 
 def test_counital_subalgebras_of_groupoid(groupoid_fixtures):
@@ -522,8 +523,8 @@ def test_iterated_comult_matches_other_bracketing(groupoid_algebras):
     for j in range(d):
         # expand the second slot instead of the first
         acc = {}
-        for p, q, v in h.comult_pairs(j):
-            for r, s, w in h.comult_pairs(q):
+        for p, q, v in h.coalgebra.delta_pairs(j):
+            for r, s, w in h.coalgebra.delta_pairs(q):
                 acc[(p, r, s)] = acc.get((p, r, s), F(0)) + v * w
         assert {k: v for k, v in acc.items() if v} == iterated_comult(
             h, Vec.basis(d, j), 3

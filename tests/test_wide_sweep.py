@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from nsy_oracle import nsy_build_oracle
 from test_counit import assert_matches_reference
 from test_witness import corrupted_comult, naive_bimodule, naive_coassoc, witness_tuple
 
@@ -16,7 +17,6 @@ from frobkit.finalg import Classification, check_algebra, check_bimodule, check_
 from frobkit.nsy import (
     is_frobenius,
     nsy_build,
-    nsy_build_oracle,
     nsy_delta,
     nsy_dimension,
     sweep_params,
@@ -30,7 +30,7 @@ CORRUPTED_INSTANCES = 294
 
 @pytest.fixture(scope="module")
 def wide_sweep():
-    params = sweep_params(4, 4, 3)
+    params = list(sweep_params(4, 4, 3))
     assert len(params) == 480
     return params
 
