@@ -37,7 +37,7 @@ from .finalg import (
     classify_checks,
     classify_report,
     comult_from_json,
-    comult_to_json_str,
+    comult_to_json,
     counit_failures,
     dump_json,
     solve_counit,
@@ -64,7 +64,7 @@ from .whopf import (
     trivial_action,
     trivial_hopf,
     weak_hopf_from_json,
-    weak_hopf_to_json_str,
+    weak_hopf_to_json,
 )
 
 # the flags of each whopf source; --group (the vertex group of a connected
@@ -288,7 +288,7 @@ def cmd_nsy(args: list[str]) -> int:
 
     if action == "build":
         eps = nsy_mod.nsy_epsilon(p)
-        _emit(comult_to_json_str(ComultData(algebra, comult.delta, eps)), flags)
+        _emit(dump_json(comult_to_json(ComultData(algebra, comult.delta, eps))), flags)
         return 0
 
     params_json = {"n": p.n, "ell": p.ell, "m": list(p.mults)}
@@ -530,15 +530,15 @@ def cmd_whopf(args: list[str]) -> int:
     if op == "check":
         if "--output" not in flags:
             return _render(flags, "whopf check", seed, {"source": desc, "dim": h.dim}, axioms)
-        _emit(weak_hopf_to_json_str(h), flags)
+        _emit(dump_json(weak_hopf_to_json(h)), flags)
     if not axioms.passed:
         raise PreconditionError(f"{desc} fails weak Hopf axiom {axioms.failures()[0].name}")
     if op == "check":
         return 0
 
     if op == "integrals":
-        left = integral_space(h, "left").basis
-        right = integral_space(h, "right").basis
+        left = integral_space(h, "left")
+        right = integral_space(h, "right")
         lines = [f"I^L dimension {len(left)}:"]
         lines += [f"  {_fmt_vec(b, labels)}" for b in left]
         lines.append(f"I^R dimension {len(right)}:")

@@ -269,17 +269,6 @@ class Mat:
         m._c = cols
         return m
 
-    @classmethod
-    def from_columns(cls, nrows: int, columns: Iterable[Vec]) -> "Mat":
-        cols = list(columns)
-        m = cls(nrows, len(cols))
-        for j, v in enumerate(cols):
-            if v.dim != nrows:
-                raise InputError("column dimension mismatch")
-            if not v.is_zero():
-                m._c[j] = dict(v._e)
-        return m
-
     def col(self, j: int) -> Vec:
         if not 0 <= j < self.ncols:
             raise InputError(f"column {j} out of range")
@@ -385,13 +374,12 @@ class LinearSystem:
         if type(rhs) is not int:
             rhs = _scalar(rhs)
         # Stored rows contain their pivot plus free columns only, so one pass
-        # over the incoming row's pivot columns reduces it completely.
+        # over the incoming row's pivot columns reduces it completely, and
+        # eliminating one pivot leaves the row's nonzero entry at every other.
         if hits:
             hits.sort()
             for p in hits:
-                f = row.get(p)
-                if not f:
-                    continue
+                f = row[p]
                 prow, prhs = pivots[p]
                 addto(row, -f, prow.items())
                 rhs -= f * prhs

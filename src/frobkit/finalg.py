@@ -111,7 +111,6 @@ __all__ = [
     "classify_report",
     "comult_to_json",
     "comult_from_json",
-    "comult_to_json_str",
     "dump_json",
 ]
 
@@ -746,15 +745,16 @@ def casimir_comult(cas: CasimirElement) -> ComultData:
     """
     a = cas.algebra
     d = a.dim
-    cols = []
-    for _, lhs, rhs in _casimir_columns(a, cas.element, _casimir_rows(a)):  # X e_x = Delta(e_x)
+    cols = {}
+    for x, lhs, rhs in _casimir_columns(a, cas.element, _casimir_rows(a)):  # X e_x = Delta(e_x)
         if lhs != rhs:
             witness = check_casimir(cas).checks[0].witness
             raise PreconditionError("element fails the Casimir identity", witness)
-        cols.append(Vec.adopt(d * d, lhs))
+        if lhs:
+            cols[x] = lhs
     decided = check_algebra(a).passed
     counit = _counit_rows(a, cas.element) if decided else None
-    c = ComultData(a, Mat.from_columns(d * d, cols), counit)
+    c = ComultData(a, Mat.adopt(d * d, d, cols), counit)
     if decided:
         c._delta_one = _DeltaOne(cas.element, {}, True)
     return c
@@ -1064,10 +1064,6 @@ def comult_to_json(c: ComultData) -> dict:
     if c.counit is not None:
         payload["counit"] = _vec_to_json(c.counit)
     return payload
-
-
-def comult_to_json_str(c: ComultData) -> str:
-    return dump_json(comult_to_json(c))
 
 
 def comult_from_json(payload: dict) -> ComultData:

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InputError, InternalConsistencyError, PreconditionError
@@ -103,12 +102,10 @@ from ..finalg import (
     check_algebra,
     check_coassoc,
     counit_failures,
-    dump_json,
 )
 
 __all__ = [
     "DEFAULT_INTEGRAL_SEED",
-    "IntegralSpace",
     "WeakHopfData",
     "check_weak_hopf",
     "epsilon_s",
@@ -122,7 +119,6 @@ __all__ = [
     "target_subalgebra_basis",
     "weak_hopf_from_json",
     "weak_hopf_to_json",
-    "weak_hopf_to_json_str",
 ]
 
 # Seed of the draws in the non-degenerate-integral search, after the basis
@@ -174,13 +170,6 @@ class WeakHopfData:
     @property
     def unit(self) -> Vec:
         return self.algebra.unit
-
-    def comult(self, x: Vec) -> Vec:
-        return self.delta_wk.matvec(x)
-
-    def comult_pairs_of(self, x: Vec) -> list[tuple[int, int, Fraction]]:
-        d = self.dim
-        return [(t // d, t % d, v) for t, v in self.comult(x).terms()]
 
 
 def epsilon_s(h: WeakHopfData, x: Vec) -> Vec:
@@ -484,7 +473,7 @@ def is_hopf(h: WeakHopfData) -> bool:
     """True iff Delta(1) = 1 (x) 1; the equivalent characterizations
     (multiplicative counit, antipode convolution identities) are re-checked
     and any disagreement raises InternalConsistencyError."""
-    if h.comult(h.unit) != h.unit.tensor(h.unit):
+    if h.coalgebra.delta_of(h.unit) != h.unit.tensor(h.unit):
         return False
     d = h.dim
     eps, eps_row = h.epsilon_wk, _counital_terms(h)[0]
@@ -499,15 +488,9 @@ def is_hopf(h: WeakHopfData) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class IntegralSpace:
-    side: str  # "left" or "right"
-    basis: list[Vec]
-
-
-def integral_space(h: WeakHopfData, side: str) -> IntegralSpace:
-    """Exact solution space of h L = eps_t(h) L (left) or L h = L eps_s(h)
-    (right) over all h, as the kernel of the rows of x L = 0 (L x = 0) for
+def integral_space(h: WeakHopfData, side: str) -> list[Vec]:
+    """Kernel basis of the solution space of h L = eps_t(h) L (left) or
+    L h = L eps_s(h) (right) over all h, from the rows of x L = 0 (L x = 0) for
     the x of :func:`_integral_annihilators`.  Nonempty for every
     finite-dimensional weak Hopf algebra; emptiness signals corrupt data.
     Every row set with the same solution space has the same reduced echelon
@@ -532,7 +515,7 @@ def integral_space(h: WeakHopfData, side: str) -> IntegralSpace:
         raise InternalConsistencyError(
             f"{side} integral space is zero; data is not a weak Hopf algebra"
         )
-    return IntegralSpace(side, basis)
+    return basis
 
 
 def _integral_annihilators(h: WeakHopfData, left: bool) -> list[dict[int, Fraction]]:
@@ -569,14 +552,15 @@ def psi_map(h: WeakHopfData, lam: Vec) -> Mat:
     """Matrix of Psi_L : H* -> H, phi -> L_1 phi(L_2), columns indexed by the
     dual basis."""
     d = h.dim
-    return Mat(d, d, [(p, q, v) for p, q, v in h.comult_pairs_of(lam)])
+    return Mat(d, d, [(*divmod(t, d), v) for t, v in h.coalgebra.delta_of(lam).terms()])
 
 
 def _l1_s_l2(h: WeakHopfData, lam: Vec) -> dict[int, Fraction]:
     """L_1 (x) S(L_2) for L = lam, as a dict over flat indices p*d + k."""
     d = h.dim
     acc: dict[int, Fraction] = {}
-    for p, q, v in h.comult_pairs_of(lam):
+    for t, v in h.coalgebra.delta_of(lam).terms():
+        p, q = divmod(t, d)
         addto(acc, v, h.antipode.col_terms(q), p * d)
     return acc
 
@@ -602,7 +586,7 @@ def find_nondegenerate_integral(
     """
     if not check_weak_hopf(h).passed:
         raise PreconditionError("the integral search needs data that passes check_weak_hopf")
-    basis, d = integral_space(h, "left").basis, h.dim
+    basis, d = integral_space(h, "left"), h.dim
 
     def combination(coeffs) -> Vec:
         acc: dict[int, Fraction] = {}
@@ -659,10 +643,6 @@ def weak_hopf_to_json(h: WeakHopfData) -> dict:
     payload["epsilon_wk"] = _vec_to_json(h.epsilon_wk)
     payload["antipode"] = _mat_to_json(h.antipode)
     return payload
-
-
-def weak_hopf_to_json_str(h: WeakHopfData) -> str:
-    return dump_json(weak_hopf_to_json(h))
 
 
 def weak_hopf_from_json(payload: dict) -> WeakHopfData:

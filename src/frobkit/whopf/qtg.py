@@ -359,7 +359,7 @@ def qtg_build(q: QTGInput) -> WeakHopfData:
 def qtg_integral(q: QTGInput, h: WeakHopfData) -> tuple[Vec, Vec]:
     """The verified non-degenerate left integral pair (Ibar, lam_bar) of
     h = qtg_build(q)."""
-    return _integral_pair(q, h, integral_space(q.L, "right").basis[0])
+    return _integral_pair(q, h, integral_space(q.L, "right")[0])
 
 
 def _integral_pair(q: QTGInput, h: WeakHopfData, lam_r: Vec) -> tuple[Vec, Vec]:
@@ -372,7 +372,8 @@ def _integral_pair(q: QTGInput, h: WeakHopfData, lam_r: Vec) -> tuple[Vec, Vec]:
         )
 
     acc: dict[int, Fraction] = {}
-    for u1, u2, c in L.comult_pairs_of(lam_r):
+    for t, c in L.coalgebra.delta_of(lam_r).terms():
+        u1, u2 = divmod(t, L.dim)
         for p, qq, ce in q.pairs:  # (e_p <| e_u1) (x) S(e_u2) (x) e_qq
             addto(acc, c * ce, q.acts[p][u1].tensor(q.s_cols[u2]).tensor(q.basis_b[qq]).terms())
     ibar = Vec.adopt(h.dim, acc)
@@ -397,7 +398,7 @@ def qtg_frobenius(q: QTGInput, h: WeakHopfData) -> ComultData:
     """The Frobenius structure of Ibar on h = qtg_build(q), with the
     closed-form comultiplication and counit checked equal to the generic
     integral construction, which is returned."""
-    lam_r = integral_space(q.L, "right").basis[0]
+    lam_r = integral_space(q.L, "right")[0]
     ibar, lam_bar = _integral_pair(q, h, lam_r)
     delta = _closed_form_delta(q, lam_r, h.dim)
     generic = frobenius_from_integral(h, ibar)

@@ -1,16 +1,19 @@
 """Shared fixtures: the groupoid fixture set (and the disjoint union that
 builds its disconnected members), Hopf group algebras, the three quantum
-transformation groupoid instances used across the suite, and a spy on the
-Psi_L solves of the integral search."""
+transformation groupoid instances used across the suite, a spy on the
+Psi_L solves of the integral search, and two builders the references share:
+a matrix from its columns and the (p, q, coeff) terms of Delta(x)."""
 
 from __future__ import annotations
 
 import pytest
 
+from frobkit.exactlin import Mat, Vec
 from frobkit.whopf import (
     GroupoidData,
     Morphism,
     QTGInput,
+    WeakHopfData,
     connected_groupoid,
     cyclic_group_table,
     group_groupoid,
@@ -24,6 +27,17 @@ from frobkit.whopf import (
     trivial_hopf,
 )
 from frobkit.whopf import core as whopf_core
+
+
+def column_mat(nrows: int, columns) -> Mat:
+    """The matrix whose column j is ``columns[j]``, a Vec or a dict."""
+    cols = list(columns)
+    return Mat(nrows, len(cols), [(r, j, v) for j, col in enumerate(cols) for r, v in col.items()])
+
+
+def comult_pairs(h: WeakHopfData, x: Vec) -> list[tuple]:
+    """Delta(x) as (p, q, coeff) terms of e_p (x) e_q."""
+    return [(*divmod(t, h.dim), v) for t, v in h.coalgebra.delta_of(x).terms()]
 
 
 def disjoint_union(a: GroupoidData, b: GroupoidData) -> GroupoidData:

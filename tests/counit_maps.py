@@ -21,8 +21,14 @@ def id_tensor_eps(c: ComultData, eps: Vec) -> Mat:
 
 
 def epsilon_s_matrix(h: WeakHopfData) -> Mat:
-    return Mat.from_columns(h.dim, [epsilon_s(h, Vec.basis(h.dim, j)) for j in range(h.dim)])
+    d = h.dim
+    return Mat(d, d, [
+        (k, j, v) for j in range(d) for k, v in epsilon_s(h, Vec.basis(d, j)).terms()
+    ])
 
 
 def epsilon_t_matrix(h: WeakHopfData) -> Mat:
-    return Mat.from_columns(h.dim, [epsilon_t(h, Vec.basis(h.dim, j)) for j in range(h.dim)])
+    d = h.dim
+    return Mat(d, d, [
+        (k, j, v) for j in range(d) for k, v in epsilon_t(h, Vec.basis(d, j)).terms()
+    ])

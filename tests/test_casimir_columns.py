@@ -136,7 +136,7 @@ def reference_casimir_comult(cas: CasimirElement):
     if any(col != times_casimir(a, by_p, x) for x, col in enumerate(cols)):
         return reference_check_casimir(cas).failures()[0].witness
     decided = check_algebra(a).passed
-    delta = Mat.from_columns(d * d, [Vec.adopt(d * d, col) for col in cols])
+    delta = conftest.column_mat(d * d, cols)
     return delta, reference_counit_rows(a, by_q) if decided else None, decided
 
 
@@ -164,7 +164,7 @@ def cases() -> dict[str, tuple[ComultData, list[Vec]]]:
     whopf.update({f"qtg_{k}": qtg_build(q) for k, q in conftest.build_qtg_instances().items()})
     for name, h in whopf.items():
         frob = frobenius_from_integral(h, find_nondegenerate_integral(h)[0])
-        xs = [frob.delta_of(h.unit), h.comult(h.unit)]
+        xs = [frob.delta_of(h.unit), h.coalgebra.delta_of(h.unit)]
         out[name] = (frob, xs)
         out[f"{name}_weak"] = (h.coalgebra, xs)
     return out
@@ -189,7 +189,7 @@ def edit_delta(delta: Mat, d: int, data) -> Mat:
     j = data.draw(st.integers(0, d - 1))
     col = edit(delta.col(j), d * d, data)
     cols = [col if k == j else delta.col(k) for k in range(d)]
-    return Mat.from_columns(d * d, cols)
+    return conftest.column_mat(d * d, cols)
 
 
 # --- comparisons -----------------------------------------------------------
@@ -243,5 +243,5 @@ def test_edited_elements_match_reference(data):
     # Delta(y) = X y for the edited X (a Frobenius Delta when X is Casimir)
     by_q = tensor_factors(CasimirElement(a, x))[0]
     left = [Vec.adopt(d * d, casimir_times(a, by_q, k)) for k in range(d)]
-    assert_delta_matches(ComultData(a, Mat.from_columns(d * d, left)))
+    assert_delta_matches(ComultData(a, conftest.column_mat(d * d, left)))
     assert_delta_matches(ComultData(a, edit_delta(c.delta, d, data)))

@@ -31,6 +31,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import pytest
 
+from conftest import column_mat
 from test_witness import (
     corrupted_comult,
     naive_bimodule,
@@ -193,7 +194,7 @@ def test_one_sided_delta_matches_reference(name, side, data):
             else:
                 col = col + a.mul(e[j], e[p]).tensor(e[q]).scale(v)
         cols.append(col)
-    c = ComultData(a, Mat.from_columns(d * d, cols))
+    c = ComultData(a, column_mat(d * d, cols))
     assert naive_bimodule(c)[0 if side == "right" else 1] is None
     assert_matches_reference(c)
 

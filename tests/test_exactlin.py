@@ -57,6 +57,25 @@ def test_vec_basics():
         Vec(2, {2: F(1)})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Vec.basis(3, 3), "index 3 out of range for dimension 3", id="basis"),
+        pytest.param(lambda: Vec(2) + Vec(3), "vector dimension mismatch in addition", id="add"),
+        pytest.param(
+            lambda: Vec(2).dot(Vec(3)), "vector dimension mismatch in dot product", id="dot"
+        ),
+        pytest.param(lambda: Mat(-1, 2), "matrix dimensions must be >= 0", id="negative_rows"),
+        pytest.param(lambda: Mat(2, 2).col(2), "column 2 out of range", id="col"),
+        pytest.param(lambda: Mat(2, 2).matvec(Vec(3)), "matvec dimension mismatch", id="matvec"),
+    ],
+)
+def test_shape_errors_are_pinned(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (InputError, message)
+
+
 def test_solve_identity():
     b = Vec(3, {0: F(2), 2: F(-7, 3)})
     sys_ = LinearSystem(3)
@@ -368,7 +387,7 @@ def reference_nondegenerate_integral(h, seed):
                 combo = combo + b.scale(rng.randint(-h.dim, h.dim))
             yield combo
 
-    basis = integral_space(h, "left").basis
+    basis = integral_space(h, "left")
     for cand in candidates():
         psi_inv = reference_inverse(psi_map(h, cand))
         if psi_inv is not None:
@@ -384,7 +403,7 @@ def _weak_hopf_zoo(groupoid_algebras, hopf_group_algebras, qtg_built):
 def test_psi_solve_matches_reference(data, groupoid_algebras, hopf_group_algebras, qtg_built):
     zoo = _weak_hopf_zoo(groupoid_algebras, hopf_group_algebras, qtg_built)
     h = data.draw(st.sampled_from(zoo))
-    basis = integral_space(h, "left").basis
+    basis = integral_space(h, "left")
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis)))
     cand = Vec(h.dim)
     for c, b in zip(coeffs, basis):
@@ -400,7 +419,7 @@ def test_psi_solve_on_basis_vectors(groupoid_algebras, hopf_group_algebras, qtg_
     # on a group algebra Psi of the unit is a rank-1 projection whose image
     # holds 1: a consistent singular system, which must still give None
     for h in _weak_hopf_zoo(groupoid_algebras, hopf_group_algebras, qtg_built):
-        for cand in [*integral_space(h, "left").basis, *(Vec.basis(h.dim, k) for k in range(h.dim))]:
+        for cand in [*integral_space(h, "left"), *(Vec.basis(h.dim, k) for k in range(h.dim))]:
             ref = reference_inverse(psi_map(h, cand))
             assert _psi_solve(h, cand) == (None if ref is None else ref.matvec(h.unit))
 

@@ -27,7 +27,7 @@ from frobkit.finalg import (
     classify_report,
     comult_from_json,
     comult_to_json,
-    comult_to_json_str,
+    dump_json,
     solve_counit,
 )
 from counit_maps import eps_tensor_id, id_tensor_eps
@@ -102,6 +102,33 @@ def test_check_algebra_one_dimensional():
 def test_check_algebra_rejects_dim_zero():
     with pytest.raises(InputError):
         AlgebraData(0, [], {}, Vec(0))
+
+
+def _k() -> AlgebraData:
+    return AlgebraData(1, ["1"], {(0, 0): ((0, 1),)}, Vec.basis(1, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: AlgebraData(2, ["a", "b"], {}, Vec(3)), "unit vector dimension mismatch",
+            id="unit",
+        ),
+        pytest.param(lambda: ComultData(_k(), Mat(2, 1)), "delta must be 1x1, got 2x1", id="delta"),
+        pytest.param(
+            lambda: ComultData(_k(), Mat(1, 1), Vec(2)), "counit dimension mismatch", id="counit"
+        ),
+        pytest.param(
+            lambda: CasimirElement(_k(), Vec(2)), "Casimir element must live in the tensor square",
+            id="casimir",
+        ),
+    ],
+)
+def test_shape_errors_are_pinned(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (InputError, message)
 
 
 def test_check_algebra_corrupted_entry_fails_with_witness():
@@ -307,9 +334,9 @@ def test_classification_stable_not_frobenius(perm):
 def test_json_round_trip_byte_identical():
     alg = golden_b22_algebra()
     c = ComultData(alg, golden_b22_delta(alg), solve_counit(ComultData(alg, golden_b22_delta(alg))))
-    text = comult_to_json_str(c)
+    text = dump_json(comult_to_json(c))
     back = comult_from_json(json.loads(text))
-    assert comult_to_json_str(back) == text
+    assert dump_json(comult_to_json(back)) == text
     assert back.algebra.mult == alg.mult
     assert back.delta == c.delta
     assert back.counit == c.counit

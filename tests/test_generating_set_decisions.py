@@ -466,8 +466,8 @@ def test_casimir_decision_on_generators_matches_all_columns(data):
         x = x + b.scale(data.draw(st.sampled_from([Fraction(0), *SCALARS])))
     x = edit(x, d * d, data)
     assert_casimir_matches(a, x)
-    columns = [Vec.adopt(d * d, lhs) for _, lhs, _ in finalg._casimir_columns(a, x, range(d))]
-    assert_delta_matches(ComultData(a, Mat.from_columns(d * d, columns)))
+    columns = [lhs for _, lhs, _ in finalg._casimir_columns(a, x, range(d))]
+    assert_delta_matches(ComultData(a, conftest.column_mat(d * d, columns)))
 
 
 # --- the fast paths are taken -----------------------------------------------

@@ -175,7 +175,7 @@ def test_builders_match_reference_on_hand_built_algebra():
 
 def test_indented_json_only_in_dump_json():
     """Indented JSON is written by one function, finalg.dump_json; the CLI
-    and the weak-Hopf exporter import it."""
+    is the one module that imports it."""
     root = Path(frobkit.__file__).parent
     writers, importers = [], set()
     for path in sorted(root.rglob("*.py")):
@@ -194,4 +194,4 @@ def test_indented_json_only_in_dump_json():
             if isinstance(node, ast.ImportFrom) and any(a.name == "dump_json" for a in node.names):
                 importers.add(name)
     assert writers == [("finalg.py", "dump_json")]
-    assert {"cli.py", "whopf/core.py"} <= importers
+    assert importers == {"cli.py"}

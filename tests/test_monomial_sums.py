@@ -155,7 +155,7 @@ def fixtures() -> dict[str, ComultData | WeakHopfData]:
 
 def delta_one(case) -> Vec:
     if isinstance(case, WeakHopfData):
-        return case.comult(case.unit)
+        return case.coalgebra.delta_of(case.unit)
     return case.delta_of(case.algebra.unit)
 
 
@@ -349,7 +349,7 @@ def mult_rows(draw) -> tuple[WeakHopfData, list, Vec]:
     (n Delta)(x): drawn with cancelling pairs, or those of Delta(x)."""
     a = draw(algebras())
     d = a.dim
-    delta = Mat.from_columns(d * d, [tensor(cancelling_terms(draw, a), d) for _ in range(d)])
+    delta = conftest.column_mat(d * d, [tensor(cancelling_terms(draw, a), d) for _ in range(d)])
     h = WeakHopfData(a, delta, Vec(d), Mat(d, d, [(k, k, 1) for k in range(d)]))
     x = Vec(d, draw(st.dictionaries(st.integers(0, d - 1), st.sampled_from(SCALARS), max_size=3)))
     if draw(st.booleans()):

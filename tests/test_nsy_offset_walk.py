@@ -8,20 +8,17 @@ substance: ``_layout`` built the basis list next to the offsets, and
 ``nsy_build`` and ``nsy_delta`` read the basis from it.  Both must give the
 same ``mult`` (keys, values and insertion order), labels, unit, Delta
 columns and column term order (``nsy_oracle.nsy_build_oracle`` stays the
-independent reference of ``nsy_build`` in ``test_term_tuples.py``).  With no
-namedtuple class left in ``frobkit.nsy``, every ``nsy`` action, ``table`` and
-``delta`` included, must still print its pinned bytes.
+independent reference of ``nsy_build`` in ``test_term_tuples.py``).  The
+pinned bytes of every ``nsy`` action are checked by ``test_cli_snapshots.py``
+and the ``nsy build`` digests by ``test_nsy_layout.py``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobkit import cli, nsy
+from frobkit import nsy
 from frobkit.exactlin import Mat, ONE, Vec
 from frobkit.finalg import AlgebraData, ComultData
 from frobkit.nsy import (
@@ -35,8 +32,6 @@ from frobkit.nsy import (
     sweep_params,
 )
 from nsy_oracle import NSYBasisIndex, basis_indices
-from test_cli_snapshots import CASES, SNAPSHOT_FILE, _run, _write_inputs
-from test_nsy_layout import NSY_BUILD_DIGESTS
 
 # ---- the namedtuple walk, copied verbatim ---------------------------------
 
@@ -147,26 +142,3 @@ def test_nsy_defines_no_namedtuple():
         name for name, v in vars(nsy).items()
         if isinstance(v, type) and issubclass(v, tuple) and hasattr(v, "_fields")
     ] == []
-
-
-@pytest.fixture(scope="module")
-def snapshot_inputs(tmp_path_factory):
-    root = tmp_path_factory.mktemp("offset_walk_inputs")
-    _write_inputs(root)
-    return root, json.loads(SNAPSHOT_FILE.read_text(encoding="utf-8"))
-
-
-NSY_CASES = sorted(c for c in CASES if c.split()[0] == "nsy")
-
-
-@pytest.mark.parametrize("case", NSY_CASES)
-def test_nsy_commands_build_no_namedtuple(case, snapshot_inputs):
-    root, snapshots = snapshot_inputs
-    assert _run(CASES[case], root) == snapshots[case]
-
-
-@pytest.mark.parametrize("params", sorted(NSY_BUILD_DIGESTS))
-def test_nsy_build_builds_no_namedtuple(params, capsys):
-    assert cli.main(["nsy", "build", *params.split()]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == NSY_BUILD_DIGESTS[params]

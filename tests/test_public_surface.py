@@ -31,8 +31,8 @@ EXACTLIN_MEMBERS = {
         "tensor", "terms",
     },
     "Mat": {
-        "adopt", "col", "col_terms", "from_columns", "is_zero", "items", "matvec", "ncols",
-        "nrows", "rows_items", "scale",
+        "adopt", "col", "col_terms", "is_zero", "items", "matvec", "ncols", "nrows",
+        "rows_items", "scale",
     },
     "LinearSystem": {"add", "add_matrix", "free_columns", "kernel", "rank", "solution"},
 }

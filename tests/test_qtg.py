@@ -16,6 +16,7 @@ from frobkit.finalg import (
     check_bimodule,
     check_coassoc,
     classify,
+    dump_json,
     solve_counit,
 )
 from frobkit.whopf import (
@@ -40,11 +41,13 @@ from frobkit.whopf import (
     separable_matrix_algebra,
     trivial_action,
     trivial_hopf,
-    weak_hopf_to_json_str,
+    weak_hopf_to_json,
 )
 from frobkit.whopf import qtg as qtg_mod
 from frobkit.whopf.core import _psi_solve
+from frobkit.whopf.groupoid import _groupoid_product
 from counit_maps import eps_tensor_id, id_tensor_eps
+from test_whopf import non_associative_groupoid
 
 F = Fraction
 
@@ -204,7 +207,7 @@ def test_qtg_integral_psi_is_unit(qtg_instances, qtg_built):
 
 def test_right_integral_and_dual_of_kz2(qtg_instances):
     q = qtg_instances["kz2_kz2"]
-    lam_r = integral_space(q.L, "right").basis[0]
+    lam_r = integral_space(q.L, "right")[0]
     assert lam_r == Vec(2, {0: F(1), 1: F(1)})
     lam = _psi_solve(q.L, q.L.antipode.matvec(lam_r))  # lam(S(I_1)) S(I_2) = 1
     assert lam == Vec(2, {0: F(1)})
@@ -324,6 +327,74 @@ def test_qtg_rejects_broken_idempotent():
     bad_e = Vec(4, {0 * 2 + 0: F(1, 2), 0 * 2 + 1: F(1, 2)})  # not symmetric
     with pytest.raises(ConstructionError):
         QTGInput(L, B, bad_e, om, trivial_action(B, L))
+
+
+def _m2_input(L=None, B=None, e=None, omega=None, action=None) -> QTGInput:
+    """QTGInput on (trivial, M_2) with the given fields in place of its own."""
+    L = trivial_hopf() if L is None else L
+    B0, e0, omega0 = separable_matrix_algebra(2)
+    B = B0 if B is None else B
+    return QTGInput(
+        L, B, e0 if e is None else e, omega0 if omega is None else omega,
+        trivial_action(B, L) if action is None else action,
+    )
+
+
+def _antipode_broken() -> WeakHopfData:
+    h = hopf_group_algebra(cyclic_group_table(2))
+    return WeakHopfData(h.algebra, h.delta_wk, h.epsilon_wk, Mat(2, 2, [(0, 0, 1), (0, 1, 1)]))
+
+
+# sum_i E[i,0] (x) E[0,i] on M_2: Casimir with e1 e2 = 1, but not symmetric
+ASYMMETRIC_E = Vec(16, [((i * 2) * 4 + i, 1) for i in range(2)])
+
+
+@pytest.mark.parametrize(
+    "call, exc_type, message",
+    [
+        pytest.param(
+            lambda: automorphism_action(
+                separable_matrix_algebra(2)[0], hopf_group_algebra(cyclic_group_table(2)),
+                [[0, 1, 2, 3]],
+            ),
+            InputError, "need one basis permutation per group element", id="perm_count",
+        ),
+        pytest.param(
+            lambda: _m2_input(e=Vec(3)),
+            InputError, "separability idempotent must live in B (x) B", id="e_shape",
+        ),
+        pytest.param(
+            lambda: _m2_input(omega=Vec(3)),
+            InputError, "trace form dimension mismatch", id="omega_shape",
+        ),
+        pytest.param(
+            lambda: _m2_input(action=Mat(4, 3)),
+            InputError, "action matrix must be dim(B) x dim(B)*dim(L)", id="action_shape",
+        ),
+        pytest.param(
+            lambda: _m2_input(
+                B=_groupoid_product(non_associative_groupoid()), e=Vec(25), omega=Vec(5)
+            ),
+            ConstructionError, "B is not a unital associative algebra", id="non_associative_B",
+        ),
+        pytest.param(
+            lambda: _m2_input(L=_antipode_broken()),
+            ConstructionError, "L fails weak Hopf axiom antipode_source", id="L_not_weak_hopf",
+        ),
+        pytest.param(
+            lambda: _m2_input(e=separable_matrix_algebra(2)[1].scale(2)),
+            ConstructionError, "idempotent2: e1 e2 != 1_B", id="idempotent2",
+        ),
+        pytest.param(
+            lambda: _m2_input(e=ASYMMETRIC_E),
+            ConstructionError, "idempotent3: e1 (x) e2 != e2 (x) e1", id="idempotent3",
+        ),
+    ],
+)
+def test_input_errors_are_pinned(call, exc_type, message):
+    with pytest.raises(exc_type) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (exc_type, message)
 
 
 def naive_idempotent1(B, e) -> bool:
@@ -548,7 +619,7 @@ def test_action_axioms_on_generators_match_full_loops(case, edits):
     assert message == expected
 
 
-# sha256 of weak_hopf_to_json_str(qtg_build(...)) over the (L, B) pairs of the
+# sha256 of dump_json(weak_hopf_to_json(qtg_build(...))) over the (L, B) pairs of the
 # whopf-qtg benchmark workload, recorded before the action table of qtg_build
 QTG_BUILD_DIGESTS = [
     ("trivial", "cyclic:2", "e6956b8dd24e9cab1a4c9100d7c46dc3bb3f5629429450409808ae89ce7c6953"),
@@ -577,7 +648,7 @@ def test_qtg_build_output_is_pinned(L_token, B_token, digest):
     else:
         B, e, omega = separable_group_algebra(cyclic_group_table(int(size)))
     h = qtg_build(QTGInput(L, B, e, omega, trivial_action(B, L)))
-    text = weak_hopf_to_json_str(h)
+    text = dump_json(weak_hopf_to_json(h))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -597,7 +668,7 @@ def _trivial_action_input(L_token: str, B_token: str) -> QTGInput:
 
 
 # (order of the cyclic L, B, basis permutation of each group element) and the
-# sha256 of weak_hopf_to_json_str(qtg_build(...)), recorded before qtg_build
+# sha256 of dump_json(weak_hopf_to_json(qtg_build(...))), recorded before qtg_build
 # assembled the product from factor tables
 AUTOMORPHISM_ACTIONS = [
     (2, "cyclic:3", [[0, 1, 2], [0, 2, 1]],
@@ -623,7 +694,7 @@ def _automorphism_input(order: int, B_token: str, perms) -> QTGInput:
 @pytest.mark.parametrize("order, B_token, perms, digest", AUTOMORPHISM_ACTIONS, ids=AUTOMORPHISM_IDS)
 def test_qtg_build_automorphism_output_is_pinned(order, B_token, perms, digest):
     h = qtg_build(_automorphism_input(order, B_token, perms))
-    text = weak_hopf_to_json_str(h)
+    text = dump_json(weak_hopf_to_json(h))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -92,7 +92,7 @@ CASES = [
 def test_closed_form_matches_reference_loop(make, args):
     q = make(*args)
     h = qtg_build(q)
-    lam_r = integral_space(q.L, "right").basis[0]
+    lam_r = integral_space(q.L, "right")[0]
     tabulated = _closed_form_delta(q, lam_r, h.dim)
     reference = reference_closed_form(q, lam_r, h.dim)
     assert tabulated == reference

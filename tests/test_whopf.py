@@ -9,7 +9,7 @@ import pytest
 from frobkit import whopf
 from frobkit.errors import ConstructionError, InputError, PreconditionError
 from frobkit.exactlin import LinearSystem, Mat, Vec, addto, is_invertible
-from frobkit.finalg import AlgebraData, ComultData, check_bimodule, check_coassoc
+from frobkit.finalg import AlgebraData, ComultData, check_bimodule, check_coassoc, dump_json
 from frobkit.whopf import (
     GroupoidData,
     Morphism,
@@ -35,9 +35,10 @@ from frobkit.whopf import (
     target_subalgebra_basis,
     trivial_hopf,
     weak_hopf_from_json,
-    weak_hopf_to_json_str,
+    weak_hopf_to_json,
 )
 from frobkit.whopf import core as whopf_core, groupoid, qtg
+from conftest import column_mat, comult_pairs
 from counit_maps import epsilon_s_matrix, epsilon_t_matrix
 from nsy_oracle import cells, mat_product
 from test_weak_hopf_check import reference_epsilon_s, reference_epsilon_t
@@ -209,11 +210,11 @@ def test_group_algebra_rejects_wrong_label_count():
 
 
 WHOPF_EXPORTS = {
-    "DEFAULT_INTEGRAL_SEED", "IntegralSpace", "WeakHopfData", "check_weak_hopf",
+    "DEFAULT_INTEGRAL_SEED", "WeakHopfData", "check_weak_hopf",
     "epsilon_s", "epsilon_t",
     "find_nondegenerate_integral", "frobenius_from_integral", "integral_space",
     "is_hopf", "iterated_comult", "psi_map", "target_subalgebra_basis", "weak_hopf_from_json",
-    "weak_hopf_to_json", "weak_hopf_to_json_str",
+    "weak_hopf_to_json",
     "GroupoidData", "Morphism", "connected_groupoid", "cyclic_group_table",
     "group_groupoid", "groupoid_algebra", "groupoid_from_json",
     "hopf_group_algebra", "pair_groupoid",
@@ -226,7 +227,7 @@ WHOPF_EXPORTS = {
 def test_whopf_exports_each_name_once():
     names = whopf.__all__
     assert names == [*whopf_core.__all__, *groupoid.__all__, *qtg.__all__]
-    assert len(names) == len(set(names)) == 34
+    assert len(names) == len(set(names)) == 32
     assert set(names) == WHOPF_EXPORTS
     assert [n for n in names if not hasattr(whopf, n)] == []
 
@@ -294,7 +295,7 @@ def test_integral_space_groupoid_target_fibres(groupoid_fixtures):
         g = groupoid_fixtures[name]
         h = groupoid_algebra(g)
         space = integral_space(h, "left")
-        assert len(space.basis) == len(g.objects), name
+        assert len(space) == len(g.objects), name
         expected = []
         for x in range(len(g.objects)):
             expected.append(
@@ -303,20 +304,20 @@ def test_integral_space_groupoid_target_fibres(groupoid_fixtures):
                     [(k, F(1)) for k, m in enumerate(g.morphisms) if m.tgt == x],
                 )
             )
-        assert span_equal(space.basis, expected, h.dim), name
+        assert span_equal(space, expected, h.dim), name
         # every basis vector satisfies the defining identity exactly
-        for lam in space.basis:
+        for lam in space:
             for k in range(h.dim):
                 ek = Vec.basis(h.dim, k)
                 assert h.algebra.mul(ek, lam) == h.algebra.mul(epsilon_t(h, ek), lam)
 
 
 def left_mult_matrix(a: AlgebraData, x: Vec) -> Mat:
-    return Mat.from_columns(a.dim, [a.mul(x, Vec.basis(a.dim, j)) for j in range(a.dim)])
+    return column_mat(a.dim, [a.mul(x, Vec.basis(a.dim, j)) for j in range(a.dim)])
 
 
 def right_mult_matrix(a: AlgebraData, x: Vec) -> Mat:
-    return Mat.from_columns(a.dim, [a.mul(Vec.basis(a.dim, j), x) for j in range(a.dim)])
+    return column_mat(a.dim, [a.mul(Vec.basis(a.dim, j), x) for j in range(a.dim)])
 
 
 def reference_integral_space(h: WeakHopfData, side: str) -> list[Vec]:
@@ -343,7 +344,7 @@ def test_integral_space_and_counital_maps_match_reference(
             assert epsilon_s(h, ek) == reference_epsilon_s(h, ek)
             assert epsilon_t(h, ek) == reference_epsilon_t(h, ek)
         for side in ("left", "right"):
-            assert integral_space(h, side).basis == reference_integral_space(h, side)
+            assert integral_space(h, side) == reference_integral_space(h, side)
 
 
 def test_integral_space_z2():
@@ -351,13 +352,48 @@ def test_integral_space_z2():
     left = integral_space(h, "left")
     right = integral_space(h, "right")
     expected = Vec(2, {0: F(1), 1: F(1)})
-    assert left.basis == [expected]
-    assert right.basis == [expected]
+    assert left == [expected]
+    assert right == [expected]
 
 
 def test_integral_space_trivial_hopf():
     h = trivial_hopf()
-    assert integral_space(h, "left").basis == [Vec(1, {0: F(1)})]
+    assert integral_space(h, "left") == [Vec(1, {0: F(1)})]
+
+
+def _k_with(delta_wk: Mat, epsilon_wk: Vec, antipode: Mat) -> WeakHopfData:
+    return WeakHopfData(trivial_hopf().algebra, delta_wk, epsilon_wk, antipode)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: _k_with(Mat(2, 1), Vec(1), Mat(1, 1)), "delta_wk must be dim^2 x dim",
+            id="delta_wk",
+        ),
+        pytest.param(
+            lambda: _k_with(Mat(1, 1), Vec(2), Mat(1, 1)), "epsilon_wk dimension mismatch",
+            id="epsilon_wk",
+        ),
+        pytest.param(
+            lambda: _k_with(Mat(1, 1), Vec(1), Mat(1, 2)), "antipode must be dim x dim",
+            id="antipode",
+        ),
+        pytest.param(
+            lambda: iterated_comult(trivial_hopf(), Vec.basis(1, 0), 0), "factors must be >= 1",
+            id="iterated_comult",
+        ),
+        pytest.param(
+            lambda: integral_space(trivial_hopf(), "up"), "side must be 'left' or 'right'",
+            id="integral_side",
+        ),
+    ],
+)
+def test_input_errors_are_pinned(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert (exc.type, str(exc.value)) == (InputError, message)
 
 
 def test_psi_map_zero_and_identity_cases(groupoid_fixtures):
@@ -388,7 +424,7 @@ def test_solve_linear_recovers_dual_integral(groupoid_fixtures):
 
 def test_psi_phi_phi_prime_equivalence(groupoid_algebras, hopf_group_algebras):
     for h in list(groupoid_algebras.values()) + list(hopf_group_algebras.values()):
-        candidates = list(integral_space(h, "left").basis)
+        candidates = list(integral_space(h, "left"))
         candidates.append(all_morphisms_integral(h))
         for lam in candidates:
             inv_psi = is_invertible(psi_map(h, lam))
@@ -403,16 +439,16 @@ def reference_phi_map(h: WeakHopfData, lam: Vec) -> Mat:
     """Matrix of Phi_L : phi -> phi(L_1) S(L_2)."""
     d = h.dim
     cols: list[dict[int, Fraction]] = [{} for _ in range(d)]
-    for p, q, v in h.comult_pairs_of(lam):
+    for p, q, v in comult_pairs(h, lam):
         addto(cols[p], v, h.antipode.col_terms(q))
-    return Mat.from_columns(d, [Vec.adopt(d, c) for c in cols])
+    return column_mat(d, cols)
 
 
 def reference_phi_prime_map(h: WeakHopfData, lam: Vec) -> Mat:
     """Matrix of Phi'_L : phi -> L_1 phi(S(L_2))."""
     d = h.dim
     return Mat(d, d, [
-        (p, k, v * w) for p, q, v in h.comult_pairs_of(lam) for k, w in h.antipode.col_terms(q)
+        (p, k, v * w) for p, q, v in comult_pairs(h, lam) for k, w in h.antipode.col_terms(q)
     ])
 
 
@@ -435,11 +471,11 @@ def test_find_nondegenerate_integral_needs_weak_hopf_data():
     integral, so data that fails check_weak_hopf is refused, not searched."""
     from test_cli import _drop_morphism_delta
 
-    payload = json.loads(weak_hopf_to_json_str(groupoid_algebra(pair_groupoid(2))))
+    payload = json.loads(dump_json(weak_hopf_to_json(groupoid_algebra(pair_groupoid(2)))))
     _drop_morphism_delta(payload)
     h = weak_hopf_from_json(payload)
     assert not check_weak_hopf(h).passed
-    assert integral_space(h, "left").basis  # integrals remain; none is searched
+    assert integral_space(h, "left")  # integrals remain; none is searched
     with pytest.raises(PreconditionError, match="passes check_weak_hopf"):
         find_nondegenerate_integral(h)
 
@@ -465,7 +501,7 @@ def test_integral_search_never_draws_on_groupoids_and_groups(
     for h in zoo:
         psi_solve_calls.clear()
         lam, lam_dual = find_nondegenerate_integral(h, seed=0)
-        assert 1 <= len(psi_solve_calls) <= len(integral_space(h, "left").basis) + 1
+        assert 1 <= len(psi_solve_calls) <= len(integral_space(h, "left")) + 1
         assert psi_solve_calls[-1] == lam and psi_map(h, lam).matvec(lam_dual) == h.unit
 
 
@@ -509,7 +545,7 @@ def test_frobenius_from_integral_trivial_hopf():
 
 def test_counit_exists_iff_psi_invertible(groupoid_algebras, hopf_group_algebras):
     for h in list(groupoid_algebras.values()) + list(hopf_group_algebras.values()):
-        for lam in integral_space(h, "left").basis:
+        for lam in integral_space(h, "left"):
             comult = frobenius_from_integral(h, lam)
             fresh = ComultData(h.algebra, comult.delta)
             assert check_coassoc(fresh).passed
@@ -551,9 +587,9 @@ def test_pair_groupoid_is_matrix_units(groupoid_fixtures):
 
 def test_weak_hopf_json_round_trip(groupoid_algebras):
     h = groupoid_algebras["pair2_x_z2"]
-    text = weak_hopf_to_json_str(h)
+    text = dump_json(weak_hopf_to_json(h))
     back = weak_hopf_from_json(json.loads(text))
-    assert weak_hopf_to_json_str(back) == text
+    assert dump_json(weak_hopf_to_json(back)) == text
     assert check_weak_hopf(back).passed
 
 
