@@ -41,7 +41,8 @@ rows fed to :class:`LinearSystem`.
 
 Likewise every row reduction goes through one elimination,
 :meth:`LinearSystem.add`: solving, kernels, ranks, inverses and
-invertibility are all read off its reduced rows.  It eliminates and
+invertibility are all read off its reduced rows, except that
+:func:`is_invertible` needs none for a permuted diagonal.  It eliminates and
 normalizes only the rows that need it (see :class:`LinearSystem`), and
 returns whether the system is still consistent, so the counit solve stops
 at the first contradictory row.
@@ -476,9 +477,14 @@ def inverse(a: Mat) -> Mat | None:
     ])
 
 
-def rank_raising(dim: int, vectors: Iterable) -> list[int]:
+def rank_raising(dim: int, vectors: Iterable) -> tuple[list[int], list[int]]:
     """Indices of the vectors (dicts or Vecs) that raise the rank of those
-    before them; zero vectors and repeats never reach LinearSystem.add."""
+    before them, and the ascending pivot columns of their elimination; zero
+    vectors and repeats never reach LinearSystem.add.  The pivots are the
+    columns of the matrix with these rows that raise its column rank in
+    order: row operations keep every linear relation among the columns, and
+    in the reduced echelon form with leftmost pivots a column lies outside
+    the span of the columns before it exactly when it holds a pivot."""
     sys_, seen, out = LinearSystem(dim), set(), []
     for j, v in enumerate(vectors):
         key = frozenset(v.items())
@@ -488,12 +494,18 @@ def rank_raising(dim: int, vectors: Iterable) -> list[int]:
             sys_.add(v)
             if sys_.rank > rank:
                 out.append(j)
-    return out
+    return out, sorted(sys_._rows)
 
 
 def is_invertible(a: Mat) -> bool:
-    """Exact invertibility check: full rank, without building the inverse."""
+    """Exact invertibility check: full rank, without building the inverse.
+    A matrix whose columns each hold one entry, in n distinct rows, is a
+    permuted diagonal with nonzero diagonal (no zero is stored), so it is
+    invertible with no elimination: n distinct rows from one-entry columns
+    need n such columns, and there are at most n columns."""
     n = _square_size(a)
+    if len({r for col in a._c.values() if len(col) == 1 for r in col}) == n:
+        return True
     sys_ = LinearSystem(n)
     sys_.add_matrix(a)
     return sys_.rank == n

@@ -351,7 +351,7 @@ def test_rank_raising_skips_zeros_and_repeats(monkeypatch):
     added = []
     add = LinearSystem.add
     monkeypatch.setattr(LinearSystem, "add", lambda self, v: added.append(v) or add(self, v))
-    assert rank_raising(2, rows) == [1, 4]
+    assert rank_raising(2, rows) == ([1, 4], [0, 1])
     # the zero row and the two exact repeats never reach LinearSystem.add
     assert added == [rows[1], rows[3], rows[4], rows[6]]
 
@@ -359,13 +359,73 @@ def test_rank_raising_skips_zeros_and_repeats(monkeypatch):
 @given(st.lists(st.dictionaries(st.integers(0, 3), st.integers(-2, 2).filter(bool), max_size=4),
                 max_size=8))
 def test_rank_raising_matches_one_row_at_a_time(rows):
-    picked = rank_raising(4, rows)
+    picked, pivots = rank_raising(4, rows)
     span = LinearSystem(4)
     for j, row in enumerate(rows):  # rows[j] is picked iff it raises the rank of rows[:j]
         before = span.rank
         span.add(row)
         assert (j in picked) == (span.rank > before)
     assert picked == sorted(picked)
+    # column c is a pivot iff it raises the rank of the columns before it
+    col_span = LinearSystem(len(rows))
+    for c in range(4):
+        before = col_span.rank
+        col_span.add({j: row[c] for j, row in enumerate(rows) if c in row})
+        assert (c in pivots) == (col_span.rank > before)
+    assert pivots == sorted(pivots) and len(pivots) == len(picked)
+
+
+def reference_full_rank(a: Mat) -> bool:
+    sys_ = LinearSystem(a.nrows)
+    sys_.add_matrix(a)
+    return sys_.rank == a.nrows
+
+
+nonzero_scalar = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool),
+)
+
+
+@st.composite
+def one_entry_columns(draw):
+    """A square matrix with one entry per column in distinct rows, the same
+    with one row repeated, or with one column emptied; or, touching every
+    row, two proportional columns on the same two rows, entered in opposite
+    row order."""
+    shape = draw(st.sampled_from(
+        ["permuted_diagonal", "repeated_row", "empty_column", "proportional_columns"]
+    ))
+    n = draw(st.integers(1 if shape in ("permuted_diagonal", "empty_column") else 2, 6))
+    rows = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, n - 1))
+    k2 = (k + 1 + draw(st.integers(0, n - 2))) % n if n > 1 else k
+    if shape == "repeated_row":
+        rows[k] = rows[k2]
+    entries = [(r, c, draw(nonzero_scalar)) for c, r in enumerate(rows)]
+    if shape == "empty_column":
+        del entries[k]
+    if shape == "proportional_columns":
+        x, y, t = (draw(nonzero_scalar) for _ in range(3))
+        entries = [e for e in entries if e[1] not in (k, k2)] + [
+            (rows[k], k, x), (rows[k2], k, y), (rows[k2], k2, t * y), (rows[k], k2, t * x)
+        ]
+    return shape, Mat(n, n, entries)
+
+
+@given(one_entry_columns())
+@settings(max_examples=150, deadline=None)
+def test_is_invertible_matches_rank_on_one_entry_columns(case):
+    """Only the permuted diagonal is invertible, and it is decided with no
+    elimination; the singular shapes reach LinearSystem."""
+    shape, a = case
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        init = LinearSystem.__init__
+        mp.setattr(LinearSystem, "__init__", lambda self, n: built.append(n) or init(self, n))
+        got = is_invertible(a)
+    assert got == reference_full_rank(a) == (shape == "permuted_diagonal")
+    assert built == ([] if got else [a.nrows])
 
 
 def test_inverse_of_empty_matrix():

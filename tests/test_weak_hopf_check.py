@@ -2,7 +2,10 @@
 replaced, the whole report against the all-Fraction report it replaced, and
 the report kept on each WeakHopfData.  The eps(abc) row scan must run only
 when the decision on a row and column basis of E = [eps(e_m e_c)] cannot
-pass, and E's rank is pinned on the fixtures.
+pass, and E's rank is pinned on the fixtures.  On passing data the check
+builds one LinearSystem, for E's rows and columns together, and decides
+the counit identities and the antipode's invertibility without
+counit_failures or an elimination.
 
 Corruptions: one entry of epsilon_wk is shifted, or one entry is added to
 delta_wk, the antipode or the product, on the groupoid, group and quantum
@@ -13,6 +16,7 @@ group and groupoid algebras against both references.
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -20,7 +24,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobkit.cli import main
-from frobkit.exactlin import Mat, Vec, addto, is_invertible, rank_raising
+from frobkit import finalg
+from frobkit.exactlin import LinearSystem, Mat, Vec, addto, is_invertible, rank_raising
 from frobkit.finalg import (
     AlgebraData,
     CheckResult,
@@ -199,11 +204,18 @@ def test_weak_mult_scan_runs_when_an_identity_breaks(weak_hopf_cases, scans, nam
     assert scans == [h]
 
 
+def eps_form_rank(h: WeakHopfData) -> int:
+    """rank E, checking that the pivots of the elimination of E's rows are
+    the columns that raise the rank of E's columns in order."""
+    eps_row, eps_col = core._counital_terms(h)[:2]
+    rows, pivots = rank_raising(h.dim, eps_row)
+    assert pivots == rank_raising(h.dim, eps_col)[0]
+    return len(rows)
+
+
 def test_rank_of_eps_form(weak_hopf_cases, groupoid_fixtures):
     for name, h in weak_hopf_cases.items():
-        eps_row, eps_col = core._counital_terms(h)[:2]
-        rank = len(rank_raising(h.dim, eps_row))
-        assert len(rank_raising(h.dim, eps_col)) == rank
+        rank = eps_form_rank(h)
         if name.startswith("kZ"):
             assert rank == 1
         elif name in groupoid_fixtures:
@@ -393,7 +405,9 @@ def reference_report(h: WeakHopfData) -> VerificationReport:
     checks.append(CheckResult("antipode_target", tgt_w is None, tgt_w))
     checks.append(CheckResult("antipode_sandwich", sand_w is None, sand_w))
 
-    inv_ok = is_invertible(h.antipode)
+    span = LinearSystem(d)
+    span.add_matrix(h.antipode)
+    inv_ok = span.rank == d
     checks.append(
         CheckResult(
             "antipode_invertible",
@@ -460,7 +474,59 @@ def test_report_matches_reference_on_edited_data(report_cases, data):
         h = add_antipode_entry(h, data.draw(index), data.draw(index), value)
     else:
         h = add_mult_entry(h, data.draw(index), data.draw(index), data.draw(index), value)
+    eps_form_rank(h)
     assert_report_matches_reference(h)
+
+
+# ---------------------------------------------------------------------------
+# The work the check saves on passing data: one elimination for both bases of
+# E, the counit identities on n Delta, and no elimination for a permutation-
+# shaped antipode.  Spies record the caller of each LinearSystem built.
+
+
+@pytest.fixture
+def systems(monkeypatch):
+    built = []
+    init = LinearSystem.__init__
+
+    def spy(self, ncols):
+        built.append(sys._getframe(1).f_code.co_name)
+        init(self, ncols)
+
+    def no_counit_failures(*args):
+        raise AssertionError("counit_failures called")
+
+    monkeypatch.setattr(LinearSystem, "__init__", spy)
+    monkeypatch.setattr(finalg, "counit_failures", no_counit_failures)
+    monkeypatch.setattr(core, "counit_failures", no_counit_failures, raising=False)
+    return built
+
+
+def test_passing_check_saves_work(report_cases, systems):
+    for name, h in report_cases.items():
+        systems.clear()
+        assert is_invertible(h.antipode), name
+        assert systems == [], name
+        assert core._weak_hopf_report(h).passed, name
+        # the eps(abc) decision: one elimination picks R, and C from its pivots
+        assert systems == ["rank_raising"], name
+
+
+def test_counit_witnesses_are_unscaled_on_k_kz3(report_cases):
+    h = report_cases["k_kz3"]
+    assert h.denom == 3
+    fractional = False
+    for k in range(h.dim):
+        for value in EDIT_VALUES:
+            edited = shift_epsilon(h, k, value)
+            got = {c.name: c for c in core._weak_hopf_report(edited).checks}
+            expected = {c.name: c for c in reference_report(edited).checks}
+            for name in ("counit_wk_left", "counit_wk_right"):
+                assert got[name] == expected[name]
+                w = got[name].witness
+                assert w is not None and w.rhs == Vec.basis(h.dim, w.indices[0])
+                fractional |= any(type(v) is Fraction for _, v in w.lhs.terms())
+    assert fractional
 
 
 def test_report_matches_reference_when_n_grows(report_cases):
