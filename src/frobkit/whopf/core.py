@@ -54,6 +54,20 @@ operations keep the linear relations among columns and a column of the
 reduced echelon form (leftmost pivots) is new exactly when it holds a pivot.
 If check_algebra fails or a cell differs, the (b, a) scan gives the witnesses.
 
+Grouplike data (:func:`grouplike`: Delta(e_j) = e_j (x) e_j, eps(e_j) = 1,
+n = 1, a monomial table passing check_algebra; groupoid and group algebras)
+passes the coalgebra axioms by shape: Delta(e_i) Delta(e_j) and
+Delta(e_i e_j) are both e_k (x) e_k or both 0, each side of coassociativity
+is e_j (x) e_j (x) e_j, and the counit identities read eps(e_j) e_j = e_j.
+A basis product is 0 or one e_k, so both forms of eps(abc) read [abc != 0] =
+[ab != 0][bc != 0], both 0 where ab = 0.  If e_a e_b = e_k, e_k e_c =
+e_a (e_b e_c) != 0 needs e_b e_c != 0, so by_left[k] lies in by_left[b] and
+the identity fails exactly at the c of by_left[b] outside it: it holds iff
+len(by_left[k]) = len(by_left[b]) for every product, else the (b, a) scan
+gives the witnesses.  With eps 1 on any monomial table, E[m, c] =
+[e_m e_c != 0]: every reader of E takes its rows and columns from by_left
+and by_right.
+
 Once check_weak_hopf passes, the left integrals are solved from the rows of
 h L = eps_t(h) L for h = e_s b only, s in S and b in a basis of A_t, using
 eps_t(x eps_t(y)) = eps_t(xy) (Boehm-Nill-Szlachanyi, Weak Hopf algebras I,
@@ -230,18 +244,29 @@ def check_weak_hopf(h: WeakHopfData) -> VerificationReport:
     return h._report
 
 
+def grouplike(h: WeakHopfData) -> bool:
+    """Delta(e_j) = e_j (x) e_j, eps(e_j) = 1 and check_algebra on a monomial table."""
+    pairs = h.coalgebra.delta_pairs
+    shaped = all(pairs(j) == [(j, j, ONE)] for j in range(h.dim)) and _counit_is_one(h)
+    return shaped and check_algebra(h.algebra).passed
+
+
+def _counit_is_one(h: WeakHopfData) -> bool:
+    """Whether the table is monomial and eps is 1 on every basis element."""
+    ones = dict.fromkeys(range(h.dim), ONE)
+    return h.algebra.monomial_table is not None and dict(h.epsilon_wk.terms()) == ones
+
+
 def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
-    a = h.algebra
-    d = h.dim
-    n = h.denom
-    scaled = h.scaled
+    a, d, n, scaled = h.algebra, h.dim, h.denom, h.scaled
     checks = list(check_algebra(a).checks)
     basis = [Vec.basis(d, k) for k in range(d)]
 
-    # Delta(ab) = Delta(a) Delta(b), decided on the rows a in {1} u S (module
-    # docstring); the scan over all basis pairs gives the witness
+    # Delta(ab) = Delta(a) Delta(b), by shape if grouplike, else decided on the
+    # rows a in {1} u S (module docstring); the all-pairs scan gives the witness
+    shape = grouplike(h)
     decided = check_algebra(a).passed
-    if decided:
+    if decided and not shape:
         rows = [(h.scaled_unit_pairs, a.unit)]
         rows += [(scaled.delta_pairs(g), basis[g]) for g in a.generators()]
         decided = not any(_mult_row(h, *row, scaled._terms_by_left()) for row in rows)
@@ -256,14 +281,14 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
                 )
                 break
 
-    # coassociativity, decided on the same rows once Delta is multiplicative
-    # (module docstring); check_coassoc gives the witness.  The unit row's
-    # lhs (Delta (x) id)Delta(1) is also the Delta^2(1) of the unit checks.
+    # coassociativity, by shape if grouplike, else on the same rows once Delta
+    # is multiplicative (module docstring); check_coassoc gives the witness.
+    # The unit row's lhs (Delta (x) id)Delta(1) is also the unit checks' Delta^2(1).
     lhs, unit_rhs = _coassoc_sides(scaled, h.scaled_unit_pairs)
     coassoc = CheckResult("coassociativity_wk", True)
-    if not decided or lhs != unit_rhs or any(
+    if not shape and (not decided or lhs != unit_rhs or any(
         x != y for x, y in (_coassoc_sides(scaled, p) for p, _ in rows[1:])
-    ):
+    )):
         (coassoc,) = check_coassoc(scaled).checks
     w = coassoc.witness
     if w is not None:
@@ -272,7 +297,7 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
 
     # (eps (x) id)(n Delta)(e_j) = n e_j = (id (x) eps)(n Delta)(e_j)
     eps, left_w, right_w = dict(h.epsilon_wk.terms()), None, None
-    for j in range(d):
+    for j in range(0 if shape else d):  # grouplike: eps(e_j) e_j = e_j
         left, right, rhs = {}, {}, {j: n}
         for p, q, v in scaled.delta_pairs(j):
             addto(left, eps.get(p, ZERO), ((q, v),))
@@ -285,10 +310,14 @@ def _weak_hopf_report(h: WeakHopfData) -> VerificationReport:
     checks.append(CheckResult("counit_wk_right", right_w is None, right_w))
     checks.append(CheckResult("delta_wk_multiplicative", mult_w is None, mult_w))
 
-    # eps(abc) = eps(a b_1) eps(b_2 c) = eps(a b_2) eps(b_1 c), decided on the
-    # cells (R, b, C) (module docstring); the (b, a) row scan gives witnesses
-    cells = _weak_mult_rows(h, on_basis=True)
-    on_basis = check_algebra(a).passed and all(x == y == z for _, x, y, z in cells)
+    # eps(abc) = eps(a b_1) eps(b_2 c) = eps(a b_2) eps(b_1 c): one count per product if
+    # grouplike, else the cells (R, b, C) (module docstring); the (b, a) scan gives witnesses
+    if shape:
+        by_left, table = a.by_left, a.monomial_table.values()
+        on_basis = all(len(by_left[k]) == len(by_left[b]) for r in table for b, k in r.items())
+    else:
+        cells = _weak_mult_rows(h, on_basis=True)
+        on_basis = check_algebra(a).passed and all(x == y == z for _, x, y, z in cells)
     weak_a, weak_b = (None, None) if on_basis else _weak_mult_scan(h)
     checks.append(CheckResult("epsilon_wk_weak_mult_a", weak_a is None, weak_a))
     checks.append(CheckResult("epsilon_wk_weak_mult_b", weak_b is None, weak_b))
@@ -415,8 +444,10 @@ def _counital_terms(h: WeakHopfData) -> tuple[list[dict], ...]:
     tgt[j] = n eps_t(e_j) as dicts from the terms of n Delta(1).  Kept on ``h``."""
     if h._counital is None:
         a, d, eps = h.algebra, h.dim, dict(h.epsilon_wk.terms())
-        eps_row, eps_col = [{} for _ in range(d)], [{} for _ in range(d)]
-        for (m, c), prod in a.mult.items():
+        ones = _counit_is_one(h)  # then E[m, c] = [e_m e_c != 0] (module docstring)
+        eps_row = [dict.fromkeys(row, ONE) if ones else {} for row in a.by_left]
+        eps_col = [dict.fromkeys(col, ONE) if ones else {} for col in a.by_right]
+        for (m, c), prod in () if ones else a.mult.items():
             v = ZERO
             for k, x in prod:  # eps(e_m e_c), summed over the product's terms
                 if k in eps:

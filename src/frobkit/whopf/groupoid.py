@@ -98,13 +98,18 @@ class GroupoidData:
             raise ConstructionError(
                 "composition table domain must be exactly the composable pairs"
             )
-        for (g, h), k in comp.items():
-            if not 0 <= k < n:
-                raise ConstructionError("composition table value out of range")
-            if mor[k].src != mor[g].src or mor[k].tgt != mor[h].tgt:
-                raise ConstructionError(
-                    f"composite of {mor[g].name} and {mor[h].name} has wrong endpoints"
-                )
+        try:  # an index that is not an int raises TypeError: no test per entry
+            for (g, h), k in comp.items():
+                if not 0 <= k < n:
+                    raise ConstructionError("composition table value out of range")
+                if mor[k].src != mor[g].src or mor[k].tgt != mor[h].tgt:
+                    raise ConstructionError(
+                        f"composite of {mor[g].name} and {mor[h].name} has wrong endpoints"
+                    )
+        except TypeError:
+            ints = all(isinstance(i, int) for key in comp for i in key)
+            what = "value out of range" if ints else "domain must be exactly the composable pairs"
+            raise ConstructionError(f"composition table {what}") from None
         # identities: for each object, the first loop acting as a two-sided unit
         for x in objs:
             for e in out_of[x]:
@@ -120,20 +125,23 @@ class GroupoidData:
         # inverses
         if len(self.inv) != n:
             raise ConstructionError("inverse map must be total")
-        for g, gi in enumerate(self.inv):
-            if not 0 <= gi < n:
-                raise ConstructionError("inverse map value out of range")
-            m, mi = mor[g], mor[gi]
-            if (mi.src, mi.tgt) != (m.tgt, m.src):
-                raise ConstructionError(f"inverse of {m.name} has wrong endpoints")
-            if comp[(g, gi)] != self.identities[m.src]:
-                raise ConstructionError(
-                    f"{m.name} composed with its inverse is not the identity at its source"
-                )
-            if comp[(gi, g)] != self.identities[m.tgt]:
-                raise ConstructionError(
-                    f"inverse composed with {m.name} is not the identity at its target"
-                )
+        try:
+            for g, gi in enumerate(self.inv):
+                if not 0 <= gi < n:
+                    raise ConstructionError("inverse map value out of range")
+                m, mi = mor[g], mor[gi]
+                if (mi.src, mi.tgt) != (m.tgt, m.src):
+                    raise ConstructionError(f"inverse of {m.name} has wrong endpoints")
+                if comp[(g, gi)] != self.identities[m.src]:
+                    raise ConstructionError(
+                        f"{m.name} composed with its inverse is not the identity at its source"
+                    )
+                if comp[(gi, g)] != self.identities[m.tgt]:
+                    raise ConstructionError(
+                        f"inverse composed with {m.name} is not the identity at its target"
+                    )
+        except TypeError:
+            raise ConstructionError("inverse map value out of range") from None
 
     @property
     def num_morphisms(self) -> int:

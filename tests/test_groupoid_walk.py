@@ -12,7 +12,10 @@ float such as 0.0, an identity broken, ``inv`` shortened or edited, or a
 compose key of the wrong shape.  Either both sides raise the same exception
 type with the same message, or they give the same identities, compose table
 (in insertion order), inverses and morphism names; then the groupoid
-algebras built from them agree field by field.
+algebras built from them agree field by field.  One difference is intended:
+where the reference raised TypeError on an index that is not an int, such
+as the compose key (0.0, 0) that passes the domain check as the pair
+(0, 0) would, GroupoidData raises ConstructionError.
 """
 
 import dataclasses
@@ -243,6 +246,18 @@ def weak_hopf_fields(h: WeakHopfData) -> tuple:
     )
 
 
+DOMAIN = "composition table domain must be exactly the composable pairs"
+
+
+def expected_outcome(ref):
+    """The reference's outcome, but the TypeError of a compose key that is
+    not an int pair (the only non-int index the cases draw) becomes the
+    domain ConstructionError."""
+    if ref[0] == "raise" and ref[1] is TypeError:
+        return "raise", ConstructionError, DOMAIN
+    return ref
+
+
 def assert_same(ref, new, fields):
     assert ref[0] == new[0], (ref, new)
     if ref[0] == "raise":
@@ -320,7 +335,7 @@ def groupoid_inputs(draw):
 def test_validation_matches_reference(args):
     ref = outcome(ReferenceGroupoid, *args)
     new = outcome(GroupoidData, *args)
-    assert_same(ref, new, groupoid_fields)
+    assert_same(expected_outcome(ref), new, groupoid_fields)
     if ref[0] == "ok":
         assert_same(
             outcome(reference_groupoid_algebra, ref[1]),
@@ -415,7 +430,8 @@ def test_float_endpoint_builds_the_same_groupoid():
 def test_equal_compose_keys_pass_as_in_reference(bad, drop):
     """(0.0, 0) and (True, 0) equal the pairs (0, 0) and (1, 0), so the
     domain check takes them as a set of pairs would: with (0, 0) dropped the
-    float key gets past it, and the value check's TypeError follows."""
+    float key gets past it, and indexing the morphisms with it raises
+    TypeError, which GroupoidData reports as the domain error."""
 
     def edit(o, m, c, i):
         if drop:
@@ -423,7 +439,29 @@ def test_equal_compose_keys_pass_as_in_reference(bad, drop):
         c[bad] = 0
 
     args = _z3_on_two_objects(edit)
-    assert_same(outcome(ReferenceGroupoid, *args), outcome(GroupoidData, *args), groupoid_fields)
+    ref, new = outcome(ReferenceGroupoid, *args), outcome(GroupoidData, *args)
+    assert (ref[:2] == ("raise", TypeError)) == (bad == (0.0, 0) and drop)
+    assert_same(expected_outcome(ref), new, groupoid_fields)
+
+
+@pytest.mark.parametrize(
+    "compose, inv, message",
+    [
+        ({(0, 0): 0.0}, [0], "composition table value out of range"),
+        ({(0, 0): "0"}, [0], "composition table value out of range"),
+        ({(0, 0): None}, [0], "composition table value out of range"),
+        ({(0, 0): 0}, [0.0], "inverse map value out of range"),
+        ({(0, 0): 0}, ["0"], "inverse map value out of range"),
+        ({(0.0, 0): 0}, [0], DOMAIN),
+    ],
+    ids=repr,
+)
+def test_non_int_index_raises_construction_error(compose, inv, message):
+    """The reference indexed or compared with such a value and raised
+    TypeError; GroupoidData catches it around its two loops."""
+    args = (["x"], [Morphism("e", 0, 0)], compose, inv)
+    assert outcome(ReferenceGroupoid, *args)[:2] == ("raise", TypeError)
+    assert outcome(GroupoidData, *args) == ("raise", ConstructionError, message)
 
 
 def test_domain_check_builds_no_pair_set():
