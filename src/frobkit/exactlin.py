@@ -337,15 +337,13 @@ class LinearSystem:
     :meth:`add` costs what its row needs.  An ``int`` entry is admitted
     as it is, any other through :func:`_scalar`, and the stored pivots the
     row meets are collected in the same pass; only a row that meets one is
-    sorted and eliminated.  A row left with one entry has no free column,
-    so it finds its pivot without ``min`` and adds nothing to the index.
-    The row is divided by its pivot and every value passed through
-    :func:`_scalar` again, except when the pivot is 1 and the row met no
-    pivot (its values and rhs are as admitted) or holds only ``int`` values
-    and rhs: elimination can leave an integral ``Fraction`` that this pass
-    turns back into an ``int``.  So the stored rows, their order and their
-    scalar types do not depend on which rows skip the pass.  ``add``
-    returns whether the system is still consistent; once a row has
+    sorted and eliminated.  The row is divided by its pivot and every value
+    passed through :func:`_scalar` again, except when the pivot is 1 and the
+    row met no pivot (its values and rhs are as admitted) or holds only
+    ``int`` values and rhs: elimination can leave an integral ``Fraction``
+    that this pass turns back into an ``int``.  So the stored rows, their
+    order and their scalar types do not depend on which rows skip the pass.
+    ``add`` returns whether the system is still consistent; once a row has
     contradicted the others it stays inconsistent, so a caller that only
     needs to know whether a solution exists can stop at the first False.
     """
@@ -388,12 +386,8 @@ class LinearSystem:
             if rhs:
                 self._inconsistent = True
             return not self._inconsistent
-        one = len(row) == 1
-        if one:
-            ((p, f),) = row.items()
-        else:
-            p = min(row)
-            f = row[p]
+        p = min(row)
+        f = row[p]
         # A row that met no pivot holds admitted scalars, and so does an
         # all-int one; with pivot 1 it is already normalized.
         if f != 1 or hits and (
@@ -411,11 +405,10 @@ class LinearSystem:
             if g is not None:  # None: column p cancelled out of row q earlier
                 pivots[q] = (addto(dict(qrow), -g, row.items()), qrhs - g * rhs)
                 touched.append(q)
-        if not one:
-            # row p and every changed row now hold at most the columns of row p
-            for c in row:
-                if c != p:
-                    users.setdefault(c, set()).update(touched)
+        # row p and every changed row now hold at most the columns of row p
+        for c in row:
+            if c != p:
+                users.setdefault(c, set()).update(touched)
         pivots[p] = (row, rhs)
         return not self._inconsistent
 

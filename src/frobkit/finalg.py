@@ -55,10 +55,10 @@ witness.  The unit laws are read off the same index: 1 e_k and e_k 1 for
 every k come from one pass over the products with a factor in the unit's
 support, and are compared in ascending k, so the first witness of each law
 is the one a scan over k would give.  On a monomial table a product is the
-one index table[i][j]: these walks (and the weak-Hopf rows of whopf.core)
-add each term at its flat key in place, and the bimodule rows with a
-product in supp R are read off the table's rows.  Any other table streams
-each product's term tuple through addto.
+one index table[i][j]: these walks (and the weak-Hopf left-hand sides of
+whopf.core) add each term at its flat key in place, and the bimodule rows
+with a product in supp R are read off the table's rows.  Any other table
+streams each product's term tuple through addto.
 
 The counit is solved from X = Delta(1) too.  For a bimodule Delta,
 (eps (x) id)Delta(e_j) = ((eps (x) id)X) e_j and (id (x) eps)Delta(e_j) =
@@ -840,10 +840,7 @@ def classify_report(c: ComultData) -> ClassifyOutcome:
         .merged(check_coassoc(c))
         .merged(check_bimodule(c))
     )
-    cls = classify_checks(report, None)
-    if cls is Classification.NOT_FROBENIUS_STRUCTURE:
-        return ClassifyOutcome(cls, report, None)
-    eps = solve_counit(c)
+    eps = solve_counit(c) if report.passed else None
     return ClassifyOutcome(classify_checks(report, eps), report, eps)
 
 

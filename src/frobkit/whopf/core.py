@@ -411,9 +411,6 @@ def _mult_row(h: WeakHopfData, x_pairs, x: Vec, terms_by_left: list[list]):
     rhs: dict[int, dict] = {}
     for k, c in x.terms():
         for j in by_left[k]:
-            if table is not None:
-                addto(rhs.setdefault(j, {}), n * c, h.scaled.delta.col_terms(table[k][j]))
-                continue
             for m, u in mult[k, j]:
                 addto(rhs.setdefault(j, {}), n * c * u, h.scaled.delta.col_terms(m))
     for j in sorted(lhs.keys() | rhs.keys()):

@@ -83,18 +83,11 @@ class GroupoidData:
                 )
             out_of[m.src].append(g)
             into[m.tgt].append(g)
-        # the keys are the composable pairs iff there are as many and each is
-        # one; a dict lookup compares g and h as a set of pairs would
-        ends = dict(enumerate(mor))
-
-        def composable(key) -> bool:
-            if not isinstance(key, tuple) or len(key) != 2:
-                return False
-            g, h = ends.get(key[0]), ends.get(key[1])
-            return g is not None and h is not None and g.tgt == h.src
-
+        # the keys are the composable pairs iff there are as many and each
+        # pair is a key: distinct pairs never match one key
         pairs = sum(len(into[x]) * len(out_of[x]) for x in objs)
-        if len(comp) != pairs or not all(map(composable, comp)):
+        composable = (itertools.product(into[x], out_of[x]) for x in objs)
+        if len(comp) != pairs or not all(all(map(comp.__contains__, p)) for p in composable):
             raise ConstructionError(
                 "composition table domain must be exactly the composable pairs"
             )

@@ -12,6 +12,14 @@ failing j with both sides.  Cases: the comultiplications of test_delta_one.py
 and the weak Hopf algebras of ``generator_cases``, each with delta entries
 added, removed or rescaled, and one corrupted delta column of the dim-169
 NSY algebra n=5 ell=5 m=3,2,3,2,3.
+
+On a monomial table the unit laws and the bimodule row set read a product
+by its index; ``streamed_unit_checks`` and ``scanned_bimodule_rows`` are the
+paths any other table takes.  The right-hand side of _mult_row once read
+the index too and now streams each product through addto;
+``indexed_mult_row`` keeps that version.  All must agree with the code on
+monomial NSY, groupoid and QTG fixtures and on one edit of each: a product
+redirected or dropped, a unit term changed, or one Delta entry added.
 """
 
 from fractions import Fraction
@@ -23,16 +31,20 @@ import pytest
 from test_delta_one import CASES, SCALARS, base_comult, edited_comult, with_delta_entry
 from test_generators import generator_cases  # noqa: F401 (fixture)
 
-from frobkit.exactlin import Mat, Vec, addto
+from frobkit.exactlin import ONE, Mat, Vec, addto
 from frobkit.finalg import (
+    AlgebraData,
     CheckResult,
     ComultData,
     VerificationReport,
     Witness,
+    _bimodule_rows,
     _DeltaOne,
+    _delta_one,
+    _unit_checks,
     check_bimodule,
 )
-from frobkit.nsy import NSYParams, nsy_delta
+from frobkit.nsy import NSYParams, nsy_build, nsy_delta
 from frobkit.whopf import WeakHopfData, core
 
 
@@ -256,3 +268,133 @@ def test_edited_delta_wk_rows_match_grouped_rows(generator_cases, data):  # noqa
         x = Vec.basis(d, i)
         x_pairs = h.scaled.delta_pairs(i)
         assert grouped_mult_row(h, x_pairs, x, grouped(h))[0] == j
+
+
+def streamed_unit_checks(a: AlgebraData) -> tuple[CheckResult, CheckResult]:
+    """finalg._unit_checks by the addto path alone, on any table, uncached."""
+    d, by_right, by_left = a.dim, a.by_right, a.by_left
+    left: dict[int, dict] = {}  # k -> 1 e_k, and right: k -> e_k 1
+    right: dict[int, dict] = {}
+    for q, u in a.unit.terms():
+        for k in by_left[q]:
+            addto(left.setdefault(k, {}), u, a.mult[q, k])
+        for k in by_right[q]:
+            addto(right.setdefault(k, {}), u, a.mult[k, q])
+    checks = []
+    for name, sums, note in (("unit_left", left, "1 * e_k != e_k"),
+                             ("unit_right", right, "e_k * 1 != e_k")):
+        k = next((k for k in range(d) if sums.get(k, {}) != {k: ONE}), None)
+        w = None if k is None else Witness((k,), Vec(d, sums.get(k)), Vec.basis(d, k), note)
+        checks.append(CheckResult(name, w is None, w))
+    return tuple(checks)
+
+
+def scanned_bimodule_rows(a: AlgebraData, residuals: dict, left_factors) -> list[int]:
+    """finalg._bimodule_rows by the product scan alone, on any table."""
+    rows = {*residuals, *(i for p in left_factors for i in a.by_right[p])}
+    rows.update(i for (i, _), prod in a.mult.items() for k, _ in prod if k in residuals)
+    return sorted(rows)
+
+
+def indexed_mult_row(h: WeakHopfData, x_pairs, x: Vec, terms_by_left: list[list]):
+    """core._mult_row with the monomial-table right-hand side, verbatim."""
+    a, d, n = h.algebra, h.dim, h.denom
+    mult, by_left, table = a.mult, a.by_left, a.monomial_table
+    lhs: dict[int, dict] = {}
+    for p, q, v in x_pairs:
+        if table is not None:
+            row_q = table.get(q, {})
+            for p2 in by_left[p]:
+                kd = table[p][p2] * d
+                for j, q2, v2 in terms_by_left[p2]:
+                    kr = row_q.get(q2)
+                    if kr is not None:
+                        acc, t, w = lhs.setdefault(j, {}), kd + kr, v * v2
+                        if t in acc:
+                            w += acc[t]
+                            if not w:
+                                del acc[t]
+                                continue
+                        acc[t] = w
+            continue
+        for p2 in by_left[p]:
+            left_terms = mult[p, p2]
+            for j, q2, v2 in terms_by_left[p2]:
+                right = mult.get((q, q2))
+                if right is not None:
+                    for kl, vl in left_terms:
+                        addto(lhs.setdefault(j, {}), v * v2 * vl, right, kl * d)
+    rhs: dict[int, dict] = {}
+    for k, c in x.terms():
+        for j in by_left[k]:
+            if table is not None:
+                addto(rhs.setdefault(j, {}), n * c, h.scaled.delta.col_terms(table[k][j]))
+                continue
+            for m, u in mult[k, j]:
+                addto(rhs.setdefault(j, {}), n * c * u, h.scaled.delta.col_terms(m))
+    for j in sorted(lhs.keys() | rhs.keys()):
+        if lhs.get(j, {}) != rhs.get(j, {}):
+            return j, lhs.get(j, {}), rhs.get(j, {})
+    return None
+
+
+@pytest.fixture(scope="module")
+def monomial_cases(groupoid_algebras, qtg_built):
+    """name -> (algebra, Delta, weak Hopf data or None), every table monomial."""
+    cases = {}
+    for p in (NSYParams(2, 2, (2, 1)), NSYParams(3, 2, (1, 1, 2)), NSYParams(3, 3, (2, 1, 2))):
+        c = nsy_delta(p, nsy_build(p))
+        cases[f"nsy_{p.n}_{p.ell}_{p.mults}"] = (c.algebra, c.delta, None)
+    weak = {f"groupoid_{k}": h for k, h in groupoid_algebras.items()}
+    weak.update(qtg_built)
+    cases.update({name: (h.algebra, h.delta_wk, h) for name, h in weak.items()})
+    return cases
+
+
+def single_edit(a: AlgebraData, delta: Mat, data) -> tuple[AlgebraData, Mat]:
+    """A fresh copy of ``a`` and ``delta``, or one of them with one edit that
+    keeps the table monomial."""
+    d = a.dim
+    mult, unit = dict(a.mult), a.unit
+    edit = data.draw(st.sampled_from(["none", "redirect", "drop", "unit", "delta"]))
+    if edit in ("redirect", "drop"):
+        key = data.draw(st.sampled_from(sorted(mult)))
+        if edit == "drop":
+            del mult[key]
+        else:
+            mult[key] = ((data.draw(st.integers(0, d - 1)), 1),)
+    elif edit == "unit":
+        k = data.draw(st.integers(0, d - 1))
+        unit = unit + Vec(d, {k: data.draw(st.sampled_from(SCALARS))})
+    elif edit == "delta":
+        flat, column = data.draw(st.integers(0, d * d - 1)), data.draw(st.integers(0, d - 1))
+        delta = Mat(d * d, d, [*delta.items(), (flat, column, data.draw(st.sampled_from(SCALARS)))])
+    return AlgebraData(d, a.labels, mult, unit), delta
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_paths_match_the_general_paths(monomial_cases, data):
+    name = data.draw(st.sampled_from(sorted(monomial_cases)))
+    a, delta, h = monomial_cases[name]
+    a, delta = single_edit(a, delta, data)
+    assert a.monomial_table is not None
+    assert _unit_checks(a) == streamed_unit_checks(a)
+
+    c = ComultData(a, delta)
+    d = a.dim
+    columns = {j: dict(delta.col_terms(j)) for j in range(d) if delta.col_terms(j)}
+    for residuals in (_delta_one(c).residuals, columns):
+        left_factors = {t // d for res in residuals.values() for t in res}
+        expected = scanned_bimodule_rows(a, residuals, left_factors)
+        assert _bimodule_rows(a, residuals, left_factors) == expected
+
+    if h is not None:
+        h = WeakHopfData(a, delta, h.epsilon_wk, h.antipode)
+        index = h.scaled._terms_by_left()
+        basis = st.integers(0, d - 1).map(lambda k: Vec.basis(d, k))
+        combo = st.dictionaries(st.integers(0, d - 1), st.sampled_from(SCALARS), max_size=3)
+        xs = [h.unit, *data.draw(st.lists(basis, max_size=3)), Vec(d, data.draw(combo))]
+        for x in xs:
+            x_pairs = [(t // d, t % d, v) for t, v in h.scaled.delta_of(x).terms()]
+            assert core._mult_row(h, x_pairs, x, index) == indexed_mult_row(h, x_pairs, x, index)
